@@ -8,6 +8,7 @@ or validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .criteria import audit
@@ -17,7 +18,7 @@ from .optimize import OptimizeOptions, local_optimize, minimizing_sequence
 from .perturbations import Perturbation, derivatives, with_fd
 from .polyhedron import edge_length, melzak_ratio, volume
 from .shapes import box, cube, ngon_pyramid, optimal_prism, regular_tetrahedron
-from .wedges import cleancond_scan
+from .wedges import check_scan_args, cleancond_scan
 
 
 def _fmt(x: float) -> str:
@@ -140,7 +141,13 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_quad_scan(args) -> int:
-    report = cleancond_scan(args.samples, args.seed, args.tol)
+    # check the inputs, then open --json, so neither fails after the scan
+    check_scan_args(args.samples, args.seed, args.tol)
+    with (open(args.json, "w", encoding="utf-8") if args.json
+          else contextlib.nullcontext()) as out:
+        report = cleancond_scan(args.samples, args.seed, args.tol)
+        if out:
+            out.write(report.to_json() + "\n")
     print(f"samples = {report.samples}")
     print(f"solutions = {len(report.solutions)}")
     counter = report.counterexamples(args.tol)
@@ -151,9 +158,6 @@ def _cmd_quad_scan(args) -> int:
     print(f"two_adjacent_acute = {acute}")
     if report.solutions:
         print(f"max_maxF = {_fmt(max(s.maxF for s in report.solutions))}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
     return 0
 
 

@@ -78,7 +78,7 @@ class DegenerateEdge(GeometryError):
 
 
 class CoincidentPoints(GeometryError):
-    """Planar quad has coincident or origin-touching points."""
+    """Planar quad has coincident or origin-touching points, or crossing edges."""
 
 
 class InvalidStart(GeometryError):

@@ -76,6 +76,8 @@ class OptimizeOptions:
         for name in ("max_iters", "grad_tol", "step_init", "fd_step", "restarts"):
             if getattr(self, name) <= 0:
                 raise BadParameter(f"{name} must be positive")
+        if self.seed < 0:
+            raise BadParameter("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ degenerate height-zero limit where the wedge flattens onto a planar
 quadrilateral with an interior apex.
 
 The planar residual scan searches for quadrilaterals satisfying the
-alternating chain F(1) = -F(2) = F(3) = -F(4) with some F(i) nonzero; any
-such find would be a counterexample to the closing conjecture that the
-chain forces all F(i) to vanish.
+alternating chain F(1) = -F(2) = F(3) = -F(4) with some F(i) nonzero; such
+a find with the apex inside the quadrilateral would be a counterexample to
+the closing conjecture that the chain forces all F(i) to vanish. One kernel,
+_chain, evaluates F and the residual for a stack of quadrilaterals at once.
 """
 from __future__ import annotations
 
@@ -79,13 +80,7 @@ class Wedge:
 
     def base_angles(self) -> np.ndarray:
         """Interior angles of the base quadrilateral."""
-        b = np.asarray(self.base, dtype=float)
-        out = []
-        for i in range(4):
-            u = _unit(b[(i + 1) % 4] - b[i])
-            w = _unit(b[(i - 1) % 4] - b[i])
-            out.append(math.acos(float(np.clip(u @ w, -1.0, 1.0))))
-        return np.array(out)
+        return _corner_angles(np.asarray(self.base, dtype=float))
 
     def base_dihedrals(self) -> np.ndarray:
         """Dihedral angles along the four base edges."""
@@ -104,6 +99,16 @@ class Wedge:
                      self.normalized if normalized is None else normalized,
                      None if self.poly is None else self.poly.scaled(factor),
                      self.base_face)
+
+
+def _corner_angles(b: np.ndarray) -> np.ndarray:
+    """Interior angles of the quadrilateral b[0..3], in 2-D or 3-D."""
+    out = []
+    for i in range(4):
+        u = _unit(b[(i + 1) % 4] - b[i])
+        w = _unit(b[(i - 1) % 4] - b[i])
+        out.append(math.acos(float(np.clip(u @ w, -1.0, 1.0))))
+    return np.array(out)
 
 
 def _vertex_index(P: Polyhedron, x) -> int:
@@ -251,44 +256,67 @@ class PyramidQuad:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (4, 2):
             raise BadParameter("need four 2-vectors")
-        if (np.linalg.norm(p, axis=1) < 1e-12).any():
-            raise CoincidentPoints("a base vertex coincides with the apex")
-        if (np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1) < 1e-12).any():
-            raise CoincidentPoints("two consecutive base vertices coincide")
-        if _self_intersects(p):
-            raise BadParameter("quadrilateral is self-intersecting")
+        if not math.isfinite(_chain(p.reshape(1, 8))[0][0]):
+            raise CoincidentPoints("quadrilateral has coincident points, a vertex "
+                                   "on the apex, or crossing edges")
         object.__setattr__(self, "p", p)
 
 
-def _self_intersects(p: np.ndarray) -> bool:
-    def ccw(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+# _chain keeps one column per quad, rows x1..x4 then y1..y4 (_XY); _NEXT and
+# _PREV4 step rows to the next / previous vertex. _LEFT and _RIGHT pick, from
+# Z = [edges Ei = p(i+1) - p(i); diagonals G1 = p3 - p1, G2 = p4 - p2] (x rows,
+# then y rows), the factors of the turns E4xE1, E1xE2, E2xE3, E3xE4 and of
+# E1xG1, E2xG2, G1xE3, G2xE4: edges 1 and 3 cross when each has the other's
+# ends on different sides, and likewise edges 2 and 4.
+_XY = np.array([0, 2, 4, 6, 1, 3, 5, 7])
+_NEXT = np.array([1, 2, 3, 0, 5, 6, 7, 4])
+_PREV4 = np.array([3, 0, 1, 2])
+_LEFT = np.array([3, 0, 1, 2, 0, 1, 8, 9, 7, 4, 5, 6, 4, 5, 10, 11])
+_RIGHT = np.array([0, 1, 2, 3, 8, 9, 2, 3, 4, 5, 6, 7, 10, 11, 6, 7])
 
-    def seg_cross(a, b, c, d):
-        d1, d2 = ccw(a, b, c), ccw(a, b, d)
-        d3, d4 = ccw(c, d, a), ccw(c, d, b)
-        return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
-    return (seg_cross(p[0], p[1], p[2], p[3]) or
-            seg_cross(p[1], p[2], p[3], p[0]))
+def _chain(X: np.ndarray) -> tuple:
+    """Chain residuals r (n,) and slide-to-apex values F (n, 4) of n quads.
+
+    Row i of X is (x1, y1, ..., x4, y4), apex at the origin, scaled here to
+    unit longest edge. F(i) = |p_i| - u.p_i - w.p_i, with u and w the unit
+    vectors from the two neighbours of p_i towards it. F is returned in the
+    row's own units, r = |(F1+F2, F2+F3, F3+F4)| in the scaled ones. A row
+    whose longest edge is below 1e-12, whose edges cross, or whose scaled
+    quad has a vertex or an edge shorter than 1e-12 gets r = F = inf. Rows
+    never mix: each row's values are what it would get on its own.
+    """
+    P = X.T[_XY]
+    D = P[_NEXT] - P
+    D *= D
+    longest = np.sqrt((D[:4] + D[4:]).max(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Q = P * (1.0 / longest)
+        Qn = Q[_NEXT]
+        E = Qn - Q
+        L = np.hypot(E[:4], E[4:])
+        N = np.hypot(Q[:4], Q[4:])
+        EQ = E * Q
+        EQn = E * Qn
+        F = (N + (EQ[:4] + EQ[4:]) / L) - ((EQn[:4] + EQn[4:]) / L)[_PREV4]
+        Z = np.concatenate((E, Q[2:4] - Q[:2], Q[6:] - Q[4:6]))
+        A, B = Z[_LEFT], Z[_RIGHT]
+        C = A[:8] * B[8:] - A[8:] * B[:8]
+    m = (C[:4] > 0) != (C[4:] > 0)
+    bad = ((m[:2] & m[2:]).any(axis=0) | (longest < 1e-12)
+           | (np.minimum(N, L).min(axis=0) < 1e-12))
+    S = F[:3] + F[1:]
+    S *= S
+    r = np.sqrt(S[0] + S[1] + S[2])
+    r[bad] = math.inf
+    F *= longest
+    F[:, bad] = math.inf
+    return r, F.T
 
 
 def pyramid_F(q: PyramidQuad) -> tuple:
     """Per-vertex slide-to-apex values F(1..4) of the flat pyramid."""
-    p = q.p
-    out = []
-    for i in range(4):
-        pi = p[i]
-        nrm = float(np.linalg.norm(pi))
-        total = 1.0
-        for j in (i + 1, i - 1):
-            diff = pi - p[j % 4]
-            dn = float(np.linalg.norm(diff))
-            if dn < 1e-12:
-                raise CoincidentPoints("repeated base vertex")
-            total -= float(diff @ pi) / (nrm * dn)
-        out.append(nrm * total)
-    return tuple(out)
+    return tuple(_chain(q.p.reshape(1, 8))[1][0].tolist())
 
 
 def _gauge(p: np.ndarray) -> np.ndarray:
@@ -300,19 +328,12 @@ def _gauge(p: np.ndarray) -> np.ndarray:
     return q @ rot.T
 
 
-def _residual(p: np.ndarray) -> tuple:
-    try:
-        F = pyramid_F(PyramidQuad(_gauge(p)))
-    except GeometryError:
-        return math.inf, (math.inf,) * 4
-    r = math.sqrt((F[0] + F[1]) ** 2 + (F[1] + F[2]) ** 2 + (F[2] + F[3]) ** 2)
-    return r, F
-
-
 @dataclass(frozen=True)
 class ScanSolution:
     """Gauged quadrilateral whose chain residual dropped below tolerance.
 
+    residual is the value the search reached and tested against tol, taken
+    before p was rotated into the gauge; maxF is max|F(i)| of p itself.
     two_adjacent_acute reports the acute-pair exclusion check; a True here
     is evidence against the descent having stayed meaningful, not a claim
     about the source material. origin_inside records whether the apex
@@ -348,16 +369,20 @@ class ScanReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def counterexamples(self, tol: float = 1e-10) -> tuple:
+        """Solutions that would refute the closing conjecture.
+
+        Its hypotheses are that the chain holds (residual < tol) and that
+        the apex lies inside the quadrilateral (origin_inside), since only
+        such quads arise as height-zero limits of wedges whose top projects
+        onto the base; a counterexample meets both with some F(i) nonzero
+        (max|F| > 100 tol).
+        """
         return tuple(s for s in self.solutions
-                     if s.residual < tol and s.maxF > 100.0 * tol)
+                     if s.residual < tol and s.maxF > 100.0 * tol and s.origin_inside)
 
 
 def _two_adjacent_acute(p: np.ndarray) -> bool:
-    angles = []
-    for i in range(4):
-        u = _unit(p[(i + 1) % 4] - p[i])
-        w = _unit(p[(i - 1) % 4] - p[i])
-        angles.append(math.acos(float(np.clip(u @ w, -1.0, 1.0))))
+    angles = _corner_angles(p)
     return any(angles[i] < math.pi / 2 and angles[(i + 1) % 4] < math.pi / 2
                for i in range(4))
 
@@ -370,100 +395,68 @@ def _origin_inside(p: np.ndarray) -> bool:
     return abs(total) > math.pi
 
 
-def _fast_residual(x: list) -> float:
-    """Chain residual of the scale-gauged quad, plain floats for speed.
+def _star(rng) -> np.ndarray:
+    """Random quad around the origin, vertices in angle order, gaps >= 0.2."""
+    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=4))
+    if np.min(np.diff(ang, append=ang[0] + 2 * math.pi)) < 0.2:
+        ang = np.linspace(0, 2 * math.pi, 5)[:4] + rng.uniform(0, 2 * math.pi)
+    rad = rng.uniform(0.3, 1.5, size=4)
+    return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
-    The chain values are homogeneous of degree one and rotation invariant,
-    so gauging here only rescales by the longest edge; the rotation part
-    of the gauge is applied once at report time.
-    """
-    px = (x[0], x[2], x[4], x[6])
-    py = (x[1], x[3], x[5], x[7])
-    longest = 0.0
-    for i in range(4):
-        j = (i + 1) % 4
-        dx, dy = px[j] - px[i], py[j] - py[i]
-        e2 = dx * dx + dy * dy
-        if e2 > longest:
-            longest = e2
-    longest = math.sqrt(longest)
-    if longest < 1e-12:
-        return math.inf
-    inv = 1.0 / longest
-    px = tuple(v * inv for v in px)
-    py = tuple(v * inv for v in py)
 
-    def ccw(ax, ay, bx, by, cx, cy):
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-    def crosses(a, b, c, d):
-        d1 = ccw(px[a], py[a], px[b], py[b], px[c], py[c])
-        d2 = ccw(px[a], py[a], px[b], py[b], px[d], py[d])
-        d3 = ccw(px[c], py[c], px[d], py[d], px[a], py[a])
-        d4 = ccw(px[c], py[c], px[d], py[d], px[b], py[b])
-        return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-    if crosses(0, 1, 2, 3) or crosses(1, 2, 3, 0):
-        return math.inf
-    F = [0.0] * 4
-    for i in range(4):
-        nrm = math.hypot(px[i], py[i])
-        if nrm < 1e-12:
-            return math.inf
-        total = nrm
-        for j in ((i + 1) % 4, (i - 1) % 4):
-            dx, dy = px[i] - px[j], py[i] - py[j]
-            dn = math.hypot(dx, dy)
-            if dn < 1e-12:
-                return math.inf
-            total -= (dx * px[i] + dy * py[i]) / dn
-        F[i] = total
-    return math.sqrt((F[0] + F[1]) ** 2 + (F[1] + F[2]) ** 2
-                     + (F[2] + F[3]) ** 2)
+def check_scan_args(samples: int, seed: int, tol: float) -> None:
+    """Raise BadParameter unless cleancond_scan can run with these inputs."""
+    if samples < 1:
+        raise BadParameter("need at least one sample")
+    if seed < 0:
+        raise BadParameter("seed must be non-negative")
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadParameter("tolerance must be finite and positive")
 
 
 def cleancond_scan(samples: int, seed: int, tol: float = 1e-10,
                    iterations: int = 100) -> ScanReport:
     """Pattern-search for quadrilaterals satisfying the alternating chain.
 
-    Starts from star-shaped random quads around the origin, descends the
-    residual of (F1+F2, F2+F3, F3+F4), and reports every solution below
-    tol with its max|F(i)| plus two annotation flags: the acute-pair
-    exclusion check and whether the origin stayed inside the quad (the
-    descent itself is unconstrained, so solutions can wander outside the
-    star-shaped start region). A counterexample to the closing conjecture
-    would show residual < tol with max|F| well above tol.
+    Draws all star-shaped starts around the origin first, then runs one
+    Hooke-Jeeves-style search per sample on the chain residual: each
+    iteration tries +step and -step on each coordinate in turn, keeps every
+    trial that lowers the residual, halves the step after an iteration
+    without a gain and stops once it falls below 1e-13. The searches are
+    independent, so they run side by side as the rows of one array. Every
+    solution below tol is reported with its max|F(i)|, the acute-pair flag
+    and whether the origin stayed inside the quad (the search is
+    unconstrained, so solutions can leave the star-shaped start region).
     """
-    if samples < 1:
-        raise BadParameter("need at least one sample")
+    check_scan_args(samples, seed, tol)
     rng = np.random.default_rng(seed)
+    X = np.array([_gauge(_star(rng)).ravel() for _ in range(samples)])
+    best = _chain(X)[0]
+    step = np.full(samples, 0.1)
+    live = np.arange(samples)
+    for _ in range(iterations):
+        x, b, s = X[live], best[live], step[live]
+        improved = np.zeros(len(live), dtype=bool)
+        for k in range(8):
+            for sign in (1.0, -1.0):
+                old = x[:, k].copy()
+                x[:, k] += sign * s
+                r = _chain(x)[0]
+                gain = r < b
+                x[:, k] = np.where(gain, x[:, k], old)
+                b = np.where(gain, r, b)
+                improved |= gain
+        s[~improved] *= 0.5
+        X[live], best[live], step[live] = x, b, s
+        live = live[s >= 1e-13]
+        if not live.size:
+            break
     sols = []
-    for _ in range(samples):
-        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=4))
-        if np.min(np.diff(ang, append=ang[0] + 2 * math.pi)) < 0.2:
-            ang = np.linspace(0, 2 * math.pi, 5)[:4] + rng.uniform(0, 2 * math.pi)
-        rad = rng.uniform(0.3, 1.5, size=4)
-        p = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-        x = list(_gauge(p).ravel())
-        best = _fast_residual(x)
-        step = 0.1
-        for _ in range(iterations):
-            improved = False
-            for k in range(8):
-                for sign in (1.0, -1.0):
-                    trial = x.copy()
-                    trial[k] += sign * step
-                    r = _fast_residual(trial)
-                    if r < best:
-                        best, x, improved = r, trial, True
-            if not improved:
-                step *= 0.5
-                if step < 1e-13:
-                    break
-        if best < tol:
-            g = _gauge(np.asarray(x).reshape(4, 2))
-            r, F = _residual(g)
-            sols.append(ScanSolution(g, r, float(max(abs(f) for f in F)),
-                                     _two_adjacent_acute(g), _origin_inside(g)))
+    found = best < tol
+    for x, r in zip(X[found], best[found]):
+        g = _gauge(x.reshape(4, 2))
+        F = pyramid_F(PyramidQuad(g))
+        sols.append(ScanSolution(g, float(r), max(abs(f) for f in F),
+                                 _two_adjacent_acute(g), _origin_inside(g)))
     sols.sort(key=lambda s: (s.residual, s.maxF))
     return ScanReport(samples, seed, tuple(sols))

@@ -165,6 +165,36 @@ def test_usage_error_is_exit_1(capsys):
     assert run(capsys, "quad-scan", "--samples", "5")[0] == 1
 
 
+def test_negative_seed_is_exit_2(capsys):
+    for argv in (("quad-scan", "--samples", "5", "--seed", "-1"),
+                 ("sequence", "--max-faces", "5", "--seed", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
+def test_bad_scan_tolerance_is_exit_2(tmp_path, capsys):
+    js = tmp_path / "kept.json"
+    js.write_text("earlier scan\n")
+    for tol in ("nan", "0", "-1", "inf"):
+        code, out, err = run(capsys, "quad-scan", "--samples", "5", "--seed", "1",
+                             "--tol", tol, "--json", str(js))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+    assert js.read_text() == "earlier scan\n"
+
+
+def test_unwritable_scan_json_fails_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before --json was opened")
+
+    monkeypatch.setattr("melzak.cli.cleancond_scan", no_scan)
+    code, out, err = run(capsys, "quad-scan", "--samples", "5", "--seed", "1",
+                         "--json", str(tmp_path / "absent" / "scan.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "ratio", str(tmp_path / "absent.off"))
     assert code == 2

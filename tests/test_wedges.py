@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import frustum
 from melzak import cube, from_halfspaces, HalfSpace, ngon_pyramid
@@ -13,6 +16,7 @@ from melzak.gauss import angle_deficit
 from melzak.perturbations import face_hinge_derivatives
 from melzak.polyhedron import volume
 from melzak.wedges import (
+    _chain,
     PyramidQuad,
     Wedge,
     cleancond_scan,
@@ -156,6 +160,88 @@ def test_apex_coincident_vertex_rejected():
         PyramidQuad(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
 
 
+def star_quad(gaps, radii):
+    """Quad around the origin, vertices in angle order, gaps in proportion."""
+    ang = np.cumsum(gaps) * (2 * math.pi / gaps.sum())
+    return np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
+
+
+# every angle gap is under pi, so the origin is inside the quad
+star_gaps = arrays(np.float64, 4, elements=st.floats(1.0, 2.0))
+star_radii = arrays(np.float64, 4, elements=st.floats(0.3, 1.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(star_gaps, star_radii, st.integers(1, 3), st.floats(0.1, 10.0),
+       st.floats(-math.pi, math.pi))
+def test_F_relabel_scale_rotation(gaps, radii, shift, lam, th):
+    p = star_quad(gaps, radii)
+    F = pyramid_F(PyramidQuad(p))
+    assert pyramid_F(PyramidQuad(np.roll(p, -shift, axis=0))) == F[shift:] + F[:shift]
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    Fm = pyramid_F(PyramidQuad(lam * p @ rot.T))
+    assert all(abs(a - lam * b) <= 1e-12 * lam for a, b in zip(Fm, F))
+
+
+def crosses(p):
+    """Plain-Python segment test: does edge 12 cross 34, or 23 cross 41?"""
+    def ccw(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def seg(a, b, c, d):
+        return (((ccw(a, b, c) > 0) != (ccw(a, b, d) > 0))
+                and ((ccw(c, d, a) > 0) != (ccw(c, d, b) > 0)))
+
+    return seg(p[0], p[1], p[2], p[3]) or seg(p[1], p[2], p[3], p[0])
+
+
+def reference_F(p):
+    """F(1..4) of the flat pyramid, one vertex at a time in plain floats."""
+    out = []
+    for i in range(4):
+        x, y = p[i]
+        total = math.hypot(x, y)
+        for j in ((i + 1) % 4, (i - 1) % 4):
+            dx, dy = x - p[j][0], y - p[j][1]
+            total -= (dx * x + dy * y) / math.hypot(dx, dy)
+        out.append(total)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(8)),
+              elements=st.floats(-2.0, 2.0)),
+       st.sampled_from(["none", "apex", "repeat", "bowtie"]))
+def test_chain_rows_independent_and_guarded(X, degenerate):
+    X = X.copy()
+    if degenerate == "apex":
+        X[::2, 4:6] = 0.0
+    elif degenerate == "repeat":
+        X[::2, 2:4] = X[::2, 0:2]
+    elif degenerate == "bowtie":
+        X[::2] = np.array([1, 1, -1, -1, -1, 1, 1, -1]) * (0.5 + np.abs(X[::2, :1]))
+    r, F = _chain(X)
+    assert r.shape == (len(X),) and F.shape == (len(X), 4)
+    for i, row in enumerate(X):
+        ri, Fi = _chain(row[None])
+        assert ri.tobytes() == r[i:i + 1].tobytes()
+        assert Fi.tobytes() == F[i:i + 1].tobytes()
+        # the kernel tests crossings on the quad scaled to unit longest edge
+        p = row.reshape(4, 2)
+        longest = math.sqrt(max(dx * dx + dy * dy for dx, dy in np.roll(p, -1, axis=0) - p))
+        if longest >= 1e-12 and crosses(p * (1.0 / longest)):
+            assert r[i] == math.inf
+    if degenerate != "none":
+        assert (r[::2] == math.inf).all() and (F[::2] == math.inf).all()
+    # rows far from every guard match the one-vertex-at-a-time formula
+    for i in np.flatnonzero(np.isfinite(r)):
+        p = X[i].reshape(4, 2)
+        edges = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
+        longest = edges.max()
+        if min(np.linalg.norm(p, axis=1).min(), edges.min()) > 1e-3 * longest:
+            assert np.allclose(F[i], reference_F(p), rtol=0, atol=1e-9 * longest)
+
+
 def test_flat_limit_matches_weighted_F():
     # as the wedge flattens, h * R tends to the distance-weighted F pair
     def family(h):
@@ -193,6 +279,14 @@ def test_scan_deterministic_and_sorted():
     res = [s.residual for s in rep.solutions]
     assert res == sorted(res)
     assert isinstance(rep.counterexamples(), tuple)
+
+
+def test_scan_seed1_counts():
+    rep = cleancond_scan(200, seed=1)
+    assert len(rep.solutions) == 118
+    assert sum(s.origin_inside for s in rep.solutions) == 4
+    assert len(rep.counterexamples()) == 4
+    assert all(s.origin_inside for s in rep.counterexamples())
 
 
 def test_scan_solution_fields():
