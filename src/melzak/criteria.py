@@ -12,9 +12,10 @@ instead of failing.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +37,6 @@ from .perturbations import (
     OUT,
     Perturbation,
     derivatives,
-    face_hinge_derivatives,
-    face_translate_derivatives,
-    vertex_truncate_derivatives,
 )
 from .polyhedron import Polyhedron, _unit, edge_length, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
@@ -133,9 +131,7 @@ def _admissible_face_moves(P: Polyhedron, f: int, target: int) -> list:
     moves = []
     if all(s == cls for s in status.values()):
         moves += [Perturbation("face_translate", f, d) for d in (OUT, IN)]
-    m = len(cyc)
-    for t in range(m):
-        i, j = cyc[t], cyc[(t + 1) % m]
+    for i, j in zip(cyc, cyc[1:] + cyc[:1]):
         if target in (i, j):
             continue
         if all(status[v] == cls for v in cyc if v not in (i, j)):
@@ -147,14 +143,8 @@ def _admissible_face_moves(P: Polyhedron, f: int, target: int) -> list:
 def check_vertex_degree(P: Polyhedron) -> CriterionVerdict:
     """Vertices of degree above 3 admit an improving face slide or hinge."""
     witnesses = []
-    applicable = False
-    for f in range(P.n_faces):
-        for v in P.faces[f]:
-            if _admissible_face_moves(P, f, v):
-                applicable = True
-                break
-        if applicable:
-            break
+    applicable = any(_admissible_face_moves(P, f, v)
+                     for f, cyc in enumerate(P.faces) for v in cyc)
     for v in range(P.n_vertices):
         deg = P.vertex_degree(v)
         if deg <= 3:
@@ -220,20 +210,10 @@ def _prolongations(P: Polyhedron, f: int) -> dict:
     out = {}
     cyc = P.faces[f]
     for v in cyc:
-        nbrs = [u for u in _vertex_neighbors(P, v) if u not in cyc]
+        nbrs = [u for u in P.topology.neighbours(v) if u not in cyc]
         if len(nbrs) != 1:
             return {}
         out[v] = -_unit(P.vertices[nbrs[0]] - P.vertices[v])
-    return out
-
-
-def _vertex_neighbors(P: Polyhedron, v: int) -> list:
-    out = []
-    for i, j in P.edges:
-        if i == v:
-            out.append(j)
-        elif j == v:
-            out.append(i)
     return out
 
 
@@ -371,29 +351,22 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
     damp = 0.5 - d * B * B / 4.0
     if damp > 0:
         thr_near = 2.0 * math.atan(base * damp)
-        adjacency = {frozenset(fs) for fs in
-                     (P.edge_faces(e) for e in range(P.n_edges))}
+        adjacency = set(map(frozenset, P.topology.edge_faces))
         for s in range(P.n_faces):
             cyc = P.faces[s]
-            m = len(cyc)
             basis = _face_basis(P, s)
-            rim = []
-            for t in range(m):
-                i, j = cyc[t], cyc[(t + 1) % m]
-                fpair = [f for f in P.edge_faces(P.edge_index(i, j)) if f != s]
-                rim.append((fpair[0], P.vertices[i] @ basis.T, P.vertices[j] @ basis.T))
-            for a in range(m):
-                for b in range(a + 1, m):
-                    f1, p1, p2 = rim[a]
-                    f2, q1, q2 = rim[b]
-                    if f1 == f2 or frozenset((f1, f2)) in adjacency:
-                        continue
-                    if _segment_distance_2d(p1, p2, q1, q2) > d:
-                        continue
-                    ang = _plane_wedge_angle(P.face_normal(f1), P.face_normal(f2))
-                    if ang < thr_near:
-                        witnesses.append(Witness(f"faces:{min(f1, f2)},{max(f1, f2)}",
-                                                 float(ang), thr_near))
+            # (face across the rim edge, its two ends in face coordinates)
+            rim = [(P.topology.face_of[j, i], P.vertices[i] @ basis.T, P.vertices[j] @ basis.T)
+                   for i, j in zip(cyc, cyc[1:] + cyc[:1])]
+            for (f1, p1, p2), (f2, q1, q2) in itertools.combinations(rim, 2):
+                if f1 == f2 or frozenset((f1, f2)) in adjacency:
+                    continue
+                if _segment_distance_2d(p1, p2, q1, q2) > d:
+                    continue
+                ang = _plane_wedge_angle(P.face_normal(f1), P.face_normal(f2))
+                if ang < thr_near:
+                    witnesses.append(Witness(f"faces:{min(f1, f2)},{max(f1, f2)}",
+                                             float(ang), thr_near))
     return CriterionVerdict("dihedral", True, not witnesses, tuple(witnesses),
                             tuple(notes))
 

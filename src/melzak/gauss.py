@@ -59,32 +59,7 @@ class Incircle:
 
 def ordered_faces_at_vertex(P: Polyhedron, v: int) -> list:
     """Incident face indices in a consistent rotational order around ``v``."""
-    incident = P.vertex_faces(v)
-    if len(incident) < 3:
-        raise DanglingVertex(f"vertex {v} has {len(incident)} incident faces")
-    pair_of = {}
-    for f in incident:
-        cyc = P.faces[f]
-        k = cyc.index(v)
-        nxt = cyc[(k + 1) % len(cyc)]
-        prv = cyc[(k - 1) % len(cyc)]
-        pair_of[f] = (prv, nxt)
-    # walk: from face f cross the edge (v, next_f(v)) into its other face
-    edge_to_faces = {}
-    for f in incident:
-        for u in pair_of[f]:
-            edge_to_faces.setdefault(frozenset((v, u)), []).append(f)
-    start = min(incident)
-    order = [start]
-    while len(order) < len(incident):
-        f = order[-1]
-        nxt_vertex = pair_of[f][1]
-        fs = edge_to_faces[frozenset((v, nxt_vertex))]
-        g = fs[0] if fs[1] == f else fs[1]
-        if g in order:
-            raise DanglingVertex(f"face fan around vertex {v} does not close")
-        order.append(g)
-    return order
+    return list(P.topology.fan(v)[0])
 
 
 def ordered_edges_at_vertex(P: Polyhedron, v: int) -> list:
@@ -93,13 +68,7 @@ def ordered_edges_at_vertex(P: Polyhedron, v: int) -> list:
     Neighbor k lies on the edge shared by ordered faces k and k+1, so this
     order matches the sides of the spherical image.
     """
-    faces = ordered_faces_at_vertex(P, v)
-    out = []
-    for f in faces:
-        cyc = P.faces[f]
-        k = cyc.index(v)
-        out.append(cyc[(k + 1) % len(cyc)])
-    return out
+    return list(P.topology.fan(v)[1])
 
 
 def gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
@@ -119,12 +88,10 @@ def complement_gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
 def angle_deficit(P: Polyhedron, v: int) -> float:
     """2*pi minus the sum of incident face angles at ``v``."""
     total = 0.0
-    for f in P.vertex_faces(v):
-        cyc = P.faces[f]
-        k = cyc.index(v)
+    for f, prev, nxt in P.topology.corners[v]:
         p = P.vertices[v]
-        a = P.vertices[cyc[(k - 1) % len(cyc)]] - p
-        b = P.vertices[cyc[(k + 1) % len(cyc)]] - p
+        a = P.vertices[prev] - p
+        b = P.vertices[nxt] - p
         n = P.face_normal(f)
         # signed interior angle; handles reflex polygon corners
         ang = np.arctan2(np.cross(b, a) @ n, a @ b)
@@ -188,11 +155,6 @@ def side_poles(poly: SphericalPolygon) -> np.ndarray:
     return poles
 
 
-def point_side_distance(p: np.ndarray, pole: np.ndarray) -> float:
-    """Spherical distance from unit point ``p`` to the great circle of ``pole``."""
-    return float(np.arcsin(np.clip(p @ pole, -1.0, 1.0)))
-
-
 def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.tangency) -> Incircle:
     """Largest inscribed circle of a convex spherical polygon.
 
@@ -246,32 +208,26 @@ def incircle_area_bounds(radius: float) -> tuple:
 
 def dihedral_angle(P: Polyhedron, e: int) -> float:
     """Interior dihedral angle along edge ``e`` in (0, 2*pi)."""
-    i, j = P.edges[e]
-    f1 = f2 = None
-    for f, cyc in enumerate(P.faces):
-        k = len(cyc)
-        for t in range(k):
-            a, b = cyc[t], cyc[(t + 1) % k]
-            if (a, b) == (i, j):
-                f1 = f
-            elif (a, b) == (j, i):
-                f2 = f
-    if f1 is None or f2 is None:
-        raise BadParameter(f"edge {e} is not consistently oriented in two faces")
-    m1, m2 = P.face_normal(f1), P.face_normal(f2)
-    edir = _unit(P.vertices[j] - P.vertices[i])
-    turn = np.arctan2(np.cross(m1, m2) @ edir, m1 @ m2)
-    return float(np.pi - turn)
+    angle = P.dihedrals[e]
+    if np.isnan(angle):
+        i, j = P.edges[e]
+        if not {(i, j), (j, i)} <= P.topology.face_of.keys():
+            raise BadParameter(f"edge {e} is not consistently oriented in two faces")
+        _unit(P.vertices[j] - P.vertices[i])  # raises on a zero-length edge
+    return float(angle)
 
 
 def exposure(P: Polyhedron, v: int, margin: float = DEFAULT_TOLERANCES.exposure) -> str:
     """Classify a vertex by the dihedral angles of its incident edges."""
-    incident = [e for e, (i, j) in enumerate(P.edges) if v in (i, j)]
+    incident = P.topology.vertex_edges[v]
     if len(incident) < 3:
         raise DanglingVertex(f"vertex {v} has {len(incident)} incident edges")
-    angles = np.array([dihedral_angle(P, e) for e in incident])
-    if (angles < np.pi - margin).all():
+    lo, hi = P.dihedral_range
+    if np.isnan(lo[v]):
+        for e in incident:
+            dihedral_angle(P, e)  # raises for the first edge without an angle
+    if hi[v] < np.pi - margin:
         return EXPOSED
-    if (angles > np.pi + margin).all():
+    if lo[v] > np.pi + margin:
         return NEGATIVELY_EXPOSED
     return NEITHER

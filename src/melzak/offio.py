@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonManifold, ParseError
-from .polyhedron import HalfSpace, Polyhedron, _edges_from_faces
+from .errors import ParseError
+from .polyhedron import HalfSpace, Polyhedron
 
 
 def _lines_with_numbers(text: str):
@@ -80,8 +80,6 @@ def parse_off(text: str) -> Polyhedron:
             raise ParseError(f"line {lineno}: repeated vertex in face")
         faces.append(tuple(cyc))
 
-    edges = _edges_from_faces(faces)  # raises NonManifold with the bad edge
-
     halfspaces = []
     for cyc in faces:
         pts = verts[list(cyc)]
@@ -100,7 +98,8 @@ def parse_off(text: str) -> Polyhedron:
     N = np.array([h.normal for h in halfspaces])
     b = np.array([h.offset for h in halfspaces])
     convex = bool((verts @ N.T - b <= 1e-9 * scale).all())
-    return Polyhedron(verts, tuple(faces), tuple(halfspaces), convex, edges)
+    # raises NonManifold with the bad edge
+    return Polyhedron(verts, tuple(faces), tuple(halfspaces), convex)
 
 
 def emit_off(P: Polyhedron) -> str:

@@ -74,8 +74,8 @@ class OptimizeOptions:
 
     def __post_init__(self):
         for name in ("max_iters", "grad_tol", "step_init", "fd_step", "restarts"):
-            if getattr(self, name) <= 0:
-                raise BadParameter(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise BadParameter(f"{name} must be positive and finite")
         if self.seed < 0:
             raise BadParameter("seed must be non-negative")
 
@@ -113,11 +113,7 @@ class _PlaneObjective:
 
     @classmethod
     def for_polyhedron(cls, P: Polyhedron) -> "_PlaneObjective":
-        incident = [[] for _ in range(P.n_vertices)]
-        for f, cyc in enumerate(P.faces):
-            for v in cyc:
-                incident[v].append(f)
-        planes = np.array([sorted(fs)[:3] for fs in incident], dtype=int)
+        planes = np.array([P.vertex_faces(v)[:3] for v in range(P.n_vertices)], dtype=int)
         return cls(P.faces, np.array(P.edges, dtype=int), planes, P.diameter(),
                    P.vertices.mean(axis=0))
 
@@ -528,9 +524,8 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
         for dirn in (OUT, IN):
             entries[f"translate:f={f}:{dirn}"] = face_translate_derivatives(P, f, dirn).dM
     for f, cyc in enumerate(P.faces):
-        k = len(cyc)
-        for t in range(k):
-            e = P.edge_index(cyc[t], cyc[(t + 1) % k])
+        for i, j in zip(cyc, cyc[1:] + cyc[:1]):
+            e = P.edge_index(i, j)
             for dirn in (OUT, IN):
                 try:
                     rep = face_hinge_derivatives(P, f, e, dirn)

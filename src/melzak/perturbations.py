@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import (
     BadParameter,
     CombinatorialCollapse,

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     BadParameter,
+    DanglingVertex,
     DegenerateInput,
     EmptyInterior,
     InconsistentOrientation,
@@ -32,6 +35,71 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise BadParameter("zero vector cannot be normalized")
     return v / n
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, bit for bit equal to each ``a[k] @ b[k]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class Topology:
+    """Vertex/edge/face incidence of a face list, derived in one pass.
+
+    ``Polyhedron.topology`` builds it on first use and every incidence query
+    reads it. Building never raises: a face list that is not edge-manifold
+    is recorded in ``nonmanifold``, and a vertex whose faces do not form one
+    closed fan raises ``DanglingVertex`` only when its fan is asked for. A
+    vertex index in no face, in range or not, has no edges and no faces.
+    """
+
+    def __init__(self, faces: tuple):
+        self.face_of = {}     # oriented edge (a, b) -> the face that runs a -> b
+        faces_at = {}         # edge (i < j) -> faces holding it, ascending
+        self.corners = defaultdict(list)  # v -> (face, prev, next), ascending face
+        for f, cyc in enumerate(faces):
+            for t, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
+                self.face_of[a, b] = f
+                faces_at.setdefault((a, b) if a < b else (b, a), []).append(f)
+                self.corners[a].append((f, cyc[t - 1], b))
+        self.nonmanifold = next((f"edge {key} lies in {len(fs)} faces, expected 2"
+                                 for key, fs in faces_at.items() if len(fs) != 2), None)
+        self.edges = tuple(sorted(faces_at))
+        self.edge_faces = [tuple(faces_at[key]) for key in self.edges]
+        self.edge_id = {key: e for e, key in enumerate(self.edges)}
+        self.vertex_edges = defaultdict(list)
+        for e, (i, j) in enumerate(self.edges):
+            self.vertex_edges[i].append(e)
+            self.vertex_edges[j].append(e)
+        self._fans = {}
+
+    def neighbours(self, v: int) -> list:
+        """Vertices joined to ``v`` by an edge, in edge-index order."""
+        return [i + j - v for i, j in (self.edges[e] for e in self.vertex_edges[v])]
+
+    def fan(self, v: int) -> tuple:
+        """(faces, neighbours) around ``v`` in rotational order: from the
+        smallest incident face, cross each face f's edge (v, next_f(v));
+        neighbour k is next_f(v) of fan face k."""
+        if v in self._fans:
+            return self._fans[v]
+        corners = self.corners[v]
+        if len(corners) < 3:
+            raise DanglingVertex(f"vertex {v} has {len(corners)} incident faces")
+        nxt = {f: b for f, _, b in corners}
+        on_edge = {}          # neighbour u -> faces at v holding the edge (v, u)
+        for f, a, b in corners:
+            on_edge.setdefault(a, []).append(f)
+            on_edge.setdefault(b, []).append(f)
+        order = [corners[0][0]]
+        while len(order) < len(corners):
+            f = order[-1]
+            fs = on_edge[nxt[f]]
+            g = fs[0] if fs[1] == f else fs[1]
+            if g in order:
+                raise DanglingVertex(f"face fan around vertex {v} does not close")
+            order.append(g)
+        self._fans[v] = fan = (tuple(order), tuple(nxt[f] for f in order))
+        return fan
 
 
 @dataclass(frozen=True)
@@ -78,6 +146,9 @@ class Polyhedron:
 
     ``faces[i]`` is the cyclic vertex index tuple of the face supported by
     ``halfspaces[i]``, ordered counterclockwise as seen from outside.
+    ``edges``, when given, must be the sorted edge list of ``faces``; when
+    omitted it is derived, and a face list that is not edge-manifold raises
+    NonManifold. Incidence queries read the lazily built ``topology``.
     """
 
     vertices: np.ndarray
@@ -93,7 +164,47 @@ class Polyhedron:
         object.__setattr__(self, "faces", tuple(tuple(int(i) for i in f) for f in self.faces))
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
         if not self.edges:
-            object.__setattr__(self, "edges", _edges_from_faces(self.faces))
+            if self.topology.nonmanifold:
+                raise NonManifold(self.topology.nonmanifold)
+            object.__setattr__(self, "edges", self.topology.edges)
+
+    # -- incidence, derived once ----------------------------------------
+    @cached_property
+    def topology(self) -> Topology:
+        return Topology(self.faces)
+
+    @cached_property
+    def dihedrals(self) -> np.ndarray:
+        """Interior dihedral angle of every edge, in (0, 2*pi).
+
+        NaN marks an edge that its two faces do not run once in each
+        direction, or that has zero length; ``gauss.dihedral_angle`` raises
+        for it when asked.
+        """
+        top = self.topology
+        ends = np.array(top.edges, dtype=int).reshape(-1, 2)
+        left = np.array([top.face_of.get((i, j), -1) for i, j in top.edges], dtype=int)
+        right = np.array([top.face_of.get((j, i), -1) for i, j in top.edges], dtype=int)
+        N = np.array([h.normal for h in self.halfspaces])
+        m1, m2 = N[left], N[right]
+        d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
+        length = np.sqrt(_rowdot(d, d))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            turn = np.arctan2(_rowdot(np.cross(m1, m2), d / length[:, None]), _rowdot(m1, m2))
+        angle = np.pi - turn
+        angle[(left < 0) | (right < 0) | (length == 0.0)] = np.nan
+        return angle
+
+    @cached_property
+    def dihedral_range(self) -> tuple:
+        """(smallest, largest) dihedral angle at each vertex; NaN if any is."""
+        ends = np.array(self.topology.edges, dtype=int).reshape(-1, 2).T.ravel()
+        angles = np.tile(self.dihedrals, 2)
+        lo, hi = np.full(self.n_vertices, np.inf), np.full(self.n_vertices, -np.inf)
+        with np.errstate(invalid="ignore"):
+            np.minimum.at(lo, ends, angles)
+            np.maximum.at(hi, ends, angles)
+        return lo, hi
 
     # -- counts ---------------------------------------------------------
     @property
@@ -125,28 +236,19 @@ class Polyhedron:
         return 0.5 * float(cross @ self.face_normal(f))
 
     def vertex_degree(self, v: int) -> int:
-        return sum(1 for (i, j) in self.edges if v in (i, j))
+        return len(self.topology.vertex_edges[v])
 
     def vertex_faces(self, v: int) -> list:
-        return [f for f, cyc in enumerate(self.faces) if v in cyc]
+        return [f for f, _, _ in self.topology.corners[v]]
 
     def edge_index(self, i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        return self.edges.index(key)
+        return self.topology.edge_id[min(i, j), max(i, j)]
 
     def edge_faces(self, e: int) -> tuple:
-        i, j = self.edges[e]
-        out = []
-        for f, cyc in enumerate(self.faces):
-            k = len(cyc)
-            for t in range(k):
-                a, b = cyc[t], cyc[(t + 1) % k]
-                if {a, b} == {i, j}:
-                    out.append(f)
-                    break
+        out = self.topology.edge_faces[e]
         if len(out) != 2:
             raise NonManifold(f"edge {e} shared by {len(out)} faces")
-        return tuple(out)
+        return out
 
     def diameter(self) -> float:
         v = self.vertices
@@ -179,21 +281,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return (self.euler_ok and self.coplanar_ok and self.convex_ok
                 and self.manifold_ok and self.orientation_ok)
-
-
-def _edges_from_faces(faces) -> tuple:
-    seen = {}
-    for f, cyc in enumerate(faces):
-        k = len(cyc)
-        for t in range(k):
-            a, b = cyc[t], cyc[(t + 1) % k]
-            key = (min(a, b), max(a, b))
-            seen.setdefault(key, []).append(f)
-    bad = {e: fs for e, fs in seen.items() if len(fs) != 2}
-    if bad:
-        e, fs = next(iter(bad.items()))
-        raise NonManifold(f"edge {e} lies in {len(fs)} faces, expected 2")
-    return tuple(sorted(seen))
 
 
 def _plane_basis(n: np.ndarray) -> tuple:
@@ -278,11 +365,9 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
 
     kept_hs = tuple(hs[f] for f in kept)
     try:
-        edges = _edges_from_faces(faces)
+        poly = Polyhedron(verts, tuple(faces), kept_hs, True)
     except NonManifold:
         _classify_failure(N, b, "vertex/face incidence is not edge-manifold")
-
-    poly = Polyhedron(verts, tuple(faces), kept_hs, True, edges)
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
         _classify_failure(N, b, "Euler characteristic is not 2")
     for f in range(poly.n_faces):
@@ -388,12 +473,9 @@ def validate(P: Polyhedron, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationR
     if not P.convex:
         convex_ok = True  # declared non-convex: containment is not required
 
-    try:
-        _edges_from_faces(P.faces)
-        manifold_ok = True
-    except NonManifold as exc:
-        manifold_ok = False
-        msgs.append(str(exc))
+    manifold_ok = P.topology.nonmanifold is None
+    if not manifold_ok:
+        msgs.append(P.topology.nonmanifold)
 
     orientation_ok = True
     try:

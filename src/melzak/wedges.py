@@ -134,11 +134,7 @@ def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
     cyc = P.faces[face]
     if len(cyc) != 4:
         raise BadParameter(f"face {face} has {len(cyc)} vertices, need 4")
-    side_hs = []
-    for t in range(4):
-        e = P.edge_index(cyc[t], cyc[(t + 1) % 4])
-        nbr = [f for f in P.edge_faces(e) if f != face]
-        side_hs.append(P.halfspaces[nbr[0]])
+    side_hs = [P.halfspaces[P.topology.face_of[cyc[(t + 1) % 4], cyc[t]]] for t in range(4)]
     if len({id(h) for h in side_hs}) != 4:
         raise UnboundedWedge("face does not have four distinct neighbors")
     hf = P.halfspaces[face]
@@ -167,8 +163,7 @@ def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
     lateral = np.empty((4, 3))
     for k, x in enumerate(base_pts):
         v = _vertex_index(poly, x)
-        partners = [j for i, j in poly.edges if i == v and not on_base[j]]
-        partners += [i for i, j in poly.edges if j == v and not on_base[i]]
+        partners = [u for u in poly.topology.neighbours(v) if not on_base[u]]
         if len(partners) != 1:
             raise UnboundedWedge("base vertex is not joined to exactly one top vertex")
         lateral[k] = poly.vertices[partners[0]]

@@ -126,6 +126,19 @@ def test_optimize_box_to_cube(tmp_path, capsys):
     assert read_off(dst).n_faces == 6
 
 
+def test_bad_optimize_tolerance_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "box.off"
+    assert run(capsys, "build", "--shape", "box:0.8,1.0,1.25",
+               "--out", str(src))[0] == 0
+    dst = tmp_path / "opt.off"
+    for tol in ("nan", "inf"):
+        code, out, err = run(capsys, "optimize", str(src), "--out", str(dst),
+                             "--tol", tol, "--iters", "20")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+    assert not dst.exists()
+
+
 # ---------------------------------------------------------------------------
 # sequence and quad-scan
 # ---------------------------------------------------------------------------

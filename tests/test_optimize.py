@@ -40,6 +40,10 @@ def test_options_validated():
         OptimizeOptions(grad_tol=-1.0)
     with pytest.raises(BadParameter):
         OptimizeOptions(fd_step=0.0)
+    for name in ("max_iters", "grad_tol", "step_init", "fd_step"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(BadParameter, match=name):
+                OptimizeOptions(**{name: bad})
 
 
 def test_nonconvex_start_rejected():
