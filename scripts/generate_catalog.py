@@ -4,10 +4,11 @@
 Simple types with four to eight faces are collected by slicing already
 found types with random separating planes (the reverse of an edge
 contraction in the dual triangulation) and by sampling random bounded
-intersections outright. Exact incidence-graph isomorphism dedups the
-finds, and the run aborts unless the per-count totals match the known
-enumeration 1, 1, 2, 5, 14. Regular pyramids are appended as the named
-non-simple family used by the sequence driver.
+intersections outright. ``Polyhedron.type_key`` dedups the finds and
+orders the types that share a face-degree list (``_a``, ``_b``, ...), and
+the run aborts unless the per-count totals match the known enumeration
+1, 1, 2, 5, 14. Regular pyramids are appended as the named non-simple
+family used by the sequence driver.
 
 Usage: python3 scripts/generate_catalog.py [--out PATH] [--seed N]
 """
@@ -18,36 +19,19 @@ import json
 import sys
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from melzak.errors import GeometryError
-from melzak.optimize import EXPECTED_SIMPLE_COUNTS, _incidence_graph
+from melzak.optimize import EXPECTED_SIMPLE_COUNTS
 from melzak.polyhedron import HalfSpace, Polyhedron, from_halfspaces, melzak_ratio
 from melzak.shapes import cube, ngon_pyramid, optimal_prism, random_convex, regular_tetrahedron
-
-NODE_MATCH = nx.algorithms.isomorphism.categorical_node_match(["kind", "deg"], [None, 0])
 
 
 def is_simple(P: Polyhedron) -> bool:
     return all(P.vertex_degree(v) == 3 for v in range(P.n_vertices))
-
-
-def same_type(P: Polyhedron, Q: Polyhedron) -> bool:
-    if P.combinatorial_signature() != Q.combinatorial_signature():
-        return False
-    return nx.is_isomorphic(_incidence_graph(P), _incidence_graph(Q),
-                            node_match=NODE_MATCH)
-
-
-def wl_hash(P: Polyhedron) -> str:
-    G = _incidence_graph(P)
-    for node, data in G.nodes(data=True):
-        data["label"] = f"{data['kind']}{data['deg']}"
-    return nx.weisfeiler_lehman_graph_hash(G, node_attr="label", iterations=4)
 
 
 def random_cuts(P: Polyhedron, rng: np.random.Generator, tries: int):
@@ -78,7 +62,7 @@ def canonical_rep(P: Polyhedron) -> Polyhedron:
           for h in P.halfspaces]
     rows = np.round([[*h.normal, h.offset] for h in hs], 12)
     Q = from_halfspaces([HalfSpace(r[:3], r[3]) for r in rows])
-    if not same_type(P, Q):
+    if Q.type_key() != P.type_key():
         raise GeometryError("rounded representative changed type")
     return Q
 
@@ -88,19 +72,16 @@ def find_simple_types(seed: int) -> dict:
     found = {4: [regular_tetrahedron()]}
     for k in range(5, 9):
         want = EXPECTED_SIMPLE_COUNTS[k]
-        types: list[Polyhedron] = []
-        if k == 5:
-            types.append(optimal_prism())
-        if k == 6:
-            types.append(cube())
+        types: dict = {}      # type key -> first find, in order of discovery
 
-        def register(Q: Polyhedron) -> bool:
-            if not is_simple(Q) or Q.n_faces != k:
-                return False
-            if any(same_type(Q, T) for T in types):
-                return False
-            types.append(Q)
-            return True
+        def register(Q: Polyhedron) -> None:
+            if is_simple(Q) and Q.n_faces == k:
+                types.setdefault(Q.type_key(), Q)
+
+        if k == 5:
+            register(optimal_prism())
+        if k == 6:
+            register(cube())
 
         rounds = 0
         while len(types) < want and rounds < 400:
@@ -116,7 +97,7 @@ def find_simple_types(seed: int) -> dict:
         if len(types) != want:
             raise SystemExit(f"found {len(types)} simple types with {k} faces, "
                              f"expected {want}; raise the budget")
-        found[k] = types
+        found[k] = list(types.values())
         print(f"faces={k}: {len(types)} simple types after {rounds} rounds")
     return found
 
@@ -139,9 +120,8 @@ PYRAMID_NAMES = {4: "square_pyramid", 5: "pentagonal_pyramid",
 def name_types(k: int, reps: list) -> list:
     fixed = KNOWN_NAMES.get((k, "simple"), [])
     ordered = sorted(
-        (("".join(str(d) for d in sorted(len(c) for c in P.faces)), wl_hash(P), P)
-         for P in reps),
-        key=lambda t: (t[0], t[1]))
+        (("".join(str(d) for d in sorted(len(c) for c in P.faces)), P.type_key(), P)
+         for P in reps), key=lambda t: t[:2])
     named = []
     used: dict = {}
     for i, (degs, _, P) in enumerate(ordered):

@@ -38,7 +38,7 @@ from .perturbations import (
     Perturbation,
     derivatives,
 )
-from .polyhedron import Polyhedron, _unit, edge_length, validate, volume
+from .polyhedron import Polyhedron, _plane_basis, _unit, edge_length, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
 
 WITNESS_MARGIN = DEFAULT_TOLERANCES.witness_margin
@@ -354,7 +354,7 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
         adjacency = set(map(frozenset, P.topology.edge_faces))
         for s in range(P.n_faces):
             cyc = P.faces[s]
-            basis = _face_basis(P, s)
+            basis = np.vstack(_plane_basis(P.face_normal(s)))
             # (face across the rim edge, its two ends in face coordinates)
             rim = [(P.topology.face_of[j, i], P.vertices[i] @ basis.T, P.vertices[j] @ basis.T)
                    for i, j in zip(cyc, cyc[1:] + cyc[:1])]
@@ -369,13 +369,6 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
                                              float(ang), thr_near))
     return CriterionVerdict("dihedral", True, not witnesses, tuple(witnesses),
                             tuple(notes))
-
-
-def _face_basis(P: Polyhedron, f: int) -> np.ndarray:
-    n = P.face_normal(f)
-    a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = _unit(np.cross(n, a))
-    return np.vstack([u, np.cross(n, u)])
 
 
 _CHECKERS = ("combinatorics", "dihedral", "triangle_deficit",

@@ -13,7 +13,6 @@ forward so the per-face-count table is monotone.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -205,7 +204,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     if not P0.convex or not validate(P0).ok:
         raise InvalidStart("optimization needs a valid convex start")
     obj = _PlaneObjective.for_polyhedron(P0)
-    sig0 = P0.combinatorial_signature()
+    key0 = P0.type_key()
     z = obj.pack(P0)
     f = _log_ratio(obj, z)
     if not math.isfinite(f):
@@ -242,7 +241,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             if ft < f - 1e-4 * a * gnorm * gnorm:
                 rebuilt = obj.rebuild(zt)
                 if (rebuilt is not None
-                        and rebuilt.combinatorial_signature() == sig0
+                        and rebuilt.type_key() == key0
                         and abs(melzak_ratio(rebuilt) - math.exp(ft))
                         <= 1e-9 * math.exp(ft)):
                     accepted = (zt, ft, rebuilt)
@@ -320,35 +319,14 @@ def load_catalog() -> tuple:
     return tuple(out)
 
 
-def _incidence_graph(P: Polyhedron):
-    import networkx as nx
-
-    G = nx.Graph()
-    for v in range(P.n_vertices):
-        G.add_node(("v", v), kind="v", deg=P.vertex_degree(v))
-    for f, cyc in enumerate(P.faces):
-        G.add_node(("f", f), kind="f", deg=len(cyc))
-        for v in cyc:
-            G.add_edge(("f", f), ("v", v))
-    return G
-
-
-def _isomorphic(P: Polyhedron, Q: Polyhedron) -> bool:
-    import networkx as nx
-
-    if P.combinatorial_signature() != Q.combinatorial_signature():
-        return False
-    match = nx.algorithms.isomorphism.categorical_node_match(["kind", "deg"], [None, 0])
-    return nx.is_isomorphic(_incidence_graph(P), _incidence_graph(Q), node_match=match)
-
-
 def catalog_self_check() -> list:
     """Rebuild every catalog entry and cross-check the enumeration.
 
     Returns a list of issue strings; an empty list means the shipped data
     matches its own metadata, every polyhedron closes up with Euler
-    characteristic two, the simplicity flags are right, and the per-count
-    simple types are pairwise non-isomorphic with the expected totals.
+    characteristic two, the simplicity flags are right, the per-count
+    simple totals are the expected ones, and no two entries have the same
+    ``type_key``.
     """
     issues = []
     catalog = load_catalog()
@@ -378,9 +356,11 @@ def catalog_self_check() -> list:
         got = sum(1 for t, _ in built if t.simple and t.faces == k)
         if got != want:
             issues.append(f"{k} faces: {got} simple types, enumeration says {want}")
-    for (ta, Pa), (tb, Pb) in itertools.combinations(built, 2):
-        if ta.faces == tb.faces and _isomorphic(Pa, Pb):
-            issues.append(f"{ta.name} and {tb.name} are isomorphic")
+    seen = {}
+    for t, P in built:
+        twin = seen.setdefault(P.type_key(), t)
+        if twin is not t:
+            issues.append(f"{twin.name} and {t.name} are isomorphic")
     return issues
 
 
@@ -417,7 +397,7 @@ def _restart_key(res: OptimizeResult) -> tuple:
 
 def _jittered_start(t: CatalogType, rng: np.random.Generator) -> Polyhedron:
     reference = t.build()
-    sig = reference.combinatorial_signature()
+    key = reference.type_key()
     amp = 0.12
     for _ in range(6):
         hs = []
@@ -430,7 +410,7 @@ def _jittered_start(t: CatalogType, rng: np.random.Generator) -> Polyhedron:
         except GeometryError:
             amp *= 0.5
             continue
-        if P.combinatorial_signature() == sig:
+        if P.type_key() == key:
             return P
         amp *= 0.5
     return reference

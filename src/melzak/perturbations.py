@@ -308,7 +308,17 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
 
 
 def derivatives(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
-    """Dispatch to the analytic derivative evaluator for ``pert``."""
+    """Dispatch to the analytic derivative evaluator for ``pert``.
+
+    Raises BadParameter when ``pert`` names a face, vertex or hinge edge
+    that ``P`` does not have.
+    """
+    element, count = (("vertex", P.n_vertices) if pert.kind == "vertex_truncate"
+                      else ("face", P.n_faces))
+    if not 0 <= pert.target < count:
+        raise BadParameter(f"{element} {pert.target} is out of range 0..{count - 1}")
+    if pert.kind == "face_hinge" and not 0 <= pert.edge < P.n_edges:
+        raise BadParameter(f"edge {pert.edge} is out of range 0..{P.n_edges - 1}")
     if pert.kind == "face_translate":
         return face_translate_derivatives(P, pert.target, pert.direction)
     if pert.kind == "face_hinge":
@@ -390,16 +400,16 @@ def apply(P: Polyhedron, pert: Perturbation, t: float) -> Polyhedron:
     if got != expected:
         raise CombinatorialCollapse(
             f"counts {got} at t={t}, expected {expected}: crossed a combinatorial boundary")
-    # counts alone can coincide across a collapse, so compare the full
-    # signature against a build just past zero where the first-order
-    # structure is guaranteed to be the realized one
+    # counts alone can coincide across a collapse, so compare the type
+    # against a build just past zero where the first-order structure is
+    # guaranteed to be the realized one
     t_ref = 1e-6 * P.diameter()
     if t > t_ref:
         try:
             Q_ref = from_halfspaces(perturbed_halfspaces(P, pert, t_ref))
         except GeometryError as exc:
             raise CombinatorialCollapse(f"reference rebuild failed: {exc}")
-        if Q.combinatorial_signature() != Q_ref.combinatorial_signature():
+        if Q.type_key() != Q_ref.type_key():
             raise CombinatorialCollapse(
                 f"combinatorics at t={t} differ from the emerging structure")
     return Q

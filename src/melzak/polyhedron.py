@@ -42,6 +42,25 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _rotation_code(rings: list, v0: int, u0: int) -> tuple:
+    """Breadth-first code of the rotation system ``rings`` from the directed
+    edge (v0, u0): vertices numbered by first visit, each listing its
+    neighbours' numbers from the edge it was reached along, then -1."""
+    label = {v0: 0}
+    order = [(v0, u0)]
+    code = []
+    for v, start in order:
+        ring = rings[v]
+        k = ring.index(start)
+        for u in ring[k:] + ring[:k]:
+            if u not in label:
+                label[u] = len(order)
+                order.append((u, v))
+            code.append(label[u])
+        code.append(-1)
+    return tuple(code)
+
+
 class Topology:
     """Vertex/edge/face incidence of a face list, derived in one pass.
 
@@ -259,6 +278,22 @@ class Polyhedron:
         fdeg = tuple(sorted(len(f) for f in self.faces))
         vdeg = tuple(sorted(self.vertex_degree(v) for v in range(self.n_vertices)))
         return (self.n_vertices, self.n_edges, self.n_faces, fdeg, vdeg)
+
+    def type_key(self) -> tuple:
+        """Canonical code of the combinatorial type.
+
+        Equal keys mean isomorphic face structures. Mirror images share a
+        key: orientation-reversing isomorphisms count, as they do for the
+        vertex-face incidence graph. The key is the smallest breadth-first
+        code of the vertex fans (``_rotation_code``) over every directed
+        edge and both turning senses, found in O(E^2); L. Weinberg, IEEE
+        Trans. Circuit Theory 13 (1966) 142-148, uses an Euler tour. Raises
+        DanglingVertex where a vertex fan does not close.
+        """
+        rings = [self.topology.fan(v)[1] for v in range(self.n_vertices)]
+        mirror = [ring[::-1] for ring in rings]
+        return min(_rotation_code(r, v, u) for r in (rings, mirror)
+                   for v in range(self.n_vertices) for u in r[v])
 
     def scaled(self, factor: float) -> "Polyhedron":
         if factor <= 0:

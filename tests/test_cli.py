@@ -208,6 +208,17 @@ def test_unwritable_scan_json_fails_before_scanning(tmp_path, capsys, monkeypatc
     assert err.startswith("error:")
 
 
+def test_perturb_index_out_of_range_is_exit_2(cube_off, capsys):
+    for argv in (("--kind", "translate", "--target", "99"),
+                 ("--kind", "translate", "--target", "-1"),
+                 ("--kind", "hinge", "--target", "0", "--edge", "99"),
+                 ("--kind", "hinge", "--target", "0", "--edge", "-1"),
+                 ("--kind", "truncate", "--target", "8")):
+        code, out, err = run(capsys, "perturb", str(cube_off), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "out of range" in err
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "ratio", str(tmp_path / "absent.off"))
     assert code == 2

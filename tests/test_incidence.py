@@ -4,6 +4,8 @@ The ``_scan_*`` functions below are the plain linear-scan definitions of
 each incidence fact. The package answers the same questions from one
 incidence structure per polyhedron; these scans stay here as the oracle it
 is checked against, on random bodies and under vertex and face relabelling.
+The combinatorial type key must not move under relabelling, rotation,
+scaling or mirroring.
 
 ``tests/data/incidence_golden.json`` holds one sha256 per body over the
 audit report, the criticality report and every per-vertex and per-edge
@@ -24,10 +26,12 @@ from hypothesis import strategies as st
 import melzak
 from conftest import crater_can, octahedron
 from melzak import (
+    HalfSpace,
     Polyhedron,
     audit,
     cube,
     criticality_report,
+    from_halfspaces,
     load_catalog,
     optimal_prism,
     parse_off,
@@ -215,6 +219,35 @@ def test_accessors_match_oracle_and_relabelling(seed, n_faces, relabel):
         f = Q.edge_index(int(vperm[i]), int(vperm[j]))
         assert dihedral_angle(Q, f) == dihedral_angle(P, e)
         assert Q.edge_faces(f) == tuple(sorted(int(fperm[g]) for g in P.edge_faces(e)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(5, 20),
+       relabel=st.integers(0, 10_000), scale=st.floats(0.1, 10.0))
+def test_type_key_is_invariant(seed, n_faces, relabel, scale):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    key = P.type_key()
+
+    rng = np.random.default_rng(relabel)
+    vperm = rng.permutation(P.n_vertices)
+    assert _relabelled(P, vperm, range(P.n_faces), [0] * P.n_faces).type_key() == key
+    fperm = rng.permutation(P.n_faces)
+    assert _relabelled(P, range(P.n_vertices), fperm, [0] * P.n_faces).type_key() == key
+    shifts = rng.integers(0, 8, size=P.n_faces)
+    assert _relabelled(P, range(P.n_vertices), range(P.n_faces), shifts).type_key() == key
+
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    R *= np.sign(np.linalg.det(R))
+    turned = from_halfspaces([HalfSpace(R @ h.normal, scale * h.offset)
+                              for h in P.halfspaces])
+    assert turned.type_key() == key
+
+    flip = np.array([-1.0, 1.0, 1.0])
+    mirror = Polyhedron(P.vertices * flip, tuple(cyc[::-1] for cyc in P.faces),
+                        tuple(HalfSpace(h.normal * flip, h.offset) for h in P.halfspaces),
+                        True)
+    assert validate(mirror).ok
+    assert mirror.type_key() == key
 
 
 def test_crater_matches_oracle():

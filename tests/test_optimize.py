@@ -1,6 +1,11 @@
 """Ratio descent, the combinatorial catalog, and criticality reporting."""
 
+import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from melzak.optimize import (
     minimizing_sequence,
 )
 from melzak.shapes import PRISM_RATIO, TETRA_RATIO
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +143,46 @@ def test_catalog_entries_build():
 
 def test_catalog_contains_reference_types():
     cat = {t.name: t for t in load_catalog()}
-    assert cat["tetrahedron"].build().combinatorial_signature() == \
-        regular_tetrahedron().combinatorial_signature()
-    assert cat["triangular_prism"].build().combinatorial_signature() == \
-        optimal_prism().combinatorial_signature()
-    assert cat["cube"].build().combinatorial_signature() == \
-        cube().combinatorial_signature()
-    assert cat["square_pyramid"].build().combinatorial_signature() == \
-        ngon_pyramid(4, 1.0, 1.0).combinatorial_signature()
+    for name, P in (("tetrahedron", regular_tetrahedron()),
+                    ("triangular_prism", optimal_prism()),
+                    ("cube", cube()),
+                    ("square_pyramid", ngon_pyramid(4, 1.0, 1.0))):
+        built = cat[name].build()
+        assert built.combinatorial_signature() == P.combinatorial_signature()
+        assert built.type_key() == P.type_key()
+
+
+def test_catalog_type_keys_are_distinct():
+    cat = {t.name: t.build() for t in load_catalog()}
+    assert len({P.type_key() for P in cat.values()}) == len(cat) == 27
+    # one signature, two types: only the key tells them apart
+    a, b = cat["simple8f_33445566_a"], cat["simple8f_33445566_b"]
+    assert a.combinatorial_signature() == b.combinatorial_signature()
+    assert a.type_key() != b.type_key()
+
+
+def test_catalog_self_check_reports_a_repeated_type(monkeypatch):
+    cube_type = next(t for t in load_catalog() if t.name == "cube")
+    twins = (cube_type, dataclasses.replace(cube_type, name="cube_again"))
+    monkeypatch.setattr("melzak.optimize.load_catalog", lambda: twins)
+    assert "cube and cube_again are isomorphic" in catalog_self_check()
+
+
+def test_type_keys_need_no_networkx():
+    code = ("import sys; sys.modules['networkx'] = None\n"
+            "from melzak import catalog_self_check, cube\n"
+            "assert catalog_self_check() == []\n"
+            "assert cube().type_key()\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def test_generator_reproduces_shipped_catalog(tmp_path):
+    out = tmp_path / "types.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "generate_catalog.py"),
+                    "--out", str(out)], check=True, capture_output=True, timeout=300)
+    shipped = ROOT / "src" / "melzak" / "data" / "polytope_types.json"
+    assert out.read_bytes() == shipped.read_bytes()
 
 
 # ---------------------------------------------------------------------------
