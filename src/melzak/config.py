@@ -1,8 +1,9 @@
 """Centralized numerical tolerances.
 
-Length-like tolerances are relative: they are multiplied by the polyhedron
-diameter (or another named scale) at the point of use. Angular and unit-norm
-tolerances are absolute.
+Length-like tolerances are relative: they are multiplied by a length scale
+of the body at the point of use. ``from_halfspaces`` uses max|x - c| over
+the vertices x and its interior point c; ``validate`` uses the diameter.
+Angular and unit-norm tolerances are absolute.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 class Tolerances:
     unit_norm: float = 1e-12        # |normal| - 1 accepted drift
     plane_triple: float = 1e-10     # determinant cutoff for 3-plane solves
-    containment: float = 1e-9       # x scale: halfspace feasibility slack
     dedup: float = 1e-9             # x scale: vertex merge radius
     coplanarity: float = 1e-9       # x scale: vertex-on-face-plane slack
     convexity: float = 1e-9         # x scale: convexity containment slack
@@ -26,7 +26,6 @@ class Tolerances:
         return Tolerances(
             unit_norm=self.unit_norm,
             plane_triple=self.plane_triple,
-            containment=self.containment * scale,
             dedup=self.dedup * scale,
             coplanarity=self.coplanarity * scale,
             convexity=self.convexity * scale,

@@ -20,7 +20,7 @@ complement, which swaps the two cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +75,6 @@ class Perturbation:
 
 
 @dataclass(frozen=True)
-class VertexVelocity:
-    """First-order motion of (a correspondent of) a face vertex."""
-
-    vertex: int
-    v: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-
-
-@dataclass(frozen=True)
 class DerivativeReport:
     perturbation: Perturbation
     E0: float
@@ -94,7 +84,6 @@ class DerivativeReport:
     dV: float
     dM: float
     per_vertex_dE: dict
-    velocities: tuple = field(default=())
     fd_step: float | None = None
     fd_dE: float | None = None
     fd_dV: float | None = None
@@ -144,8 +133,8 @@ def _local_fan(P: Polyhedron, f: int, v: int) -> tuple:
 
 
 def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: bool,
-                      expo: str) -> tuple:
-    """(dE contribution, velocities) for one moving vertex of face ``f``."""
+                      expo: str) -> float:
+    """dE contribution of one moving vertex of face ``f``."""
     sides, nbrs = _local_fan(P, f, v)
     k = len(sides) + 1
     n_move = P.face_normal(f)
@@ -164,7 +153,7 @@ def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: 
             d -= va @ w
         else:
             d += np.linalg.norm(va)  # new lateral edge sprouts from the old vertex
-        return d, (VertexVelocity(v, va, u1, u2),)
+        return d
 
     vs = []
     for n in range(k - 2):
@@ -176,8 +165,7 @@ def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: 
     for n in range(k - 2):
         w = _unit(P.vertices[nbrs[n + 1]] - H)
         d -= vs[n] @ w
-    vels = tuple(VertexVelocity(v, va, u1, u2) for va in vs)
-    return d, vels
+    return d
 
 
 def _uniform_face_exposure(P: Polyhedron, f: int, moving: list) -> str:
@@ -201,18 +189,14 @@ def face_translate_derivatives(P: Polyhedron, face: int,
     ndot = np.zeros(3)
     outward_local = direction == OUT
 
-    per_vertex = {}
-    vels = []
-    for v in cyc:
-        d, vv = _face_vertex_rate(P, face, v, ndot, odot, outward_local, exposure(P, v))
-        per_vertex[v] = float(d)
-        vels.extend(vv)
+    per_vertex = {v: float(_face_vertex_rate(P, face, v, ndot, odot, outward_local,
+                                             exposure(P, v))) for v in cyc}
     dE = float(sum(per_vertex.values()))
     dV = float(P.face_area(face) * odot)
     E0, V0 = edge_length(P), volume(P)
     return DerivativeReport(
         Perturbation("face_translate", face, direction), E0, V0, E0 ** 3 / V0,
-        dE, dV, _ratio_derivative(E0, V0, dE, dV), per_vertex, tuple(vels))
+        dE, dV, _ratio_derivative(E0, V0, dE, dV), per_vertex)
 
 
 def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
@@ -246,12 +230,8 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
     odot = float(a @ ndot)
     outward_local = direction == OUT
 
-    per_vertex = {}
-    vels = []
-    for v in moving:
-        d, vv = _face_vertex_rate(P, face, v, ndot, odot, outward_local, exposure(P, v))
-        per_vertex[v] = float(d)
-        vels.extend(vv)
+    per_vertex = {v: float(_face_vertex_rate(P, face, v, ndot, odot, outward_local,
+                                             exposure(P, v))) for v in moving}
     dE = float(sum(per_vertex.values()))
 
     # exact first moment of the face about the hinge line
@@ -266,7 +246,7 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
     E0, V0 = edge_length(P), volume(P)
     return DerivativeReport(
         Perturbation("face_hinge", face, direction, hinge_edge), E0, V0, E0 ** 3 / V0,
-        dE, float(dV), _ratio_derivative(E0, V0, dE, float(dV)), per_vertex, tuple(vels))
+        dE, float(dV), _ratio_derivative(E0, V0, dE, float(dV)), per_vertex)
 
 
 def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
@@ -285,14 +265,12 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     c = inc.center
     H = P.vertices[vertex]
     nbrs = ordered_edges_at_vertex(P, vertex)
-    ws = []
     vs = []
     for u in nbrs:
         w = _unit(P.vertices[u] - H)
         s = abs(w @ c)
         if s <= 1e-12:
             raise DegenerateInput("cut plane is parallel to an incident edge")
-        ws.append(w)
         vs.append(w / s)
     k = len(vs)
     dE = 0.0
@@ -300,11 +278,21 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
         dE += np.linalg.norm(vs[n] - vs[(n + 1) % k])
         dE -= np.linalg.norm(vs[n])
     E0, V0 = edge_length(P), volume(P)
-    vels = tuple(VertexVelocity(vertex, va, w, w) for va, w in zip(vs, ws))
     return DerivativeReport(
         Perturbation("vertex_truncate", vertex), E0, V0, E0 ** 3 / V0,
         float(dE), 0.0, _ratio_derivative(E0, V0, float(dE), 0.0),
-        {vertex: float(dE)}, vels)
+        {vertex: float(dE)})
+
+
+def _check_indices(P: Polyhedron, pert: Perturbation) -> None:
+    """Raise BadParameter when ``pert`` names a face, vertex or hinge edge
+    that ``P`` does not have."""
+    element, count = (("vertex", P.n_vertices) if pert.kind == "vertex_truncate"
+                      else ("face", P.n_faces))
+    if not 0 <= pert.target < count:
+        raise BadParameter(f"{element} {pert.target} is out of range 0..{count - 1}")
+    if pert.kind == "face_hinge" and not 0 <= pert.edge < P.n_edges:
+        raise BadParameter(f"edge {pert.edge} is out of range 0..{P.n_edges - 1}")
 
 
 def derivatives(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
@@ -313,12 +301,7 @@ def derivatives(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
     Raises BadParameter when ``pert`` names a face, vertex or hinge edge
     that ``P`` does not have.
     """
-    element, count = (("vertex", P.n_vertices) if pert.kind == "vertex_truncate"
-                      else ("face", P.n_faces))
-    if not 0 <= pert.target < count:
-        raise BadParameter(f"{element} {pert.target} is out of range 0..{count - 1}")
-    if pert.kind == "face_hinge" and not 0 <= pert.edge < P.n_edges:
-        raise BadParameter(f"edge {pert.edge} is out of range 0..{P.n_edges - 1}")
+    _check_indices(P, pert)
     if pert.kind == "face_translate":
         return face_translate_derivatives(P, pert.target, pert.direction)
     if pert.kind == "face_hinge":
@@ -350,9 +333,13 @@ def _expected_counts(P: Polyhedron, pert: Perturbation) -> tuple:
 
 
 def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
-    """Halfspace set of the perturbed polyhedron at parameter ``t``."""
+    """Halfspace set of the perturbed polyhedron at parameter ``t``.
+
+    Raises BadParameter for a negative ``t`` or an index ``P`` does not have.
+    """
     if t < 0:
         raise BadParameter("perturbation parameter must be nonnegative")
+    _check_indices(P, pert)
     hs = list(P.halfspaces)
     if pert.kind == "face_translate":
         delta = t if pert.direction == OUT else -t
@@ -391,6 +378,8 @@ def apply(P: Polyhedron, pert: Perturbation, t: float) -> Polyhedron:
         raise BadParameter("apply() requires a convex polyhedron")
     try:
         Q = from_halfspaces(perturbed_halfspaces(P, pert, t))
+    except BadParameter:
+        raise
     except GeometryError as exc:
         raise CombinatorialCollapse(f"rebuild failed at t={t}: {exc}")
     if t == 0.0:
@@ -442,4 +431,4 @@ def with_fd(report: DerivativeReport, P: Polyhedron, h: float | None = None) -> 
     fd = finite_difference_check(P, report.perturbation, [h])[h]
     return DerivativeReport(report.perturbation, report.E0, report.V0, report.M0,
                             report.dE, report.dV, report.dM, report.per_vertex_dE,
-                            report.velocities, h, float(fd[0]), float(fd[1]), float(fd[2]))
+                            h, float(fd[0]), float(fd[1]), float(fd[2]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,7 +22,6 @@ from .errors import (
     DanglingVertex,
     DegenerateInput,
     EmptyInterior,
-    InconsistentOrientation,
     NonManifold,
     UnboundedIntersection,
     ZeroVolume,
@@ -341,53 +341,57 @@ def _sort_cycle(points: np.ndarray, idx: np.ndarray, normal: np.ndarray) -> tupl
 def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhedron:
     """Intersect halfspaces into a bounded convex polyhedron.
 
-    Vertex candidates come from all non-degenerate plane triples, filtered by
-    feasibility and deduplicated at ``tol.dedup`` times the candidate spread.
-    Redundant halfspaces (fewer than three incident vertices) are dropped.
+    Qhull (``scipy.spatial.HalfspaceIntersection``) intersects the planes
+    about a strictly interior point c: the origin when every offset is at
+    least a tenth of the largest, else the Chebyshev centre. Length
+    tolerances are multiplied by max|x - c| over qhull's points. Points on
+    the same planes (within ``tol.coplanarity``) are one vertex, placed at
+    the mean of its incident-plane triple solves (determinant above
+    ``tol.plane_triple``) in combination order. Redundant halfspaces (fewer
+    than three incident vertices) are dropped.
 
-    Raises UnboundedIntersection, EmptyInterior or DegenerateInput; the
-    error-path classification re-checks feasibility and boundedness with LPs.
+    Raises UnboundedIntersection, EmptyInterior or DegenerateInput.
     """
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     hs = list(halfspaces)
     if len(hs) < 4:
         raise UnboundedIntersection("fewer than four halfspaces cannot bound a volume")
     N = np.array([h.normal for h in hs])
     b = np.array([h.offset for h in hs])
-    m = len(hs)
+    c = np.zeros(3) if b.min() >= 0.1 * np.abs(b).max() > 0 else _chebyshev_centre(N, b)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # points at infinity
+            hsi = HalfspaceIntersection(np.hstack([N, -b[:, None]]), c)
+    except QhullError as exc:
+        # a flat dual hull: every plane is parallel to one line or passes
+        # through one point, so the region about c is unbounded
+        if np.linalg.matrix_rank(np.hstack([N, b[:, None]])) < 4:
+            raise UnboundedIntersection("the planes bound a cylinder or a cone")
+        raise DegenerateInput(f"qhull failed: {exc}")
+    if (hsi.dual_equations[:, 3] >= 0).any():
+        raise UnboundedIntersection("the dual hull does not enclose the interior point")
 
-    triples = np.array(list(itertools.combinations(range(m), 3)))
-    A = N[triples]                                    # (T, 3, 3)
-    dets = np.linalg.det(A)
-    good = np.abs(dets) > tol.plane_triple
-    if not good.any():
-        _classify_failure(N, b, "no three independent supporting planes")
-    A = A[good]
-    rhs = b[triples[good]]
-    pts = np.linalg.solve(A, rhs[..., None])[..., 0]  # (T, 3)
-
-    # two-pass scale estimate: ill-conditioned triples solve to garbage
-    # points far away, and letting those set the scale would blow up the
-    # feasibility slack and the vertex merge radius
-    scale = max(float(np.abs(pts).max()), 1e-9)
-    for _ in range(2):
-        feasible = (pts @ N.T - b <= tol.containment * scale).all(axis=1)
-        pts = pts[feasible]
-        if len(pts) == 0:
-            _classify_failure(N, b, "no feasible plane-triple intersection points")
-        scale = max(float(np.abs(pts).max()), 1e-9)
-
-    verts = _dedup(pts, tol.dedup * scale)
-    if len(verts) < 4:
-        _classify_failure(N, b, "fewer than four distinct vertices")
+    pts = hsi.intersections
+    scale = float(np.abs(pts - c).max())
+    incident = np.unique(np.abs(pts @ N.T - b) <= tol.coplanarity * scale, axis=0)
+    sets = [np.flatnonzero(row) for row in incident]
+    triples = np.array([t for s in sets for t in itertools.combinations(s, 3)]).reshape(-1, 3)
+    owner = np.repeat(np.arange(len(sets)), [math.comb(len(s), 3) for s in sets])
+    good = np.abs(np.linalg.det(N[triples])) > tol.plane_triple
+    owner = owner[good]
+    if len(set(owner)) < len(sets):
+        raise DegenerateInput("a vertex lies on no three independent planes")
+    sol = np.linalg.solve(N[triples[good]], b[triples[good]][..., None])[..., 0]
+    verts = np.array([g.mean(axis=0) for g in np.split(sol, np.flatnonzero(np.diff(owner)) + 1)])
     # deterministic vertex order
-    key = np.round(verts / (tol.dedup * scale)).astype(np.int64)
+    key = np.round(verts / (tol.dedup * float(np.abs(verts).max()))).astype(np.int64)
     order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
-    verts = verts[order]
+    verts, on_plane = verts[order], incident[order]
 
-    on_plane = np.abs(verts @ N.T - b) <= tol.coplanarity * scale
     faces = []
     kept = []
-    for f in range(m):
+    for f in range(len(hs)):
         idx = np.nonzero(on_plane[:, f])[0]
         if len(idx) < 3:
             logger.debug("dropping redundant halfspace %d (%d incident vertices)", f, len(idx))
@@ -396,58 +400,35 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
         faces.append(cyc)
         kept.append(f)
     if len(faces) < 4:
-        _classify_failure(N, b, "fewer than four supporting faces")
+        raise DegenerateInput("fewer than four supporting faces")
 
     kept_hs = tuple(hs[f] for f in kept)
     try:
         poly = Polyhedron(verts, tuple(faces), kept_hs, True)
     except NonManifold:
-        _classify_failure(N, b, "vertex/face incidence is not edge-manifold")
+        raise DegenerateInput("vertex/face incidence is not edge-manifold")
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
-        _classify_failure(N, b, "Euler characteristic is not 2")
+        raise DegenerateInput("Euler characteristic is not 2")
     for f in range(poly.n_faces):
         if poly.face_area(f) <= 0:
-            _classify_failure(N, b, f"face {f} has nonpositive oriented area")
-    if volume(poly) <= 0:
-        raise InconsistentOrientation("assembled boundary has nonpositive volume")
+            raise DegenerateInput(f"face {f} has nonpositive oriented area")
     return poly
 
 
-def _dedup(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Merge points closer than ``radius`` (greedy union by first champion)."""
-    out = []
-    used = np.zeros(len(pts), dtype=bool)
-    for i in range(len(pts)):
-        if used[i]:
-            continue
-        d = np.linalg.norm(pts - pts[i], axis=1)
-        group = (d <= radius) & ~used
-        used |= group
-        out.append(pts[group].mean(axis=0))
-    return np.array(out)
-
-
-def _classify_failure(N: np.ndarray, b: np.ndarray, detail: str):
-    """Slow error path: decide between unbounded / empty / degenerate via LPs."""
+def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Centre of the largest ball inside every halfspace, by one LP."""
     from scipy.optimize import linprog
 
-    m = len(N)
-    # Chebyshev center: max r s.t. N x + r <= b
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0],
-                  A_ub=np.hstack([N, np.ones((m, 1))]), b_ub=b,
+    # max r s.t. N x + r <= b
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=np.hstack([N, np.ones((len(N), 1))]), b_ub=b,
                   bounds=[(None, None)] * 4, method="highs")
     if res.status == 3:
-        raise UnboundedIntersection(detail)
+        raise UnboundedIntersection("the halfspaces hold balls of every radius")
     if res.status == 2 or (res.status == 0 and res.x[3] <= 1e-12):
-        raise EmptyInterior(detail)
-    for k in range(3):
-        for sign in (1.0, -1.0):
-            c = np.zeros(3)
-            c[k] = -sign
-            r = linprog(c=c, A_ub=N, b_ub=b, bounds=[(None, None)] * 3, method="highs")
-            if r.status == 3:
-                raise UnboundedIntersection(detail)
-    raise DegenerateInput(detail)
+        raise EmptyInterior("the halfspaces hold no ball of positive radius")
+    if res.status != 0:
+        raise DegenerateInput(f"Chebyshev-centre LP failed: {res.message}")
+    return res.x[:3]
 
 
 # -- functionals ---------------------------------------------------------

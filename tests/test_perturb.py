@@ -14,7 +14,7 @@ from melzak import (
     regular_tetrahedron,
     volume,
 )
-from melzak.errors import CombinatorialCollapse, NotExposedFace, NotSemiExposed
+from melzak.errors import BadParameter, CombinatorialCollapse, NotExposedFace, NotSemiExposed
 from melzak.perturbations import (
     Perturbation,
     apply,
@@ -22,6 +22,7 @@ from melzak.perturbations import (
     face_hinge_derivatives,
     face_translate_derivatives,
     finite_difference_check,
+    perturbed_halfspaces,
     vertex_truncate_derivatives,
 )
 
@@ -168,6 +169,19 @@ def test_pyramid_apex_degree4_truncation():
 def test_deep_cut_collapse_detected():
     with pytest.raises(CombinatorialCollapse):
         apply(cube(), Perturbation("vertex_truncate", 0), 0.9)
+
+
+@pytest.mark.parametrize("pert", [
+    Perturbation("face_translate", -1), Perturbation("face_translate", 6),
+    Perturbation("vertex_truncate", -1), Perturbation("vertex_truncate", 8),
+    Perturbation("face_hinge", 0, edge=-1), Perturbation("face_hinge", 0, edge=12),
+], ids=lambda p: p.label())
+def test_out_of_range_index_is_bad_parameter(pert):
+    C = cube()
+    for call in (lambda: perturbed_halfspaces(C, pert, 0.1), lambda: apply(C, pert, 0.1),
+                 lambda: finite_difference_check(C, pert), lambda: derivatives(C, pert)):
+        with pytest.raises(BadParameter, match="out of range"):
+            call()
 
 
 def test_shallow_squeeze_keeps_combinatorics():

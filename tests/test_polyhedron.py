@@ -82,10 +82,11 @@ def test_infeasible_empty_interior():
 
 
 def test_near_coaxial_plane_triples_do_not_poison_the_scale():
-    # A prism whose side normals are tilted out of plane by ~1e-10 makes the
-    # side triple solvable but garbage (a point ~1e9 away).  The vertex merge
-    # radius must come from the surviving feasible points, not that garbage,
-    # or every real vertex collapses into one.
+    # A prism whose side normals are tilted out of plane by ~1e-10: the
+    # three side planes meet only ~1e9 away.  The incidence tolerance scales
+    # with the body's own extent about its interior point, so that far point
+    # neither becomes a vertex nor widens the tolerance until every real
+    # vertex lies on every plane.
     eps = 1.0e-10
     hs = []
     for k in range(3):
