@@ -21,18 +21,5 @@ class Tolerances:
     tangency: float = 1e-9          # rad: incircle side-tangency slack
     witness_margin: float = 1e-10   # improving perturbations need dM below -this
 
-    def scaled(self, scale: float) -> "Tolerances":
-        """Absolute copies of the relative entries for a given length scale."""
-        return Tolerances(
-            unit_norm=self.unit_norm,
-            plane_triple=self.plane_triple,
-            dedup=self.dedup * scale,
-            coplanarity=self.coplanarity * scale,
-            convexity=self.convexity * scale,
-            exposure=self.exposure,
-            tangency=self.tangency,
-            witness_margin=self.witness_margin,
-        )
-
 
 DEFAULT_TOLERANCES = Tolerances()

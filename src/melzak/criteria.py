@@ -38,7 +38,7 @@ from .perturbations import (
     Perturbation,
     derivatives,
 )
-from .polyhedron import Polyhedron, _plane_basis, _unit, edge_length, validate, volume
+from .polyhedron import Polyhedron, _plane_bases, _unit, edge_length, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
 
 WITNESS_MARGIN = DEFAULT_TOLERANCES.witness_margin
@@ -354,7 +354,7 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
         adjacency = set(map(frozenset, P.topology.edge_faces))
         for s in range(P.n_faces):
             cyc = P.faces[s]
-            basis = np.vstack(_plane_basis(P.face_normal(s)))
+            basis = np.vstack(_plane_bases(P.face_normal(s)[None]))
             # (face across the rim edge, its two ends in face coordinates)
             rim = [(P.topology.face_of[j, i], P.vertices[i] @ basis.T, P.vertices[j] @ basis.T)
                    for i, j in zip(cyc, cyc[1:] + cyc[:1])]

@@ -3,9 +3,11 @@
 The local optimizer parameterizes a convex polyhedron by its supporting
 planes (two spherical angles plus an offset per face, offsets rescaled by
 the start diameter so all coordinates are comparable), descends the log
-of the edge-cube-over-volume ratio with finite-difference gradients and a
+of the edge-cube-over-volume ratio with central-difference gradients and a
 backtracking line search, and treats any change of combinatorial type as
-a hard step boundary.
+a hard step boundary. One batched evaluator serves both: a gradient's 2n
+probes are the rows of one vectorised call, a line-search probe is a call
+of one row.
 
 The sequence driver enumerates the shipped catalog of combinatorial types
 with up to eight faces, optimizes each, and carries the best ratio
@@ -98,22 +100,36 @@ class _PlaneObjective:
     where the true intersection would change type; wall crossings are
     caught separately by rebuilding at accepted steps.
 
+    ``log_ratios`` evaluates a whole batch of parameter rows at once: one
+    stacked solve for every vertex of every row, then edge lengths and the
+    volume from a padded corner table (each face's vertex and its successor,
+    ``k_max`` slots per face) built once per anchor. A central-difference
+    gradient is one batch of 2n rows; a line-search probe is a batch of one.
+
     Offsets are measured from the anchor polyhedron's vertex centroid, not
     the world origin. The plane solves lose roughly offset/diameter digits,
     so a body that sits (or descends to sit) far off-center relative to its
     size would otherwise poison both the ratio and the rebuild check.
     """
 
-    faces: tuple
     edge_idx: np.ndarray
     vertex_planes: np.ndarray
+    corners: np.ndarray
+    corner_mask: np.ndarray
     scale: float
     origin: np.ndarray
 
     @classmethod
     def for_polyhedron(cls, P: Polyhedron) -> "_PlaneObjective":
         planes = np.array([P.vertex_faces(v)[:3] for v in range(P.n_vertices)], dtype=int)
-        return cls(P.faces, np.array(P.edges, dtype=int), planes, P.diameter(),
+        k_max = max(len(cyc) for cyc in P.faces)
+        corners = np.zeros((P.n_faces, k_max, 2), dtype=int)
+        mask = np.zeros((P.n_faces, k_max), dtype=bool)
+        for f, cyc in enumerate(P.faces):
+            corners[f, :len(cyc), 0] = cyc
+            corners[f, :len(cyc), 1] = cyc[1:] + cyc[:1]
+            mask[f, :len(cyc)] = True
+        return cls(np.array(P.edges, dtype=int), planes, corners, mask, P.diameter(),
                    P.vertices.mean(axis=0))
 
     def pack(self, P: Polyhedron) -> np.ndarray:
@@ -126,36 +142,45 @@ class _PlaneObjective:
         return z
 
     def planes(self, z: np.ndarray) -> tuple:
-        phi, lam, off = z[0::3], z[1::3], z[2::3]
+        """Unit normals (..., F, 3) and offsets (..., F) of parameters (..., 3F)."""
+        phi, lam, off = z[..., 0::3], z[..., 1::3], z[..., 2::3]
         sp = np.sin(phi)
-        normals = np.stack([sp * np.cos(lam), sp * np.sin(lam), np.cos(phi)], axis=1)
+        normals = np.stack([sp * np.cos(lam), sp * np.sin(lam), np.cos(phi)], axis=-1)
         return normals, off * self.scale
 
-    def positions(self, z: np.ndarray) -> np.ndarray | None:
-        normals, offsets = self.planes(z)
-        A = normals[self.vertex_planes]
-        b = offsets[self.vertex_planes]
-        try:
-            return np.linalg.solve(A, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return None
+    def log_ratios(self, Z: np.ndarray) -> np.ndarray:
+        """ln(E^3 / V) of every row of the (B, 3F) parameter array Z.
 
-    def ratio(self, z: np.ndarray) -> float:
-        pts = self.positions(z)
-        if pts is None or not np.isfinite(pts).all():
-            return math.inf
-        d = pts[self.edge_idx[:, 0]] - pts[self.edge_idx[:, 1]]
-        e = float(np.sqrt((d * d).sum(axis=1)).sum())
-        normals, offsets = self.planes(z)
-        vol = 0.0
-        for f, cyc in enumerate(self.faces):
-            p = pts[list(cyc)]
-            cr = np.cross(p, np.roll(p, -1, axis=0)).sum(axis=0)
-            vol += float(offsets[f]) * 0.5 * float(cr @ normals[f])
-        vol /= 3.0
-        if vol <= 0 or not math.isfinite(e):
-            return math.inf
-        return e ** 3 / vol
+        A row whose vertices are not finite, whose volume is not positive or
+        whose edge total is not finite gives inf. Raises LinAlgError when any
+        row holds a singular vertex system.
+        """
+        normals, offsets = self.planes(Z)
+        A = normals[:, self.vertex_planes]
+        b = offsets[:, self.vertex_planes]
+        pts = np.linalg.solve(A, b[..., None])[..., 0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = pts[:, self.edge_idx[:, 0]] - pts[:, self.edge_idx[:, 1]]
+            lengths = np.sqrt((d * d).sum(axis=2))
+            # each face's cross products summed corner by corner, in cycle
+            # order; the padded slots add exact zeros
+            cr = np.cross(pts[:, self.corners[..., 0]], pts[:, self.corners[..., 1]])
+            cr[:, ~self.corner_mask] = 0.0
+            cross_sum = cr[:, :, 0]
+            for k in range(1, cr.shape[2]):
+                cross_sum = cross_sum + cr[:, :, k]
+            dots = (cross_sum[..., None, :] @ normals[..., :, None])[..., 0, 0]
+            vols = np.add.accumulate((offsets * 0.5) * dots, axis=1)[:, -1] / 3.0
+        finite = np.isfinite(pts).all(axis=(1, 2))
+        out = np.full(len(Z), math.inf)
+        for r in np.flatnonzero(finite):
+            e, vol = float(lengths[r].sum()), float(vols[r])
+            if vol <= 0 or not math.isfinite(e):
+                continue
+            m = e ** 3 / vol
+            if math.isfinite(m) and m > 0:
+                out[r] = math.log(m)
+        return out
 
     def rebuild(self, z: np.ndarray) -> Polyhedron | None:
         normals, offsets = self.planes(z)
@@ -171,21 +196,25 @@ class _PlaneObjective:
 
 
 def _log_ratio(obj: _PlaneObjective, z: np.ndarray) -> float:
-    m = obj.ratio(z)
-    return math.log(m) if math.isfinite(m) and m > 0 else math.inf
+    try:
+        return float(obj.log_ratios(z[None])[0])
+    except np.linalg.LinAlgError:
+        return math.inf
 
 
 def _fd_gradient(obj: _PlaneObjective, z: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty(len(z))
-    for j in range(len(z)):
-        zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        fp, fm = _log_ratio(obj, zp), _log_ratio(obj, zm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericalBreakdown("ratio became non-finite near the iterate")
-        g[j] = (fp - fm) / (2.0 * h)
-    return g
+    """Central differences, all 2n probes z + h e_j, z - h e_j in one batch."""
+    n = len(z)
+    Z = np.repeat(z[None], 2 * n, axis=0)
+    Z[0::2][np.arange(n), np.arange(n)] += h
+    Z[1::2][np.arange(n), np.arange(n)] -= h
+    try:
+        f = obj.log_ratios(Z)
+    except np.linalg.LinAlgError:
+        f = None
+    if f is None or not np.isfinite(f).all():
+        raise NumericalBreakdown("ratio became non-finite near the iterate")
+    return (f[0::2] - f[1::2]) / (2.0 * h)
 
 
 def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) -> OptimizeResult:

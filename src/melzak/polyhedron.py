@@ -42,14 +42,19 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _rotation_code(rings: list, v0: int, u0: int) -> tuple:
+def _rotation_code(rings: list, v0: int, u0: int, bound: list | None = None) -> list | None:
     """Breadth-first code of the rotation system ``rings`` from the directed
     edge (v0, u0): vertices numbered by first visit, each listing its
-    neighbours' numbers from the edge it was reached along, then -1."""
+    neighbours' numbers from the edge it was reached along, then -1.
+
+    With ``bound``, returns None as soon as a prefix of the code exceeds
+    ``bound``, so the code is returned only when it is at most ``bound``."""
     label = {v0: 0}
     order = [(v0, u0)]
     code = []
+    tied = bound is not None
     for v, start in order:
+        done = len(code)
         ring = rings[v]
         k = ring.index(start)
         for u in ring[k:] + ring[:k]:
@@ -58,7 +63,12 @@ def _rotation_code(rings: list, v0: int, u0: int) -> tuple:
                 order.append((u, v))
             code.append(label[u])
         code.append(-1)
-    return tuple(code)
+        if tied:
+            step, ref = code[done:], bound[done:len(code)]
+            if step > ref:
+                return None
+            tied = step == ref
+    return code
 
 
 class Topology:
@@ -286,14 +296,19 @@ class Polyhedron:
         key: orientation-reversing isomorphisms count, as they do for the
         vertex-face incidence graph. The key is the smallest breadth-first
         code of the vertex fans (``_rotation_code``) over every directed
-        edge and both turning senses, found in O(E^2); L. Weinberg, IEEE
+        edge and both turning senses, found in O(E^2) with each code cut
+        off once it exceeds the best so far; L. Weinberg, IEEE
         Trans. Circuit Theory 13 (1966) 142-148, uses an Euler tour. Raises
         DanglingVertex where a vertex fan does not close.
         """
         rings = [self.topology.fan(v)[1] for v in range(self.n_vertices)]
         mirror = [ring[::-1] for ring in rings]
-        return min(_rotation_code(r, v, u) for r in (rings, mirror)
-                   for v in range(self.n_vertices) for u in r[v])
+        best = None
+        for r in (rings, mirror):
+            for v in range(self.n_vertices):
+                for u in r[v]:
+                    best = _rotation_code(r, v, u, best) or best
+        return tuple(best)
 
     def scaled(self, factor: float) -> "Polyhedron":
         if factor <= 0:
@@ -318,21 +333,20 @@ class ValidationReport:
                 and self.manifold_ok and self.orientation_ok)
 
 
-def _plane_basis(n: np.ndarray) -> tuple:
-    """Right-handed (t1, t2, n) orthonormal frame for a unit normal."""
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    t1 = _unit(np.cross(n, e))
-    t2 = np.cross(n, t1)
-    return t1, t2
+def _plane_bases(N: np.ndarray) -> tuple:
+    """Right-handed (t1, t2, n) orthonormal frames for the unit normal rows
+    of N: t1 is n x e_k for the axis k of n's smallest component, scaled to
+    unit length, and t2 = n x t1. Returns the (m, 3) arrays t1 and t2."""
+    E = np.zeros_like(N)
+    E[np.arange(len(N)), np.argmin(np.abs(N), axis=1)] = 1.0
+    c = np.cross(N, E)
+    t1 = c / np.sqrt(_rowdot(c, c))[:, None]
+    return t1, np.cross(N, t1)
 
 
-def _sort_cycle(points: np.ndarray, idx: np.ndarray, normal: np.ndarray) -> tuple:
-    """Order vertex indices counterclockwise about ``normal``."""
-    c = points.mean(axis=0)
-    t1, t2 = _plane_basis(normal)
-    rel = points - c
+def _sort_cycle(points: np.ndarray, idx: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> tuple:
+    """Order vertex indices counterclockwise in the plane frame (t1, t2)."""
+    rel = points - points.mean(axis=0)
     ang = np.arctan2(rel @ t2, rel @ t1)
     order = np.argsort(ang, kind="stable")
     return tuple(int(idx[k]) for k in order)
@@ -391,12 +405,13 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
 
     faces = []
     kept = []
+    T1, T2 = _plane_bases(N)
     for f in range(len(hs)):
         idx = np.nonzero(on_plane[:, f])[0]
         if len(idx) < 3:
             logger.debug("dropping redundant halfspace %d (%d incident vertices)", f, len(idx))
             continue
-        cyc = _sort_cycle(verts[idx], idx, N[f])
+        cyc = _sort_cycle(verts[idx], idx, T1[f], T2[f])
         faces.append(cyc)
         kept.append(f)
     if len(faces) < 4:

@@ -5,7 +5,8 @@ before qhull: every plane triple with a nonsingular 3x3 system is solved,
 points outside some halfspace are dropped at a scale guessed in two passes,
 and the survivors are merged greedily. It stays here as the oracle the qhull
 path is checked against: vertices, faces and kept halfspaces bit for bit,
-and the exception class on failure.
+and the exception class on failure. ``_plane_basis`` and ``_sort_cycle``
+are the one-face-at-a-time frame and cycle sort it used.
 """
 
 import itertools
@@ -36,12 +37,32 @@ from melzak.errors import (
     NonManifold,
     UnboundedIntersection,
 )
-from melzak.polyhedron import _sort_cycle
+from melzak.polyhedron import _plane_bases, _unit
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: all C(m, 3) plane triples
 # ---------------------------------------------------------------------------
+
+def _plane_basis(n: np.ndarray) -> tuple:
+    """Right-handed (t1, t2, n) orthonormal frame for a unit normal."""
+    k = int(np.argmin(np.abs(n)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    t1 = _unit(np.cross(n, e))
+    t2 = np.cross(n, t1)
+    return t1, t2
+
+
+def _sort_cycle(points: np.ndarray, idx: np.ndarray, normal: np.ndarray) -> tuple:
+    """Order vertex indices counterclockwise about ``normal``."""
+    c = points.mean(axis=0)
+    t1, t2 = _plane_basis(normal)
+    rel = points - c
+    ang = np.arctan2(rel @ t2, rel @ t1)
+    order = np.argsort(ang, kind="stable")
+    return tuple(int(idx[k]) for k in order)
+
 
 def _dedup(pts, radius):
     out = []
@@ -170,6 +191,20 @@ def test_pyramids_match_oracle(n):
 def test_cube_and_octahedron_match_oracle():
     _assert_matches_oracle(cube().halfspaces)
     _assert_matches_oracle(octahedron().halfspaces)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 200))
+def test_plane_frames_match_one_face_frames(seed, m):
+    rng = np.random.default_rng(seed)
+    N = rng.normal(size=(m, 3))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    # axis normals tie on their smallest component
+    N = np.vstack([N, np.eye(3), -np.eye(3)])
+    T1, T2 = _plane_bases(N)
+    for n, t1, t2 in zip(N, T1, T2):
+        w1, w2 = _plane_basis(n)
+        assert t1.tobytes() == w1.tobytes() and t2.tobytes() == w2.tobytes()
 
 
 # ---------------------------------------------------------------------------

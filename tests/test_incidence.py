@@ -7,6 +7,11 @@ is checked against, on random bodies and under vertex and face relabelling.
 The combinatorial type key must not move under relabelling, rotation,
 scaling or mirroring.
 
+``_scan_rotation_code`` and ``_scan_type_key`` are the exhaustive form of
+the type key: every directed edge's full code, then the minimum. The package
+cuts each code off once it exceeds the best so far; the minimum must not
+move.
+
 ``tests/data/incidence_golden.json`` holds one sha256 per body over the
 audit report, the criticality report and every per-vertex and per-edge
 incidence answer, each float written as its exact hex. Regenerate it with
@@ -40,6 +45,7 @@ from melzak import (
     validate,
 )
 from melzak.errors import BadParameter, DanglingVertex, GeometryError, NonManifold
+from melzak.polyhedron import _rotation_code
 from melzak.gauss import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
@@ -157,6 +163,34 @@ def _scan_exposure(P, v) -> str:
     return NEITHER
 
 
+def _scan_rotation_code(rings, v0, u0) -> tuple:
+    label = {v0: 0}
+    order = [(v0, u0)]
+    code = []
+    for v, start in order:
+        ring = rings[v]
+        k = ring.index(start)
+        for u in ring[k:] + ring[:k]:
+            if u not in label:
+                label[u] = len(order)
+                order.append((u, v))
+            code.append(label[u])
+        code.append(-1)
+    return tuple(code)
+
+
+def _scan_codes(P) -> list:
+    """(rings, v, u, full code) for every directed edge and both senses."""
+    rings = [P.topology.fan(v)[1] for v in range(P.n_vertices)]
+    mirror = [ring[::-1] for ring in rings]
+    return [(r, v, u, _scan_rotation_code(r, v, u)) for r in (rings, mirror)
+            for v in range(P.n_vertices) for u in r[v]]
+
+
+def _scan_type_key(P) -> tuple:
+    return min(code for _, _, _, code in _scan_codes(P))
+
+
 def _assert_matches_oracle(P):
     assert P.edges == _scan_edges(P.faces)
     for e, (i, j) in enumerate(P.edges):
@@ -248,6 +282,28 @@ def test_type_key_is_invariant(seed, n_faces, relabel, scale):
                         True)
     assert validate(mirror).ok
     assert mirror.type_key() == key
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 30), pick=st.integers(0, 10_000))
+def test_type_key_matches_exhaustive_minimum(seed, n_faces, pick):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    assert P.type_key() == _scan_type_key(P)
+    # a bounded code is the full code when it is at most the bound, else None
+    codes = _scan_codes(P)
+    rng = np.random.default_rng(pick)
+    for i, j in rng.integers(0, len(codes), size=(20, 2)):
+        r, v, u, full = codes[i]
+        bound = codes[j][3]
+        got = _rotation_code(r, v, u, list(bound))
+        assert (got is None) if full > bound else (tuple(got) == full)
+        assert tuple(_rotation_code(r, v, u)) == full
+
+
+def test_catalog_type_keys_match_exhaustive_minimum():
+    for t in load_catalog():
+        P = t.build()
+        assert P.type_key() == _scan_type_key(P)
 
 
 def test_crater_matches_oracle():

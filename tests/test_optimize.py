@@ -1,6 +1,18 @@
-"""Ratio descent, the combinatorial catalog, and criticality reporting."""
+"""Ratio descent, the combinatorial catalog, and criticality reporting.
 
+``tests/data/descent_golden.json`` holds one sha256 per descent run over
+what the CLI prints and writes: ``sequence --max-faces 6``, ``optimize`` on
+the 0.8 x 1 x 1.25 box (stdout, mesh and trace) and ``optimize --iters 20``
+on ``random_convex(default_rng(2), 10)`` (stdout and mesh). Regenerate it
+with ``PYTHONPATH=src python tests/test_optimize.py`` only when a descent
+result is meant to change.
+"""
+
+import contextlib
 import dataclasses
+import hashlib
+import io
+import json
 import math
 import os
 import pathlib
@@ -9,22 +21,30 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import crater_can, octahedron
 from melzak import (
     box,
+    cli,
     cube,
     melzak_ratio,
     ngon_pyramid,
     optimal_prism,
+    random_convex,
     regular_tetrahedron,
     validate,
     volume,
+    write_off,
 )
-from melzak.errors import BadParameter, InvalidStart, UnsupportedFaceCount
+from melzak.errors import BadParameter, InvalidStart, NumericalBreakdown, UnsupportedFaceCount
 from melzak.optimize import (
     EXPECTED_SIMPLE_COUNTS,
     OptimizeOptions,
+    _fd_gradient,
+    _log_ratio,
+    _PlaneObjective,
     catalog_self_check,
     criticality_report,
     load_catalog,
@@ -34,6 +54,7 @@ from melzak.optimize import (
 from melzak.shapes import PRISM_RATIO, TETRA_RATIO
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "descent_golden.json"
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +78,93 @@ def test_nonconvex_start_rejected():
     CR, _, _, _ = crater_can()
     with pytest.raises(InvalidStart):
         local_optimize(CR)
+
+
+# ---------------------------------------------------------------------------
+# batched objective against the face-by-face oracle
+# ---------------------------------------------------------------------------
+
+def _loop_ratio(obj, faces, z) -> float:
+    """One parameter vector, one face at a time: the evaluator the batched
+    ``log_ratios`` replaced, kept as its oracle."""
+    phi, lam, off = z[0::3], z[1::3], z[2::3]
+    sp = np.sin(phi)
+    normals = np.stack([sp * np.cos(lam), sp * np.sin(lam), np.cos(phi)], axis=1)
+    offsets = off * obj.scale
+    A = normals[obj.vertex_planes]
+    b = offsets[obj.vertex_planes]
+    try:
+        pts = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return math.inf
+    if not np.isfinite(pts).all():
+        return math.inf
+    d = pts[obj.edge_idx[:, 0]] - pts[obj.edge_idx[:, 1]]
+    e = float(np.sqrt((d * d).sum(axis=1)).sum())
+    vol = 0.0
+    for f, cyc in enumerate(faces):
+        p = pts[list(cyc)]
+        cr = np.cross(p, np.roll(p, -1, axis=0)).sum(axis=0)
+        vol += float(offsets[f]) * 0.5 * float(cr @ normals[f])
+    vol /= 3.0
+    if vol <= 0 or not math.isfinite(e):
+        return math.inf
+    return e ** 3 / vol
+
+
+def _loop_log_ratio(obj, faces, z) -> float:
+    m = _loop_ratio(obj, faces, z)
+    return math.log(m) if math.isfinite(m) and m > 0 else math.inf
+
+
+def _loop_fd_gradient(obj, faces, z, h) -> np.ndarray:
+    g = np.empty(len(z))
+    for j in range(len(z)):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        fp, fm = _loop_log_ratio(obj, faces, zp), _loop_log_ratio(obj, faces, zm)
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise NumericalBreakdown("ratio became non-finite near the iterate")
+        g[j] = (fp - fm) / (2.0 * h)
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 12), probe=st.integers(0, 10_000))
+def test_batched_objective_matches_face_loop(seed, n_faces, probe):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    obj = _PlaneObjective.for_polyhedron(P)
+    z = obj.pack(P)
+    rng = np.random.default_rng(probe)
+    Z = z + rng.normal(scale=1e-3, size=(8, len(z))) * rng.uniform(0.0, 1.0, size=(8, 1))
+    Z[0] = z
+    Z[1, 2::3] *= -1.0   # the body turned inside out: no positive volume
+    batch = obj.log_ratios(Z)
+    assert math.isinf(batch[1])
+    for row, value in zip(Z, batch):
+        want = _loop_log_ratio(obj, P.faces, row)
+        assert value.hex() == _log_ratio(obj, row).hex() == want.hex()
+    for h in (1e-6, 1e-4):
+        got = _fd_gradient(obj, z, h)
+        assert got.tobytes() == _loop_fd_gradient(obj, P.faces, z, h).tobytes()
+
+
+def test_singular_vertex_system():
+    P = random_convex(np.random.default_rng(3), n_faces=8)
+    obj = _PlaneObjective.for_polyhedron(P)
+    z = obj.pack(P)
+    # the three planes through vertex 0 made parallel
+    a, b, c = obj.vertex_planes[0]
+    for f in (b, c):
+        z[3 * f:3 * f + 2] = z[3 * a:3 * a + 2]
+    assert _log_ratio(obj, z) == _loop_log_ratio(obj, P.faces, z) == math.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        obj.log_ratios(np.stack([obj.pack(P), z]))
+    with pytest.raises(NumericalBreakdown):
+        _fd_gradient(obj, z, 1e-6)
+    with pytest.raises(NumericalBreakdown):
+        _loop_fd_gradient(obj, P.faces, z, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +353,47 @@ def test_criticality_dict_roundtrip():
     d = criticality_report(cube()).to_dict()
     assert set(d) == {"entries", "minimum", "is_critical"}
     assert d["is_critical"] is True
+
+
+# ---------------------------------------------------------------------------
+# golden digests
+# ---------------------------------------------------------------------------
+
+def _cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _descent_digests(work: pathlib.Path) -> dict:
+    box_off, rand_off = work / "box.off", work / "random10.off"
+    mesh, trace = work / "out.off", work / "trace.csv"
+    write_off(box_off, box(0.8, 1.0, 1.25))
+    write_off(rand_off, random_convex(np.random.default_rng(2), n_faces=10))
+    runs = {
+        "sequence_6": lambda: _cli_stdout(["sequence", "--max-faces", "6"]),
+        "optimize_box": lambda: (_cli_stdout(["optimize", str(box_off), "--out", str(mesh),
+                                              "--trace", str(trace)])
+                                 + mesh.read_text() + trace.read_text()),
+        "optimize_random10_iters20": lambda: (_cli_stdout(["optimize", str(rand_off),
+                                                           "--out", str(mesh), "--iters", "20"])
+                                              + mesh.read_text()),
+    }
+    return {name: hashlib.sha256(run().encode()).hexdigest() for name, run in runs.items()}
+
+
+def test_golden_descent_digests(tmp_path):
+    want = json.loads(GOLDEN.read_text())
+    got = _descent_digests(tmp_path)
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = _descent_digests(pathlib.Path(tmp))
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
