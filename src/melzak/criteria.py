@@ -38,8 +38,9 @@ from .perturbations import (
     Perturbation,
     derivatives,
 )
-from .polyhedron import Polyhedron, _plane_bases, _unit, edge_length, validate, volume
+from .polyhedron import Polyhedron, edge_length, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
+from .vec3 import plane_bases, unit
 
 WITNESS_MARGIN = DEFAULT_TOLERANCES.witness_margin
 
@@ -213,7 +214,7 @@ def _prolongations(P: Polyhedron, f: int) -> dict:
         nbrs = [u for u in P.topology.neighbours(v) if u not in cyc]
         if len(nbrs) != 1:
             return {}
-        out[v] = -_unit(P.vertices[nbrs[0]] - P.vertices[v])
+        out[v] = -unit(P.vertices[nbrs[0]] - P.vertices[v])
     return out
 
 
@@ -247,7 +248,7 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
             for a in cyc:
                 for b in cyc:
                     if a != b:
-                        u = _unit(P.vertices[b] - P.vertices[a])
+                        u = unit(P.vertices[b] - P.vertices[a])
                         gamma_sum += math.acos(float(np.clip(prolong[a] @ u, -1, 1)))
             if abs((gamma_sum - math.pi) - total) > 1e-9:
                 notes.append(
@@ -272,7 +273,7 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
             perts = [Perturbation("face_hinge", f, d, e) for d in (OUT, IN)]
             candidates += perts
             if prolong and cls == EXPOSED:
-                cos_sum = sum(float(prolong[h] @ _unit(P.vertices[o] - P.vertices[h]))
+                cos_sum = sum(float(prolong[h] @ unit(P.vertices[o] - P.vertices[h]))
                               for o in others)
                 if cos_sum >= 1.0:
                     preferred.append(Perturbation("face_hinge", f, OUT, e))
@@ -354,7 +355,7 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
         adjacency = set(map(frozenset, P.topology.edge_faces))
         for s in range(P.n_faces):
             cyc = P.faces[s]
-            basis = np.vstack(_plane_bases(P.face_normal(s)[None]))
+            basis = np.vstack(plane_bases(P.face_normal(s)[None]))
             # (face across the rim edge, its two ends in face coordinates)
             rim = [(P.topology.face_of[j, i], P.vertices[i] @ basis.T, P.vertices[j] @ basis.T)
                    for i, j in zip(cyc, cyc[1:] + cyc[:1])]

@@ -33,10 +33,6 @@ class ZeroVolume(GeometryError):
     """Enclosed volume is zero or numerically indistinguishable from it."""
 
 
-class InconsistentOrientation(GeometryError):
-    """Face cycles do not consistently orient the boundary outward."""
-
-
 class DanglingVertex(GeometryError):
     """A vertex has fewer than three incident faces."""
 

@@ -20,7 +20,8 @@ from .errors import (
     DegeneratePolygon,
     NonConvexPolygon,
 )
-from .polyhedron import Polyhedron, _unit
+from .polyhedron import Polyhedron
+from .vec3 import cross, unit
 
 EXPOSED = "exposed"
 NEGATIVELY_EXPOSED = "negatively_exposed"
@@ -94,7 +95,7 @@ def angle_deficit(P: Polyhedron, v: int) -> float:
         b = P.vertices[nxt] - p
         n = P.face_normal(f)
         # signed interior angle; handles reflex polygon corners
-        ang = np.arctan2(np.cross(b, a) @ n, a @ b)
+        ang = np.arctan2(cross(b, a) @ n, a @ b)
         if ang < 0:
             ang += 2.0 * np.pi
         total += ang
@@ -106,14 +107,14 @@ def _oriented(points: np.ndarray) -> np.ndarray:
     c = points.mean(axis=0)
     score = 0.0
     for i in range(len(points)):
-        score += np.cross(points[i], points[(i + 1) % len(points)]) @ c
+        score += cross(points[i], points[(i + 1) % len(points)]) @ c
     return points if score >= 0 else points[::-1]
 
 
 def _check_convex(points: np.ndarray, tol: float) -> None:
     n = len(points)
     for i in range(n):
-        pole = np.cross(points[i], points[(i + 1) % n])
+        pole = cross(points[i], points[(i + 1) % n])
         norm = np.linalg.norm(pole)
         if norm <= tol:
             raise DegeneratePolygon("consecutive points are parallel or antipodal")
@@ -147,7 +148,7 @@ def side_poles(poly: SphericalPolygon) -> np.ndarray:
     n = len(pts)
     poles = np.zeros((n, 3))
     for i in range(n):
-        pole = np.cross(pts[i], pts[(i + 1) % n])
+        pole = cross(pts[i], pts[(i + 1) % n])
         norm = np.linalg.norm(pole)
         if norm <= 1e-13:
             raise DegeneratePolygon("degenerate side")
@@ -177,7 +178,7 @@ def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.t
         if norm > 1e-12:
             candidates.append(s / norm)
     for i, j, k in itertools.combinations(range(n), 3):
-        d = np.cross(poles[i] - poles[j], poles[j] - poles[k])
+        d = cross(poles[i] - poles[j], poles[j] - poles[k])
         norm = np.linalg.norm(d)
         if norm > 1e-12:
             candidates.append(d / norm)
@@ -213,7 +214,7 @@ def dihedral_angle(P: Polyhedron, e: int) -> float:
         i, j = P.edges[e]
         if not {(i, j), (j, i)} <= P.topology.face_of.keys():
             raise BadParameter(f"edge {e} is not consistently oriented in two faces")
-        _unit(P.vertices[j] - P.vertices[i])  # raises on a zero-length edge
+        unit(P.vertices[j] - P.vertices[i])  # raises on a zero-length edge
     return float(angle)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ParseError
 from .polyhedron import HalfSpace, Polyhedron
+from .vec3 import cross
 
 
 def _lines_with_numbers(text: str):
@@ -87,7 +88,7 @@ def parse_off(text: str) -> Polyhedron:
         nrm = np.zeros(3)
         for t in range(len(pts)):
             a, b = pts[t], pts[(t + 1) % len(pts)]
-            nrm += np.cross(a, b)
+            nrm += cross(a, b)
         norm = np.linalg.norm(nrm)
         if norm <= 1e-14:
             raise ParseError("degenerate face with zero area")

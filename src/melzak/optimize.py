@@ -511,9 +511,15 @@ def minimizing_sequence(max_faces: int,
 
 @dataclass(frozen=True)
 class CriticalityReport:
+    """``entries`` maps each evaluated perturbation label to its dM;
+    ``skipped`` maps each hinge or truncation label that raised a
+    GeometryError to the exception's class name. ``to_dict`` leaves
+    ``skipped`` out."""
+
     entries: dict
     minimum: float
     is_critical: bool
+    skipped: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"entries": {k: float(f"{v:.12g}") for k, v in self.entries.items()},
@@ -526,9 +532,12 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
 
     Covers both directions of every face translation, both directions of
     every hinge of a face about one of its boundary edges, and every
-    vertex truncation. A critical candidate has minimum dM >= -tol.
+    vertex truncation. A critical candidate has minimum dM >= -tol. A
+    hinge or truncation that raises GeometryError is recorded in
+    ``skipped`` instead of ``entries``.
     """
     entries = {}
+    skipped = {}
     for f in range(P.n_faces):
         for dirn in (OUT, IN):
             entries[f"translate:f={f}:{dirn}"] = face_translate_derivatives(P, f, dirn).dM
@@ -536,15 +545,16 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
         for i, j in zip(cyc, cyc[1:] + cyc[:1]):
             e = P.edge_index(i, j)
             for dirn in (OUT, IN):
+                label = f"hinge:f={f}:e={e}:{dirn}"
                 try:
-                    rep = face_hinge_derivatives(P, f, e, dirn)
-                except GeometryError:
-                    continue
-                entries[f"hinge:f={f}:e={e}:{dirn}"] = rep.dM
+                    entries[label] = face_hinge_derivatives(P, f, e, dirn).dM
+                except GeometryError as exc:
+                    skipped[label] = type(exc).__name__
     for v in range(P.n_vertices):
+        label = f"truncate:v={v}"
         try:
-            entries[f"truncate:v={v}"] = vertex_truncate_derivatives(P, v).dM
-        except GeometryError:
-            continue
+            entries[label] = vertex_truncate_derivatives(P, v).dM
+        except GeometryError as exc:
+            skipped[label] = type(exc).__name__
     minimum = min(entries.values())
-    return CriticalityReport(entries, minimum, minimum >= -tol)
+    return CriticalityReport(entries, minimum, minimum >= -tol, skipped)

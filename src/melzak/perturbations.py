@@ -43,7 +43,8 @@ from .gauss import (
     ordered_faces_at_vertex,
     spherical_incircle,
 )
-from .polyhedron import HalfSpace, Polyhedron, _unit, edge_length, from_halfspaces, melzak_ratio, volume
+from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
+from .vec3 import cross, unit
 
 OUT = "out"
 IN = "in"
@@ -108,7 +109,7 @@ def _ratio_derivative(E: float, V: float, dE: float, dV: float) -> float:
 
 def _line_velocity(n_a, n_b, n_move, ndot, odot, point) -> np.ndarray:
     """Velocity of the intersection of two static planes and a moving one."""
-    d = np.cross(n_a, n_b)
+    d = cross(n_a, n_b)
     denom = d @ n_move
     if abs(denom) <= 1e-13:
         raise DegenerateInput("vertex slides along a direction parallel to the moving plane")
@@ -139,8 +140,8 @@ def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: 
     k = len(sides) + 1
     n_move = P.face_normal(f)
     H = P.vertices[v]
-    u1 = _unit(P.vertices[nbrs[0]] - H)
-    u2 = _unit(P.vertices[nbrs[-1]] - H)
+    u1 = unit(P.vertices[nbrs[0]] - H)
+    u2 = unit(P.vertices[nbrs[-1]] - H)
 
     single = (k == 3) or (expo == EXPOSED and outward_local) or \
              (expo == NEGATIVELY_EXPOSED and not outward_local)
@@ -149,7 +150,7 @@ def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: 
                             n_move, ndot, odot, H)
         d = -(va @ (u1 + u2))
         if k == 3:
-            w = _unit(P.vertices[nbrs[1]] - H)
+            w = unit(P.vertices[nbrs[1]] - H)
             d -= va @ w
         else:
             d += np.linalg.norm(va)  # new lateral edge sprouts from the old vertex
@@ -163,7 +164,7 @@ def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: 
     for n in range(k - 3):
         d += np.linalg.norm(vs[n] - vs[n + 1])
     for n in range(k - 2):
-        w = _unit(P.vertices[nbrs[n + 1]] - H)
+        w = unit(P.vertices[nbrs[n + 1]] - H)
         d -= vs[n] @ w
     return d
 
@@ -217,9 +218,9 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
         raise NotSemiExposed(str(exc))
 
     a = P.vertices[i]
-    w = _unit(P.vertices[j] - a)
+    w = unit(P.vertices[j] - a)
     n = P.face_normal(face)
-    ndot = np.cross(w, n)
+    ndot = cross(w, n)
     c = P.face_centroid(face)
     # plane speed along n at a point y is <a - y, ndot>; out means positive
     # speed over the face interior, probed at the centroid
@@ -240,7 +241,7 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
     dV = 0.0
     for t in range(len(pts)):
         p, q = pts[t], pts[(t + 1) % len(pts)]
-        tri_area = 0.5 * float(np.cross(q - centroid, p - centroid) @ -n)
+        tri_area = 0.5 * float(cross(q - centroid, p - centroid) @ -n)
         tri_c = (centroid + p + q) / 3.0
         dV += tri_area * (odot - tri_c @ ndot)
     E0, V0 = edge_length(P), volume(P)
@@ -267,7 +268,7 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     nbrs = ordered_edges_at_vertex(P, vertex)
     vs = []
     for u in nbrs:
-        w = _unit(P.vertices[u] - H)
+        w = unit(P.vertices[u] - H)
         s = abs(w @ c)
         if s <= 1e-12:
             raise DegenerateInput("cut plane is parallel to an incident edge")
@@ -348,9 +349,9 @@ def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
     if pert.kind == "face_hinge":
         i, j = P.edges[pert.edge]
         a = P.vertices[i]
-        w = _unit(P.vertices[j] - a)
+        w = unit(P.vertices[j] - a)
         n = P.face_normal(pert.target)
-        ndot = np.cross(w, n)
+        ndot = cross(w, n)
         c = P.face_centroid(pert.target)
         sigma = 1.0 if float((a - c) @ ndot) > 0 else -1.0
         if pert.direction == IN:

@@ -26,20 +26,9 @@ from .errors import (
     UnboundedIntersection,
     ZeroVolume,
 )
+from .vec3 import cross, plane_bases, rowdot, unit
 
 logger = logging.getLogger(__name__)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise BadParameter("zero vector cannot be normalized")
-    return v / n
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, bit for bit equal to each ``a[k] @ b[k]``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _rotation_code(rings: list, v0: int, u0: int, bound: list | None = None) -> list | None:
@@ -162,10 +151,10 @@ class HalfSpace:
 
     def rotated_about_line(self, point: np.ndarray, axis: np.ndarray, angle: float) -> "HalfSpace":
         """Rotate the defining plane about the line (point, axis) by ``angle``."""
-        w = _unit(np.asarray(axis, dtype=float))
+        w = unit(np.asarray(axis, dtype=float))
         c, s = np.cos(angle), np.sin(angle)
         n = self.normal
-        n_rot = n * c + np.cross(w, n) * s + w * (w @ n) * (1.0 - c)
+        n_rot = n * c + cross(w, n) * s + w * (w @ n) * (1.0 - c)
         return HalfSpace(n_rot, float(np.asarray(point, dtype=float) @ n_rot))
 
 
@@ -217,12 +206,34 @@ class Polyhedron:
         N = np.array([h.normal for h in self.halfspaces])
         m1, m2 = N[left], N[right]
         d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
-        length = np.sqrt(_rowdot(d, d))
+        length = np.sqrt(rowdot(d, d))
         with np.errstate(invalid="ignore", divide="ignore"):
-            turn = np.arctan2(_rowdot(np.cross(m1, m2), d / length[:, None]), _rowdot(m1, m2))
+            turn = np.arctan2(rowdot(np.cross(m1, m2), d / length[:, None]), rowdot(m1, m2))
         angle = np.pi - turn
         angle[(left < 0) | (right < 0) | (length == 0.0)] = np.nan
         return angle
+
+    @cached_property
+    def edge_length(self) -> float:
+        """Total edge length E0, summed once per body."""
+        idx = np.array(self.edges)
+        if len(idx) == 0:
+            return 0.0
+        d = self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]]
+        return float(np.linalg.norm(d, axis=1).sum())
+
+    @cached_property
+    def volume(self) -> float:
+        """Enclosed volume V0 via signed tetrahedra over centroid fans,
+        summed once per body."""
+        total = 0.0
+        V = self.vertices
+        for cyc in self.faces:
+            pts = V[list(cyc)]
+            c = pts.mean(axis=0)
+            bb = np.roll(pts, -1, axis=0)
+            total += np.einsum("ij,ij->i", np.cross(pts, bb), np.broadcast_to(c, pts.shape)).sum()
+        return float(total) / 6.0
 
     @cached_property
     def dihedral_range(self) -> tuple:
@@ -261,8 +272,8 @@ class Polyhedron:
     def face_area(self, f: int) -> float:
         pts = self.face_points(f)
         rel = pts - pts[0]
-        cross = np.cross(rel[:-1], np.roll(rel, -1, axis=0)[:-1]).sum(axis=0)
-        return 0.5 * float(cross @ self.face_normal(f))
+        twice_area = np.cross(rel[:-1], np.roll(rel, -1, axis=0)[:-1]).sum(axis=0)
+        return 0.5 * float(twice_area @ self.face_normal(f))
 
     def vertex_degree(self, v: int) -> int:
         return len(self.topology.vertex_edges[v])
@@ -333,17 +344,6 @@ class ValidationReport:
                 and self.manifold_ok and self.orientation_ok)
 
 
-def _plane_bases(N: np.ndarray) -> tuple:
-    """Right-handed (t1, t2, n) orthonormal frames for the unit normal rows
-    of N: t1 is n x e_k for the axis k of n's smallest component, scaled to
-    unit length, and t2 = n x t1. Returns the (m, 3) arrays t1 and t2."""
-    E = np.zeros_like(N)
-    E[np.arange(len(N)), np.argmin(np.abs(N), axis=1)] = 1.0
-    c = np.cross(N, E)
-    t1 = c / np.sqrt(_rowdot(c, c))[:, None]
-    return t1, np.cross(N, t1)
-
-
 def _sort_cycle(points: np.ndarray, idx: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> tuple:
     """Order vertex indices counterclockwise in the plane frame (t1, t2)."""
     rel = points - points.mean(axis=0)
@@ -405,7 +405,7 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
 
     faces = []
     kept = []
-    T1, T2 = _plane_bases(N)
+    T1, T2 = plane_bases(N)
     for f in range(len(hs)):
         idx = np.nonzero(on_plane[:, f])[0]
         if len(idx) < 3:
@@ -449,25 +449,13 @@ def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- functionals ---------------------------------------------------------
 
 def edge_length(P: Polyhedron) -> float:
-    """Total edge length: sum of |p_i - p_j| over the edge set."""
-    idx = np.array(P.edges)
-    if len(idx) == 0:
-        return 0.0
-    d = P.vertices[idx[:, 0]] - P.vertices[idx[:, 1]]
-    return float(np.linalg.norm(d, axis=1).sum())
+    """Total edge length: sum of |p_i - p_j| over the edge set (cached on P)."""
+    return P.edge_length
 
 
 def volume(P: Polyhedron) -> float:
-    """Enclosed volume via signed tetrahedra over centroid fans."""
-    total = 0.0
-    V = P.vertices
-    for f, cyc in enumerate(P.faces):
-        pts = V[list(cyc)]
-        c = pts.mean(axis=0)
-        a = pts
-        bb = np.roll(pts, -1, axis=0)
-        total += np.einsum("ij,ij->i", np.cross(a, bb), np.broadcast_to(c, a.shape)).sum()
-    return float(total) / 6.0
+    """Enclosed volume via signed tetrahedra over centroid fans (cached on P)."""
+    return P.volume
 
 
 def melzak_ratio(P: Polyhedron) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import BadParameter, DegenerateInput, GeometryError
 from .polyhedron import HalfSpace, Polyhedron, from_halfspaces, volume
+from .vec3 import cross
 
 # Unit-volume optimal prism: equilateral side s equal to height.
 PRISM_SIDE = (4.0 / np.sqrt(3.0)) ** (1.0 / 3.0)
@@ -70,7 +71,7 @@ def ngon_pyramid(n: int, base_radius: float, height: float) -> Polyhedron:
     hs = [HalfSpace(np.array([0.0, 0.0, -1.0]), 0.0)]
     for k in range(n):
         a, b = base[k], base[(k + 1) % n]
-        nrm = np.cross(b - a, apex - a)
+        nrm = cross(b - a, apex - a)
         nrm /= np.linalg.norm(nrm)
         if nrm @ (a - base.mean(axis=0)) < 0:
             nrm = -nrm

@@ -1,0 +1,46 @@
+"""Small helpers on single 3-vectors and on (n, 3) rows of them.
+
+``cross`` and ``unit`` take one 3-vector; ``rowdot`` and ``plane_bases``
+take (n, 3) arrays. Each returns bit for bit what the numpy expression it
+replaces returns.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import BadParameter
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` of two 1-D 3-vectors, bit for bit.
+
+    The same products and differences in the same order as ``np.cross``,
+    on Python floats, without its per-call axis handling.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit length; raises BadParameter for a zero vector."""
+    n = np.linalg.norm(v)
+    if n == 0.0:
+        raise BadParameter("zero vector cannot be normalized")
+    return v / n
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, bit for bit equal to each ``a[k] @ b[k]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def plane_bases(N: np.ndarray) -> tuple:
+    """Right-handed (t1, t2, n) orthonormal frames for the unit normal rows
+    of N: t1 is n x e_k for the axis k of n's smallest component, scaled to
+    unit length, and t2 = n x t1. Returns the (m, 3) arrays t1 and t2."""
+    E = np.zeros_like(N)
+    E[np.arange(len(N)), np.argmin(np.abs(N), axis=1)] = 1.0
+    c = np.cross(N, E)
+    t1 = c / np.sqrt(rowdot(c, c))[:, None]
+    return t1, np.cross(N, t1)

@@ -32,7 +32,8 @@ from .errors import (
     UnboundedWedge,
 )
 from .gauss import angle_deficit, dihedral_angle
-from .polyhedron import HalfSpace, Polyhedron, _unit, from_halfspaces
+from .polyhedron import HalfSpace, Polyhedron, from_halfspaces
+from .vec3 import cross, unit
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class Wedge:
     def base_normal(self) -> np.ndarray:
         """Unit normal of the base plane pointing toward the apex side."""
         b = np.asarray(self.base, dtype=float)
-        n = _unit(np.cross(b[1] - b[0], b[2] - b[0]))
+        n = unit(cross(b[1] - b[0], b[2] - b[0]))
         if len(self.apex) and (np.asarray(self.apex[0]) - b[0]) @ n < 0:
             n = -n
         return n
@@ -105,8 +106,8 @@ def _corner_angles(b: np.ndarray) -> np.ndarray:
     """Interior angles of the quadrilateral b[0..3], in 2-D or 3-D."""
     out = []
     for i in range(4):
-        u = _unit(b[(i + 1) % 4] - b[i])
-        w = _unit(b[(i - 1) % 4] - b[i])
+        u = unit(b[(i + 1) % 4] - b[i])
+        w = unit(b[(i - 1) % 4] - b[i])
         out.append(math.acos(float(np.clip(u @ w, -1.0, 1.0))))
     return np.array(out)
 
@@ -216,7 +217,7 @@ def wedge_R(W: Wedge, base_edge: int) -> float:
     axis = hinge_b - hinge_a
     if np.linalg.norm(axis) < 1e-12:
         raise DegenerateEdge("opposite edge has zero length")
-    axis = _unit(axis)
+    axis = unit(axis)
     up = W.base_normal()
 
     total = 0.0
@@ -235,8 +236,8 @@ def wedge_R(W: Wedge, base_edge: int) -> float:
         v = d * (rho / denom)
         # base edges at H run to the designated partner and to the
         # hinge-side neighbor
-        u1 = _unit(b[other] - H)
-        u2 = _unit(b[j2 if i == i1 else j1] - H)
+        u1 = unit(b[other] - H)
+        u2 = unit(b[j2 if i == i1 else j1] - H)
         total += float(np.linalg.norm(v) - v @ (u1 + u2))
     return total
 

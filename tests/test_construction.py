@@ -33,11 +33,15 @@ from melzak.errors import (
     DegenerateInput,
     EmptyInterior,
     GeometryError,
-    InconsistentOrientation,
     NonManifold,
     UnboundedIntersection,
 )
-from melzak.polyhedron import _plane_bases, _unit
+from melzak.vec3 import plane_bases, unit
+
+
+class InconsistentOrientation(GeometryError):
+    """The oracle's failure class for a body with nonpositive volume; the
+    package no longer has this check."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +53,7 @@ def _plane_basis(n: np.ndarray) -> tuple:
     k = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
     e[k] = 1.0
-    t1 = _unit(np.cross(n, e))
+    t1 = unit(np.cross(n, e))
     t2 = np.cross(n, t1)
     return t1, t2
 
@@ -201,7 +205,7 @@ def test_plane_frames_match_one_face_frames(seed, m):
     N /= np.linalg.norm(N, axis=1, keepdims=True)
     # axis normals tie on their smallest component
     N = np.vstack([N, np.eye(3), -np.eye(3)])
-    T1, T2 = _plane_bases(N)
+    T1, T2 = plane_bases(N)
     for n, t1, t2 in zip(N, T1, T2):
         w1, w2 = _plane_basis(n)
         assert t1.tobytes() == w1.tobytes() and t2.tobytes() == w2.tobytes()

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import melzak.optimize
 from conftest import crater_can, octahedron
 from melzak import (
     box,
@@ -38,7 +39,14 @@ from melzak import (
     volume,
     write_off,
 )
-from melzak.errors import BadParameter, InvalidStart, NumericalBreakdown, UnsupportedFaceCount
+from melzak.errors import (
+    BadParameter,
+    DegenerateInput,
+    DegeneratePolygon,
+    InvalidStart,
+    NumericalBreakdown,
+    UnsupportedFaceCount,
+)
 from melzak.optimize import (
     EXPECTED_SIMPLE_COUNTS,
     OptimizeOptions,
@@ -353,6 +361,48 @@ def test_criticality_dict_roundtrip():
     d = criticality_report(cube()).to_dict()
     assert set(d) == {"entries", "minimum", "is_critical"}
     assert d["is_critical"] is True
+
+
+@pytest.mark.parametrize("make", [cube, lambda: ngon_pyramid(6, 1.0, 0.8),
+                                  lambda: random_convex(np.random.default_rng(20), 20)],
+                         ids=["cube", "hex_pyramid", "random_convex_20"])
+def test_criticality_accounts_for_every_perturbation(make):
+    # 2F translations, two hinge directions per face edge (4E) and V cuts;
+    # none of these bodies has a degenerate hinge or cut
+    P = make()
+    rep = criticality_report(P)
+    assert len(rep.entries) + len(rep.skipped) == 2 * P.n_faces + 4 * P.n_edges + P.n_vertices
+    assert rep.skipped == {}
+
+
+def test_criticality_names_skipped_perturbations(monkeypatch):
+    # no body in the suite makes a hinge or a cut raise, so the apex's
+    # hinges and cut are made to raise here
+    P = ngon_pyramid(6, 1.0, 0.8)
+    apex = next(v for v in range(P.n_vertices) if P.vertex_degree(v) == 6)
+    hinge, cut = melzak.optimize.face_hinge_derivatives, melzak.optimize.vertex_truncate_derivatives
+
+    def failing_hinge(P, f, e, dirn):
+        if apex not in P.edges[e] and apex in P.faces[f]:  # the apex moves
+            raise DegenerateInput("apex")
+        return hinge(P, f, e, dirn)
+
+    def failing_cut(P, v):
+        if v == apex:
+            raise DegeneratePolygon("apex")
+        return cut(P, v)
+
+    monkeypatch.setattr(melzak.optimize, "face_hinge_derivatives", failing_hinge)
+    monkeypatch.setattr(melzak.optimize, "vertex_truncate_derivatives", failing_cut)
+    rep = criticality_report(P)
+    lateral = [f for f in range(P.n_faces) if apex in P.faces[f]]
+    want = {f"hinge:f={f}:e={P.edge_index(*[v for v in P.faces[f] if v != apex])}:{d}":
+            "DegenerateInput" for f in lateral for d in ("out", "in")}
+    want[f"truncate:v={apex}"] = "DegeneratePolygon"
+    assert rep.skipped == want
+    assert len(rep.entries) + len(rep.skipped) == 2 * P.n_faces + 4 * P.n_edges + P.n_vertices
+    assert not set(rep.entries) & set(rep.skipped)
+    assert set(rep.to_dict()) == {"entries", "minimum", "is_critical"}
 
 
 # ---------------------------------------------------------------------------

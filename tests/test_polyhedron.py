@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import melzak.optimize
 from melzak import (
     HalfSpace,
     box,
+    criticality_report,
     cube,
     edge_length,
     from_halfspaces,
+    load_catalog,
     melzak_ratio,
     optimal_prism,
     random_convex,
@@ -191,3 +194,61 @@ def test_random_convex_is_valid(seed):
     rep = validate(P)
     assert rep.euler_ok and rep.convex_ok and rep.manifold_ok
     assert volume(P) > 0
+
+
+# the per-call functionals the package used before E0 and V0 were cached on
+# the body; the cached values must equal them bit for bit
+def _loop_edge_length(P):
+    idx = np.array(P.edges)
+    if len(idx) == 0:
+        return 0.0
+    d = P.vertices[idx[:, 0]] - P.vertices[idx[:, 1]]
+    return float(np.linalg.norm(d, axis=1).sum())
+
+
+def _loop_volume(P):
+    total = 0.0
+    V = P.vertices
+    for cyc in P.faces:
+        pts = V[list(cyc)]
+        c = pts.mean(axis=0)
+        bb = np.roll(pts, -1, axis=0)
+        total += np.einsum("ij,ij->i", np.cross(pts, bb), np.broadcast_to(c, pts.shape)).sum()
+    return float(total) / 6.0
+
+
+def _assert_cached_functionals(P, monkeypatch):
+    want = (_loop_edge_length(P).hex(), _loop_volume(P).hex())
+    for _ in range(2):  # the first call computes, the second reads the cache
+        assert (edge_length(P).hex(), volume(P).hex()) == want
+    reports = []
+
+    def recording(fn):
+        def call(*args):
+            rep = fn(*args)
+            reports.append(rep)
+            return rep
+        return call
+
+    with monkeypatch.context() as mp:
+        for name in ("face_translate_derivatives", "face_hinge_derivatives",
+                     "vertex_truncate_derivatives"):
+            mp.setattr(melzak.optimize, name, recording(getattr(melzak.optimize, name)))
+        crit = criticality_report(P)
+    assert len(reports) == len(crit.entries)
+    for rep in reports:
+        assert (rep.E0.hex(), rep.V0.hex()) == want
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 16))
+def test_cached_functionals_match_loop_on_random_bodies(seed, n_faces):
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_cached_functionals(random_convex(np.random.default_rng(seed), n_faces), mp)
+
+
+def test_cached_functionals_match_loop_on_catalog(monkeypatch):
+    types = load_catalog()
+    assert len(types) == 27
+    for t in types:
+        _assert_cached_functionals(t.build(), monkeypatch)
