@@ -24,13 +24,13 @@ from .errors import GeometryError, InvalidPolyhedron, NotConvex
 from .gauss import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
+    NEITHER,
     angle_deficit,
-    complement_gauss_image,
     dihedral_angle,
+    exposed_image,
     exposure,
-    gauss_image,
     spherical_area,
-    spherical_incircle,
+    vertex_incircle,
 )
 from .perturbations import (
     IN,
@@ -178,22 +178,17 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
     notes = []
     applicable = False
     for v in range(P.n_vertices):
-        expo = exposure(P, v)
-        if expo == EXPOSED:
-            image = gauss_image(P, v)
-        elif expo == NEGATIVELY_EXPOSED:
-            image = complement_gauss_image(P, v)
-        else:
+        if exposure(P, v) == NEITHER:
             continue
         try:
-            inc = spherical_incircle(image)
+            inc = vertex_incircle(P, v)
         except GeometryError as exc:
             notes.append(f"vertex {v}: incircle unavailable ({exc})")
             continue
         applicable = True
         thr = 2.0 * math.pi / math.tan(inc.radius)
         deg = P.vertex_degree(v)
-        alpha = spherical_area(image)
+        alpha = spherical_area(exposed_image(P, v))
         thr_deficit = _deficit_threshold(alpha)
         if (deg > thr) != (deg > thr_deficit):
             notes.append(

@@ -19,6 +19,7 @@ from .errors import (
     DanglingVertex,
     DegeneratePolygon,
     NonConvexPolygon,
+    NotExposed,
 )
 from .polyhedron import Polyhedron
 from .vec3 import cross, unit
@@ -198,6 +199,28 @@ def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.t
     dists = np.arcsin(np.clip(poles @ best_c, -1.0, 1.0))
     tangent = tuple(int(i) for i in np.nonzero(dists <= best_r + tol)[0])
     return Incircle(best_c, best_r, tangent)
+
+
+def exposed_image(P: Polyhedron, v: int) -> SphericalPolygon:
+    """Gauss image of an exposed vertex, complement image of a negatively
+    exposed one; raises NotExposed for a vertex that is neither."""
+    expo = exposure(P, v)
+    if expo == EXPOSED:
+        return gauss_image(P, v)
+    if expo == NEGATIVELY_EXPOSED:
+        return complement_gauss_image(P, v)
+    raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
+
+
+def vertex_incircle(P: Polyhedron, v: int) -> Incircle:
+    """Incircle of ``exposed_image(P, v)``, memoised in ``P.incircles``.
+
+    A failure is not stored: every call for that vertex raises again.
+    """
+    memo = P.incircles
+    if v not in memo:
+        memo[v] = spherical_incircle(exposed_image(P, v))
+    return memo[v]
 
 
 def incircle_area_bounds(radius: float) -> tuple:

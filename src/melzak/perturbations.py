@@ -36,12 +36,10 @@ from .errors import (
 from .gauss import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
-    complement_gauss_image,
     exposure,
-    gauss_image,
     ordered_edges_at_vertex,
     ordered_faces_at_vertex,
-    spherical_incircle,
+    vertex_incircle,
 )
 from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
 from .vec3 import cross, unit
@@ -256,14 +254,7 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     Volume changes at second order only, so dV = 0. Works for exposed
     vertices and, through the complement image, negatively exposed ones.
     """
-    expo = exposure(P, vertex)
-    if expo == EXPOSED:
-        inc = spherical_incircle(gauss_image(P, vertex))
-    elif expo == NEGATIVELY_EXPOSED:
-        inc = spherical_incircle(complement_gauss_image(P, vertex))
-    else:
-        raise NotExposed(f"vertex {vertex} is neither exposed nor negatively exposed")
-    c = inc.center
+    c = vertex_incircle(P, vertex).center
     H = P.vertices[vertex]
     nbrs = ordered_edges_at_vertex(P, vertex)
     vs = []
@@ -362,9 +353,8 @@ def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
     v = pert.target
     if exposure(P, v) != EXPOSED:
         raise NotExposed(f"vertex {v} must be exposed to realize a cut")
-    inc = spherical_incircle(gauss_image(P, v))
-    offset = float(P.vertices[v] @ inc.center) - t
-    hs.append(HalfSpace(inc.center, offset))
+    c = vertex_incircle(P, v).center
+    hs.append(HalfSpace(c, float(P.vertices[v] @ c) - t))
     return tuple(hs)
 
 

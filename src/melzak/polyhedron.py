@@ -89,6 +89,15 @@ class Topology:
             self.vertex_edges[i].append(e)
             self.vertex_edges[j].append(e)
         self._fans = {}
+        # padded corner table: each face's vertex and its successor in cycle
+        # order, k_max slots per face; ``corner_mask`` marks the real ones
+        k_max = max((len(cyc) for cyc in faces), default=0)
+        self.corner_table = np.zeros((len(faces), k_max, 2), dtype=int)
+        self.corner_mask = np.zeros((len(faces), k_max), dtype=bool)
+        for f, cyc in enumerate(faces):
+            self.corner_table[f, :len(cyc), 0] = cyc
+            self.corner_table[f, :len(cyc), 1] = cyc[1:] + cyc[:1]
+            self.corner_mask[f, :len(cyc)] = True
 
     def neighbours(self, v: int) -> list:
         """Vertices joined to ``v`` by an edge, in edge-index order."""
@@ -190,6 +199,12 @@ class Polyhedron:
     @cached_property
     def topology(self) -> Topology:
         return Topology(self.faces)
+
+    @cached_property
+    def incircles(self) -> dict:
+        """vertex -> incircle of its spherical image, filled in by
+        ``gauss.vertex_incircle``; a vertex whose incircle failed is absent."""
+        return {}
 
     @cached_property
     def dihedrals(self) -> np.ndarray:
@@ -474,17 +489,17 @@ def validate(P: Polyhedron, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationR
         msgs.append(f"euler: V-E+F = {P.n_vertices - P.n_edges + P.n_faces}")
 
     scale = max(P.diameter(), 1e-12)
-    max_cop = 0.0
-    for f, cyc in enumerate(P.faces):
-        h = P.halfspaces[f]
-        err = float(np.abs(h.signed(P.vertices[list(cyc)])).max())
-        max_cop = max(max_cop, err)
+    N = np.array([h.normal for h in P.halfspaces])
+    b = np.array([h.offset for h in P.halfspaces])
+    # signed distance of each face's vertices from its own plane, one
+    # (k_max, 3) @ (3,) product per face over the padded corner table
+    top = P.topology
+    on_face = (P.vertices[top.corner_table[..., 0]] @ N[:, :, None])[..., 0] - b[:, None]
+    max_cop = float(np.abs(on_face[top.corner_mask]).max(initial=0.0))
     coplanar_ok = max_cop <= tol.coplanarity * scale
     if not coplanar_ok:
         msgs.append(f"coplanarity: max error {max_cop:.3e}")
 
-    N = np.array([h.normal for h in P.halfspaces])
-    b = np.array([h.offset for h in P.halfspaces])
     worst = float((P.vertices @ N.T - b).max())
     convex_ok = worst <= tol.convexity * scale
     if P.convex and not convex_ok:
