@@ -228,12 +228,9 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
         if len(cyc) != 3 or any(P.vertex_degree(v) != 3 for v in cyc):
             continue
         status = {exposure(P, v) for v in cyc}
-        if status == {EXPOSED}:
-            cls = EXPOSED
-        elif status == {NEGATIVELY_EXPOSED}:
-            cls = NEGATIVELY_EXPOSED
-        else:
+        if len(status) != 1 or NEITHER in status:
             continue
+        cls = status.pop()
         applicable = True
         total = sum(angle_deficit(P, v) for v in cyc)
         prolong = _prolongations(P, f)

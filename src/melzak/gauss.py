@@ -205,22 +205,17 @@ def exposed_image(P: Polyhedron, v: int) -> SphericalPolygon:
     """Gauss image of an exposed vertex, complement image of a negatively
     exposed one; raises NotExposed for a vertex that is neither."""
     expo = exposure(P, v)
-    if expo == EXPOSED:
-        return gauss_image(P, v)
-    if expo == NEGATIVELY_EXPOSED:
-        return complement_gauss_image(P, v)
-    raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
+    if expo == NEITHER:
+        raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
+    return gauss_image(P, v) if expo == EXPOSED else complement_gauss_image(P, v)
 
 
 def vertex_incircle(P: Polyhedron, v: int) -> Incircle:
-    """Incircle of ``exposed_image(P, v)``, memoised in ``P.incircles``.
-
-    A failure is not stored: every call for that vertex raises again.
-    """
-    memo = P.incircles
-    if v not in memo:
-        memo[v] = spherical_incircle(exposed_image(P, v))
-    return memo[v]
+    """Incircle of ``exposed_image(P, v)``, memoised in ``P.incircles``; a
+    failure is raised again on every call, not stored."""
+    if v not in P.incircles:
+        P.incircles[v] = spherical_incircle(exposed_image(P, v))
+    return P.incircles[v]
 
 
 def incircle_area_bounds(radius: float) -> tuple:

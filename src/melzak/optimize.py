@@ -39,8 +39,10 @@ from .perturbations import (
 from .polyhedron import (
     HalfSpace,
     Polyhedron,
+    Topology,
     from_halfspaces,
     melzak_ratio,
+    twice_areas_and_volumes,
     validate,
 )
 from .shapes import ngon_pyramid
@@ -102,8 +104,8 @@ class _PlaneObjective:
 
     ``log_ratios`` evaluates a whole batch of parameter rows at once: one
     stacked solve for every vertex of every row, then edge lengths and the
-    volume from a padded corner table (each face's vertex and its successor,
-    ``k_max`` slots per face) built once per anchor. A central-difference
+    volume from ``twice_areas_and_volumes`` over the anchor's corner table,
+    the kernel ``Polyhedron.volume`` uses too. A central-difference
     gradient is one batch of 2n rows; a line-search probe is a batch of one.
 
     Offsets are measured from the anchor polyhedron's vertex centroid, not
@@ -114,22 +116,14 @@ class _PlaneObjective:
 
     edge_idx: np.ndarray
     vertex_planes: np.ndarray
-    corners: np.ndarray
-    corner_mask: np.ndarray
+    topology: Topology
     scale: float
     origin: np.ndarray
 
     @classmethod
     def for_polyhedron(cls, P: Polyhedron) -> "_PlaneObjective":
         planes = np.array([P.vertex_faces(v)[:3] for v in range(P.n_vertices)], dtype=int)
-        k_max = max(len(cyc) for cyc in P.faces)
-        corners = np.zeros((P.n_faces, k_max, 2), dtype=int)
-        mask = np.zeros((P.n_faces, k_max), dtype=bool)
-        for f, cyc in enumerate(P.faces):
-            corners[f, :len(cyc), 0] = cyc
-            corners[f, :len(cyc), 1] = cyc[1:] + cyc[:1]
-            mask[f, :len(cyc)] = True
-        return cls(np.array(P.edges, dtype=int), planes, corners, mask, P.diameter(),
+        return cls(np.array(P.edges, dtype=int), planes, P.topology, P.diameter(),
                    P.vertices.mean(axis=0))
 
     def pack(self, P: Polyhedron) -> np.ndarray:
@@ -162,15 +156,7 @@ class _PlaneObjective:
         with np.errstate(invalid="ignore", over="ignore"):
             d = pts[:, self.edge_idx[:, 0]] - pts[:, self.edge_idx[:, 1]]
             lengths = np.sqrt((d * d).sum(axis=2))
-            # each face's cross products summed corner by corner, in cycle
-            # order; the padded slots add exact zeros
-            cr = np.cross(pts[:, self.corners[..., 0]], pts[:, self.corners[..., 1]])
-            cr[:, ~self.corner_mask] = 0.0
-            cross_sum = cr[:, :, 0]
-            for k in range(1, cr.shape[2]):
-                cross_sum = cross_sum + cr[:, :, k]
-            dots = (cross_sum[..., None, :] @ normals[..., :, None])[..., 0, 0]
-            vols = np.add.accumulate((offsets * 0.5) * dots, axis=1)[:, -1] / 3.0
+            vols = twice_areas_and_volumes(self.topology, pts, normals, offsets)[1]
         finite = np.isfinite(pts).all(axis=(1, 2))
         out = np.full(len(Z), math.inf)
         for r in np.flatnonzero(finite):

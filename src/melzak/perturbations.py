@@ -36,6 +36,7 @@ from .errors import (
 from .gauss import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
+    NEITHER,
     exposure,
     ordered_edges_at_vertex,
     ordered_faces_at_vertex,
@@ -167,14 +168,11 @@ def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: 
     return d
 
 
-def _uniform_face_exposure(P: Polyhedron, f: int, moving: list) -> str:
+def _uniform_face_exposure(P: Polyhedron, f: int, moving: list) -> None:
     expos = {exposure(P, v) for v in moving}
-    if expos == {EXPOSED}:
-        return EXPOSED
-    if expos == {NEGATIVELY_EXPOSED}:
-        return NEGATIVELY_EXPOSED
-    raise NotExposedFace(
-        f"face {f}: moving vertices are not uniformly exposed or negatively exposed")
+    if len(expos) != 1 or NEITHER in expos:
+        raise NotExposedFace(
+            f"face {f}: moving vertices are not uniformly exposed or negatively exposed")
 
 
 def face_translate_derivatives(P: Polyhedron, face: int,
@@ -198,6 +196,16 @@ def face_translate_derivatives(P: Polyhedron, face: int,
         dE, dV, _ratio_derivative(E0, V0, dE, dV), per_vertex)
 
 
+def _hinge_axis(P: Polyhedron, face: int, edge: int, direction: str) -> tuple:
+    """Hinge point a, unit direction w and the sign sigma that makes the plane
+    speed sigma <a - y, w x n> positive at the face centroid y when out."""
+    i, j = P.edges[edge]
+    a = P.vertices[i]
+    w = unit(P.vertices[j] - a)
+    sigma = 1.0 if float((a - P.face_centroid(face)) @ cross(w, P.face_normal(face))) > 0 else -1.0
+    return a, w, -sigma if direction == IN else sigma
+
+
 def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
                            direction: str = OUT) -> DerivativeReport:
     """One-sided derivatives for rotating a face plane about one of its edges."""
@@ -215,17 +223,9 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
     except NotExposedFace as exc:
         raise NotSemiExposed(str(exc))
 
-    a = P.vertices[i]
-    w = unit(P.vertices[j] - a)
+    a, w, sigma = _hinge_axis(P, face, hinge_edge, direction)
     n = P.face_normal(face)
-    ndot = cross(w, n)
-    c = P.face_centroid(face)
-    # plane speed along n at a point y is <a - y, ndot>; out means positive
-    # speed over the face interior, probed at the centroid
-    sigma = 1.0 if float((a - c) @ ndot) > 0 else -1.0
-    if direction == IN:
-        sigma = -sigma
-    ndot = sigma * ndot
+    ndot = sigma * cross(w, n)
     odot = float(a @ ndot)
     outward_local = direction == OUT
 
@@ -338,15 +338,7 @@ def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
         hs[pert.target] = hs[pert.target].translated(delta)
         return tuple(hs)
     if pert.kind == "face_hinge":
-        i, j = P.edges[pert.edge]
-        a = P.vertices[i]
-        w = unit(P.vertices[j] - a)
-        n = P.face_normal(pert.target)
-        ndot = cross(w, n)
-        c = P.face_centroid(pert.target)
-        sigma = 1.0 if float((a - c) @ ndot) > 0 else -1.0
-        if pert.direction == IN:
-            sigma = -sigma
+        a, w, sigma = _hinge_axis(P, pert.target, pert.edge, pert.direction)
         hs[pert.target] = hs[pert.target].rotated_about_line(a, w, sigma * t)
         return tuple(hs)
     # vertex cut

@@ -79,6 +79,12 @@ class Topology:
                 self.face_of[a, b] = f
                 faces_at.setdefault((a, b) if a < b else (b, a), []).append(f)
                 self.corners[a].append((f, cyc[t - 1], b))
+        # padded corner table: slot t of face f holds (cyc[t], cyc[t + 1])
+        sizes = np.array([len(cyc) for cyc in faces], dtype=int)
+        self.corner_mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        self.corner_table = np.zeros(self.corner_mask.shape + (2,), dtype=int)
+        self.corner_table[self.corner_mask] = np.reshape(
+            [(a, b) for cyc in faces for a, b in zip(cyc, cyc[1:] + cyc[:1])], (-1, 2))
         self.nonmanifold = next((f"edge {key} lies in {len(fs)} faces, expected 2"
                                  for key, fs in faces_at.items() if len(fs) != 2), None)
         self.edges = tuple(sorted(faces_at))
@@ -89,15 +95,6 @@ class Topology:
             self.vertex_edges[i].append(e)
             self.vertex_edges[j].append(e)
         self._fans = {}
-        # padded corner table: each face's vertex and its successor in cycle
-        # order, k_max slots per face; ``corner_mask`` marks the real ones
-        k_max = max((len(cyc) for cyc in faces), default=0)
-        self.corner_table = np.zeros((len(faces), k_max, 2), dtype=int)
-        self.corner_mask = np.zeros((len(faces), k_max), dtype=bool)
-        for f, cyc in enumerate(faces):
-            self.corner_table[f, :len(cyc), 0] = cyc
-            self.corner_table[f, :len(cyc), 1] = cyc[1:] + cyc[:1]
-            self.corner_mask[f, :len(cyc)] = True
 
     def neighbours(self, v: int) -> list:
         """Vertices joined to ``v`` by an edge, in edge-index order."""
@@ -150,10 +147,6 @@ class HalfSpace:
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", o)
 
-    def signed(self, points: np.ndarray) -> np.ndarray:
-        """Signed distances <x, n> - offset; negative means strictly inside."""
-        return np.asarray(points, dtype=float) @ self.normal - self.offset
-
     def translated(self, delta: float) -> "HalfSpace":
         """Same normal, plane moved by ``delta`` along the outward normal."""
         return HalfSpace(self.normal, self.offset + delta)
@@ -202,8 +195,7 @@ class Polyhedron:
 
     @cached_property
     def incircles(self) -> dict:
-        """vertex -> incircle of its spherical image, filled in by
-        ``gauss.vertex_incircle``; a vertex whose incircle failed is absent."""
+        """vertex -> incircle of its spherical image (``gauss.vertex_incircle``)."""
         return {}
 
     @cached_property
@@ -238,17 +230,28 @@ class Polyhedron:
         return float(np.linalg.norm(d, axis=1).sum())
 
     @cached_property
+    def _body_frame(self) -> tuple:
+        """(face areas, volume) about the vertex centroid, so a body far from
+        the origin loses no digits, with the planes rescaled to unit normals
+        (a halfspace keeps a normal only to within ``unit_norm``)."""
+        c = self.vertices.mean(axis=0)
+        N = np.array([h.normal for h in self.halfspaces])
+        length = np.sqrt(rowdot(N, N))
+        N, b = N / length[:, None], np.array([h.offset for h in self.halfspaces]) / length
+        twice, vol = twice_areas_and_volumes(self.topology, self.vertices - c, N, b - N @ c)
+        areas = 0.5 * twice
+        areas.flags.writeable = False
+        return areas, float(vol)
+
+    @property
+    def face_areas(self) -> np.ndarray:
+        """Area of every face, signed by its normal; computed once per body."""
+        return self._body_frame[0]
+
+    @property
     def volume(self) -> float:
-        """Enclosed volume V0 via signed tetrahedra over centroid fans,
-        summed once per body."""
-        total = 0.0
-        V = self.vertices
-        for cyc in self.faces:
-            pts = V[list(cyc)]
-            c = pts.mean(axis=0)
-            bb = np.roll(pts, -1, axis=0)
-            total += np.einsum("ij,ij->i", np.cross(pts, bb), np.broadcast_to(c, pts.shape)).sum()
-        return float(total) / 6.0
+        """Enclosed volume V0; computed once per body with the face areas."""
+        return self._body_frame[1]
 
     @cached_property
     def dihedral_range(self) -> tuple:
@@ -275,20 +278,14 @@ class Polyhedron:
         return len(self.faces)
 
     # -- local geometry -------------------------------------------------
-    def face_points(self, f: int) -> np.ndarray:
-        return self.vertices[list(self.faces[f])]
-
     def face_normal(self, f: int) -> np.ndarray:
         return self.halfspaces[f].normal
 
     def face_centroid(self, f: int) -> np.ndarray:
-        return self.face_points(f).mean(axis=0)
+        return self.vertices[list(self.faces[f])].mean(axis=0)
 
     def face_area(self, f: int) -> float:
-        pts = self.face_points(f)
-        rel = pts - pts[0]
-        twice_area = np.cross(rel[:-1], np.roll(rel, -1, axis=0)[:-1]).sum(axis=0)
-        return 0.5 * float(twice_area @ self.face_normal(f))
+        return float(self.face_areas[f])
 
     def vertex_degree(self, v: int) -> int:
         return len(self.topology.vertex_edges[v])
@@ -439,9 +436,8 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
         raise DegenerateInput("vertex/face incidence is not edge-manifold")
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
         raise DegenerateInput("Euler characteristic is not 2")
-    for f in range(poly.n_faces):
-        if poly.face_area(f) <= 0:
-            raise DegenerateInput(f"face {f} has nonpositive oriented area")
+    if (poly.face_areas <= 0).any():
+        raise DegenerateInput("a face has nonpositive oriented area")
     return poly
 
 
@@ -469,8 +465,28 @@ def edge_length(P: Polyhedron) -> float:
 
 
 def volume(P: Polyhedron) -> float:
-    """Enclosed volume via signed tetrahedra over centroid fans (cached on P)."""
+    """Enclosed volume, summed over faces in the body frame (cached on P)."""
     return P.volume
+
+
+def corner_cross_sums(top: Topology, pts: np.ndarray) -> np.ndarray:
+    """Twice each face's vector area (..., F, 3) from vertex rows (..., V, 3):
+    p x p_next summed corner by corner in cycle order, padding adding zeros."""
+    cr = np.cross(pts[..., top.corner_table[..., 0], :], pts[..., top.corner_table[..., 1], :])
+    cr[..., ~top.corner_mask, :] = 0.0
+    out = cr[..., 0, :]
+    for k in range(1, cr.shape[-2]):
+        out = out + cr[..., k, :]
+    return out
+
+
+def twice_areas_and_volumes(top: Topology, pts: np.ndarray, normals: np.ndarray,
+                            offsets: np.ndarray) -> tuple:
+    """Twice the face areas (..., F) and the volumes (...) from vertices,
+    unit normals (..., F, 3) and offsets (..., F) about an origin near the
+    body: V is the sum of offset x area / 3 in face order."""
+    dots = (corner_cross_sums(top, pts)[..., None, :] @ normals[..., :, None])[..., 0, 0]
+    return dots, np.add.accumulate((offsets * 0.5) * dots, axis=-1)[..., -1] / 3.0
 
 
 def melzak_ratio(P: Polyhedron) -> float:
@@ -491,11 +507,9 @@ def validate(P: Polyhedron, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationR
     scale = max(P.diameter(), 1e-12)
     N = np.array([h.normal for h in P.halfspaces])
     b = np.array([h.offset for h in P.halfspaces])
-    # signed distance of each face's vertices from its own plane, one
-    # (k_max, 3) @ (3,) product per face over the padded corner table
-    top = P.topology
-    on_face = (P.vertices[top.corner_table[..., 0]] @ N[:, :, None])[..., 0] - b[:, None]
-    max_cop = float(np.abs(on_face[top.corner_mask]).max(initial=0.0))
+    # each face's vertices against its own plane, over the corner table
+    on_face = (P.vertices[P.topology.corner_table[..., 0]] @ N[:, :, None])[..., 0] - b[:, None]
+    max_cop = float(np.abs(on_face[P.topology.corner_mask]).max(initial=0.0))
     coplanar_ok = max_cop <= tol.coplanarity * scale
     if not coplanar_ok:
         msgs.append(f"coplanarity: max error {max_cop:.3e}")

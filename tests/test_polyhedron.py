@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import melzak.optimize
 from melzak import (
     HalfSpace,
+    Polyhedron,
     box,
     criticality_report,
     cube,
@@ -196,8 +197,50 @@ def test_random_convex_is_valid(seed):
     assert volume(P) > 0
 
 
-# the per-call functionals the package used before E0 and V0 were cached on
-# the body; the cached values must equal them bit for bit
+def _moved(P, R, d):
+    """P rotated by R about the origin, then shifted by d: vertices and
+    plane offsets both, without a rebuild."""
+    hs = tuple(HalfSpace(R @ h.normal, h.offset + (R @ h.normal) @ d) for h in P.halfspaces)
+    return Polyhedron(P.vertices @ R.T + d, P.faces, hs, P.convex)
+
+
+def _relabelled(P, vperm, fperm, shifts):
+    """P with vertex v renamed vperm[v], face f moved to slot fperm[f] and
+    each face cycle started ``shifts[f]`` places later."""
+    verts = np.empty_like(P.vertices)
+    verts[vperm] = P.vertices
+    faces, hs = [None] * P.n_faces, [None] * P.n_faces
+    for f, cyc in enumerate(P.faces):
+        s = shifts[f] % len(cyc)
+        faces[fperm[f]] = tuple(int(vperm[u]) for u in cyc[s:] + cyc[:s])
+        hs[fperm[f]] = P.halfspaces[f]
+    return Polyhedron(verts, tuple(faces), tuple(hs), P.convex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(5, 20), move=st.integers(0, 10_000))
+def test_ratio_is_invariant_under_motions_and_relabelling(seed, n_faces, move):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    m = melzak_ratio(P)
+    rng = np.random.default_rng(move)
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    R *= np.sign(np.linalg.det(R))
+    assert melzak_ratio(_moved(P, R, np.zeros(3))) == pytest.approx(m, rel=1e-12, abs=0.0)
+    Q = _relabelled(P, rng.permutation(P.n_vertices), rng.permutation(P.n_faces),
+                    rng.integers(0, 8, size=P.n_faces))
+    assert melzak_ratio(Q) == pytest.approx(m, rel=1e-12, abs=0.0)
+    u = rng.normal(size=3)
+    for s in (1e2, 1e4, 1e6):
+        d = s * P.diameter() * u / np.linalg.norm(u)
+        shifted = _moved(P, np.eye(3), d)
+        assert melzak_ratio(shifted) == pytest.approx(m, rel=1e-13 * (1 + s), abs=0.0)
+
+
+# the functionals one edge and one face at a time: the per-call edge sum the
+# package used before E0 was cached on the body, and the body-frame face
+# areas and volume (unit normals, vertices and offsets about the vertex
+# centroid, offset x area / 3 summed face by face). The cached values must
+# equal them bit for bit
 def _loop_edge_length(P):
     idx = np.array(P.edges)
     if len(idx) == 0:
@@ -206,19 +249,25 @@ def _loop_edge_length(P):
     return float(np.linalg.norm(d, axis=1).sum())
 
 
-def _loop_volume(P):
-    total = 0.0
-    V = P.vertices
-    for cyc in P.faces:
-        pts = V[list(cyc)]
-        c = pts.mean(axis=0)
-        bb = np.roll(pts, -1, axis=0)
-        total += np.einsum("ij,ij->i", np.cross(pts, bb), np.broadcast_to(c, pts.shape)).sum()
-    return float(total) / 6.0
+def _loop_areas_and_volume(P):
+    c = P.vertices.mean(axis=0)
+    N = np.array([h.normal for h in P.halfspaces])
+    length = np.sqrt([n @ n for n in N])
+    N = N / length[:, None]
+    offsets = np.array([h.offset for h in P.halfspaces]) / length - N @ c
+    areas, vol = [], 0.0
+    for f, cyc in enumerate(P.faces):
+        p = P.vertices[list(cyc)] - c
+        cr = np.cross(p, np.roll(p, -1, axis=0)).sum(axis=0)
+        areas.append(0.5 * float(cr @ N[f]))
+        vol += float(offsets[f]) * 0.5 * float(cr @ N[f])
+    return np.array(areas), vol / 3.0
 
 
 def _assert_cached_functionals(P, monkeypatch):
-    want = (_loop_edge_length(P).hex(), _loop_volume(P).hex())
+    areas, vol = _loop_areas_and_volume(P)
+    assert P.face_areas.tobytes() == areas.tobytes()
+    want = (_loop_edge_length(P).hex(), vol.hex())
     for _ in range(2):  # the first call computes, the second reads the cache
         assert (edge_length(P).hex(), volume(P).hex()) == want
     reports = []
