@@ -7,7 +7,7 @@ need; none of these shapes are expensive enough to cache as fixtures.
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from melzak import HalfSpace, from_halfspaces, ngon_pyramid
+from melzak import HalfSpace, Polyhedron, from_halfspaces, ngon_pyramid
 from melzak.offio import parse_off
 
 
@@ -23,6 +23,20 @@ def hull_polyhedron(points):
         seen.append((n, off))
         hs.append(HalfSpace(n, off))
     return from_halfspaces(hs)
+
+
+def relabelled(P, vperm, fperm, shifts):
+    """P with vertex v renamed vperm[v], face f moved to slot fperm[f] and
+    each face cycle started ``shifts[f]`` places later."""
+    verts = np.empty_like(P.vertices)
+    verts[vperm] = P.vertices
+    faces = [None] * P.n_faces
+    hs = [None] * P.n_faces
+    for f, cyc in enumerate(P.faces):
+        s = shifts[f] % len(cyc)
+        faces[fperm[f]] = tuple(int(vperm[u]) for u in cyc[s:] + cyc[:s])
+        hs[fperm[f]] = P.halfspaces[f]
+    return Polyhedron(verts, tuple(faces), tuple(hs), P.convex)
 
 
 def octahedron():

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import melzak
-from conftest import crater_can, octahedron
+from conftest import crater_can, octahedron, relabelled
 from melzak import (
     HalfSpace,
     Polyhedron,
@@ -210,20 +210,6 @@ def _assert_matches_oracle(P):
 # oracle agreement and relabelling
 # ---------------------------------------------------------------------------
 
-def _relabelled(P, vperm, fperm, shifts):
-    """P with vertex v renamed vperm[v], face f moved to slot fperm[f] and
-    each face cycle started ``shifts[f]`` places later."""
-    verts = np.empty_like(P.vertices)
-    verts[vperm] = P.vertices
-    faces = [None] * P.n_faces
-    hs = [None] * P.n_faces
-    for f, cyc in enumerate(P.faces):
-        s = shifts[f] % len(cyc)
-        faces[fperm[f]] = tuple(int(vperm[u]) for u in cyc[s:] + cyc[:s])
-        hs[fperm[f]] = P.halfspaces[f]
-    return Polyhedron(verts, tuple(faces), tuple(hs), P.convex)
-
-
 def _is_rotation(a, b) -> bool:
     return len(a) == len(b) and any(a[k:] + a[:k] == b for k in range(len(a)))
 
@@ -238,7 +224,7 @@ def test_accessors_match_oracle_and_relabelling(seed, n_faces, relabel):
     rng = np.random.default_rng(relabel)
     vperm = rng.permutation(P.n_vertices)
     fperm = rng.permutation(P.n_faces)
-    Q = _relabelled(P, vperm, fperm, rng.integers(0, 8, size=P.n_faces))
+    Q = relabelled(P, vperm, fperm, rng.integers(0, 8, size=P.n_faces))
     _assert_matches_oracle(Q)
     for v in range(P.n_vertices):
         w = int(vperm[v])
@@ -264,11 +250,11 @@ def test_type_key_is_invariant(seed, n_faces, relabel, scale):
 
     rng = np.random.default_rng(relabel)
     vperm = rng.permutation(P.n_vertices)
-    assert _relabelled(P, vperm, range(P.n_faces), [0] * P.n_faces).type_key() == key
+    assert relabelled(P, vperm, range(P.n_faces), [0] * P.n_faces).type_key() == key
     fperm = rng.permutation(P.n_faces)
-    assert _relabelled(P, range(P.n_vertices), fperm, [0] * P.n_faces).type_key() == key
+    assert relabelled(P, range(P.n_vertices), fperm, [0] * P.n_faces).type_key() == key
     shifts = rng.integers(0, 8, size=P.n_faces)
-    assert _relabelled(P, range(P.n_vertices), range(P.n_faces), shifts).type_key() == key
+    assert relabelled(P, range(P.n_vertices), range(P.n_faces), shifts).type_key() == key
 
     R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     R *= np.sign(np.linalg.det(R))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import melzak.optimize
+from conftest import relabelled
 from melzak import (
     HalfSpace,
     Polyhedron,
@@ -204,19 +205,6 @@ def _moved(P, R, d):
     return Polyhedron(P.vertices @ R.T + d, P.faces, hs, P.convex)
 
 
-def _relabelled(P, vperm, fperm, shifts):
-    """P with vertex v renamed vperm[v], face f moved to slot fperm[f] and
-    each face cycle started ``shifts[f]`` places later."""
-    verts = np.empty_like(P.vertices)
-    verts[vperm] = P.vertices
-    faces, hs = [None] * P.n_faces, [None] * P.n_faces
-    for f, cyc in enumerate(P.faces):
-        s = shifts[f] % len(cyc)
-        faces[fperm[f]] = tuple(int(vperm[u]) for u in cyc[s:] + cyc[:s])
-        hs[fperm[f]] = P.halfspaces[f]
-    return Polyhedron(verts, tuple(faces), tuple(hs), P.convex)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n_faces=st.integers(5, 20), move=st.integers(0, 10_000))
 def test_ratio_is_invariant_under_motions_and_relabelling(seed, n_faces, move):
@@ -226,7 +214,7 @@ def test_ratio_is_invariant_under_motions_and_relabelling(seed, n_faces, move):
     R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     R *= np.sign(np.linalg.det(R))
     assert melzak_ratio(_moved(P, R, np.zeros(3))) == pytest.approx(m, rel=1e-12, abs=0.0)
-    Q = _relabelled(P, rng.permutation(P.n_vertices), rng.permutation(P.n_faces),
+    Q = relabelled(P, rng.permutation(P.n_vertices), rng.permutation(P.n_faces),
                     rng.integers(0, 8, size=P.n_faces))
     assert melzak_ratio(Q) == pytest.approx(m, rel=1e-12, abs=0.0)
     u = rng.normal(size=3)
