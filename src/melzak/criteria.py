@@ -20,14 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import GeometryError, InvalidPolyhedron, NotConvex
+from .errors import GeometryError, InvalidPolyhedron, NotConvex, NotExposed
 from .gauss import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
-    NEITHER,
     angle_deficit,
     dihedral_angle,
-    exposed_image,
     exposure,
     spherical_area,
     vertex_incircle,
@@ -178,17 +176,17 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
     notes = []
     applicable = False
     for v in range(P.n_vertices):
-        if exposure(P, v) == NEITHER:
-            continue
         try:
-            inc = vertex_incircle(P, v)
+            image, inc = vertex_incircle(P, v)
+        except NotExposed:
+            continue
         except GeometryError as exc:
             notes.append(f"vertex {v}: incircle unavailable ({exc})")
             continue
         applicable = True
         thr = 2.0 * math.pi / math.tan(inc.radius)
         deg = P.vertex_degree(v)
-        alpha = spherical_area(exposed_image(P, v))
+        alpha = spherical_area(image)
         thr_deficit = _deficit_threshold(alpha)
         if (deg > thr) != (deg > thr_deficit):
             notes.append(
@@ -228,9 +226,12 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
         if len(cyc) != 3 or any(P.vertex_degree(v) != 3 for v in cyc):
             continue
         status = {exposure(P, v) for v in cyc}
-        if len(status) != 1 or NEITHER in status:
+        if status == {EXPOSED}:
+            cls = EXPOSED
+        elif status == {NEGATIVELY_EXPOSED}:
+            cls = NEGATIVELY_EXPOSED
+        else:
             continue
-        cls = status.pop()
         applicable = True
         total = sum(angle_deficit(P, v) for v in cyc)
         prolong = _prolongations(P, f)

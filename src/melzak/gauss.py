@@ -201,20 +201,19 @@ def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.t
     return Incircle(best_c, best_r, tangent)
 
 
-def exposed_image(P: Polyhedron, v: int) -> SphericalPolygon:
-    """Gauss image of an exposed vertex, complement image of a negatively
-    exposed one; raises NotExposed for a vertex that is neither."""
-    expo = exposure(P, v)
-    if expo == NEITHER:
-        raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
-    return gauss_image(P, v) if expo == EXPOSED else complement_gauss_image(P, v)
+def vertex_incircle(P: Polyhedron, v: int) -> tuple:
+    """(image, incircle) of a vertex: its Gauss image if exposed, its
+    complement image if negatively exposed, and that image's incircle.
 
-
-def vertex_incircle(P: Polyhedron, v: int) -> Incircle:
-    """Incircle of ``exposed_image(P, v)``, memoised in ``P.incircles``; a
-    failure is raised again on every call, not stored."""
+    Memoised in ``P.incircles``. Raises NotExposed for a vertex that is
+    neither; a failed incircle is raised again on every call, not stored.
+    """
     if v not in P.incircles:
-        P.incircles[v] = spherical_incircle(exposed_image(P, v))
+        expo = exposure(P, v)
+        if expo == NEITHER:
+            raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
+        image = gauss_image(P, v) if expo == EXPOSED else complement_gauss_image(P, v)
+        P.incircles[v] = image, spherical_incircle(image)
     return P.incircles[v]
 
 

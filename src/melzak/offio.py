@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .polyhedron import HalfSpace, Polyhedron, Topology, corner_cross_sums
-from .vec3 import rowdot
+from .polyhedron import HalfSpace, Polyhedron
+from .vec3 import cross
 
 
 def _lines_with_numbers(text: str):
@@ -81,18 +81,26 @@ def parse_off(text: str) -> Polyhedron:
             raise ParseError(f"line {lineno}: repeated vertex in face")
         faces.append(tuple(cyc))
 
-    # Newell normals: robust to slight non-planarity
-    newell = corner_cross_sums(Topology(tuple(faces)), verts)
-    norm = np.sqrt(rowdot(newell, newell))
-    if (norm <= 1e-14).any():
-        raise ParseError("degenerate face with zero area")
-    N = newell / norm[:, None]
-    b = np.array([float(n @ verts[list(cyc)].mean(axis=0)) for n, cyc in zip(N, faces)])
+    halfspaces = []
+    for cyc in faces:
+        pts = verts[list(cyc)]
+        # Newell normal: robust to slight non-planarity
+        nrm = np.zeros(3)
+        for t in range(len(pts)):
+            a, b = pts[t], pts[(t + 1) % len(pts)]
+            nrm += cross(a, b)
+        norm = np.linalg.norm(nrm)
+        if norm <= 1e-14:
+            raise ParseError("degenerate face with zero area")
+        nrm /= norm
+        halfspaces.append(HalfSpace(nrm, float(nrm @ pts.mean(axis=0))))
 
     scale = max(float(np.abs(verts).max()), 1e-12)
+    N = np.array([h.normal for h in halfspaces])
+    b = np.array([h.offset for h in halfspaces])
     convex = bool((verts @ N.T - b <= 1e-9 * scale).all())
     # raises NonManifold with the bad edge
-    return Polyhedron(verts, tuple(faces), tuple(map(HalfSpace, N, b)), convex)
+    return Polyhedron(verts, tuple(faces), tuple(halfspaces), convex)
 
 
 def emit_off(P: Polyhedron) -> str:

@@ -36,7 +36,6 @@ from .errors import (
 from .gauss import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
-    NEITHER,
     exposure,
     ordered_edges_at_vertex,
     ordered_faces_at_vertex,
@@ -168,11 +167,14 @@ def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: 
     return d
 
 
-def _uniform_face_exposure(P: Polyhedron, f: int, moving: list) -> None:
+def _uniform_face_exposure(P: Polyhedron, f: int, moving: list) -> str:
     expos = {exposure(P, v) for v in moving}
-    if len(expos) != 1 or NEITHER in expos:
-        raise NotExposedFace(
-            f"face {f}: moving vertices are not uniformly exposed or negatively exposed")
+    if expos == {EXPOSED}:
+        return EXPOSED
+    if expos == {NEGATIVELY_EXPOSED}:
+        return NEGATIVELY_EXPOSED
+    raise NotExposedFace(
+        f"face {f}: moving vertices are not uniformly exposed or negatively exposed")
 
 
 def face_translate_derivatives(P: Polyhedron, face: int,
@@ -196,16 +198,6 @@ def face_translate_derivatives(P: Polyhedron, face: int,
         dE, dV, _ratio_derivative(E0, V0, dE, dV), per_vertex)
 
 
-def _hinge_axis(P: Polyhedron, face: int, edge: int, direction: str) -> tuple:
-    """Hinge point a, unit direction w and the sign sigma that makes the plane
-    speed sigma <a - y, w x n> positive at the face centroid y when out."""
-    i, j = P.edges[edge]
-    a = P.vertices[i]
-    w = unit(P.vertices[j] - a)
-    sigma = 1.0 if float((a - P.face_centroid(face)) @ cross(w, P.face_normal(face))) > 0 else -1.0
-    return a, w, -sigma if direction == IN else sigma
-
-
 def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
                            direction: str = OUT) -> DerivativeReport:
     """One-sided derivatives for rotating a face plane about one of its edges."""
@@ -223,9 +215,17 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
     except NotExposedFace as exc:
         raise NotSemiExposed(str(exc))
 
-    a, w, sigma = _hinge_axis(P, face, hinge_edge, direction)
+    a = P.vertices[i]
+    w = unit(P.vertices[j] - a)
     n = P.face_normal(face)
-    ndot = sigma * cross(w, n)
+    ndot = cross(w, n)
+    c = P.face_centroid(face)
+    # plane speed along n at a point y is <a - y, ndot>; out means positive
+    # speed over the face interior, probed at the centroid
+    sigma = 1.0 if float((a - c) @ ndot) > 0 else -1.0
+    if direction == IN:
+        sigma = -sigma
+    ndot = sigma * ndot
     odot = float(a @ ndot)
     outward_local = direction == OUT
 
@@ -254,7 +254,7 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     Volume changes at second order only, so dV = 0. Works for exposed
     vertices and, through the complement image, negatively exposed ones.
     """
-    c = vertex_incircle(P, vertex).center
+    c = vertex_incircle(P, vertex)[1].center
     H = P.vertices[vertex]
     nbrs = ordered_edges_at_vertex(P, vertex)
     vs = []
@@ -338,14 +338,22 @@ def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
         hs[pert.target] = hs[pert.target].translated(delta)
         return tuple(hs)
     if pert.kind == "face_hinge":
-        a, w, sigma = _hinge_axis(P, pert.target, pert.edge, pert.direction)
+        i, j = P.edges[pert.edge]
+        a = P.vertices[i]
+        w = unit(P.vertices[j] - a)
+        n = P.face_normal(pert.target)
+        ndot = cross(w, n)
+        c = P.face_centroid(pert.target)
+        sigma = 1.0 if float((a - c) @ ndot) > 0 else -1.0
+        if pert.direction == IN:
+            sigma = -sigma
         hs[pert.target] = hs[pert.target].rotated_about_line(a, w, sigma * t)
         return tuple(hs)
     # vertex cut
     v = pert.target
     if exposure(P, v) != EXPOSED:
         raise NotExposed(f"vertex {v} must be exposed to realize a cut")
-    c = vertex_incircle(P, v).center
+    c = vertex_incircle(P, v)[1].center
     hs.append(HalfSpace(c, float(P.vertices[v] @ c) - t))
     return tuple(hs)
 

@@ -195,7 +195,7 @@ class Polyhedron:
 
     @cached_property
     def incircles(self) -> dict:
-        """vertex -> incircle of its spherical image (``gauss.vertex_incircle``)."""
+        """vertex -> (spherical image, its incircle); see ``gauss.vertex_incircle``."""
         return {}
 
     @cached_property
@@ -469,23 +469,19 @@ def volume(P: Polyhedron) -> float:
     return P.volume
 
 
-def corner_cross_sums(top: Topology, pts: np.ndarray) -> np.ndarray:
-    """Twice each face's vector area (..., F, 3) from vertex rows (..., V, 3):
-    p x p_next summed corner by corner in cycle order, padding adding zeros."""
-    cr = np.cross(pts[..., top.corner_table[..., 0], :], pts[..., top.corner_table[..., 1], :])
-    cr[..., ~top.corner_mask, :] = 0.0
-    out = cr[..., 0, :]
-    for k in range(1, cr.shape[-2]):
-        out = out + cr[..., k, :]
-    return out
-
-
 def twice_areas_and_volumes(top: Topology, pts: np.ndarray, normals: np.ndarray,
                             offsets: np.ndarray) -> tuple:
-    """Twice the face areas (..., F) and the volumes (...) from vertices,
-    unit normals (..., F, 3) and offsets (..., F) about an origin near the
-    body: V is the sum of offset x area / 3 in face order."""
-    dots = (corner_cross_sums(top, pts)[..., None, :] @ normals[..., :, None])[..., 0, 0]
+    """Twice the face areas (..., F) and the volumes (...) from vertex rows
+    (..., V, 3), unit normals (..., F, 3) and offsets (..., F) about an
+    origin near the body. Each face's p x p_next is summed corner by corner
+    in cycle order (padding adds zeros); V sums offset x area / 3 in face
+    order."""
+    cr = np.cross(pts[..., top.corner_table[..., 0], :], pts[..., top.corner_table[..., 1], :])
+    cr[..., ~top.corner_mask, :] = 0.0
+    cross_sum = cr[..., 0, :]
+    for k in range(1, cr.shape[-2]):
+        cross_sum = cross_sum + cr[..., k, :]
+    dots = (cross_sum[..., None, :] @ normals[..., :, None])[..., 0, 0]
     return dots, np.add.accumulate((offsets * 0.5) * dots, axis=-1)[..., -1] / 3.0
 
 
