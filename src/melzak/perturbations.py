@@ -353,8 +353,9 @@ def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
     v = pert.target
     if exposure(P, v) != EXPOSED:
         raise NotExposed(f"vertex {v} must be exposed to realize a cut")
-    c = vertex_incircle(P, v)[1].center
-    hs.append(HalfSpace(c, float(P.vertices[v] @ c) - t))
+    inc = vertex_incircle(P, v)[1]
+    offset = float(P.vertices[v] @ inc.center) - t
+    hs.append(HalfSpace(inc.center, offset))
     return tuple(hs)
 
 
