@@ -2,9 +2,10 @@
 
 Each checker is a pure function returning a verdict with violation
 witnesses. A witness that carries an improving perturbation has its ratio
-derivative re-verified to be strictly negative before the audit includes
-it; thresholds come from the criterion statements, the perturbation module
-supplies the certificates.
+derivative verified once, in ``_best_improvement``, to be strictly
+negative; thresholds come from the criterion statements, the perturbation
+module supplies the certificates and decides which face moves are
+admissible (``moving_vertices``, ``uniform_exposure``).
 
 The audit degrades gracefully on non-convex input: checkers that need
 convexity or a particular exposure class mark elements as non-applicable
@@ -15,26 +16,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import GeometryError, InvalidPolyhedron, NotConvex, NotExposed
-from .gauss import (
-    EXPOSED,
-    NEGATIVELY_EXPOSED,
-    angle_deficit,
-    dihedral_angle,
-    exposure,
-    spherical_area,
-    vertex_incircle,
-)
+from .gauss import EXPOSED, angle_deficit, dihedral_angle, spherical_area, vertex_incircle
 from .perturbations import (
     IN,
     OUT,
     Perturbation,
     derivatives,
+    moving_vertices,
+    uniform_exposure,
 )
 from .polyhedron import Polyhedron, edge_length, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
@@ -116,27 +111,14 @@ def _best_improvement(P: Polyhedron, candidates) -> tuple:
 
 
 def _admissible_face_moves(P: Polyhedron, f: int, target: int) -> list:
-    """Translate/hinge perturbations of face ``f`` that move ``target``.
-
-    Admissibility follows the exposure rules: a full translate needs every
-    face vertex in one exposure class; a hinge needs every off-hinge vertex
-    in one class. The target vertex must be among the movers.
-    """
+    """Translate/hinge perturbations of face ``f`` that move ``target`` and
+    whose moving vertices share one exposure class."""
     cyc = P.faces[f]
-    status = {v: exposure(P, v) for v in cyc}
-    cls = status[target]
-    if cls not in (EXPOSED, NEGATIVELY_EXPOSED):
-        return []
-    moves = []
-    if all(s == cls for s in status.values()):
-        moves += [Perturbation("face_translate", f, d) for d in (OUT, IN)]
+    moves = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
     for i, j in zip(cyc, cyc[1:] + cyc[:1]):
-        if target in (i, j):
-            continue
-        if all(status[v] == cls for v in cyc if v not in (i, j)):
-            e = P.edge_index(i, j)
-            moves += [Perturbation("face_hinge", f, d, e) for d in (OUT, IN)]
-    return moves
+        if target not in (i, j):
+            moves += [Perturbation("face_hinge", f, d, P.edge_index(i, j)) for d in (OUT, IN)]
+    return [m for m in moves if uniform_exposure(P, moving_vertices(P, m)) is not None]
 
 
 def check_vertex_degree(P: Polyhedron) -> CriterionVerdict:
@@ -225,12 +207,8 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
         cyc = P.faces[f]
         if len(cyc) != 3 or any(P.vertex_degree(v) != 3 for v in cyc):
             continue
-        status = {exposure(P, v) for v in cyc}
-        if status == {EXPOSED}:
-            cls = EXPOSED
-        elif status == {NEGATIVELY_EXPOSED}:
-            cls = NEGATIVELY_EXPOSED
-        else:
+        cls = uniform_exposure(P, cyc)
+        if cls is None:
             continue
         applicable = True
         total = sum(angle_deficit(P, v) for v in cyc)
@@ -393,7 +371,8 @@ def audit(P: Polyhedron, mode: str = "any", B: float | None = None,
     except NotConvex as exc:
         verdicts.append(CriterionVerdict("dihedral", False, True, (),
                                          (f"skipped: {exc}",)))
-    verdicts = [_reverify(P, v) for v in verdicts]
+    verdicts = [replace(v, witnesses=tuple(sorted(v.witnesses, key=lambda w: w.element)))
+                for v in verdicts]
     verdicts.sort(key=lambda v: v.criterion_id)
 
     summary = {
@@ -403,23 +382,3 @@ def audit(P: Polyhedron, mode: str = "any", B: float | None = None,
     }
     notes = tuple(f"{v.criterion_id}: {n}" for v in verdicts for n in v.notes)
     return CriteriaReport(tuple(verdicts), summary, notes)
-
-
-def _reverify(P: Polyhedron, verdict: CriterionVerdict) -> CriterionVerdict:
-    """Drop perturbation attachments whose improvement does not re-verify."""
-    ws = []
-    for w in verdict.witnesses:
-        if w.perturbation is None:
-            ws.append(w)
-            continue
-        try:
-            dM = derivatives(P, w.perturbation).dM
-        except GeometryError:
-            dM = 0.0
-        if dM < -WITNESS_MARGIN:
-            ws.append(Witness(w.element, w.measured, w.threshold, w.perturbation, dM))
-        else:
-            ws.append(Witness(w.element, w.measured, w.threshold))
-    ws.sort(key=lambda w: w.element)
-    return CriterionVerdict(verdict.criterion_id, verdict.applicable, verdict.passed,
-                            tuple(ws), verdict.notes)

@@ -65,10 +65,6 @@ class UnboundedWedge(GeometryError):
     """Neighbor halfspaces do not close off the protrusion over a face."""
 
 
-class PyramidApex(GeometryError):
-    """Wedge degenerates to a pyramid: single top vertex instead of a ridge."""
-
-
 class DegenerateEdge(GeometryError):
     """Edge is too short, or its lateral direction is unusable."""
 

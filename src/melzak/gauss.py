@@ -47,10 +47,6 @@ class SphericalPolygon:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
-    @property
-    def n_sides(self) -> int:
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class Incircle:

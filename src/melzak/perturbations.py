@@ -11,12 +11,21 @@ Derivatives are evaluated analytically from vertex velocities obtained by
 linearizing the plane intersections, never by finite differences; the
 finite-difference routine exists as an independent cross-check.
 
-Vertex bookkeeping: when the local motion pushes the supporting plane
-outward past an exposed vertex of degree k > 3, the vertex keeps a single
-degree-3 correspondent and sheds a new lateral edge; when the plane cuts
-inward, the vertex splits into k - 2 correspondents joined by new ring
-edges. Negatively exposed vertices behave like exposed vertices of the
-complement, which swaps the two cases.
+Each rule of a face move is decided in one place. ``moving_vertices``
+names the vertices a move moves (the whole face for a translate, the
+vertices off the hinge edge for a hinge) and ``uniform_exposure`` their
+shared exposure class; a face move is admissible exactly when there is
+one, which is also how the audit picks its candidates. ``_hinge_frame``
+gives the hinge line and rotation sense to both the rates and the
+rebuild, and one per-vertex loop (``_face_rates``) serves both face kinds.
+
+The one split rule (``_splits``): when the local motion pushes the
+supporting plane outward past an exposed vertex of degree k > 3, the
+vertex keeps a single degree-3 correspondent and sheds a new lateral edge;
+when the plane cuts inward, the vertex splits into k - 2 correspondents
+joined by new ring edges. Negatively exposed vertices behave like exposed
+vertices of the complement, which swaps the two cases. The rates and the
+vertex/edge counts ``apply`` expects both read it.
 """
 from __future__ import annotations
 
@@ -101,10 +110,6 @@ class DerivativeReport:
         return out
 
 
-def _ratio_derivative(E: float, V: float, dE: float, dV: float) -> float:
-    return (3.0 * E * E / V) * dE - (E ** 3 / V ** 2) * dV
-
-
 def _line_velocity(n_a, n_b, n_move, ndot, odot, point) -> np.ndarray:
     """Velocity of the intersection of two static planes and a moving one."""
     d = cross(n_a, n_b)
@@ -131,110 +136,127 @@ def _local_fan(P: Polyhedron, f: int, v: int) -> tuple:
     return faces[1:], nbrs
 
 
-def _face_vertex_rate(P: Polyhedron, f: int, v: int, ndot, odot, outward_local: bool,
-                      expo: str) -> float:
-    """dE contribution of one moving vertex of face ``f``."""
-    sides, nbrs = _local_fan(P, f, v)
-    k = len(sides) + 1
+def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
+    """Vertices that ``pert`` moves: every vertex of a translated face, the
+    vertices of a hinged face off the hinge edge, the cut vertex."""
+    if pert.kind == "vertex_truncate":
+        return [pert.target]
+    cyc = P.faces[pert.target]
+    if pert.kind == "face_translate":
+        return list(cyc)
+    hinge = P.edges[pert.edge]
+    return [v for v in cyc if v not in hinge]
+
+
+def uniform_exposure(P: Polyhedron, vertices) -> str | None:
+    """EXPOSED or NEGATIVELY_EXPOSED when every vertex has that class, else None.
+
+    A face move is admissible exactly when its moving vertices share a class.
+    """
+    classes = {exposure(P, v) for v in vertices}
+    cls = classes.pop() if len(classes) == 1 else None
+    return cls if cls in (EXPOSED, NEGATIVELY_EXPOSED) else None
+
+
+def _mover_class(P: Polyhedron, pert: Perturbation) -> str:
+    """Exposure class shared by the movers of a face move; a translate
+    raises NotExposedFace and a hinge NotSemiExposed when there is none."""
+    cls = uniform_exposure(P, moving_vertices(P, pert))
+    if cls is None:
+        msg = (f"face {pert.target}: moving vertices are not uniformly exposed "
+               "or negatively exposed")
+        if pert.kind == "face_hinge":
+            raise NotSemiExposed(msg)
+        raise NotExposedFace(msg)
+    return cls
+
+
+def _splits(cls: str, direction: str) -> bool:
+    """Whether a moved vertex of degree k > 3 in class ``cls`` splits into
+    k - 2 correspondents (else it keeps one and sheds a lateral edge)."""
+    return cls != (EXPOSED if direction == OUT else NEGATIVELY_EXPOSED)
+
+
+def _hinge_frame(P: Polyhedron, pert: Perturbation) -> tuple:
+    """(a, w, sigma): a point and unit direction of the hinge line, and the
+    rotation sense that moves the face plane in ``pert.direction``."""
+    i, j = P.edges[pert.edge]
+    a = P.vertices[i]
+    w = unit(P.vertices[j] - a)
+    c = P.face_centroid(pert.target)
+    # plane speed along n at a point y is <a - y, w x n>; out means positive
+    # speed over the face interior, probed at the centroid
+    sigma = 1.0 if float((a - c) @ cross(w, P.face_normal(pert.target))) > 0 else -1.0
+    return a, w, sigma if pert.direction == OUT else -sigma
+
+
+def _face_rates(P: Polyhedron, pert: Perturbation, cls: str, ndot, odot) -> dict:
+    """dE contribution of each vertex a face move of class ``cls`` moves
+    while the face plane (n, o) moves at rates (ndot, odot)."""
+    f = pert.target
     n_move = P.face_normal(f)
-    H = P.vertices[v]
-    u1 = unit(P.vertices[nbrs[0]] - H)
-    u2 = unit(P.vertices[nbrs[-1]] - H)
-
-    single = (k == 3) or (expo == EXPOSED and outward_local) or \
-             (expo == NEGATIVELY_EXPOSED and not outward_local)
-    if single:
-        va = _line_velocity(P.face_normal(sides[0]), P.face_normal(sides[-1]),
-                            n_move, ndot, odot, H)
-        d = -(va @ (u1 + u2))
-        if k == 3:
-            w = unit(P.vertices[nbrs[1]] - H)
-            d -= va @ w
+    splits = _splits(cls, pert.direction)
+    rates = {}
+    for v in moving_vertices(P, pert):
+        sides, nbrs = _local_fan(P, f, v)
+        k = len(sides) + 1
+        H = P.vertices[v]
+        u1 = unit(P.vertices[nbrs[0]] - H)
+        u2 = unit(P.vertices[nbrs[-1]] - H)
+        if k == 3 or not splits:
+            va = _line_velocity(P.face_normal(sides[0]), P.face_normal(sides[-1]),
+                                n_move, ndot, odot, H)
+            d = -(va @ (u1 + u2))
+            if k == 3:
+                d -= va @ unit(P.vertices[nbrs[1]] - H)
+            else:
+                d += np.linalg.norm(va)  # new lateral edge sprouts from the old vertex
         else:
-            d += np.linalg.norm(va)  # new lateral edge sprouts from the old vertex
-        return d
-
-    vs = []
-    for n in range(k - 2):
-        vs.append(_line_velocity(P.face_normal(sides[n]), P.face_normal(sides[n + 1]),
-                                 n_move, ndot, odot, H))
-    d = -(vs[0] @ u1) - (vs[-1] @ u2)
-    for n in range(k - 3):
-        d += np.linalg.norm(vs[n] - vs[n + 1])
-    for n in range(k - 2):
-        w = unit(P.vertices[nbrs[n + 1]] - H)
-        d -= vs[n] @ w
-    return d
+            vs = [_line_velocity(P.face_normal(sides[n]), P.face_normal(sides[n + 1]),
+                                 n_move, ndot, odot, H) for n in range(k - 2)]
+            d = -(vs[0] @ u1) - (vs[-1] @ u2)
+            for n in range(k - 3):
+                d += np.linalg.norm(vs[n] - vs[n + 1])
+            for n in range(k - 2):
+                d -= vs[n] @ unit(P.vertices[nbrs[n + 1]] - H)
+        rates[v] = float(d)
+    return rates
 
 
-def _uniform_face_exposure(P: Polyhedron, f: int, moving: list) -> str:
-    expos = {exposure(P, v) for v in moving}
-    if expos == {EXPOSED}:
-        return EXPOSED
-    if expos == {NEGATIVELY_EXPOSED}:
-        return NEGATIVELY_EXPOSED
-    raise NotExposedFace(
-        f"face {f}: moving vertices are not uniformly exposed or negatively exposed")
+def _report(P: Polyhedron, pert: Perturbation, dE: float, dV: float,
+            per_vertex: dict) -> DerivativeReport:
+    """The report of ``pert``, with M0 and dM = d(E^3/V) from dE and dV."""
+    E0, V0 = edge_length(P), volume(P)
+    dM = (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV
+    return DerivativeReport(pert, E0, V0, E0 ** 3 / V0, dE, dV, dM, per_vertex)
 
 
 def face_translate_derivatives(P: Polyhedron, face: int,
                                direction: str = OUT) -> DerivativeReport:
     """One-sided derivatives for translating a face plane along its normal."""
-    if direction not in (OUT, IN):
-        raise BadParameter("direction must be 'out' or 'in'")
-    cyc = P.faces[face]
-    _uniform_face_exposure(P, face, list(cyc))
+    pert = Perturbation("face_translate", face, direction)
+    _check_indices(P, pert)
+    cls = _mover_class(P, pert)
     odot = 1.0 if direction == OUT else -1.0
-    ndot = np.zeros(3)
-    outward_local = direction == OUT
-
-    per_vertex = {v: float(_face_vertex_rate(P, face, v, ndot, odot, outward_local,
-                                             exposure(P, v))) for v in cyc}
-    dE = float(sum(per_vertex.values()))
-    dV = float(P.face_area(face) * odot)
-    E0, V0 = edge_length(P), volume(P)
-    return DerivativeReport(
-        Perturbation("face_translate", face, direction), E0, V0, E0 ** 3 / V0,
-        dE, dV, _ratio_derivative(E0, V0, dE, dV), per_vertex)
+    per_vertex = _face_rates(P, pert, cls, np.zeros(3), odot)
+    return _report(P, pert, float(sum(per_vertex.values())),
+                   float(P.face_area(face) * odot), per_vertex)
 
 
 def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
                            direction: str = OUT) -> DerivativeReport:
     """One-sided derivatives for rotating a face plane about one of its edges."""
-    if direction not in (OUT, IN):
-        raise BadParameter("direction must be 'out' or 'in'")
-    i, j = P.edges[hinge_edge]
-    cyc = P.faces[face]
-    if i not in cyc or j not in cyc:
-        raise BadParameter(f"edge {hinge_edge} is not an edge of face {face}")
-    moving = [v for v in cyc if v not in (i, j)]
-    if not moving:
-        raise BadParameter(f"face {face} has no vertices off the hinge edge")
-    try:
-        _uniform_face_exposure(P, face, moving)
-    except NotExposedFace as exc:
-        raise NotSemiExposed(str(exc))
-
-    a = P.vertices[i]
-    w = unit(P.vertices[j] - a)
+    pert = Perturbation("face_hinge", face, direction, hinge_edge)
+    _check_indices(P, pert)
+    cls = _mover_class(P, pert)
+    a, w, sigma = _hinge_frame(P, pert)
     n = P.face_normal(face)
-    ndot = cross(w, n)
-    c = P.face_centroid(face)
-    # plane speed along n at a point y is <a - y, ndot>; out means positive
-    # speed over the face interior, probed at the centroid
-    sigma = 1.0 if float((a - c) @ ndot) > 0 else -1.0
-    if direction == IN:
-        sigma = -sigma
-    ndot = sigma * ndot
+    ndot = sigma * cross(w, n)
     odot = float(a @ ndot)
-    outward_local = direction == OUT
-
-    per_vertex = {v: float(_face_vertex_rate(P, face, v, ndot, odot, outward_local,
-                                             exposure(P, v))) for v in moving}
-    dE = float(sum(per_vertex.values()))
+    per_vertex = _face_rates(P, pert, cls, ndot, odot)
 
     # exact first moment of the face about the hinge line
-    pts = P.vertices[list(cyc)]
+    pts = P.vertices[list(P.faces[face])]
     centroid = pts.mean(axis=0)
     dV = 0.0
     for t in range(len(pts)):
@@ -242,10 +264,7 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
         tri_area = 0.5 * float(cross(q - centroid, p - centroid) @ -n)
         tri_c = (centroid + p + q) / 3.0
         dV += tri_area * (odot - tri_c @ ndot)
-    E0, V0 = edge_length(P), volume(P)
-    return DerivativeReport(
-        Perturbation("face_hinge", face, direction, hinge_edge), E0, V0, E0 ** 3 / V0,
-        dE, float(dV), _ratio_derivative(E0, V0, dE, float(dV)), per_vertex)
+    return _report(P, pert, float(sum(per_vertex.values())), float(dV), per_vertex)
 
 
 def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
@@ -254,6 +273,8 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     Volume changes at second order only, so dV = 0. Works for exposed
     vertices and, through the complement image, negatively exposed ones.
     """
+    pert = Perturbation("vertex_truncate", vertex)
+    _check_indices(P, pert)
     c = vertex_incircle(P, vertex)[1].center
     H = P.vertices[vertex]
     nbrs = ordered_edges_at_vertex(P, vertex)
@@ -269,22 +290,21 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     for n in range(k):
         dE += np.linalg.norm(vs[n] - vs[(n + 1) % k])
         dE -= np.linalg.norm(vs[n])
-    E0, V0 = edge_length(P), volume(P)
-    return DerivativeReport(
-        Perturbation("vertex_truncate", vertex), E0, V0, E0 ** 3 / V0,
-        float(dE), 0.0, _ratio_derivative(E0, V0, float(dE), 0.0),
-        {vertex: float(dE)})
+    return _report(P, pert, float(dE), 0.0, {vertex: float(dE)})
 
 
 def _check_indices(P: Polyhedron, pert: Perturbation) -> None:
     """Raise BadParameter when ``pert`` names a face, vertex or hinge edge
-    that ``P`` does not have."""
+    that ``P`` does not have, or a hinge edge off its face."""
     element, count = (("vertex", P.n_vertices) if pert.kind == "vertex_truncate"
                       else ("face", P.n_faces))
     if not 0 <= pert.target < count:
         raise BadParameter(f"{element} {pert.target} is out of range 0..{count - 1}")
-    if pert.kind == "face_hinge" and not 0 <= pert.edge < P.n_edges:
-        raise BadParameter(f"edge {pert.edge} is out of range 0..{P.n_edges - 1}")
+    if pert.kind == "face_hinge":
+        if not 0 <= pert.edge < P.n_edges:
+            raise BadParameter(f"edge {pert.edge} is out of range 0..{P.n_edges - 1}")
+        if not set(P.edges[pert.edge]) <= set(P.faces[pert.target]):
+            raise BadParameter(f"edge {pert.edge} is not an edge of face {pert.target}")
 
 
 def derivatives(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
@@ -293,7 +313,6 @@ def derivatives(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
     Raises BadParameter when ``pert`` names a face, vertex or hinge edge
     that ``P`` does not have.
     """
-    _check_indices(P, pert)
     if pert.kind == "face_translate":
         return face_translate_derivatives(P, pert.target, pert.direction)
     if pert.kind == "face_hinge":
@@ -306,21 +325,11 @@ def _expected_counts(P: Polyhedron, pert: Perturbation) -> tuple:
     if pert.kind == "vertex_truncate":
         deg = P.vertex_degree(pert.target)
         return P.n_vertices + deg - 1, P.n_edges + deg, P.n_faces + 1
-    cyc = P.faces[pert.target]
-    if pert.kind == "face_translate":
-        moving = list(cyc)
-    else:
-        i, j = P.edges[pert.edge]
-        moving = [v for v in cyc if v not in (i, j)]
-    outward = pert.direction == OUT
     dv = 0
-    for v in moving:
+    for v in moving_vertices(P, pert):
         k = P.vertex_degree(v)
-        if k == 3:
-            continue
-        expo = exposure(P, v)
-        single = (expo == EXPOSED and outward) or (expo == NEGATIVELY_EXPOSED and not outward)
-        dv += 1 if single else k - 3
+        if k > 3:
+            dv += k - 3 if _splits(exposure(P, v), pert.direction) else 1
     return P.n_vertices + dv, P.n_edges + dv, P.n_faces
 
 
@@ -338,15 +347,7 @@ def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
         hs[pert.target] = hs[pert.target].translated(delta)
         return tuple(hs)
     if pert.kind == "face_hinge":
-        i, j = P.edges[pert.edge]
-        a = P.vertices[i]
-        w = unit(P.vertices[j] - a)
-        n = P.face_normal(pert.target)
-        ndot = cross(w, n)
-        c = P.face_centroid(pert.target)
-        sigma = 1.0 if float((a - c) @ ndot) > 0 else -1.0
-        if pert.direction == IN:
-            sigma = -sigma
+        a, w, sigma = _hinge_frame(P, pert)
         hs[pert.target] = hs[pert.target].rotated_about_line(a, w, sigma * t)
         return tuple(hs)
     # vertex cut

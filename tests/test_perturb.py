@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import crater_can, crater_cavity, match_face, match_vertex
+from conftest import crater_can, crater_cavity, match_face, match_vertex, octahedron
 from melzak import (
     cube,
     ngon_pyramid,
@@ -14,7 +14,15 @@ from melzak import (
     regular_tetrahedron,
     volume,
 )
-from melzak.errors import BadParameter, CombinatorialCollapse, NotExposedFace, NotSemiExposed
+from melzak.criteria import _admissible_face_moves
+from melzak.errors import (
+    BadParameter,
+    CombinatorialCollapse,
+    GeometryError,
+    NotExposedFace,
+    NotSemiExposed,
+)
+from melzak.optimize import load_catalog
 from melzak.perturbations import (
     Perturbation,
     apply,
@@ -22,7 +30,9 @@ from melzak.perturbations import (
     face_hinge_derivatives,
     face_translate_derivatives,
     finite_difference_check,
+    moving_vertices,
     perturbed_halfspaces,
+    uniform_exposure,
     vertex_truncate_derivatives,
 )
 
@@ -178,9 +188,25 @@ def test_deep_cut_collapse_detected():
 ], ids=lambda p: p.label())
 def test_out_of_range_index_is_bad_parameter(pert):
     C = cube()
+    per_kind = {
+        "face_translate": lambda: face_translate_derivatives(C, pert.target, pert.direction),
+        "face_hinge": lambda: face_hinge_derivatives(C, pert.target, pert.edge, pert.direction),
+        "vertex_truncate": lambda: vertex_truncate_derivatives(C, pert.target),
+    }
     for call in (lambda: perturbed_halfspaces(C, pert, 0.1), lambda: apply(C, pert, 0.1),
-                 lambda: finite_difference_check(C, pert), lambda: derivatives(C, pert)):
+                 lambda: finite_difference_check(C, pert), lambda: derivatives(C, pert),
+                 per_kind[pert.kind]):
         with pytest.raises(BadParameter, match="out of range"):
+            call()
+
+
+def test_hinge_edge_off_the_face_is_bad_parameter():
+    C = cube()
+    e = next(e for e, ij in enumerate(C.edges) if not set(ij) <= set(C.faces[0]))
+    pert = Perturbation("face_hinge", 0, edge=e)
+    for call in (lambda: perturbed_halfspaces(C, pert, 0.1), lambda: apply(C, pert, 0.1),
+                 lambda: derivatives(C, pert)):
+        with pytest.raises(BadParameter, match="not an edge of face"):
             call()
 
 
@@ -228,6 +254,64 @@ def test_crater_rejections():
     e = CR.edge_index(*movers)
     with pytest.raises(NotSemiExposed):
         face_hinge_derivatives(CR, wall, e, "out")
+
+
+def _face_moves(P, f):
+    """Both directions of the translate and of every hinge of face ``f``,
+    translates first, hinges in cycle-edge order."""
+    cyc = P.faces[f]
+    moves = [Perturbation("face_translate", f, d) for d in ("out", "in")]
+    for i, j in zip(cyc, cyc[1:] + cyc[:1]):
+        moves += [Perturbation("face_hinge", f, d, P.edge_index(i, j)) for d in ("out", "in")]
+    return moves
+
+
+def _refused(P, pert):
+    """Whether the per-kind rate function refuses ``pert`` for exposure."""
+    refusal = NotExposedFace if pert.kind == "face_translate" else NotSemiExposed
+    try:
+        if pert.kind == "face_translate":
+            face_translate_derivatives(P, pert.target, pert.direction)
+        else:
+            face_hinge_derivatives(P, pert.target, pert.edge, pert.direction)
+    except refusal:
+        return True
+    except GeometryError:
+        pass   # admitted, but the rates themselves failed
+    return False
+
+
+_ADMISSION_BODIES = {
+    **{f"catalog:{t.name}": t.build for t in load_catalog()},
+    **{f"pyramid:{n}": (lambda n=n: ngon_pyramid(n, 1.0, 1.0)) for n in range(4, 25)},
+    "octahedron": octahedron,
+    "crater": lambda: crater_can()[0],
+    **{f"random:{k}": (lambda k=k: random_convex(np.random.default_rng(100 + k)))
+       for k in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADMISSION_BODIES))
+def test_admissibility_matches_rates(name):
+    """A face move is refused exactly when its movers share no exposure
+    class, and the audit's candidates are exactly the admitted moves that
+    move the target."""
+    P = _ADMISSION_BODIES[name]()
+    refused_kinds = set()
+    for f, cyc in enumerate(P.faces):
+        admitted = []
+        for m in _face_moves(P, f):
+            refused = _refused(P, m)
+            assert refused == (uniform_exposure(P, moving_vertices(P, m)) is None), m.label()
+            if refused:
+                refused_kinds.add(m.kind)
+            else:
+                admitted.append(m)
+        for v in cyc:
+            assert _admissible_face_moves(P, f, v) == \
+                [m for m in admitted if v in moving_vertices(P, m)], (f, v)
+    if name == "crater":
+        assert refused_kinds == {"face_translate", "face_hinge"}
 
 
 def test_negative_hinge_evaluates():
