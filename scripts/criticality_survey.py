@@ -4,9 +4,10 @@
 Each catalog start is descended to its local optimum, then every
 elementary perturbation rate (face translations, face hinges, vertex
 truncations) is evaluated there. A clean local minimizer shows a
-non-negative worst rate up to tolerance; anything with a decisively
-negative rate names the escape direction that the within-type descent
-cannot take.
+non-negative worst rate up to tolerance; a converged descent with a
+decisively negative rate names the escape direction that the within-type
+descent cannot take. A descent that did not converge is reported as
+unconverged, since a negative rate there shows only an unfinished descent.
 
 Usage: python3 scripts/criticality_survey.py [--seed N] [--tol T] [--json PATH]
 """
@@ -41,11 +42,13 @@ def main(argv=None) -> int:
             print(f"{t.name:24s} skipped: {exc}")
             continue
         worst = min(rep.entries, key=rep.entries.get)
-        verdict = "critical" if rep.is_critical else f"escape {worst}"
+        verdict = ("critical" if rep.is_critical else f"escape {worst}" if res.converged
+                   else f"unconverged after {res.iterations} iterations")
         print(f"{t.name:24s} faces={t.faces} ratio={res.ratio:14.6f} "
               f"min_dM={rep.minimum:+.3e}  {verdict}")
         rows.append({"name": t.name, "faces": t.faces,
                      "ratio": float(f"{res.ratio:.12g}"),
+                     "converged": res.converged,
                      "stalled_at_boundary": res.combinatorics_changed,
                      "criticality": rep.to_dict()})
 

@@ -7,8 +7,9 @@ contraction in the dual triangulation) and by sampling random bounded
 intersections outright. ``Polyhedron.type_key`` dedups the finds and
 orders the types that share a face-degree list (``_a``, ``_b``, ...), and
 the run aborts unless the per-count totals match the known enumeration
-1, 1, 2, 5, 14. Regular pyramids are appended as the named non-simple
-family used by the sequence driver.
+1, 1, 2, 5, 14. Regular pyramids at their closed-form optimum
+(``optimal_pyramid``) are appended as the named non-simple family used by
+the sequence driver.
 
 Usage: python3 scripts/generate_catalog.py [--out PATH] [--seed N]
 """
@@ -20,14 +21,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from melzak.errors import GeometryError
 from melzak.optimize import EXPECTED_SIMPLE_COUNTS
-from melzak.polyhedron import HalfSpace, Polyhedron, from_halfspaces, melzak_ratio
-from melzak.shapes import cube, ngon_pyramid, optimal_prism, random_convex, regular_tetrahedron
+from melzak.polyhedron import HalfSpace, Polyhedron, from_halfspaces
+from melzak.shapes import (cube, optimal_prism, optimal_pyramid, random_convex,
+                           regular_tetrahedron)
 
 
 def is_simple(P: Polyhedron) -> bool:
@@ -100,13 +101,6 @@ def find_simple_types(seed: int) -> dict:
         found[k] = list(types.values())
         print(f"faces={k}: {len(types)} simple types after {rounds} rounds")
     return found
-
-
-def optimal_pyramid(n: int) -> Polyhedron:
-    res = minimize_scalar(lambda h: melzak_ratio(ngon_pyramid(n, 1.0, h)),
-                          bounds=(0.05, 10.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return ngon_pyramid(n, 1.0, float(res.x))
 
 
 KNOWN_NAMES = {

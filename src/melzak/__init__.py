@@ -26,6 +26,7 @@ from .shapes import (
     cube,
     ngon_pyramid,
     optimal_prism,
+    optimal_pyramid,
     random_convex,
     regular_tetrahedron,
     unit_volume,
@@ -91,7 +92,7 @@ __all__ = [
     "edge_length", "from_halfspaces", "melzak_ratio", "validate", "volume",
     "CUBE_RATIO", "PRISM_EDGE_LENGTH", "PRISM_RATIO", "TETRA_RATIO",
     "box", "canonical", "cube", "ngon_pyramid", "optimal_prism",
-    "random_convex", "regular_tetrahedron", "unit_volume",
+    "optimal_pyramid", "random_convex", "regular_tetrahedron", "unit_volume",
     "emit_off", "parse_off", "read_off", "write_off",
     "EXPOSED", "NEGATIVELY_EXPOSED", "NEITHER",
     "angle_deficit", "complement_gauss_image", "dihedral_angle", "exposure",

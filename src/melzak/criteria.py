@@ -33,9 +33,10 @@ from .perturbations import (
 )
 from .polyhedron import Polyhedron, edge_length, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
-from .vec3 import plane_bases, unit
+from .vec3 import norm, plane_bases, unit
 
 WITNESS_MARGIN = DEFAULT_TOLERANCES.witness_margin
+WITNESS_TIE = 1e-9  # relative dM spread within which witnesses tie
 
 
 @dataclass(frozen=True)
@@ -96,18 +97,23 @@ def _sig(x) -> float:
 
 
 def _best_improvement(P: Polyhedron, candidates) -> tuple:
-    """(perturbation, dM) with the most negative verified dM, else (None, None)."""
-    best = None
+    """(perturbation, dM) of the most improving candidate, else (None, None).
+
+    A dM must lie below -WITNESS_MARGIN; those within a relative WITNESS_TIE
+    of the smallest tie, and the smallest label among them wins."""
+    improving = []
     for pert in candidates:
         try:
             dM = derivatives(P, pert).dM
         except GeometryError:
             continue
-        if best is None or dM < best[1]:
-            best = (pert, dM)
-    if best is None or best[1] >= -WITNESS_MARGIN:
+        if dM < -WITNESS_MARGIN:
+            improving.append((pert, dM))
+    if not improving:
         return None, None
-    return best
+    tied = min(dM for _, dM in improving) * (1.0 - WITNESS_TIE)  # the minimum is negative
+    return min(((pert, dM) for pert, dM in improving if dM <= tied),
+               key=lambda pd: pd[0].label())
 
 
 def _admissible_face_moves(P: Polyhedron, f: int, target: int) -> list:
@@ -281,7 +287,7 @@ def _segment_distance_2d(p1, p2, q1, q2) -> float:
     def point_seg(p, a, b):
         ab = b - a
         t = float(np.clip((p - a) @ ab / max(ab @ ab, 1e-300), 0.0, 1.0))
-        return float(np.linalg.norm(p - (a + t * ab)))
+        return norm(p - (a + t * ab))
 
     return min(point_seg(p1, q1, q2), point_seg(p2, q1, q2),
                point_seg(q1, p1, p2), point_seg(q2, p1, p2))

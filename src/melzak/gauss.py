@@ -22,7 +22,7 @@ from .errors import (
     NotExposed,
 )
 from .polyhedron import Polyhedron
-from .vec3 import cross, unit
+from .vec3 import cross, norm, unit
 
 EXPOSED = "exposed"
 NEGATIVELY_EXPOSED = "negatively_exposed"
@@ -99,58 +99,46 @@ def angle_deficit(P: Polyhedron, v: int) -> float:
     return 2.0 * np.pi - total
 
 
-def _oriented(points: np.ndarray) -> np.ndarray:
-    """Reorient so consecutive cross products point with the polygon mean."""
-    c = points.mean(axis=0)
-    score = 0.0
-    for i in range(len(points)):
-        score += cross(points[i], points[(i + 1) % len(points)]) @ c
-    return points if score >= 0 else points[::-1]
+def _poles(points: np.ndarray) -> tuple:
+    """(oriented points, inward unit side poles) of a convex spherical polygon.
 
-
-def _check_convex(points: np.ndarray, tol: float) -> None:
+    The points are reversed if consecutive cross products point against
+    their mean. Side by side, a zero-length pole raises DegeneratePolygon
+    and a point beyond the side's geodesic NonConvexPolygon."""
     n = len(points)
-    for i in range(n):
-        pole = cross(points[i], points[(i + 1) % n])
-        norm = np.linalg.norm(pole)
-        if norm <= tol:
+    sides = [cross(points[i], points[(i + 1) % n]) for i in range(n)]
+    c = points.mean(axis=0)
+    if sum(s @ c for s in sides) < 0:
+        # reversed order: side i is the negated old side n-2-i (mod n)
+        points = points[::-1]
+        sides = [-s for s in sides[-2::-1] + sides[-1:]]
+    poles = np.empty((n, 3))
+    for i, side in enumerate(sides):
+        length = norm(side)
+        if length <= 1e-12:
             raise DegeneratePolygon("consecutive points are parallel or antipodal")
-        pole /= norm
-        if (points @ pole < -tol).any():
+        poles[i] = side / length
+        if (points @ poles[i] < -1e-12).any():
             raise NonConvexPolygon("polygon crosses one of its own geodesics")
+    return points, poles
 
 
 def spherical_area(poly: SphericalPolygon) -> float:
     """Interior-angle excess area of a convex spherical polygon."""
-    pts = _oriented(poly.points)
-    if len(pts) < 3:
+    if len(poly.points) < 3:
         raise DegeneratePolygon("area needs at least 3 points")
-    _check_convex(pts, 1e-12)
+    pts, _ = _poles(poly.points)
     n = len(pts)
     total = 0.0
     for i in range(n):
         p = pts[i]
         a = pts[(i - 1) % n] - (pts[(i - 1) % n] @ p) * p
         b = pts[(i + 1) % n] - (pts[(i + 1) % n] @ p) * p
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        na, nb = norm(a), norm(b)
         if na <= 1e-14 or nb <= 1e-14:
             raise DegeneratePolygon("repeated point in polygon")
         total += np.arccos(np.clip((a @ b) / (na * nb), -1.0, 1.0))
     return total - (n - 2) * np.pi
-
-
-def side_poles(poly: SphericalPolygon) -> np.ndarray:
-    """Inward-oriented unit poles of the polygon's geodesic sides."""
-    pts = _oriented(poly.points)
-    n = len(pts)
-    poles = np.zeros((n, 3))
-    for i in range(n):
-        pole = cross(pts[i], pts[(i + 1) % n])
-        norm = np.linalg.norm(pole)
-        if norm <= 1e-13:
-            raise DegeneratePolygon("degenerate side")
-        poles[i] = pole / norm
-    return poles
 
 
 def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.tangency) -> Incircle:
@@ -161,25 +149,21 @@ def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.t
     (two active sides) and equal-clearance points of pole triples, then
     keeping the feasible maximizer. Radius is clamped to (0, pi/2).
     """
-    pts = _oriented(poly.points)
-    if len(pts) < 2:
-        raise DegeneratePolygon("incircle needs at least 2 sides")
-    _check_convex(pts, 1e-12)
-    poles = side_poles(SphericalPolygon(pts, poly.convex))
+    _, poles = _poles(poly.points)
     n = len(poles)
 
     candidates = []
     for i, j in itertools.combinations(range(n), 2):
         s = poles[i] + poles[j]
-        norm = np.linalg.norm(s)
-        if norm > 1e-12:
-            candidates.append(s / norm)
+        length = norm(s)
+        if length > 1e-12:
+            candidates.append(s / length)
     for i, j, k in itertools.combinations(range(n), 3):
         d = cross(poles[i] - poles[j], poles[j] - poles[k])
-        norm = np.linalg.norm(d)
-        if norm > 1e-12:
-            candidates.append(d / norm)
-            candidates.append(-d / norm)
+        length = norm(d)
+        if length > 1e-12:
+            candidates.append(d / length)
+            candidates.append(-d / length)
     if not candidates:
         raise DegeneratePolygon("no incircle candidates")
 

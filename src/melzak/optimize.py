@@ -45,7 +45,7 @@ from .polyhedron import (
     twice_areas_and_volumes,
     validate,
 )
-from .shapes import ngon_pyramid
+from .shapes import optimal_pyramid
 
 __all__ = [
     "OptimizeOptions",
@@ -431,26 +431,13 @@ def _jittered_start(t: CatalogType, rng: np.random.Generator) -> Polyhedron:
     return reference
 
 
-def _optimal_pyramid(n: int, opts: OptimizeOptions) -> OptimizeResult:
-    """Best regular n-gon pyramid, one height parameter by scale symmetry."""
-    from scipy.optimize import minimize_scalar
-
-    def m_of(h: float) -> float:
-        return melzak_ratio(ngon_pyramid(n, 1.0, h))
-
-    res = minimize_scalar(m_of, bounds=(0.05, 10.0), method="bounded",
-                          options={"xatol": 1e-12})
-    P = ngon_pyramid(n, 1.0, float(res.x))
-    ratio = melzak_ratio(P)
-    return OptimizeResult(P, ratio, int(res.nfev), bool(res.success), False,
-                          ((0, ratio),))
-
-
 def _optimize_type(t: CatalogType, opts: OptimizeOptions,
                    rng: np.random.Generator) -> TypeRun:
     if t.pyramid_base:
+        P = optimal_pyramid(t.pyramid_base)
+        m = melzak_ratio(P)
         return TypeRun(t.name, t.faces, t.simple, "parametric",
-                       _optimal_pyramid(t.pyramid_base, opts))
+                       OptimizeResult(P, m, 0, True, False, ((0, m),)))
     starts = [t.build()]
     starts += [_jittered_start(t, rng) for _ in range(opts.restarts - 1)]
     best = None
@@ -465,8 +452,8 @@ def minimizing_sequence(max_faces: int,
                         opts: OptimizeOptions = OptimizeOptions()) -> tuple:
     """Best ratio per face count from four up to max_faces, carried forward.
 
-    Every catalog type with k faces is optimized (pyramid types through
-    their one-parameter family, the rest by plane descent with restarts);
+    Every catalog type with k faces is optimized (pyramid types by the
+    closed-form ``optimal_pyramid``, the rest by plane descent with restarts);
     step k records the best over face counts up to k. Ties against the
     carried value within 1e-9 relative keep the smaller face count and
     set the tie flag.

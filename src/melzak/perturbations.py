@@ -51,7 +51,7 @@ from .gauss import (
     vertex_incircle,
 )
 from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
-from .vec3 import cross, unit
+from .vec3 import cross, norm, unit
 
 OUT = "out"
 IN = "in"
@@ -210,13 +210,13 @@ def _face_rates(P: Polyhedron, pert: Perturbation, cls: str, ndot, odot) -> dict
             if k == 3:
                 d -= va @ unit(P.vertices[nbrs[1]] - H)
             else:
-                d += np.linalg.norm(va)  # new lateral edge sprouts from the old vertex
+                d += norm(va)  # new lateral edge sprouts from the old vertex
         else:
             vs = [_line_velocity(P.face_normal(sides[n]), P.face_normal(sides[n + 1]),
                                  n_move, ndot, odot, H) for n in range(k - 2)]
             d = -(vs[0] @ u1) - (vs[-1] @ u2)
             for n in range(k - 3):
-                d += np.linalg.norm(vs[n] - vs[n + 1])
+                d += norm(vs[n] - vs[n + 1])
             for n in range(k - 2):
                 d -= vs[n] @ unit(P.vertices[nbrs[n + 1]] - H)
         rates[v] = float(d)
@@ -288,8 +288,8 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     k = len(vs)
     dE = 0.0
     for n in range(k):
-        dE += np.linalg.norm(vs[n] - vs[(n + 1) % k])
-        dE -= np.linalg.norm(vs[n])
+        dE += norm(vs[n] - vs[(n + 1) % k])
+        dE -= norm(vs[n])
     return _report(P, pert, float(dE), 0.0, {vertex: float(dE)})
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BadParameter, DegenerateInput, GeometryError
 from .polyhedron import HalfSpace, Polyhedron, from_halfspaces, volume
-from .vec3 import cross
+from .vec3 import cross, norm
 
 # Unit-volume optimal prism: equilateral side s equal to height.
 PRISM_SIDE = (4.0 / np.sqrt(3.0)) ** (1.0 / 3.0)
@@ -72,11 +72,23 @@ def ngon_pyramid(n: int, base_radius: float, height: float) -> Polyhedron:
     for k in range(n):
         a, b = base[k], base[(k + 1) % n]
         nrm = cross(b - a, apex - a)
-        nrm /= np.linalg.norm(nrm)
+        nrm /= norm(nrm)
         if nrm @ (a - base.mean(axis=0)) < 0:
             nrm = -nrm
         hs.append(HalfSpace(nrm, float(nrm @ a)))
     return from_halfspaces(hs)
+
+
+def optimal_pyramid(n: int) -> Polyhedron:
+    """The regular n-gon pyramid of least ratio, base circumradius 1.
+
+    With base side s = 2 sin(pi/n) and slant edge L = sqrt(1 + h^2), m is
+    proportional to (s + L)^3 / h, least where 3 h^2 = L (s + L)."""
+    if n < 3:
+        raise BadParameter("pyramid base needs at least 3 sides")
+    s = 2.0 * np.sin(np.pi / n)
+    slant = (s + np.sqrt(s * s + 24.0)) / 4.0
+    return ngon_pyramid(n, 1.0, float(np.sqrt(slant * slant - 1.0)))
 
 
 def canonical(shape: str, **params) -> Polyhedron:

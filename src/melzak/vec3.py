@@ -1,10 +1,13 @@
 """Small helpers on single 3-vectors and on (n, 3) rows of them.
 
-``cross`` and ``unit`` take one 3-vector; ``rowdot`` and ``plane_bases``
-take (n, 3) arrays. Each returns bit for bit what the numpy expression it
-replaces returns.
+``cross``, ``norm`` and ``unit`` take one 3-vector; ``rowdot`` and
+``plane_bases`` take (n, 3) arrays. ``cross`` and ``rowdot`` return bit
+for bit what the numpy expression they replace returns; ``norm`` is
+``math.hypot``, which can differ from ``np.linalg.norm`` in the last bit.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,9 +25,14 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean length of one 3-vector, by ``math.hypot`` on Python floats."""
+    return math.hypot(*v.tolist())
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """``v`` scaled to unit length; raises BadParameter for a zero vector."""
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n == 0.0:
         raise BadParameter("zero vector cannot be normalized")
     return v / n

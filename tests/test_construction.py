@@ -36,7 +36,7 @@ from melzak.errors import (
     NonManifold,
     UnboundedIntersection,
 )
-from melzak.vec3 import plane_bases, unit
+from melzak.vec3 import plane_bases
 
 
 class InconsistentOrientation(GeometryError):
@@ -53,7 +53,8 @@ def _plane_basis(n: np.ndarray) -> tuple:
     k = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
     e[k] = 1.0
-    t1 = unit(np.cross(n, e))
+    t1 = np.cross(n, e)
+    t1 /= np.linalg.norm(t1)
     t2 = np.cross(n, t1)
     return t1, t2
 

@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import hull_polyhedron, octahedron
-from melzak import cube, ngon_pyramid, optimal_prism, regular_tetrahedron
+from melzak import (
+    HalfSpace,
+    cube,
+    from_halfspaces,
+    load_catalog,
+    ngon_pyramid,
+    optimal_prism,
+    regular_tetrahedron,
+)
 from melzak.criteria import (
+    WITNESS_TIE,
     audit,
     check_combinatorics,
     check_dihedral,
@@ -172,3 +181,47 @@ def test_report_json_shape_and_determinism():
     assert all(set(w) >= {"element", "measured", "threshold"}
                for c in payload["criteria"] for w in c["witnesses"])
     assert audit(optimal_prism(), mode="candidate").to_json() == js
+
+
+# ---------------------------------------------------------------------------
+# witness ties
+# ---------------------------------------------------------------------------
+
+def _pentagonal_pyramid_rows():
+    return np.array(next(t for t in load_catalog() if t.name == "pentagonal_pyramid").halfspaces)
+
+
+def _audit_rows(rows):
+    return audit(from_halfspaces([HalfSpace(r[:3], r[3]) for r in rows]), mode="candidate")
+
+
+def test_audit_json_survives_offset_moves_of_1e12():
+    # the five inward hinges of the lateral faces about their base edges
+    # share one rate up to rounding: the smallest label is the witness
+    rows = _pentagonal_pyramid_rows()
+    rep = _audit_rows(rows)
+    (w,) = next(v for v in rep.verdicts if v.criterion_id == "vertex_degree").witnesses
+    assert w.perturbation.label() == "hinge:f=1:e=9:in"
+    want = rep.to_json()
+    # hold one row and move every other offset by 1e-12 relative, each sign
+    for k in range(len(rows)):
+        for eps in (1e-12, -1e-12):
+            moved = rows.copy()
+            moved[np.arange(len(rows)) != k, 3] *= 1.0 + eps
+            assert _audit_rows(moved).to_json() == want, (k, eps)
+
+
+def test_witnesses_survive_random_row_moves_of_1e12():
+    # every entry moved by up to 1e-12 relative: the witness, its element
+    # and its measurement stay; its dM stays within the tie tolerance
+    rows = _pentagonal_pyramid_rows()
+    want = [w for v in _audit_rows(rows).verdicts for w in v.witnesses]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        moved = rows * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, size=rows.shape))
+        got = [w for v in _audit_rows(moved).verdicts for w in v.witnesses]
+        assert [(w.element, w.measured, w.threshold, w.perturbation) for w in got] == \
+            [(w.element, w.measured, w.threshold, w.perturbation) for w in want]
+        for a, b in zip(got, want):
+            if b.dM is not None:
+                assert a.dM == pytest.approx(b.dM, rel=WITNESS_TIE)

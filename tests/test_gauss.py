@@ -1,5 +1,6 @@
 """Spherical vertex images, angle deficits, exposure, and incircles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,15 +11,20 @@ from hypothesis import strategies as st
 from conftest import crater_can, crater_cavity, match_vertex, octahedron
 from melzak import (
     cube,
+    load_catalog,
     ngon_pyramid,
     optimal_prism,
+    optimal_pyramid,
     random_convex,
     regular_tetrahedron,
 )
+from melzak.errors import DegeneratePolygon, NonConvexPolygon
+from melzak.vec3 import norm
 from melzak.gauss import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
     NEITHER,
+    SphericalPolygon,
     angle_deficit,
     complement_gauss_image,
     dihedral_angle,
@@ -118,6 +124,127 @@ def test_incircle_area_bounds_hold():
             area = spherical_area(g)
             assert lo < area + 1e-12
             assert area <= hi + 1e-12
+
+
+# The pole path before it was merged into one pass: orient, check every
+# side, then orient the re-wrapped points again and take the poles anew.
+# Its lengths use vec3.norm, so the comparison isolates the merge from the
+# change of norm.
+
+def _oracle_oriented(points):
+    c = points.mean(axis=0)
+    score = 0.0
+    for i in range(len(points)):
+        score += np.cross(points[i], points[(i + 1) % len(points)]) @ c
+    return points if score >= 0 else points[::-1]
+
+
+def _oracle_check_convex(points, tol):
+    n = len(points)
+    for i in range(n):
+        pole = np.cross(points[i], points[(i + 1) % n])
+        length = norm(pole)
+        if length <= tol:
+            raise DegeneratePolygon("consecutive points are parallel or antipodal")
+        pole /= length
+        if (points @ pole < -tol).any():
+            raise NonConvexPolygon("polygon crosses one of its own geodesics")
+
+
+def _oracle_side_poles(poly):
+    pts = _oracle_oriented(poly.points)
+    poles = np.zeros((len(pts), 3))
+    for i in range(len(pts)):
+        pole = np.cross(pts[i], pts[(i + 1) % len(pts)])
+        length = norm(pole)
+        if length <= 1e-13:
+            raise DegeneratePolygon("degenerate side")
+        poles[i] = pole / length
+    return poles
+
+
+def _oracle_area(poly):
+    pts = _oracle_oriented(poly.points)
+    if len(pts) < 3:
+        raise DegeneratePolygon("area needs at least 3 points")
+    _oracle_check_convex(pts, 1e-12)
+    n = len(pts)
+    total = 0.0
+    for i in range(n):
+        p = pts[i]
+        a = pts[(i - 1) % n] - (pts[(i - 1) % n] @ p) * p
+        b = pts[(i + 1) % n] - (pts[(i + 1) % n] @ p) * p
+        na, nb = norm(a), norm(b)
+        if na <= 1e-14 or nb <= 1e-14:
+            raise DegeneratePolygon("repeated point in polygon")
+        total += np.arccos(np.clip((a @ b) / (na * nb), -1.0, 1.0))
+    return total - (n - 2) * np.pi
+
+
+def _oracle_incircle(poly, tol=1e-9):
+    pts = _oracle_oriented(poly.points)
+    _oracle_check_convex(pts, 1e-12)
+    poles = _oracle_side_poles(SphericalPolygon(pts, poly.convex))
+    candidates = []
+    for i, j in itertools.combinations(range(len(poles)), 2):
+        s = poles[i] + poles[j]
+        if norm(s) > 1e-12:
+            candidates.append(s / norm(s))
+    for i, j, k in itertools.combinations(range(len(poles)), 3):
+        d = np.cross(poles[i] - poles[j], poles[j] - poles[k])
+        if norm(d) > 1e-12:
+            candidates += [d / norm(d), -d / norm(d)]
+    if not candidates:
+        raise DegeneratePolygon("no incircle candidates")
+    best_c, best_r = None, -np.inf
+    for c in candidates:
+        r = float(np.min(np.arcsin(np.clip(poles @ c, -1.0, 1.0))))
+        if r > best_r:
+            best_r, best_c = r, c
+    if best_r <= tol or best_r >= np.pi / 2:
+        raise DegeneratePolygon("incircle radius out of range")
+    dists = np.arcsin(np.clip(poles @ best_c, -1.0, 1.0))
+    return best_r, tuple(int(i) for i in np.nonzero(dists <= best_r + tol)[0])
+
+
+def _outcome(fn, poly):
+    try:
+        return "ok", fn(poly)
+    except (DegeneratePolygon, NonConvexPolygon) as exc:
+        return type(exc).__name__, None
+
+
+def _vertex_images():
+    bodies = [t.build() for t in load_catalog()]
+    bodies += [optimal_pyramid(n) for n in range(3, 25)]
+    bodies += [random_convex(np.random.default_rng(s)) for s in range(60)]
+    images = [gauss_image(P, v) for P in bodies for v in range(P.n_vertices)]
+    # a repeated point, a reflex point, a flat triangle and a two-gon
+    e = np.eye(3)
+    bent = np.array([e[0], e[1], e[2], (e[0] + e[1] + 3 * e[2]) / math.sqrt(11)])
+    flat = np.array([e[0], (e[0] + e[1]) / math.sqrt(2), e[1]])
+    images += [SphericalPolygon(pts, True) for pts in
+               (np.array([e[0], e[0], e[1], e[2]]), bent, flat, e[:2])]
+    return images
+
+
+def test_one_pole_pass_matches_the_oracle():
+    classes = set()
+    for g in _vertex_images():
+        kind, got = _outcome(spherical_area, g)
+        want_kind, want = _outcome(_oracle_area, g)
+        assert kind == want_kind
+        if kind == "ok":
+            assert got == pytest.approx(want, abs=1e-14)
+        classes.add(kind)
+        kind, got = _outcome(spherical_incircle, g)
+        want_kind, want = _outcome(_oracle_incircle, g)
+        assert kind == want_kind
+        if kind == "ok":
+            assert got.radius == pytest.approx(want[0], abs=1e-14)
+            assert got.tangent_sides == want[1]
+        classes.add(kind)
+    assert classes == {"ok", "DegeneratePolygon", "NonConvexPolygon"}
 
 
 @settings(max_examples=15, deadline=None)

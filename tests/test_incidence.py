@@ -371,7 +371,7 @@ PUBLIC_NAMES = [
     "edge_length", "from_halfspaces", "melzak_ratio", "validate", "volume",
     "CUBE_RATIO", "PRISM_EDGE_LENGTH", "PRISM_RATIO", "TETRA_RATIO",
     "box", "canonical", "cube", "ngon_pyramid", "optimal_prism",
-    "random_convex", "regular_tetrahedron", "unit_volume",
+    "optimal_pyramid", "random_convex", "regular_tetrahedron", "unit_volume",
     "emit_off", "parse_off", "read_off", "write_off",
     "EXPOSED", "NEGATIVELY_EXPOSED", "NEITHER",
     "angle_deficit", "complement_gauss_image", "dihedral_angle", "exposure",

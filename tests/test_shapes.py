@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from melzak import (
     box,
@@ -13,6 +14,7 @@ from melzak import (
     melzak_ratio,
     ngon_pyramid,
     optimal_prism,
+    optimal_pyramid,
     random_convex,
     regular_tetrahedron,
     unit_volume,
@@ -66,6 +68,21 @@ def test_ngon_pyramid_counts_and_volume():
     assert volume(P) == pytest.approx(base_area * 2.0 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_optimal_pyramid_matches_a_bounded_search(n):
+    # the closed form against a bounded search on the flat optimum of m(h)
+    def m_of(h):
+        return melzak_ratio(ngon_pyramid(n, 1.0, h))
+
+    res = minimize_scalar(m_of, bounds=(0.05, 10.0), method="bounded",
+                          options={"xatol": 1e-12})
+    P = optimal_pyramid(n)
+    m = melzak_ratio(P)
+    assert P.vertices[:, 2].max() == pytest.approx(res.x, abs=1e-7)
+    assert m == pytest.approx(res.fun, rel=1e-11)
+    assert res.fun >= m * (1.0 - 1e-11)
+
+
 def test_box_matches_cube():
     B = box(1.0, 1.0, 1.0)
     assert melzak_ratio(B) == pytest.approx(CUBE_RATIO, abs=1e-9)
@@ -89,6 +106,8 @@ def test_canonical_dispatch():
 def test_parameter_validation():
     with pytest.raises(BadParameter):
         ngon_pyramid(2, 1.0, 1.0)
+    with pytest.raises(BadParameter):
+        optimal_pyramid(2)
     with pytest.raises(BadParameter):
         ngon_pyramid(4, -1.0, 1.0)
     with pytest.raises(BadParameter):

@@ -1,12 +1,13 @@
-"""3-vector helpers: the scalar cross product against ``np.cross``."""
+"""3-vector helpers: the scalar cross product against ``np.cross``, the norm."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from melzak.vec3 import cross
+from melzak.vec3 import cross, norm
 
 # signed zeros, inf, nan, subnormals and magnitudes from 1e-300 to 1e300
 _special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
@@ -27,3 +28,16 @@ def test_cross_equals_numpy_bytes(a, b):
     got = cross(a, b)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(_scaled, min_size=3, max_size=3).map(np.array))
+@example(v=np.array([1e300, -1e300, 1e300]))
+@example(v=np.array([3.0, -4.0, 12.0]))
+def test_norm_is_the_correctly_scaled_length(v):
+    # hypot neither overflows nor underflows where the squares would
+    got = norm(v)
+    assert isinstance(got, float)
+    scale = float(np.abs(v).max())
+    want = scale * float(np.sqrt(((v / scale) ** 2).sum())) if scale else 0.0
+    assert got == pytest.approx(want, rel=1e-15)
