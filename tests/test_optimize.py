@@ -1,9 +1,10 @@
 """Ratio descent, the combinatorial catalog, and criticality reporting.
 
 ``tests/data/descent_golden.json`` holds one sha256 per descent run over
-what the CLI prints and writes: ``sequence --max-faces 6``, ``optimize`` on
-the 0.8 x 1 x 1.25 box (stdout, mesh and trace) and ``optimize --iters 20``
-on ``random_convex(default_rng(2), 10)`` (stdout and mesh). Regenerate it
+what the CLI prints and writes: ``sequence --max-faces 6`` and ``8``,
+``optimize`` on the 0.8 x 1 x 1.25 box (stdout, mesh and trace) and
+``optimize --iters 20`` on ``random_convex(default_rng(2), 10)`` (stdout
+and mesh). Regenerate it
 with ``PYTHONPATH=src python tests/test_optimize.py`` only when a descent
 result is meant to change.
 """
@@ -423,6 +424,7 @@ def _descent_digests(work: pathlib.Path) -> dict:
     write_off(rand_off, random_convex(np.random.default_rng(2), n_faces=10))
     runs = {
         "sequence_6": lambda: _cli_stdout(["sequence", "--max-faces", "6"]),
+        "sequence_8": lambda: _cli_stdout(["sequence", "--max-faces", "8"]),
         "optimize_box": lambda: (_cli_stdout(["optimize", str(box_off), "--out", str(mesh),
                                               "--trace", str(trace)])
                                  + mesh.read_text() + trace.read_text()),
