@@ -7,7 +7,10 @@ of the edge-cube-over-volume ratio with central-difference gradients and a
 backtracking line search, and treats any change of combinatorial type as
 a hard step boundary. One batched evaluator serves both: a gradient's 2n
 probes are the rows of one vectorised call, a line-search probe is a call
-of one row.
+of one row. A probe's vertex rows also decide whether it keeps the type:
+an exact certificate reads them against every plane by the incidence rule
+of ``from_halfspaces``, so the descent rebuilds a polyhedron only where it
+needs one, at a stall and at exit.
 
 The sequence driver enumerates the shipped catalog of combinatorial types
 with up to eight faces, optimizes each, and carries the best ratio
@@ -15,6 +18,7 @@ forward so the per-face-count table is monotone.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +26,7 @@ from importlib import resources
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     BadParameter,
     GeometryError,
@@ -41,7 +46,9 @@ from .polyhedron import (
     Polyhedron,
     Topology,
     from_halfspaces,
+    interior_point,
     melzak_ratio,
+    plane_incidence,
     twice_areas_and_volumes,
     validate,
 )
@@ -91,6 +98,12 @@ class OptimizeResult:
     converged: bool
     combinatorics_changed: bool
     trace: tuple
+    # why the descent stopped: grad_tol, max_iters, wall (it stalled
+    # against a type wall it had met), unresolved_feature (it stalled at an
+    # edge too short for the gradient step, having met no wall) or
+    # stale_anchor (no step even from a fresh anchor); None where no
+    # descent ran
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -99,14 +112,15 @@ class _PlaneObjective:
 
     Vertex positions come from batched 3x3 solves against each vertex's
     first three incident planes, so the map stays smooth across the walls
-    where the true intersection would change type; wall crossings are
-    caught separately by rebuilding at accepted steps.
+    where the true intersection would change type; ``certifies`` tells,
+    from the same vertex rows, whether a point lies short of every wall.
 
     ``log_ratios`` evaluates a whole batch of parameter rows at once: one
-    stacked solve for every vertex of every row, then edge lengths and the
-    volume from ``twice_areas_and_volumes`` over the anchor's corner table,
-    the kernel ``Polyhedron.volume`` uses too. A central-difference
-    gradient is one batch of 2n rows; a line-search probe is a batch of one.
+    stacked solve for every vertex of every row (``solve``), then edge
+    lengths and the volume from ``twice_areas_and_volumes`` over the
+    anchor's corner table, the kernel ``Polyhedron.volume`` uses too
+    (``log_ratios_of``). A central-difference gradient is one batch of 2n
+    rows; a line-search probe is a batch of one.
 
     Offsets are measured from the anchor polyhedron's vertex centroid, not
     the world origin. The plane solves lose roughly offset/diameter digits,
@@ -116,14 +130,25 @@ class _PlaneObjective:
 
     edge_idx: np.ndarray
     vertex_planes: np.ndarray
+    incidence: np.ndarray
+    triples: np.ndarray
+    triple_owner: np.ndarray
     topology: Topology
     scale: float
     origin: np.ndarray
 
     @classmethod
     def for_polyhedron(cls, P: Polyhedron) -> "_PlaneObjective":
-        planes = np.array([P.vertex_faces(v)[:3] for v in range(P.n_vertices)], dtype=int)
-        return cls(np.array(P.edges, dtype=int), planes, P.topology, P.diameter(),
+        faces = [P.vertex_faces(v) for v in range(P.n_vertices)]
+        incidence = np.zeros((P.n_vertices, P.n_faces), dtype=bool)
+        for v, fs in enumerate(faces):
+            incidence[v, fs] = True
+        # every plane triple of each vertex on more than three planes
+        triples = [(v, t) for v, fs in enumerate(faces) if len(fs) > 3
+                   for t in itertools.combinations(fs, 3)]
+        return cls(np.array(P.edges, dtype=int), np.array([fs[:3] for fs in faces], dtype=int),
+                   incidence, np.array([t for _, t in triples], dtype=int).reshape(-1, 3),
+                   np.array([v for v, _ in triples], dtype=int), P.topology, P.diameter(),
                    P.vertices.mean(axis=0))
 
     def pack(self, P: Polyhedron) -> np.ndarray:
@@ -142,6 +167,15 @@ class _PlaneObjective:
         normals = np.stack([sp * np.cos(lam), sp * np.sin(lam), np.cos(phi)], axis=-1)
         return normals, off * self.scale
 
+    def solve(self, Z: np.ndarray) -> tuple:
+        """Normals (B, F, 3), offsets (B, F) and vertex rows (B, V, 3) of the
+        (B, 3F) parameter array Z. Raises LinAlgError when any row holds a
+        singular vertex system."""
+        normals, offsets = self.planes(Z)
+        A = normals[:, self.vertex_planes]
+        b = offsets[:, self.vertex_planes]
+        return normals, offsets, np.linalg.solve(A, b[..., None])[..., 0]
+
     def log_ratios(self, Z: np.ndarray) -> np.ndarray:
         """ln(E^3 / V) of every row of the (B, 3F) parameter array Z.
 
@@ -149,16 +183,17 @@ class _PlaneObjective:
         whose edge total is not finite gives inf. Raises LinAlgError when any
         row holds a singular vertex system.
         """
-        normals, offsets = self.planes(Z)
-        A = normals[:, self.vertex_planes]
-        b = offsets[:, self.vertex_planes]
-        pts = np.linalg.solve(A, b[..., None])[..., 0]
+        return self.log_ratios_of(*self.solve(Z))
+
+    def log_ratios_of(self, normals: np.ndarray, offsets: np.ndarray,
+                      pts: np.ndarray) -> np.ndarray:
+        """``log_ratios`` of rows already solved by ``solve``."""
         with np.errstate(invalid="ignore", over="ignore"):
             d = pts[:, self.edge_idx[:, 0]] - pts[:, self.edge_idx[:, 1]]
             lengths = np.sqrt((d * d).sum(axis=2))
             vols = twice_areas_and_volumes(self.topology, pts, normals, offsets)[1]
         finite = np.isfinite(pts).all(axis=(1, 2))
-        out = np.full(len(Z), math.inf)
+        out = np.full(len(pts), math.inf)
         for r in np.flatnonzero(finite):
             e, vol = float(lengths[r].sum()), float(vols[r])
             if vol <= 0 or not math.isfinite(e):
@@ -167,6 +202,57 @@ class _PlaneObjective:
             if math.isfinite(m) and m > 0:
                 out[r] = math.log(m)
         return out
+
+    def certifies(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray) -> bool:
+        """Whether the vertex rows pts (V, 3) of one solved row are the
+        vertices of the planes' intersection with the anchor's incidence,
+        so that ``from_halfspaces`` would rebuild the anchor's type.
+
+        It holds iff, by ``plane_incidence`` about the ``interior_point``
+        that ``from_halfspaces`` would use, every plane incident to a vertex
+        in the anchor passes within the merge slack of its row, and every
+        other plane lies strictly beyond that slack on the inner side. One
+        (V, F) residual matrix, no rebuild.
+
+        A vertex on more than three planes may have split into a cluster
+        of points smaller than the slack; there the test reads every point
+        the cluster really has (each triple solve inside the vertex's other
+        planes), and the ratio with the vertex at the mean of its triple
+        solves, where ``from_halfspaces`` puts it, must agree with the
+        frozen one to 1e-9.
+        """
+        if not np.isfinite(pts).all():
+            return False
+        try:
+            c = interior_point(normals, offsets)
+        except GeometryError:
+            return False
+        points, rows = pts, self.incidence
+        if len(self.triples):
+            # independent triple solves of the vertices on more than three
+            # planes; those that none of the vertex's other planes cuts off
+            # are the points its cluster really has
+            A = normals[self.triples]
+            good = np.abs(np.linalg.det(A)) > DEFAULT_TOLERANCES.plane_triple
+            owner = self.triple_owner[good]
+            sol = np.linalg.solve(A[good], offsets[self.triples[good]][..., None])[..., 0]
+            cut = self.incidence[owner] & (sol @ normals.T - offsets > 0.0)
+            cut[np.arange(len(sol))[:, None], self.triples[good]] = False
+            real = ~cut.any(axis=1)
+            simple = self.incidence.sum(axis=1) == 3
+            points = np.concatenate([pts[simple], sol[real]])
+            rows = np.concatenate([self.incidence[simple], self.incidence[owner[real]]])
+        R, on = plane_incidence(points, normals, offsets, c)
+        if not ((on == rows).all() and (R[~rows] < 0.0).all()):
+            return False
+        if not len(self.triples):
+            return True
+        merged = pts.copy()
+        for v in np.unique(owner):
+            merged[v] = sol[owner == v].mean(axis=0)
+        m = np.exp(self.log_ratios_of(np.stack([normals] * 2), np.stack([offsets] * 2),
+                                      np.stack([pts, merged])))
+        return bool(abs(m[1] - m[0]) <= 1e-9 * m[0])
 
     def rebuild(self, z: np.ndarray) -> Polyhedron | None:
         normals, offsets = self.planes(z)
@@ -203,18 +289,35 @@ def _fd_gradient(obj: _PlaneObjective, z: np.ndarray, h: float) -> np.ndarray:
     return (f[0::2] - f[1::2]) / (2.0 * h)
 
 
+def _settled(obj: _PlaneObjective, z: np.ndarray, f: float, key0: tuple) -> Polyhedron:
+    """The polyhedron at a certified iterate, rebuilt and checked against
+    what the certificate promised: the start's type and the ratio exp(f)
+    to 1e-9. Raises NumericalBreakdown when either fails."""
+    P = obj.rebuild(z)
+    if (P is None or P.type_key() != key0
+            or abs(melzak_ratio(P) - math.exp(f)) > 1e-9 * math.exp(f)):
+        raise NumericalBreakdown("a certified iterate does not rebuild to the start's "
+                                 "type and ratio")
+    return P
+
+
 def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) -> OptimizeResult:
     """Monotone ratio descent over supporting-plane parameters.
 
-    Steps that would change the combinatorial type are rejected and the
-    step size halved; if the line search then stalls against such a step,
-    or stalls while the iterate carries a feature too small for the
-    finite-difference gradient to resolve (an edge shorter than a few
-    gradient steps), the result carries combinatorics_changed=True. A
-    stall with no boundary cause re-anchors the parameterization at the
-    current iterate and retries before stopping. The gradient tolerance
-    applies to the gradient of log(ratio), making the stop test scale
-    invariant.
+    A line-search probe that passes the Armijo test is accepted only when
+    ``_PlaneObjective.certifies`` shows it keeps the start's combinatorial
+    type; otherwise the step size is halved. If the line search then
+    stalls against such a step, or stalls while the iterate carries a
+    feature too small for the finite-difference gradient to resolve (an
+    edge shorter than a few gradient steps), the result carries
+    combinatorics_changed=True; its stop reason is ``wall`` when the
+    certificate has turned back a step during the run, else
+    ``unresolved_feature``. A stall with no boundary cause re-anchors the
+    parameterization at the current iterate and retries before stopping
+    (``stale_anchor``). The gradient tolerance applies to the gradient of
+    log(ratio), making the stop test scale invariant. A polyhedron is
+    rebuilt only at a stall and at exit, and raises NumericalBreakdown
+    unless it has the start's type and ratio.
     """
     if not P0.convex or not validate(P0).ok:
         raise InvalidStart("optimization needs a valid convex start")
@@ -225,10 +328,10 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     if not math.isfinite(f):
         raise NumericalBreakdown("ratio is non-finite at the start")
 
-    current = P0
+    current = P0   # the polyhedron at z; None until rebuilt after a step
     trace = [(0, math.exp(f))]
-    converged = False
-    boundary_stall = False
+    stop = "max_iters"
+    met_wall = False   # the certificate has turned back a step
     iters = 0
     alpha = opts.step_init
     prev_z = prev_g = None
@@ -237,7 +340,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         g = _fd_gradient(obj, z, opts.fd_step)
         gnorm = float(np.linalg.norm(g))
         if gnorm < opts.grad_tol:
-            converged = True
+            stop = "grad_tol"
             break
         if prev_g is not None:
             dz, dg = z - prev_z, g - prev_g
@@ -252,25 +355,27 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         a = alpha
         while a * gnorm > 1e-14:
             zt = z - a * g
-            ft = _log_ratio(obj, zt)
+            try:
+                rows = obj.solve(zt[None])
+                ft = float(obj.log_ratios_of(*rows)[0])
+            except np.linalg.LinAlgError:
+                ft = math.inf
             if ft < f - 1e-4 * a * gnorm * gnorm:
-                rebuilt = obj.rebuild(zt)
-                if (rebuilt is not None
-                        and rebuilt.type_key() == key0
-                        and abs(melzak_ratio(rebuilt) - math.exp(ft))
-                        <= 1e-9 * math.exp(ft)):
-                    accepted = (zt, ft, rebuilt)
+                if obj.certifies(*(r[0] for r in rows)):
+                    accepted = (zt, ft)
                     break
-                hit_boundary = True
+                hit_boundary = met_wall = True
             a *= 0.5
         if accepted is None:
+            if current is None:
+                current = _settled(obj, z, f, key0)
             shortest = min(float(np.linalg.norm(current.vertices[i] - current.vertices[j]))
                            for i, j in current.edges)
-            blind = 50.0 * opts.fd_step * current.diameter()
-            if hit_boundary or shortest < blind:
-                boundary_stall = True
+            if hit_boundary or shortest < 50.0 * opts.fd_step * current.diameter():
+                stop = "wall" if met_wall else "unresolved_feature"
                 break
             if fresh_anchor:
+                stop = "stale_anchor"
                 break
             # the anchor frame (centroid and scale of the body the step
             # parameters were packed against) has gone stale; recut it at
@@ -279,19 +384,23 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             z = obj.pack(current)
             f = _log_ratio(obj, z)
             if not math.isfinite(f):
+                stop = "stale_anchor"
                 break
             alpha = opts.step_init
             prev_z = prev_g = None
             fresh_anchor = True
             continue
-        z, f, current = accepted
+        z, f = accepted
+        current = None
         fresh_anchor = False
         alpha = a
         iters += 1
         trace.append((iters, math.exp(f)))
 
-    return OptimizeResult(current, melzak_ratio(current), iters, converged,
-                          boundary_stall, tuple(trace))
+    if current is None:
+        current = _settled(obj, z, f, key0)
+    return OptimizeResult(current, melzak_ratio(current), iters, stop == "grad_tol",
+                          stop in ("wall", "unresolved_feature"), tuple(trace), stop)
 
 
 # -- combinatorial catalog -------------------------------------------------

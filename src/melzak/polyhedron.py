@@ -368,13 +368,12 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
     """Intersect halfspaces into a bounded convex polyhedron.
 
     Qhull (``scipy.spatial.HalfspaceIntersection``) intersects the planes
-    about a strictly interior point c: the origin when every offset is at
-    least a tenth of the largest, else the Chebyshev centre. Length
-    tolerances are multiplied by max|x - c| over qhull's points. Points on
-    the same planes (within ``tol.coplanarity``) are one vertex, placed at
-    the mean of its incident-plane triple solves (determinant above
-    ``tol.plane_triple``) in combination order. Redundant halfspaces (fewer
-    than three incident vertices) are dropped.
+    about the strictly interior point c of ``interior_point``. Points on
+    the same planes (by ``plane_incidence``) are one vertex, placed at the
+    mean of its incident-plane triple solves (determinant above
+    ``tol.plane_triple``) in combination order. Length tolerances are
+    multiplied by max|x - c| over qhull's points. Redundant halfspaces
+    (fewer than three incident vertices) are dropped.
 
     Raises UnboundedIntersection, EmptyInterior or DegenerateInput.
     """
@@ -385,7 +384,7 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
         raise UnboundedIntersection("fewer than four halfspaces cannot bound a volume")
     N = np.array([h.normal for h in hs])
     b = np.array([h.offset for h in hs])
-    c = np.zeros(3) if b.min() >= 0.1 * np.abs(b).max() > 0 else _chebyshev_centre(N, b)
+    c = interior_point(N, b)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):  # points at infinity
             hsi = HalfspaceIntersection(np.hstack([N, -b[:, None]]), c)
@@ -398,9 +397,7 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
     if (hsi.dual_equations[:, 3] >= 0).any():
         raise UnboundedIntersection("the dual hull does not enclose the interior point")
 
-    pts = hsi.intersections
-    scale = float(np.abs(pts - c).max())
-    incident = np.unique(np.abs(pts @ N.T - b) <= tol.coplanarity * scale, axis=0)
+    incident = np.unique(plane_incidence(hsi.intersections, N, b, c, tol)[1], axis=0)
     sets = [np.flatnonzero(row) for row in incident]
     triples = np.array([t for s in sets for t in itertools.combinations(s, 3)]).reshape(-1, 3)
     owner = np.repeat(np.arange(len(sets)), [math.comb(len(s), 3) for s in sets])
@@ -439,6 +436,26 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
     if (poly.face_areas <= 0).any():
         raise DegenerateInput("a face has nonpositive oriented area")
     return poly
+
+
+def interior_point(N: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The strictly interior point ``from_halfspaces`` intersects about, for
+    unit normals N (F, 3) and offsets b (F): the origin when every offset is
+    at least a tenth of the largest, else the Chebyshev centre.
+
+    Raises UnboundedIntersection, EmptyInterior or DegenerateInput.
+    """
+    return np.zeros(3) if b.min() >= 0.1 * np.abs(b).max() > 0 else _chebyshev_centre(N, b)
+
+
+def plane_incidence(pts: np.ndarray, N: np.ndarray, b: np.ndarray, c: np.ndarray,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """Residuals x.N - b (P, F) of points x (P, 3) against the planes, and
+    the incidence mask of ``from_halfspaces``: x lies on a plane when its
+    residual is within ``tol.coplanarity`` times max|x - c| over the points,
+    c being the interior point."""
+    R = pts @ N.T - b
+    return R, np.abs(R) <= tol.coplanarity * float(np.abs(pts - c).max())
 
 
 def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> np.ndarray:

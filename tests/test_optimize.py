@@ -233,6 +233,103 @@ def test_boundary_stall_flags_combinatorics():
     assert res.ratio < melzak_ratio(cat["simple6f_334455_a"].build())
 
 
+def test_stop_reasons():
+    cat = {t.name: t for t in load_catalog()}
+    assert local_optimize(cube()).stop_reason == "grad_tol"
+    assert local_optimize(cat["simple6f_334455_a"].build()).stop_reason == "wall"
+    res = local_optimize(random_convex(np.random.default_rng(2), n_faces=10),
+                         OptimizeOptions(max_iters=6))
+    assert (res.stop_reason, res.iterations, res.converged) == ("max_iters", 6, False)
+    # an edge shrinks below what the gradient step resolves before any
+    # step is turned back at a wall
+    res = local_optimize(random_convex(np.random.default_rng(5), n_faces=6))
+    assert (res.stop_reason, res.combinatorics_changed) == ("unresolved_feature", True)
+
+
+# ---------------------------------------------------------------------------
+# exact wall certificate against the rebuild it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_accepts(obj, key0, z, f) -> bool:
+    """The per-step accept check the certificate replaced: rebuild the
+    planes, then the start's type key, then the ratio to 1e-9."""
+    Q = obj.rebuild(z)
+    return (Q is not None and Q.type_key() == key0
+            and abs(melzak_ratio(Q) - math.exp(f)) <= 1e-9 * math.exp(f))
+
+
+def _decisions(P, probes) -> list:
+    """(certificate, oracle) on every probe of finite ratio, as the line
+    search reads them: one solve feeds both ln m and the certificate."""
+    obj = _PlaneObjective.for_polyhedron(P)
+    key0 = P.type_key()
+    out = []
+    for zt in probes(obj, obj.pack(P)):
+        try:
+            rows = obj.solve(zt[None])
+        except np.linalg.LinAlgError:
+            continue
+        ft = float(obj.log_ratios_of(*rows)[0])
+        if math.isfinite(ft):
+            out.append((obj.certifies(*(r[0] for r in rows)), _oracle_accepts(obj, key0, zt, ft)))
+    return out
+
+
+_NON_SIMPLE = {"octahedron": octahedron, "pyramid4": lambda: ngon_pyramid(4, 1.0, 0.8),
+               "pyramid5": lambda: ngon_pyramid(5, 1.0, 0.8),
+               "pyramid7": lambda: ngon_pyramid(7, 1.0, 0.8)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(body=st.one_of(st.tuples(st.integers(0, 10_000), st.integers(4, 12)),
+                      st.sampled_from(sorted(_NON_SIMPLE))),
+       probe=st.integers(0, 10_000))
+def test_certificate_matches_rebuild_oracle(body, probe):
+    P = (_NON_SIMPLE[body]() if isinstance(body, str)
+         else random_convex(np.random.default_rng(body[0]), n_faces=body[1]))
+    rng = np.random.default_rng(probe)
+
+    def probes(obj, z):
+        # log-uniform moves in random directions, then the line-search
+        # path along the descent direction from a long step down to a
+        # tiny one, which crosses the nearest wall when there is one
+        for scale in 10.0 ** rng.uniform(-10.0, -1.0, size=8):
+            u = rng.normal(size=len(z))
+            yield z + scale * u / np.linalg.norm(u)
+        g = _fd_gradient(obj, z, 1e-6)
+        for k in range(0, 36, 2):
+            yield z - 0.5 ** k * g
+
+    got = _decisions(P, probes)
+    assert got
+    assert [c for c, _ in got] == [o for _, o in got]
+
+
+def test_certificate_sees_both_sides_of_a_wall():
+    # the octahedron's degree-4 vertices split under any move the merge
+    # slack can see, and hold under a move it cannot
+    def probes(obj, z):
+        u = np.random.default_rng(0).normal(size=len(z))
+        for scale in (1e-13, 1e-3):
+            yield z + scale * u / np.linalg.norm(u)
+
+    assert _decisions(octahedron(), probes) == [(True, True), (False, False)]
+
+
+def test_exit_guard_catches_a_certificate_that_accepts_everything(monkeypatch):
+    # the type that flows to the prism meets the prism wall at its fifth
+    # step, which the certificate turns back; accepting every probe walks
+    # through the wall there (and back out at the sixth step), so a run cut
+    # at five steps ends across it and the one rebuild at exit must say so
+    start = {t.name: t for t in load_catalog()}["simple6f_334455_a"].build()
+    opts = OptimizeOptions(max_iters=5)
+    res = local_optimize(start, opts)
+    assert res.polyhedron.type_key() == start.type_key()
+    monkeypatch.setattr(_PlaneObjective, "certifies", lambda self, *rows: True)
+    with pytest.raises(NumericalBreakdown, match="does not rebuild"):
+        local_optimize(start, opts)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
