@@ -11,18 +11,15 @@ the run aborts unless the per-count totals match the known enumeration
 (``optimal_pyramid``) are appended as the named non-simple family used by
 the sequence driver.
 
-Usage: python3 scripts/generate_catalog.py [--out PATH] [--seed N]
+Usage: PYTHONPATH=src python3 scripts/generate_catalog.py [--out PATH] [--seed N]
 """
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from melzak.errors import GeometryError
 from melzak.optimize import EXPECTED_SIMPLE_COUNTS

@@ -74,7 +74,8 @@ class CoincidentPoints(GeometryError):
 
 
 class InvalidStart(GeometryError):
-    """Optimizer start is not a valid bounded convex polyhedron."""
+    """Optimizer start is not a valid bounded convex polyhedron with every
+    vertex of degree 3."""
 
 
 class UnsupportedFaceCount(GeometryError):

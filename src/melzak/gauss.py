@@ -141,7 +141,7 @@ def spherical_area(poly: SphericalPolygon) -> float:
     return total - (n - 2) * np.pi
 
 
-def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.tangency) -> Incircle:
+def spherical_incircle(poly: SphericalPolygon) -> Incircle:
     """Largest inscribed circle of a convex spherical polygon.
 
     Solves max over unit c of min_i distance(c, side_i) exactly by
@@ -172,6 +172,7 @@ def spherical_incircle(poly: SphericalPolygon, tol: float = DEFAULT_TOLERANCES.t
         r = float(np.min(np.arcsin(np.clip(poles @ c, -1.0, 1.0))))
         if r > best_r:
             best_r, best_c = r, c
+    tol = DEFAULT_TOLERANCES.tangency
     if best_r <= tol:
         raise DegeneratePolygon("polygon is flat: incircle radius is zero")
     if best_r >= np.pi / 2:
@@ -215,7 +216,7 @@ def dihedral_angle(P: Polyhedron, e: int) -> float:
     return float(angle)
 
 
-def exposure(P: Polyhedron, v: int, margin: float = DEFAULT_TOLERANCES.exposure) -> str:
+def exposure(P: Polyhedron, v: int) -> str:
     """Classify a vertex by the dihedral angles of its incident edges."""
     incident = P.topology.vertex_edges[v]
     if len(incident) < 3:
@@ -224,8 +225,8 @@ def exposure(P: Polyhedron, v: int, margin: float = DEFAULT_TOLERANCES.exposure)
     if np.isnan(lo[v]):
         for e in incident:
             dihedral_angle(P, e)  # raises for the first edge without an angle
-    if hi[v] < np.pi - margin:
+    if hi[v] < np.pi - DEFAULT_TOLERANCES.exposure:
         return EXPOSED
-    if lo[v] > np.pi + margin:
+    if lo[v] > np.pi + DEFAULT_TOLERANCES.exposure:
         return NEGATIVELY_EXPOSED
     return NEITHER

@@ -10,7 +10,8 @@ probes are the rows of one vectorised call, a line-search probe is a call
 of one row. A probe's vertex rows also decide whether it keeps the type:
 an exact certificate reads them against every plane by the incidence rule
 of ``from_halfspaces``, so the descent rebuilds a polyhedron only where it
-needs one, at a stall and at exit.
+needs one, at a stall and at exit. Starts must be simple (every vertex on
+three faces), as every vertex of a convex minimizer is.
 
 The sequence driver enumerates the shipped catalog of combinatorial types
 with up to eight faces, optimizes each, and carries the best ratio
@@ -18,7 +19,6 @@ forward so the per-face-count table is monotone.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,7 +26,6 @@ from importlib import resources
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import (
     BadParameter,
     GeometryError,
@@ -70,20 +69,21 @@ __all__ = [
 
 EXPECTED_SIMPLE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
 
+_STEP_INIT = 0.1   # first line-search step, and the step after a re-anchor
+_FD_STEP = 1e-6    # central-difference step in the packed parameters
+_RESTARTS = 3      # sweep descents per catalog type: its start and two jitters
+
 
 @dataclass(frozen=True)
 class OptimizeOptions:
     # the default grad_tol clears the central-difference noise floor,
-    # about sqrt(3 n_faces) * eps * |log ratio| / fd_step, by ~30x
+    # about sqrt(3 n_faces) * eps * |log ratio| / _FD_STEP, by ~30x
     max_iters: int = 300
     grad_tol: float = 1e-7
-    step_init: float = 0.1
-    fd_step: float = 1e-6
-    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "grad_tol", "step_init", "fd_step", "restarts"):
+        for name in ("max_iters", "grad_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise BadParameter(f"{name} must be positive and finite")
         if self.seed < 0:
@@ -95,15 +95,21 @@ class OptimizeResult:
     polyhedron: Polyhedron
     ratio: float
     iterations: int
-    converged: bool
-    combinatorics_changed: bool
     trace: tuple
     # why the descent stopped: grad_tol, max_iters, wall (it stalled
     # against a type wall it had met), unresolved_feature (it stalled at an
     # edge too short for the gradient step, having met no wall) or
-    # stale_anchor (no step even from a fresh anchor); None where no
-    # descent ran
-    stop_reason: str | None = None
+    # stale_anchor (no step even from a fresh anchor); closed_form where
+    # the optimum is known and no descent ran
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("grad_tol", "closed_form")
+
+    @property
+    def combinatorics_changed(self) -> bool:
+        return self.stop_reason in ("wall", "unresolved_feature")
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,9 @@ class _PlaneObjective:
     """Ratio evaluator with the start polyhedron's combinatorics frozen.
 
     Vertex positions come from batched 3x3 solves against each vertex's
-    first three incident planes, so the map stays smooth across the walls
-    where the true intersection would change type; ``certifies`` tells,
-    from the same vertex rows, whether a point lies short of every wall.
+    three planes, so the map stays smooth across the walls where the true
+    intersection would change type; ``certifies`` tells, from the same
+    vertex rows, whether a point lies short of every wall.
 
     ``log_ratios`` evaluates a whole batch of parameter rows at once: one
     stacked solve for every vertex of every row (``solve``), then edge
@@ -131,8 +137,6 @@ class _PlaneObjective:
     edge_idx: np.ndarray
     vertex_planes: np.ndarray
     incidence: np.ndarray
-    triples: np.ndarray
-    triple_owner: np.ndarray
     topology: Topology
     scale: float
     origin: np.ndarray
@@ -143,13 +147,8 @@ class _PlaneObjective:
         incidence = np.zeros((P.n_vertices, P.n_faces), dtype=bool)
         for v, fs in enumerate(faces):
             incidence[v, fs] = True
-        # every plane triple of each vertex on more than three planes
-        triples = [(v, t) for v, fs in enumerate(faces) if len(fs) > 3
-                   for t in itertools.combinations(fs, 3)]
-        return cls(np.array(P.edges, dtype=int), np.array([fs[:3] for fs in faces], dtype=int),
-                   incidence, np.array([t for _, t in triples], dtype=int).reshape(-1, 3),
-                   np.array([v for v, _ in triples], dtype=int), P.topology, P.diameter(),
-                   P.vertices.mean(axis=0))
+        return cls(np.array(P.edges, dtype=int), np.array(faces, dtype=int), incidence,
+                   P.topology, P.diameter(), P.vertices.mean(axis=0))
 
     def pack(self, P: Polyhedron) -> np.ndarray:
         z = np.empty(3 * P.n_faces)
@@ -213,13 +212,6 @@ class _PlaneObjective:
         in the anchor passes within the merge slack of its row, and every
         other plane lies strictly beyond that slack on the inner side. One
         (V, F) residual matrix, no rebuild.
-
-        A vertex on more than three planes may have split into a cluster
-        of points smaller than the slack; there the test reads every point
-        the cluster really has (each triple solve inside the vertex's other
-        planes), and the ratio with the vertex at the mean of its triple
-        solves, where ``from_halfspaces`` puts it, must agree with the
-        frozen one to 1e-9.
         """
         if not np.isfinite(pts).all():
             return False
@@ -227,32 +219,8 @@ class _PlaneObjective:
             c = interior_point(normals, offsets)
         except GeometryError:
             return False
-        points, rows = pts, self.incidence
-        if len(self.triples):
-            # independent triple solves of the vertices on more than three
-            # planes; those that none of the vertex's other planes cuts off
-            # are the points its cluster really has
-            A = normals[self.triples]
-            good = np.abs(np.linalg.det(A)) > DEFAULT_TOLERANCES.plane_triple
-            owner = self.triple_owner[good]
-            sol = np.linalg.solve(A[good], offsets[self.triples[good]][..., None])[..., 0]
-            cut = self.incidence[owner] & (sol @ normals.T - offsets > 0.0)
-            cut[np.arange(len(sol))[:, None], self.triples[good]] = False
-            real = ~cut.any(axis=1)
-            simple = self.incidence.sum(axis=1) == 3
-            points = np.concatenate([pts[simple], sol[real]])
-            rows = np.concatenate([self.incidence[simple], self.incidence[owner[real]]])
-        R, on = plane_incidence(points, normals, offsets, c)
-        if not ((on == rows).all() and (R[~rows] < 0.0).all()):
-            return False
-        if not len(self.triples):
-            return True
-        merged = pts.copy()
-        for v in np.unique(owner):
-            merged[v] = sol[owner == v].mean(axis=0)
-        m = np.exp(self.log_ratios_of(np.stack([normals] * 2), np.stack([offsets] * 2),
-                                      np.stack([pts, merged])))
-        return bool(abs(m[1] - m[0]) <= 1e-9 * m[0])
+        R, on = plane_incidence(pts, normals, offsets, c)
+        return bool((on == self.incidence).all() and (R[~self.incidence] < 0.0).all())
 
     def rebuild(self, z: np.ndarray) -> Polyhedron | None:
         normals, offsets = self.planes(z)
@@ -318,9 +286,16 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     log(ratio), making the stop test scale invariant. A polyhedron is
     rebuilt only at a stall and at exit, and raises NumericalBreakdown
     unless it has the start's type and ratio.
+
+    Raises InvalidStart unless P0 is a valid convex polyhedron whose
+    vertices all have degree 3.
     """
     if not P0.convex or not validate(P0).ok:
         raise InvalidStart("optimization needs a valid convex start")
+    for v in range(P0.n_vertices):
+        if P0.vertex_degree(v) != 3:
+            raise InvalidStart(f"optimization needs a simple start; vertex {v} "
+                               f"has degree {P0.vertex_degree(v)}")
     obj = _PlaneObjective.for_polyhedron(P0)
     key0 = P0.type_key()
     z = obj.pack(P0)
@@ -333,11 +308,11 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     stop = "max_iters"
     met_wall = False   # the certificate has turned back a step
     iters = 0
-    alpha = opts.step_init
+    alpha = _STEP_INIT
     prev_z = prev_g = None
     fresh_anchor = True
     while iters < opts.max_iters:
-        g = _fd_gradient(obj, z, opts.fd_step)
+        g = _fd_gradient(obj, z, _FD_STEP)
         gnorm = float(np.linalg.norm(g))
         if gnorm < opts.grad_tol:
             stop = "grad_tol"
@@ -371,7 +346,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
                 current = _settled(obj, z, f, key0)
             shortest = min(float(np.linalg.norm(current.vertices[i] - current.vertices[j]))
                            for i, j in current.edges)
-            if hit_boundary or shortest < 50.0 * opts.fd_step * current.diameter():
+            if hit_boundary or shortest < 50.0 * _FD_STEP * current.diameter():
                 stop = "wall" if met_wall else "unresolved_feature"
                 break
             if fresh_anchor:
@@ -386,7 +361,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             if not math.isfinite(f):
                 stop = "stale_anchor"
                 break
-            alpha = opts.step_init
+            alpha = _STEP_INIT
             prev_z = prev_g = None
             fresh_anchor = True
             continue
@@ -399,8 +374,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
 
     if current is None:
         current = _settled(obj, z, f, key0)
-    return OptimizeResult(current, melzak_ratio(current), iters, stop == "grad_tol",
-                          stop in ("wall", "unresolved_feature"), tuple(trace), stop)
+    return OptimizeResult(current, melzak_ratio(current), iters, tuple(trace), stop)
 
 
 # -- combinatorial catalog -------------------------------------------------
@@ -546,9 +520,9 @@ def _optimize_type(t: CatalogType, opts: OptimizeOptions,
         P = optimal_pyramid(t.pyramid_base)
         m = melzak_ratio(P)
         return TypeRun(t.name, t.faces, t.simple, "parametric",
-                       OptimizeResult(P, m, 0, True, False, ((0, m),)))
+                       OptimizeResult(P, m, 0, ((0, m),), "closed_form"))
     starts = [t.build()]
-    starts += [_jittered_start(t, rng) for _ in range(opts.restarts - 1)]
+    starts += [_jittered_start(t, rng) for _ in range(_RESTARTS - 1)]
     best = None
     for P in starts:
         res = local_optimize(P, opts)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     BadParameter,
     DanglingVertex,
@@ -357,21 +357,25 @@ class ValidationReport:
 
 
 def _sort_cycle(points: np.ndarray, idx: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> tuple:
-    """Order vertex indices counterclockwise in the plane frame (t1, t2)."""
+    """Vertex indices ordered counterclockwise in the plane frame (t1, t2),
+    and twice the signed area of that cycle, taken about the face's own
+    centroid so that a face far smaller than the body keeps its sign."""
     rel = points - points.mean(axis=0)
-    ang = np.arctan2(rel @ t2, rel @ t1)
-    order = np.argsort(ang, kind="stable")
-    return tuple(int(idx[k]) for k in order)
+    x, y = rel @ t1, rel @ t2
+    order = np.argsort(np.arctan2(y, x), kind="stable")
+    x, y = x[order].tolist(), y[order].tolist()
+    twice_area = sum(x[k - 1] * y[k] - y[k - 1] * x[k] for k in range(len(x)))
+    return tuple(int(idx[k]) for k in order), twice_area
 
 
-def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhedron:
+def from_halfspaces(halfspaces) -> Polyhedron:
     """Intersect halfspaces into a bounded convex polyhedron.
 
     Qhull (``scipy.spatial.HalfspaceIntersection``) intersects the planes
     about the strictly interior point c of ``interior_point``. Points on
     the same planes (by ``plane_incidence``) are one vertex, placed at the
     mean of its incident-plane triple solves (determinant above
-    ``tol.plane_triple``) in combination order. Length tolerances are
+    ``plane_triple``) in combination order. Length tolerances are
     multiplied by max|x - c| over qhull's points. Redundant halfspaces
     (fewer than three incident vertices) are dropped.
 
@@ -397,32 +401,35 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
     if (hsi.dual_equations[:, 3] >= 0).any():
         raise UnboundedIntersection("the dual hull does not enclose the interior point")
 
-    incident = np.unique(plane_incidence(hsi.intersections, N, b, c, tol)[1], axis=0)
+    incident = np.unique(plane_incidence(hsi.intersections, N, b, c)[1], axis=0)
     sets = [np.flatnonzero(row) for row in incident]
     triples = np.array([t for s in sets for t in itertools.combinations(s, 3)]).reshape(-1, 3)
     owner = np.repeat(np.arange(len(sets)), [math.comb(len(s), 3) for s in sets])
-    good = np.abs(np.linalg.det(N[triples])) > tol.plane_triple
+    good = np.abs(np.linalg.det(N[triples])) > DEFAULT_TOLERANCES.plane_triple
     owner = owner[good]
     if len(set(owner)) < len(sets):
         raise DegenerateInput("a vertex lies on no three independent planes")
     sol = np.linalg.solve(N[triples[good]], b[triples[good]][..., None])[..., 0]
     verts = np.array([g.mean(axis=0) for g in np.split(sol, np.flatnonzero(np.diff(owner)) + 1)])
     # deterministic vertex order
-    key = np.round(verts / (tol.dedup * float(np.abs(verts).max()))).astype(np.int64)
+    step = DEFAULT_TOLERANCES.dedup * float(np.abs(verts).max())
+    key = np.round(verts / step).astype(np.int64)
     order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
     verts, on_plane = verts[order], incident[order]
 
     faces = []
     kept = []
+    flat = False
     T1, T2 = plane_bases(N)
     for f in range(len(hs)):
         idx = np.nonzero(on_plane[:, f])[0]
         if len(idx) < 3:
             logger.debug("dropping redundant halfspace %d (%d incident vertices)", f, len(idx))
             continue
-        cyc = _sort_cycle(verts[idx], idx, T1[f], T2[f])
+        cyc, twice_area = _sort_cycle(verts[idx], idx, T1[f], T2[f])
         faces.append(cyc)
         kept.append(f)
+        flat = flat or twice_area <= 0.0
     if len(faces) < 4:
         raise DegenerateInput("fewer than four supporting faces")
 
@@ -433,7 +440,7 @@ def from_halfspaces(halfspaces, tol: Tolerances = DEFAULT_TOLERANCES) -> Polyhed
         raise DegenerateInput("vertex/face incidence is not edge-manifold")
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
         raise DegenerateInput("Euler characteristic is not 2")
-    if (poly.face_areas <= 0).any():
+    if flat:
         raise DegenerateInput("a face has nonpositive oriented area")
     return poly
 
@@ -448,14 +455,13 @@ def interior_point(N: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.zeros(3) if b.min() >= 0.1 * np.abs(b).max() > 0 else _chebyshev_centre(N, b)
 
 
-def plane_incidence(pts: np.ndarray, N: np.ndarray, b: np.ndarray, c: np.ndarray,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+def plane_incidence(pts: np.ndarray, N: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     """Residuals x.N - b (P, F) of points x (P, 3) against the planes, and
     the incidence mask of ``from_halfspaces``: x lies on a plane when its
-    residual is within ``tol.coplanarity`` times max|x - c| over the points,
+    residual is within ``coplanarity`` times max|x - c| over the points,
     c being the interior point."""
     R = pts @ N.T - b
-    return R, np.abs(R) <= tol.coplanarity * float(np.abs(pts - c).max())
+    return R, np.abs(R) <= DEFAULT_TOLERANCES.coplanarity * float(np.abs(pts - c).max())
 
 
 def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -510,7 +516,7 @@ def melzak_ratio(P: Polyhedron) -> float:
     return edge_length(P) ** 3 / v
 
 
-def validate(P: Polyhedron, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationReport:
+def validate(P: Polyhedron) -> ValidationReport:
     """Non-throwing structural report: Euler, planarity, convexity, manifold."""
     msgs = []
     euler_ok = (P.n_vertices - P.n_edges + P.n_faces == 2)
@@ -523,12 +529,12 @@ def validate(P: Polyhedron, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationR
     # each face's vertices against its own plane, over the corner table
     on_face = (P.vertices[P.topology.corner_table[..., 0]] @ N[:, :, None])[..., 0] - b[:, None]
     max_cop = float(np.abs(on_face[P.topology.corner_mask]).max(initial=0.0))
-    coplanar_ok = max_cop <= tol.coplanarity * scale
+    coplanar_ok = max_cop <= DEFAULT_TOLERANCES.coplanarity * scale
     if not coplanar_ok:
         msgs.append(f"coplanarity: max error {max_cop:.3e}")
 
     worst = float((P.vertices @ N.T - b).max())
-    convex_ok = worst <= tol.convexity * scale
+    convex_ok = worst <= DEFAULT_TOLERANCES.convexity * scale
     if P.convex and not convex_ok:
         msgs.append(f"convexity: vertex violates a halfspace by {worst:.3e}")
     if not P.convex:

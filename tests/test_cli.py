@@ -126,6 +126,16 @@ def test_optimize_box_to_cube(tmp_path, capsys):
     assert read_off(dst).n_faces == 6
 
 
+def test_optimize_non_simple_start_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "pyr.off"
+    assert run(capsys, "build", "--shape", "pyramid:5,1.0,0.8", "--out", str(src))[0] == 0
+    P = read_off(src)
+    apex = next(v for v in range(P.n_vertices) if P.vertex_degree(v) == 5)
+    code, out, err = run(capsys, "optimize", str(src), "--out", str(tmp_path / "opt.off"))
+    assert (code, out) == (2, "")
+    assert f"vertex {apex} has degree 5" in err
+
+
 def test_bad_optimize_tolerance_is_exit_2(tmp_path, capsys):
     src = tmp_path / "box.off"
     assert run(capsys, "build", "--shape", "box:0.8,1.0,1.25",

@@ -230,6 +230,20 @@ def test_planes_parallel_to_one_line_are_unbounded():
         from_halfspaces(_halfspaces(np.array(normals, dtype=float), [1.0] * 4))
 
 
+def test_tiny_corner_cuts_keep_their_face():
+    # a triangle some 1e-9 of the cube's size: summed about the body's
+    # centroid its area takes a sign from rounding, but its own sorted
+    # cycle is counterclockwise
+    rng = np.random.default_rng(0)
+    faces, corner = list(cube().halfspaces), np.full(3, 0.5)
+    for _ in range(1000):
+        n = np.ones(3) + rng.uniform(-0.3, 0.3, size=3)
+        n /= np.linalg.norm(n)
+        depth = rng.uniform(1.5e-9, 4e-9)
+        P = from_halfspaces(faces + [HalfSpace(n, float(n @ corner) - depth)])
+        assert sorted(len(c) for c in P.faces) == [3, 4, 4, 4, 5, 5, 5]
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n_faces=st.integers(5, 20),
        direction=st.integers(0, 10_000))

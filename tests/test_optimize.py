@@ -28,9 +28,11 @@ from hypothesis import strategies as st
 import melzak.optimize
 from conftest import crater_can, octahedron
 from melzak import (
+    HalfSpace,
     box,
     cli,
     cube,
+    from_halfspaces,
     melzak_ratio,
     ngon_pyramid,
     optimal_prism,
@@ -51,8 +53,10 @@ from melzak.errors import (
 from melzak.optimize import (
     EXPECTED_SIMPLE_COUNTS,
     OptimizeOptions,
+    OptimizeResult,
     _fd_gradient,
     _log_ratio,
+    _optimize_type,
     _PlaneObjective,
     catalog_self_check,
     criticality_report,
@@ -75,9 +79,7 @@ def test_options_validated():
         OptimizeOptions(max_iters=0)
     with pytest.raises(BadParameter):
         OptimizeOptions(grad_tol=-1.0)
-    with pytest.raises(BadParameter):
-        OptimizeOptions(fd_step=0.0)
-    for name in ("max_iters", "grad_tol", "step_init", "fd_step"):
+    for name in ("max_iters", "grad_tol"):
         for bad in (math.nan, math.inf):
             with pytest.raises(BadParameter, match=name):
                 OptimizeOptions(**{name: bad})
@@ -87,6 +89,18 @@ def test_nonconvex_start_rejected():
     CR, _, _, _ = crater_can()
     with pytest.raises(InvalidStart):
         local_optimize(CR)
+
+
+@pytest.mark.parametrize("make, degree", [(octahedron, 4),
+                                          (lambda: ngon_pyramid(4, 1.0, 0.8), 4),
+                                          (lambda: ngon_pyramid(5, 1.0, 0.8), 5),
+                                          (lambda: ngon_pyramid(7, 1.0, 0.8), 7)],
+                         ids=["octahedron", "pyramid4", "pyramid5", "pyramid7"])
+def test_non_simple_start_rejected(make, degree):
+    P = make()
+    v = next(v for v in range(P.n_vertices) if P.vertex_degree(v) != 3)
+    with pytest.raises(InvalidStart, match=f"vertex {v} has degree {degree}$"):
+        local_optimize(P)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +248,13 @@ def test_boundary_stall_flags_combinatorics():
 
 
 def test_stop_reasons():
+    # the (converged, combinatorics_changed) pair each stop reason stands for
+    flags = {"grad_tol": (True, False), "closed_form": (True, False),
+             "max_iters": (False, False), "stale_anchor": (False, False),
+             "wall": (False, True), "unresolved_feature": (False, True)}
+    for reason, pair in flags.items():
+        res = OptimizeResult(cube(), 1728.0, 0, ((0, 1728.0),), reason)
+        assert (res.converged, res.combinatorics_changed) == pair
     cat = {t.name: t for t in load_catalog()}
     assert local_optimize(cube()).stop_reason == "grad_tol"
     assert local_optimize(cat["simple6f_334455_a"].build()).stop_reason == "wall"
@@ -275,18 +296,11 @@ def _decisions(P, probes) -> list:
     return out
 
 
-_NON_SIMPLE = {"octahedron": octahedron, "pyramid4": lambda: ngon_pyramid(4, 1.0, 0.8),
-               "pyramid5": lambda: ngon_pyramid(5, 1.0, 0.8),
-               "pyramid7": lambda: ngon_pyramid(7, 1.0, 0.8)}
-
-
 @settings(max_examples=30, deadline=None)
-@given(body=st.one_of(st.tuples(st.integers(0, 10_000), st.integers(4, 12)),
-                      st.sampled_from(sorted(_NON_SIMPLE))),
+@given(body=st.tuples(st.integers(0, 10_000), st.integers(4, 12)),
        probe=st.integers(0, 10_000))
 def test_certificate_matches_rebuild_oracle(body, probe):
-    P = (_NON_SIMPLE[body]() if isinstance(body, str)
-         else random_convex(np.random.default_rng(body[0]), n_faces=body[1]))
+    P = random_convex(np.random.default_rng(body[0]), n_faces=body[1])
     rng = np.random.default_rng(probe)
 
     def probes(obj, z):
@@ -306,14 +320,20 @@ def test_certificate_matches_rebuild_oracle(body, probe):
 
 
 def test_certificate_sees_both_sides_of_a_wall():
-    # the octahedron's degree-4 vertices split under any move the merge
-    # slack can see, and hold under a move it cannot
-    def probes(obj, z):
-        u = np.random.default_rng(0).normal(size=len(z))
-        for scale in (1e-13, 1e-3):
-            yield z + scale * u / np.linalg.norm(u)
+    # a cube with one corner cut 0.01 deep: moving the cut plane out by
+    # less than that keeps its triangle, by more cuts nothing off
+    corner = np.full(3, 0.5)
+    n = np.ones(3) / math.sqrt(3.0)
+    P = from_halfspaces(list(cube().halfspaces) + [HalfSpace(n, float(n @ corner) - 0.01)])
+    cut = P.n_faces - 1
 
-    assert _decisions(octahedron(), probes) == [(True, True), (False, False)]
+    def probes(obj, z):
+        for out in (0.005, 0.02):
+            zt = z.copy()
+            zt[3 * cut + 2] += out / obj.scale
+            yield zt
+
+    assert _decisions(P, probes) == [(True, True), (False, False)]
 
 
 def test_exit_guard_catches_a_certificate_that_accepts_everything(monkeypatch):
@@ -393,8 +413,9 @@ def test_type_keys_need_no_networkx():
 
 def test_generator_reproduces_shipped_catalog(tmp_path):
     out = tmp_path / "types.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(ROOT / "scripts" / "generate_catalog.py"),
-                    "--out", str(out)], check=True, capture_output=True, timeout=300)
+                    "--out", str(out)], check=True, capture_output=True, env=env, timeout=300)
     shipped = ROOT / "src" / "melzak" / "data" / "polytope_types.json"
     assert out.read_bytes() == shipped.read_bytes()
 
@@ -426,6 +447,14 @@ def test_sequence_reports_per_type_runs():
     assert per["square_pyramid"].method == "parametric"
     assert per["square_pyramid"].result.ratio == pytest.approx(2104.01, rel=1e-4)
     assert per["square_pyramid"].result.ratio > per["triangular_prism"].result.ratio
+
+
+def test_sweep_takes_pyramids_at_their_closed_form():
+    for t in (t for t in load_catalog() if t.pyramid_base):
+        run = _optimize_type(t, OptimizeOptions(), np.random.default_rng(0))
+        assert run.method == "parametric"
+        assert run.result.stop_reason == "closed_form"
+        assert run.result.converged and not run.result.combinatorics_changed
 
 
 def test_sequence_face_range_validated():
