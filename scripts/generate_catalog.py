@@ -11,7 +11,7 @@ the run aborts unless the per-count totals match the known enumeration
 (``optimal_pyramid``) are appended as the named non-simple family used by
 the sequence driver.
 
-Usage: PYTHONPATH=src python3 scripts/generate_catalog.py [--out PATH] [--seed N]
+Usage: PYTHONPATH=src python3 scripts/generate_catalog.py [--out PATH]
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from melzak.optimize import EXPECTED_SIMPLE_COUNTS
 from melzak.polyhedron import HalfSpace, Polyhedron, from_halfspaces
 from melzak.shapes import (cube, optimal_prism, optimal_pyramid, random_convex,
                            regular_tetrahedron)
+
+SEED = 20240801   # the random search that found the shipped catalog
 
 
 def is_simple(P: Polyhedron) -> bool:
@@ -65,8 +67,8 @@ def canonical_rep(P: Polyhedron) -> Polyhedron:
     return Q
 
 
-def find_simple_types(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+def find_simple_types() -> dict:
+    rng = np.random.default_rng(SEED)
     found = {4: [regular_tetrahedron()]}
     for k in range(5, 9):
         want = EXPECTED_SIMPLE_COUNTS[k]
@@ -129,14 +131,9 @@ def name_types(k: int, reps: list) -> list:
 
 
 def entry_for(name: str, P: Polyhedron, pyramid_base: int = 0) -> dict:
-    sig = P.combinatorial_signature()
     return {
         "name": name,
-        "faces": P.n_faces,
-        "simple": is_simple(P),
         "pyramid_base": pyramid_base,
-        "face_degrees": sorted(len(c) for c in P.faces),
-        "signature": [sig[0], sig[1], sig[2], list(sig[3]), list(sig[4])],
         "halfspaces": [[*map(float, np.round(h.normal, 12)), float(round(h.offset, 12))]
                        for h in P.halfspaces],
     }
@@ -146,10 +143,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default_out = Path(__file__).resolve().parent.parent / "src/melzak/data/polytope_types.json"
     ap.add_argument("--out", type=Path, default=default_out)
-    ap.add_argument("--seed", type=int, default=20240801)
     args = ap.parse_args(argv)
 
-    found = find_simple_types(args.seed)
+    found = find_simple_types()
     entries = []
     for k in range(4, 9):
         for name, P in name_types(k, found[k]):
@@ -158,13 +154,12 @@ def main(argv=None) -> int:
             n = k - 1
             entries.append(entry_for(PYRAMID_NAMES[n], canonical_rep(optimal_pyramid(n)),
                                      pyramid_base=n))
-    entries.sort(key=lambda e: (e["faces"], not e["simple"], e["name"]))
+    entries.sort(key=lambda e: (len(e["halfspaces"]), e["pyramid_base"] > 0, e["name"]))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(
         {"description": "combinatorial types of bounded intersections with 4..8 faces; "
                         "simple types complete per the standard enumeration, regular "
                         "pyramids included as the named non-simple family",
-         "seed": args.seed,
          "types": entries}, indent=1) + "\n")
     print(f"wrote {len(entries)} types to {args.out}")
     return 0

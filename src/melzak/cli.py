@@ -194,8 +194,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="fixed-combinatorics ratio descent")
     p.add_argument("mesh")
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--iters", type=int, default=OptimizeOptions.max_iters)
+    p.add_argument("--tol", type=float, default=OptimizeOptions.grad_tol)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None)
     p.add_argument("--out", required=True)

@@ -349,12 +349,7 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
                             tuple(notes))
 
 
-_CHECKERS = ("combinatorics", "dihedral", "triangle_deficit",
-             "vertex_curvature", "vertex_degree")
-
-
-def audit(P: Polyhedron, mode: str = "any", B: float | None = None,
-          d: float | None = None) -> CriteriaReport:
+def audit(P: Polyhedron, mode: str = "any", B: float | None = None) -> CriteriaReport:
     """Run every criterion and assemble the deterministic report.
 
     mode "candidate" additionally enforces results that hold only along a
@@ -373,7 +368,7 @@ def audit(P: Polyhedron, mode: str = "any", B: float | None = None,
         check_vertex_degree(P),
     ]
     try:
-        verdicts.append(check_dihedral(P, B, d))
+        verdicts.append(check_dihedral(P, B))
     except NotConvex as exc:
         verdicts.append(CriterionVerdict("dihedral", False, True, (),
                                          (f"skipped: {exc}",)))

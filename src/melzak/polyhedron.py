@@ -307,11 +307,6 @@ class Polyhedron:
         d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
         return float(np.sqrt(d2.max()))
 
-    def combinatorial_signature(self) -> tuple:
-        fdeg = tuple(sorted(len(f) for f in self.faces))
-        vdeg = tuple(sorted(self.vertex_degree(v) for v in range(self.n_vertices)))
-        return (self.n_vertices, self.n_edges, self.n_faces, fdeg, vdeg)
-
     def type_key(self) -> tuple:
         """Canonical code of the combinatorial type.
 

@@ -18,6 +18,11 @@ PRISM_RATIO = 4.0 * 3.0 ** 5.5
 TETRA_RATIO = 1296.0 * np.sqrt(2.0)
 CUBE_RATIO = 1728.0
 
+# random_convex: draws per call, and the shortest edge it accepts as a
+# fraction of the diameter
+_RANDOM_TRIES = 200
+_RANDOM_MIN_EDGE = 1e-3
+
 
 def box(a: float, b: float, c: float) -> Polyhedron:
     """Axis-aligned box with side lengths a, b, c centered at the origin."""
@@ -112,14 +117,13 @@ def unit_volume(P: Polyhedron) -> Polyhedron:
     return P.scaled(volume(P) ** (-1.0 / 3.0))
 
 
-def random_convex(rng: np.random.Generator, n_faces: int | None = None,
-                  min_edge_frac: float = 1e-3, max_tries: int = 200) -> Polyhedron:
+def random_convex(rng: np.random.Generator, n_faces: int | None = None) -> Polyhedron:
     """Random bounded convex polyhedron from sampled supporting halfspaces.
 
     Offsets stay positive so the origin is interior; ill-conditioned draws
     (tiny edges that destabilize finite differencing) are rejected.
     """
-    for _ in range(max_tries):
+    for _ in range(_RANDOM_TRIES):
         m = int(n_faces) if n_faces is not None else int(rng.integers(4, 11))
         normals = rng.normal(size=(m, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -130,6 +134,6 @@ def random_convex(rng: np.random.Generator, n_faces: int | None = None,
             continue
         idx = np.array(P.edges)
         lengths = np.linalg.norm(P.vertices[idx[:, 0]] - P.vertices[idx[:, 1]], axis=1)
-        if lengths.min() >= min_edge_frac * P.diameter():
+        if lengths.min() >= _RANDOM_MIN_EDGE * P.diameter():
             return P
     raise DegenerateInput("could not sample a well-conditioned convex polyhedron")

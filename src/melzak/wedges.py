@@ -52,7 +52,6 @@ class Wedge:
     height: float
     normalized: bool = False
     poly: Polyhedron | None = None
-    base_face: int = -1
 
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float)
@@ -98,8 +97,7 @@ class Wedge:
         return Wedge(self.base * factor, self.apex * factor, self.lateral * factor,
                      self.height * factor,
                      self.normalized if normalized is None else normalized,
-                     None if self.poly is None else self.poly.scaled(factor),
-                     self.base_face)
+                     None if self.poly is None else self.poly.scaled(factor))
 
 
 def _corner_angles(b: np.ndarray) -> np.ndarray:
@@ -168,9 +166,7 @@ def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
         if len(partners) != 1:
             raise UnboundedWedge("base vertex is not joined to exactly one top vertex")
         lateral[k] = poly.vertices[partners[0]]
-    base_face = next(f for f in range(poly.n_faces)
-                     if np.allclose(poly.face_normal(f), -n_up, atol=1e-9))
-    return Wedge(base_pts, apex, lateral, float(heights.max()), False, poly, base_face)
+    return Wedge(base_pts, apex, lateral, float(heights.max()), False, poly)
 
 
 def rectangle_deviation(W: Wedge) -> float:
@@ -400,6 +396,9 @@ def _star(rng) -> np.ndarray:
     return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
 
+_SCAN_ITERATIONS = 100   # pattern-search iterations per sample, at most
+
+
 def check_scan_args(samples: int, seed: int, tol: float) -> None:
     """Raise BadParameter unless cleancond_scan can run with these inputs."""
     if samples < 1:
@@ -410,8 +409,7 @@ def check_scan_args(samples: int, seed: int, tol: float) -> None:
         raise BadParameter("tolerance must be finite and positive")
 
 
-def cleancond_scan(samples: int, seed: int, tol: float = 1e-10,
-                   iterations: int = 100) -> ScanReport:
+def cleancond_scan(samples: int, seed: int, tol: float = 1e-10) -> ScanReport:
     """Pattern-search for quadrilaterals satisfying the alternating chain.
 
     Draws all star-shaped starts around the origin first, then runs one
@@ -430,7 +428,7 @@ def cleancond_scan(samples: int, seed: int, tol: float = 1e-10,
     best = _chain(X)[0]
     step = np.full(samples, 0.1)
     live = np.arange(samples)
-    for _ in range(iterations):
+    for _ in range(_SCAN_ITERATIONS):
         x, b, s = X[live], best[live], step[live]
         improved = np.zeros(len(live), dtype=bool)
         for k in range(8):

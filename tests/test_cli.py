@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from melzak import read_off
+from melzak import random_convex, read_off, write_off
 from melzak.cli import main
-from melzak.shapes import PRISM_EDGE_LENGTH
+from melzak.shapes import PRISM_EDGE_LENGTH, TETRA_RATIO
 
 
 def run(capsys, *argv):
@@ -124,6 +125,18 @@ def test_optimize_box_to_cube(tmp_path, capsys):
     assert rows[0] == "iter,ratio"
     assert len(rows) == int(got["iterations"]) + 2
     assert read_off(dst).n_faces == 6
+
+
+def test_optimize_defaults_reach_a_converged_tetrahedron(tmp_path, capsys):
+    # the defaults are OptimizeOptions'; a tolerance below the gradient's
+    # noise floor would end this run at a stale anchor, unconverged
+    src = tmp_path / "tetra.off"
+    write_off(src, random_convex(np.random.default_rng(1), n_faces=4))
+    code, out, _ = run(capsys, "optimize", str(src), "--out", str(tmp_path / "opt.off"))
+    assert code == 0
+    got = dict(line.split(" = ") for line in out.splitlines())
+    assert float(got["m"]) == pytest.approx(TETRA_RATIO, rel=1e-9)
+    assert got["converged"] == "true"
 
 
 def test_optimize_non_simple_start_is_exit_2(tmp_path, capsys):

@@ -1,9 +1,15 @@
 """Module boundaries inside the package: no module imports another's
 private names; shared helpers get a public home instead. Every exception
-class the package defines is raised somewhere in it."""
+class the package defines is raised somewhere in it, every private
+module-level name is read in its module, and the shipped catalog stores
+nothing that ``load_catalog`` does not read."""
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
+
+from melzak import CatalogType
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "melzak"
 
@@ -37,3 +43,29 @@ def test_every_error_class_is_raised():
                 elif isinstance(exc, ast.Attribute):
                     raised.add(exc.attr)
     assert not defined - raised, sorted(defined - raised)
+
+
+def test_every_private_module_name_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in sorted(defined - read)
+                   if name.startswith("_") and not name.startswith("__")]
+    assert not unread, unread
+
+
+def test_catalog_entries_hold_only_what_load_catalog_reads():
+    # load_catalog fills one CatalogType field from each entry key
+    raw = json.loads((SRC / "data" / "polytope_types.json").read_text(encoding="utf-8"))
+    fields = {f.name for f in dataclasses.fields(CatalogType)}
+    assert raw["types"]
+    assert all(set(entry) == fields for entry in raw["types"])

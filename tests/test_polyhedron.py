@@ -138,7 +138,7 @@ def test_face_geometry():
 
 def test_signature_is_scale_invariant():
     C = cube()
-    assert C.combinatorial_signature() == C.scaled(7.3).combinatorial_signature()
+    assert C.type_key() == C.scaled(7.3).type_key()
 
 
 def test_validate_reference_shapes():

@@ -86,7 +86,7 @@ def test_optimal_pyramid_matches_a_bounded_search(n):
 def test_box_matches_cube():
     B = box(1.0, 1.0, 1.0)
     assert melzak_ratio(B) == pytest.approx(CUBE_RATIO, abs=1e-9)
-    assert box(2.0, 0.5, 1.0).combinatorial_signature() == cube().combinatorial_signature()
+    assert box(2.0, 0.5, 1.0).type_key() == cube().type_key()
 
 
 def test_unit_volume_rescales():
