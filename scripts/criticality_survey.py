@@ -8,7 +8,7 @@ face hinges, vertex truncations) is then evaluated there. A clean local
 minimizer shows a non-negative worst rate up to tolerance; a converged
 optimum with a decisively negative rate names the escape direction that
 the within-type descent cannot take. A descent that did not converge is
-reported as unconverged, since a negative rate there shows only an
+reported by its stop reason, since a negative rate there shows only an
 unfinished descent.
 
 Usage: PYTHONPATH=src python3 scripts/criticality_survey.py [--tol T] [--json PATH]
@@ -48,13 +48,13 @@ def main(argv=None) -> int:
             continue
         worst = min(rep.entries, key=rep.entries.get)
         verdict = ("critical" if rep.is_critical else f"escape {worst}" if res.converged
-                   else f"unconverged after {res.iterations} iterations")
+                   else f"{res.stop_reason} after {res.iterations} iterations")
         print(f"{t.name:24s} faces={t.faces} ratio={res.ratio:14.6f} "
               f"min_dM={rep.minimum:+.3e}  {verdict}")
         rows.append({"name": t.name, "faces": t.faces,
                      "ratio": float(f"{res.ratio:.12g}"),
                      "converged": res.converged,
-                     "stalled_at_boundary": res.combinatorics_changed,
+                     "stop_reason": res.stop_reason,
                      "criticality": rep.to_dict()})
 
     critical = sum(r["criticality"]["is_critical"] for r in rows)

@@ -118,6 +118,7 @@ def _cmd_optimize(args) -> int:
     print(f"iterations = {res.iterations}")
     print(f"converged = {str(res.converged).lower()}")
     print(f"combinatorics_changed = {str(res.combinatorics_changed).lower()}")
+    print(f"stop_reason = {res.stop_reason}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iter,ratio\n")
@@ -136,7 +137,7 @@ def _cmd_sequence(args) -> int:
     for s in steps:
         for run in s.per_type:
             print(f"type {run.name} faces={run.faces} method={run.method} "
-                  f"m={_fmt(run.result.ratio)}")
+                  f"stop={run.result.stop_reason} m={_fmt(run.result.ratio)}")
     return 0
 
 

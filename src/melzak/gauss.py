@@ -124,21 +124,13 @@ def _poles(points: np.ndarray) -> tuple:
 
 
 def spherical_area(poly: SphericalPolygon) -> float:
-    """Interior-angle excess area of a convex spherical polygon."""
+    """Area of a convex spherical polygon: 2*pi less the turning angles
+    between consecutive side poles, by atan2, which keeps every digit."""
     if len(poly.points) < 3:
         raise DegeneratePolygon("area needs at least 3 points")
-    pts, _ = _poles(poly.points)
-    n = len(pts)
-    total = 0.0
-    for i in range(n):
-        p = pts[i]
-        a = pts[(i - 1) % n] - (pts[(i - 1) % n] @ p) * p
-        b = pts[(i + 1) % n] - (pts[(i + 1) % n] @ p) * p
-        na, nb = norm(a), norm(b)
-        if na <= 1e-14 or nb <= 1e-14:
-            raise DegeneratePolygon("repeated point in polygon")
-        total += np.arccos(np.clip((a @ b) / (na * nb), -1.0, 1.0))
-    return total - (n - 2) * np.pi
+    _, poles = _poles(poly.points)
+    return 2.0 * np.pi - sum(np.arctan2(norm(cross(a, b)), a @ b)
+                             for a, b in zip(np.roll(poles, 1, axis=0), poles))
 
 
 def spherical_incircle(poly: SphericalPolygon) -> Incircle:

@@ -3,15 +3,13 @@
 The local optimizer parameterizes a convex polyhedron by its supporting
 planes (two spherical angles plus an offset per face, offsets rescaled by
 the start diameter so all coordinates are comparable), descends the log
-of the edge-cube-over-volume ratio with central-difference gradients and a
+of the edge-cube-over-volume ratio with its exact gradient and a
 backtracking line search, and treats any change of combinatorial type as
-a hard step boundary. One batched evaluator serves both: a gradient's 2n
-probes are the rows of one vectorised call, a line-search probe is a call
-of one row. A probe's vertex rows also decide whether it keeps the type:
-an exact certificate reads them against every plane by the incidence rule
-of ``from_halfspaces``, so the descent rebuilds a polyhedron only where it
-needs one, at a stall and at exit. Starts must be simple (every vertex on
-three faces), as every vertex of a convex minimizer is.
+a hard step boundary. A probe's vertex rows decide whether it keeps the
+type: an exact certificate reads them against every plane by the
+incidence rule of ``from_halfspaces``, so the descent rebuilds a
+polyhedron only at a re-anchor and at exit. Starts must be simple (every
+vertex on three faces), as every vertex of a convex minimizer is.
 
 The sequence driver enumerates the shipped catalog of combinatorial types
 with up to eight faces, optimizes each, and carries the best ratio
@@ -70,14 +68,12 @@ __all__ = [
 EXPECTED_SIMPLE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
 
 _STEP_INIT = 0.1   # first line-search step, and the step after a re-anchor
-_FD_STEP = 1e-6    # central-difference step in the packed parameters
 _RESTARTS = 3      # sweep descents per catalog type: its start and two jitters
+_WALL_MARGIN = 2.0  # off-plane residuals the certificate needs, in merge slacks
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    # the default grad_tol clears the central-difference noise floor,
-    # about sqrt(3 n_faces) * eps * |log ratio| / _FD_STEP, by ~30x
     max_iters: int = 300
     grad_tol: float = 1e-7
     seed: int = 0
@@ -96,11 +92,9 @@ class OptimizeResult:
     ratio: float
     iterations: int
     trace: tuple
-    # why the descent stopped: grad_tol, max_iters, wall (it stalled
-    # against a type wall it had met), unresolved_feature (it stalled at an
-    # edge too short for the gradient step, having met no wall) or
-    # stale_anchor (no step even from a fresh anchor); closed_form where
-    # the optimum is known and no descent ran
+    # why the descent stopped: grad_tol, max_iters, wall (its last line search
+    # met a type wall) or stale_anchor (no step even from a fresh anchor);
+    # closed_form where the optimum is known and no descent ran
     stop_reason: str
 
     @property
@@ -109,7 +103,7 @@ class OptimizeResult:
 
     @property
     def combinatorics_changed(self) -> bool:
-        return self.stop_reason in ("wall", "unresolved_feature")
+        return self.stop_reason == "wall"
 
 
 @dataclass(frozen=True)
@@ -121,12 +115,11 @@ class _PlaneObjective:
     intersection would change type; ``certifies`` tells, from the same
     vertex rows, whether a point lies short of every wall.
 
-    ``log_ratios`` evaluates a whole batch of parameter rows at once: one
-    stacked solve for every vertex of every row (``solve``), then edge
-    lengths and the volume from ``twice_areas_and_volumes`` over the
-    anchor's corner table, the kernel ``Polyhedron.volume`` uses too
-    (``log_ratios_of``). A central-difference gradient is one batch of 2n
-    rows; a line-search probe is a batch of one.
+    ``log_ratios`` evaluates a batch of parameter rows: one stacked solve
+    for every vertex of every row (``solve``), then edge lengths and the
+    volume from ``twice_areas_and_volumes`` over the anchor's corner
+    table, the kernel ``Polyhedron.volume`` uses too (``log_ratios_of``).
+    ``gradient`` is exact, from the same solve and kernel.
 
     Offsets are measured from the anchor polyhedron's vertex centroid, not
     the world origin. The plane solves lose roughly offset/diameter digits,
@@ -145,8 +138,7 @@ class _PlaneObjective:
     def for_polyhedron(cls, P: Polyhedron) -> "_PlaneObjective":
         faces = [P.vertex_faces(v) for v in range(P.n_vertices)]
         incidence = np.zeros((P.n_vertices, P.n_faces), dtype=bool)
-        for v, fs in enumerate(faces):
-            incidence[v, fs] = True
+        incidence[np.arange(P.n_vertices)[:, None], faces] = True
         return cls(np.array(P.edges, dtype=int), np.array(faces, dtype=int), incidence,
                    P.topology, P.diameter(), P.vertices.mean(axis=0))
 
@@ -202,16 +194,51 @@ class _PlaneObjective:
                 out[r] = math.log(m)
         return out
 
+    def plane_gradient(self, z: np.ndarray) -> tuple:
+        """Exact gradient of ln m over the plane rows of z: (d/dn (F, 3),
+        d/do (F)), offsets about the anchor centroid. A vertex on planes
+        A x = o moves by x' = A^-1 (o' - n' x), as in the rates, so the
+        adjoint l = A^-T gx of each vertex (gx = dE/dx) gives dE/do_f =
+        sum l and dE/dn_f = -sum l x over the vertices on f; dV/do_f = A_f
+        and dV/dn_f = -M_f. Raises NumericalBreakdown where a vertex system
+        is singular or the ratio is not finite."""
+        try:
+            normals, offsets, pts = (r[0] for r in self.solve(z[None]))
+            d = pts[self.edge_idx[:, 0]] - pts[self.edge_idx[:, 1]]
+            length = np.sqrt((d * d).sum(axis=1))
+            gx = np.zeros_like(pts)
+            np.add.at(gx, self.edge_idx, np.stack([d, -d], axis=1) / length[:, None, None])
+            adj = np.linalg.solve(normals[self.vertex_planes].swapaxes(1, 2), gx[..., None])
+        except np.linalg.LinAlgError:
+            raise NumericalBreakdown("a vertex system is singular at the iterate") from None
+        twice, vol, moments = twice_areas_and_volumes(self.topology, pts, normals, offsets)
+        lam = np.zeros(self.incidence.shape)   # (V, F): l of each vertex on each plane
+        lam[np.arange(len(pts))[:, None], self.vertex_planes] = adj[..., 0]
+        w = 3.0 / length.sum()
+        d_n, d_o = moments / vol - w * (lam.T @ pts), w * lam.sum(axis=0) - 0.5 * twice / vol
+        if not (vol > 0 and np.isfinite(d_n).all() and np.isfinite(d_o).all()):
+            raise NumericalBreakdown("ratio is not finite at the iterate")
+        return d_n, d_o
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        """``plane_gradient`` chained to the packed angles and offsets z."""
+        d_n, d_o = self.plane_gradient(z)
+        cp, sp, cl, sl = np.cos(z[0::3]), np.sin(z[0::3]), np.cos(z[1::3]), np.sin(z[1::3])
+        return np.stack([cp * (d_n[:, 0] * cl + d_n[:, 1] * sl) - sp * d_n[:, 2],
+                         sp * (d_n[:, 1] * cl - d_n[:, 0] * sl),
+                         d_o * self.scale], axis=1).ravel()
+
     def certifies(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray) -> bool:
         """Whether the vertex rows pts (V, 3) of one solved row are the
         vertices of the planes' intersection with the anchor's incidence,
         so that ``from_halfspaces`` would rebuild the anchor's type.
 
-        It holds iff, by ``plane_incidence`` about the ``interior_point``
+        It holds when, by ``plane_incidence`` about the ``interior_point``
         that ``from_halfspaces`` would use, every plane incident to a vertex
         in the anchor passes within the merge slack of its row, and every
-        other plane lies strictly beyond that slack on the inner side. One
-        (V, F) residual matrix, no rebuild.
+        other plane lies beyond ``_WALL_MARGIN`` slacks on the inner side,
+        a margin for qhull's points, which differ from these rows in the
+        last bits. One (V, F) residual matrix, no rebuild.
         """
         if not np.isfinite(pts).all():
             return False
@@ -219,8 +246,9 @@ class _PlaneObjective:
             c = interior_point(normals, offsets)
         except GeometryError:
             return False
-        R, on = plane_incidence(pts, normals, offsets, c)
-        return bool((on == self.incidence).all() and (R[~self.incidence] < 0.0).all())
+        R, slack = plane_incidence(pts, normals, offsets, c)
+        return bool((np.abs(R[self.incidence]) <= slack).all()
+                    and (R[~self.incidence] < -_WALL_MARGIN * slack).all())
 
     def rebuild(self, z: np.ndarray) -> Polyhedron | None:
         normals, offsets = self.planes(z)
@@ -242,21 +270,6 @@ def _log_ratio(obj: _PlaneObjective, z: np.ndarray) -> float:
         return math.inf
 
 
-def _fd_gradient(obj: _PlaneObjective, z: np.ndarray, h: float) -> np.ndarray:
-    """Central differences, all 2n probes z + h e_j, z - h e_j in one batch."""
-    n = len(z)
-    Z = np.repeat(z[None], 2 * n, axis=0)
-    Z[0::2][np.arange(n), np.arange(n)] += h
-    Z[1::2][np.arange(n), np.arange(n)] -= h
-    try:
-        f = obj.log_ratios(Z)
-    except np.linalg.LinAlgError:
-        f = None
-    if f is None or not np.isfinite(f).all():
-        raise NumericalBreakdown("ratio became non-finite near the iterate")
-    return (f[0::2] - f[1::2]) / (2.0 * h)
-
-
 def _settled(obj: _PlaneObjective, z: np.ndarray, f: float, key0: tuple) -> Polyhedron:
     """The polyhedron at a certified iterate, rebuilt and checked against
     what the certificate promised: the start's type and the ratio exp(f)
@@ -274,18 +287,13 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
 
     A line-search probe that passes the Armijo test is accepted only when
     ``_PlaneObjective.certifies`` shows it keeps the start's combinatorial
-    type; otherwise the step size is halved. If the line search then
-    stalls against such a step, or stalls while the iterate carries a
-    feature too small for the finite-difference gradient to resolve (an
-    edge shorter than a few gradient steps), the result carries
-    combinatorics_changed=True; its stop reason is ``wall`` when the
-    certificate has turned back a step during the run, else
-    ``unresolved_feature``. A stall with no boundary cause re-anchors the
-    parameterization at the current iterate and retries before stopping
-    (``stale_anchor``). The gradient tolerance applies to the gradient of
-    log(ratio), making the stop test scale invariant. A polyhedron is
-    rebuilt only at a stall and at exit, and raises NumericalBreakdown
-    unless it has the start's type and ratio.
+    type; otherwise the step size is halved. A line search that stalls
+    against such a step stops at a ``wall`` (combinatorics_changed=True);
+    any other stall re-anchors the parameterization at the current iterate
+    and retries before stopping (``stale_anchor``). The gradient tolerance
+    applies to the gradient of log(ratio), making the stop test scale
+    invariant. A polyhedron is rebuilt only at a re-anchor and at exit, and
+    raises NumericalBreakdown unless it has the start's type and ratio.
 
     Raises InvalidStart unless P0 is a valid convex polyhedron whose
     vertices all have degree 3.
@@ -306,13 +314,12 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     current = P0   # the polyhedron at z; None until rebuilt after a step
     trace = [(0, math.exp(f))]
     stop = "max_iters"
-    met_wall = False   # the certificate has turned back a step
     iters = 0
     alpha = _STEP_INIT
     prev_z = prev_g = None
     fresh_anchor = True
     while iters < opts.max_iters:
-        g = _fd_gradient(obj, z, _FD_STEP)
+        g = obj.gradient(z)
         gnorm = float(np.linalg.norm(g))
         if gnorm < opts.grad_tol:
             stop = "grad_tol"
@@ -339,22 +346,16 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
                 if obj.certifies(*(r[0] for r in rows)):
                     accepted = (zt, ft)
                     break
-                hit_boundary = met_wall = True
+                hit_boundary = True
             a *= 0.5
         if accepted is None:
-            if current is None:
-                current = _settled(obj, z, f, key0)
-            shortest = min(float(np.linalg.norm(current.vertices[i] - current.vertices[j]))
-                           for i, j in current.edges)
-            if hit_boundary or shortest < 50.0 * _FD_STEP * current.diameter():
-                stop = "wall" if met_wall else "unresolved_feature"
-                break
-            if fresh_anchor:
-                stop = "stale_anchor"
+            if hit_boundary or fresh_anchor:
+                stop = "wall" if hit_boundary else "stale_anchor"
                 break
             # the anchor frame (centroid and scale of the body the step
             # parameters were packed against) has gone stale; recut it at
             # the current iterate and retry before giving up
+            current = _settled(obj, z, f, key0)
             obj = _PlaneObjective.for_polyhedron(current)
             z = obj.pack(current)
             f = _log_ratio(obj, z)

@@ -250,21 +250,11 @@ def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
     _check_indices(P, pert)
     cls = _mover_class(P, pert)
     a, w, sigma = _hinge_frame(P, pert)
-    n = P.face_normal(face)
-    ndot = sigma * cross(w, n)
+    ndot = sigma * cross(w, P.face_normal(face))
     odot = float(a @ ndot)
     per_vertex = _face_rates(P, pert, cls, ndot, odot)
-
-    # exact first moment of the face about the hinge line
-    pts = P.vertices[list(P.faces[face])]
-    centroid = pts.mean(axis=0)
-    dV = 0.0
-    for t in range(len(pts)):
-        p, q = pts[t], pts[(t + 1) % len(pts)]
-        tri_area = 0.5 * float(cross(q - centroid, p - centroid) @ -n)
-        tri_c = (centroid + p + q) / 3.0
-        dV += tri_area * (odot - tri_c @ ndot)
-    return _report(P, pert, float(sum(per_vertex.values())), float(dV), per_vertex)
+    dV = P.face_area(face) * odot - float(P.face_moments[face] @ ndot)
+    return _report(P, pert, float(sum(per_vertex.values())), dV, per_vertex)
 
 
 def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:

@@ -231,17 +231,19 @@ class Polyhedron:
 
     @cached_property
     def _body_frame(self) -> tuple:
-        """(face areas, volume) about the vertex centroid, so a body far from
-        the origin loses no digits, with the planes rescaled to unit normals
-        (a halfspace keeps a normal only to within ``unit_norm``)."""
+        """(face areas, volume, face moments) about the vertex centroid c, so
+        a body far from the origin loses no digits, with the planes rescaled
+        to unit normals (a halfspace keeps a normal only to within
+        ``unit_norm``); the moments are moved back to the world by A_f c."""
         c = self.vertices.mean(axis=0)
         N = np.array([h.normal for h in self.halfspaces])
         length = np.sqrt(rowdot(N, N))
         N, b = N / length[:, None], np.array([h.offset for h in self.halfspaces]) / length
-        twice, vol = twice_areas_and_volumes(self.topology, self.vertices - c, N, b - N @ c)
+        twice, vol, M = twice_areas_and_volumes(self.topology, self.vertices - c, N, b - N @ c)
         areas = 0.5 * twice
-        areas.flags.writeable = False
-        return areas, float(vol)
+        moments = M + areas[:, None] * c
+        areas.flags.writeable = moments.flags.writeable = False
+        return areas, float(vol), moments
 
     @property
     def face_areas(self) -> np.ndarray:
@@ -252,6 +254,11 @@ class Polyhedron:
     def volume(self) -> float:
         """Enclosed volume V0; computed once per body with the face areas."""
         return self._body_frame[1]
+
+    @property
+    def face_moments(self) -> np.ndarray:
+        """First moment, the integral of x dA, of every face, signed like its area."""
+        return self._body_frame[2]
 
     @cached_property
     def dihedral_range(self) -> tuple:
@@ -396,7 +403,8 @@ def from_halfspaces(halfspaces) -> Polyhedron:
     if (hsi.dual_equations[:, 3] >= 0).any():
         raise UnboundedIntersection("the dual hull does not enclose the interior point")
 
-    incident = np.unique(plane_incidence(hsi.intersections, N, b, c)[1], axis=0)
+    R, slack = plane_incidence(hsi.intersections, N, b, c)
+    incident = np.unique(np.abs(R) <= slack, axis=0)
     sets = [np.flatnonzero(row) for row in incident]
     triples = np.array([t for s in sets for t in itertools.combinations(s, 3)]).reshape(-1, 3)
     owner = np.repeat(np.arange(len(sets)), [math.comb(len(s), 3) for s in sets])
@@ -452,11 +460,10 @@ def interior_point(N: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def plane_incidence(pts: np.ndarray, N: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     """Residuals x.N - b (P, F) of points x (P, 3) against the planes, and
-    the incidence mask of ``from_halfspaces``: x lies on a plane when its
-    residual is within ``coplanarity`` times max|x - c| over the points,
-    c being the interior point."""
-    R = pts @ N.T - b
-    return R, np.abs(R) <= DEFAULT_TOLERANCES.coplanarity * float(np.abs(pts - c).max())
+    the merge slack of ``from_halfspaces``: x lies on a plane when its
+    residual is within the slack, ``coplanarity`` times max|x - c| over the
+    points, c being the interior point."""
+    return pts @ N.T - b, DEFAULT_TOLERANCES.coplanarity * float(np.abs(pts - c).max())
 
 
 def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -489,18 +496,26 @@ def volume(P: Polyhedron) -> float:
 
 def twice_areas_and_volumes(top: Topology, pts: np.ndarray, normals: np.ndarray,
                             offsets: np.ndarray) -> tuple:
-    """Twice the face areas (..., F) and the volumes (...) from vertex rows
-    (..., V, 3), unit normals (..., F, 3) and offsets (..., F) about an
-    origin near the body. Each face's p x p_next is summed corner by corner
-    in cycle order (padding adds zeros); V sums offset x area / 3 in face
-    order."""
-    cr = np.cross(pts[..., top.corner_table[..., 0], :], pts[..., top.corner_table[..., 1], :])
+    """Twice the face areas (..., F), the volumes (...) and the face first
+    moments (..., F, 3) from vertex rows (..., V, 3), unit normals (..., F, 3)
+    and offsets (..., F) about an origin near the body. Each face's p x p_next
+    is summed corner by corner in cycle order (padding adds zeros); V sums
+    offset x area / 3 in face order; M = (sum a_t (p_t + p_t+1) + o A n) / 3
+    over the corner triangles from the origin's foot, a_t = n.(p_t x p_t+1)/2."""
+    p, q = pts[..., top.corner_table[..., 0], :], pts[..., top.corner_table[..., 1], :]
+    # np.cross(p, q), the same products in the same order without its axis handling
+    cr = np.stack([p[..., 1] * q[..., 2] - p[..., 2] * q[..., 1],
+                   p[..., 2] * q[..., 0] - p[..., 0] * q[..., 2],
+                   p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]], axis=-1)
     cr[..., ~top.corner_mask, :] = 0.0
     cross_sum = cr[..., 0, :]
     for k in range(1, cr.shape[-2]):
         cross_sum = cross_sum + cr[..., k, :]
     dots = (cross_sum[..., None, :] @ normals[..., :, None])[..., 0, 0]
-    return dots, np.add.accumulate((offsets * 0.5) * dots, axis=-1)[..., -1] / 3.0
+    weighted = (offsets * 0.5) * dots
+    corners = 0.5 * (cr @ normals[..., :, :, None]) * (p + q)
+    moments = (corners.sum(axis=-2) + weighted[..., None] * normals) / 3.0
+    return dots, np.add.accumulate(weighted, axis=-1)[..., -1] / 3.0, moments
 
 
 def melzak_ratio(P: Polyhedron) -> float:

@@ -128,8 +128,8 @@ def test_optimize_box_to_cube(tmp_path, capsys):
 
 
 def test_optimize_defaults_reach_a_converged_tetrahedron(tmp_path, capsys):
-    # the defaults are OptimizeOptions'; a tolerance below the gradient's
-    # noise floor would end this run at a stale anchor, unconverged
+    # the defaults are OptimizeOptions'; the run reaches the regular
+    # tetrahedron and stops at the gradient tolerance
     src = tmp_path / "tetra.off"
     write_off(src, random_convex(np.random.default_rng(1), n_faces=4))
     code, out, _ = run(capsys, "optimize", str(src), "--out", str(tmp_path / "opt.off"))
@@ -137,6 +137,7 @@ def test_optimize_defaults_reach_a_converged_tetrahedron(tmp_path, capsys):
     got = dict(line.split(" = ") for line in out.splitlines())
     assert float(got["m"]) == pytest.approx(TETRA_RATIO, rel=1e-9)
     assert got["converged"] == "true"
+    assert got["stop_reason"] == "grad_tol"
 
 
 def test_optimize_non_simple_start_is_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,7 +130,9 @@ def test_incircle_area_bounds_hold():
 # The pole path before it was merged into one pass: orient, check every
 # side, then orient the re-wrapped points again and take the poles anew.
 # Its lengths use vec3.norm, so the comparison isolates the merge from the
-# change of norm.
+# change of norm. Its arccos area now serves only for the exception class:
+# the value is checked against a 40-digit evaluation, which the arccos form
+# misses by up to 2e-8 (the flat triangle).
 
 def _oracle_oriented(points):
     c = points.mean(axis=0)
@@ -207,6 +210,23 @@ def _oracle_incircle(poly, tol=1e-9):
     return best_r, tuple(int(i) for i in np.nonzero(dists <= best_r + tol)[0])
 
 
+def _mp_area(poly) -> float:
+    """Interior-angle excess of the polygon's float points, evaluated with
+    40 digits: each angle by atan2 of the tangent vectors at its corner."""
+    with mpmath.workdps(40):
+        pts = [mpmath.matrix([mpmath.mpf(float(x)) for x in p]) for p in poly.points]
+        n = len(pts)
+        total = mpmath.mpf(0)
+        for i in range(n):
+            p = pts[i]
+            a = pts[i - 1] - (pts[i - 1].T * p)[0] * p
+            b = pts[(i + 1) % n] - (pts[(i + 1) % n].T * p)[0] * p
+            c = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                 a[0] * b[1] - a[1] * b[0]]
+            total += mpmath.atan2(mpmath.sqrt(sum(x * x for x in c)), (a.T * b)[0])
+        return float(total - (n - 2) * mpmath.pi)
+
+
 def _outcome(fn, poly):
     try:
         return "ok", fn(poly)
@@ -232,10 +252,9 @@ def test_one_pole_pass_matches_the_oracle():
     classes = set()
     for g in _vertex_images():
         kind, got = _outcome(spherical_area, g)
-        want_kind, want = _outcome(_oracle_area, g)
-        assert kind == want_kind
+        assert kind == _outcome(_oracle_area, g)[0]
         if kind == "ok":
-            assert got == pytest.approx(want, abs=1e-14)
+            assert got == pytest.approx(_mp_area(g), abs=1e-14)
         classes.add(kind)
         kind, got = _outcome(spherical_incircle, g)
         want_kind, want = _outcome(_oracle_incircle, g)
