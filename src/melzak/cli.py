@@ -111,7 +111,7 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_optimize(args) -> int:
     P = read_off(args.mesh)
-    opts = OptimizeOptions(max_iters=args.iters, grad_tol=args.tol, seed=args.seed)
+    opts = OptimizeOptions(max_iters=args.iters, grad_tol=args.tol)
     res = local_optimize(P, opts)
     write_off(args.out, res.polyhedron)
     print(f"m = {_fmt(res.ratio)}")
@@ -197,7 +197,6 @@ def _build_parser() -> _Parser:
     p.add_argument("mesh")
     p.add_argument("--iters", type=int, default=OptimizeOptions.max_iters)
     p.add_argument("--tol", type=float, default=OptimizeOptions.grad_tol)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)

@@ -1,8 +1,8 @@
 """Fixed-combinatorics ratio descent and the small-face-count driver.
 
 The local optimizer parameterizes a convex polyhedron by its supporting
-planes (two spherical angles plus an offset per face, offsets rescaled by
-the start diameter so all coordinates are comparable), descends the log
+planes (one row per face: a normal, then an offset rescaled by the start
+diameter so all coordinates are comparable), descends the log
 of the edge-cube-over-volume ratio with its exact gradient and a
 backtracking line search, and treats any change of combinatorial type as
 a hard step boundary. A probe's vertex rows decide whether it keeps the
@@ -110,21 +110,24 @@ class OptimizeResult:
 class _PlaneObjective:
     """Ratio evaluator with the start polyhedron's combinatorics frozen.
 
-    Vertex positions come from batched 3x3 solves against each vertex's
-    three planes, so the map stays smooth across the walls where the true
-    intersection would change type; ``certifies`` tells, from the same
-    vertex rows, whether a point lies short of every wall.
+    The descent iterates the plane rows z (F, 4): a normal, then an offset
+    divided by the anchor polyhedron's diameter, so that all four entries
+    are comparable. A row and its positive multiples are the same plane,
+    and ``solve`` reads each row at unit normal. Vertex positions come from batched 3x3 solves
+    against each vertex's three planes, so the map stays smooth across the
+    walls where the true intersection would change type; ``certifies``
+    tells, from the same vertex rows, whether a point lies short of every
+    wall.
 
-    ``log_ratios`` evaluates a batch of parameter rows: one stacked solve
-    for every vertex of every row (``solve``), then edge lengths and the
-    volume from ``twice_areas_and_volumes`` over the anchor's corner
-    table, the kernel ``Polyhedron.volume`` uses too (``log_ratios_of``).
-    ``gradient`` is exact, from the same solve and kernel.
+    ``log_ratio`` takes edge lengths and the volume of one solved body,
+    the volume from ``twice_areas_and_volumes`` over the anchor's corner
+    table, the kernel ``Polyhedron.volume`` uses too. ``gradient`` is
+    exact, from the same solve and kernel.
 
-    Offsets are measured from the anchor polyhedron's vertex centroid, not
-    the world origin. The plane solves lose roughly offset/diameter digits,
-    so a body that sits (or descends to sit) far off-center relative to its
-    size would otherwise poison both the ratio and the rebuild check.
+    Offsets are measured from the anchor centroid, not the world origin.
+    The plane solves lose roughly offset/diameter digits, so a body that
+    sits (or descends to sit) far off-center relative to its size would
+    otherwise poison both the ratio and the rebuild check.
     """
 
     edge_idx: np.ndarray
@@ -143,71 +146,49 @@ class _PlaneObjective:
                    P.topology, P.diameter(), P.vertices.mean(axis=0))
 
     def pack(self, P: Polyhedron) -> np.ndarray:
-        z = np.empty(3 * P.n_faces)
-        for f, h in enumerate(P.halfspaces):
-            n = h.normal
-            z[3 * f] = math.acos(float(np.clip(n[2], -1.0, 1.0)))
-            z[3 * f + 1] = math.atan2(float(n[1]), float(n[0]))
-            z[3 * f + 2] = (h.offset - float(n @ self.origin)) / self.scale
-        return z
+        normals = np.array([h.normal for h in P.halfspaces])
+        offsets = np.array([h.offset for h in P.halfspaces])
+        return np.column_stack([normals, (offsets - normals @ self.origin) / self.scale])
 
-    def planes(self, z: np.ndarray) -> tuple:
-        """Unit normals (..., F, 3) and offsets (..., F) of parameters (..., 3F)."""
-        phi, lam, off = z[..., 0::3], z[..., 1::3], z[..., 2::3]
-        sp = np.sin(phi)
-        normals = np.stack([sp * np.cos(lam), sp * np.sin(lam), np.cos(phi)], axis=-1)
-        return normals, off * self.scale
-
-    def solve(self, Z: np.ndarray) -> tuple:
-        """Normals (B, F, 3), offsets (B, F) and vertex rows (B, V, 3) of the
-        (B, 3F) parameter array Z. Raises LinAlgError when any row holds a
-        singular vertex system."""
-        normals, offsets = self.planes(Z)
-        A = normals[:, self.vertex_planes]
-        b = offsets[:, self.vertex_planes]
+    def solve(self, z: np.ndarray) -> tuple:
+        """Unit normals (F, 3), offsets (F) and vertex rows (V, 3) of the
+        plane rows z (F, 4). Raises LinAlgError when a vertex system is
+        singular."""
+        z = z / np.sqrt((z[:, :3] ** 2).sum(axis=1))[:, None]
+        normals, offsets = z[:, :3], z[:, 3] * self.scale
+        A = normals[self.vertex_planes]
+        b = offsets[self.vertex_planes]
         return normals, offsets, np.linalg.solve(A, b[..., None])[..., 0]
 
-    def log_ratios(self, Z: np.ndarray) -> np.ndarray:
-        """ln(E^3 / V) of every row of the (B, 3F) parameter array Z.
+    def log_ratio(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray) -> float:
+        """ln(E^3 / V) of a body solved by ``solve``; inf where its vertices
+        are not finite, its volume is not positive or its edge total is not
+        finite."""
+        if not np.isfinite(pts).all():
+            return math.inf
+        d = pts[self.edge_idx[:, 0]] - pts[self.edge_idx[:, 1]]
+        e = float(np.sqrt((d * d).sum(axis=1)).sum())
+        vol = float(twice_areas_and_volumes(self.topology, pts, normals, offsets)[1])
+        if vol <= 0 or not math.isfinite(e):
+            return math.inf
+        m = e ** 3 / vol
+        return math.log(m) if math.isfinite(m) and m > 0 else math.inf
 
-        A row whose vertices are not finite, whose volume is not positive or
-        whose edge total is not finite gives inf. Raises LinAlgError when any
-        row holds a singular vertex system.
-        """
-        return self.log_ratios_of(*self.solve(Z))
-
-    def log_ratios_of(self, normals: np.ndarray, offsets: np.ndarray,
-                      pts: np.ndarray) -> np.ndarray:
-        """``log_ratios`` of rows already solved by ``solve``."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            d = pts[:, self.edge_idx[:, 0]] - pts[:, self.edge_idx[:, 1]]
-            lengths = np.sqrt((d * d).sum(axis=2))
-            vols = twice_areas_and_volumes(self.topology, pts, normals, offsets)[1]
-        finite = np.isfinite(pts).all(axis=(1, 2))
-        out = np.full(len(pts), math.inf)
-        for r in np.flatnonzero(finite):
-            e, vol = float(lengths[r].sum()), float(vols[r])
-            if vol <= 0 or not math.isfinite(e):
-                continue
-            m = e ** 3 / vol
-            if math.isfinite(m) and m > 0:
-                out[r] = math.log(m)
-        return out
-
-    def plane_gradient(self, z: np.ndarray) -> tuple:
-        """Exact gradient of ln m over the plane rows of z: (d/dn (F, 3),
-        d/do (F)), offsets about the anchor centroid. A vertex on planes
-        A x = o moves by x' = A^-1 (o' - n' x), as in the rates, so the
-        adjoint l = A^-T gx of each vertex (gx = dE/dx) gives dE/do_f =
+    def gradient(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Exact gradient (F, 4) of ln m over the plane rows of a body
+        solved by ``solve``: d/dn, then d/do times the scale. A vertex on
+        planes A x = o moves by x' = A^-1 (o' - n' x), as in the rates, so
+        the adjoint l = A^-T gx of each vertex (gx = dE/dx) gives dE/do_f =
         sum l and dE/dn_f = -sum l x over the vertices on f; dV/do_f = A_f
-        and dV/dn_f = -M_f. Raises NumericalBreakdown where a vertex system
-        is singular or the ratio is not finite."""
+        and dV/dn_f = -M_f. ln m does not change when a row is rescaled,
+        so each gradient row is orthogonal to its plane row. Raises
+        NumericalBreakdown where a vertex system is singular or the ratio
+        is not finite."""
+        d = pts[self.edge_idx[:, 0]] - pts[self.edge_idx[:, 1]]
+        length = np.sqrt((d * d).sum(axis=1))
+        gx = np.zeros_like(pts)
+        np.add.at(gx, self.edge_idx, np.stack([d, -d], axis=1) / length[:, None, None])
         try:
-            normals, offsets, pts = (r[0] for r in self.solve(z[None]))
-            d = pts[self.edge_idx[:, 0]] - pts[self.edge_idx[:, 1]]
-            length = np.sqrt((d * d).sum(axis=1))
-            gx = np.zeros_like(pts)
-            np.add.at(gx, self.edge_idx, np.stack([d, -d], axis=1) / length[:, None, None])
             adj = np.linalg.solve(normals[self.vertex_planes].swapaxes(1, 2), gx[..., None])
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("a vertex system is singular at the iterate") from None
@@ -218,15 +199,7 @@ class _PlaneObjective:
         d_n, d_o = moments / vol - w * (lam.T @ pts), w * lam.sum(axis=0) - 0.5 * twice / vol
         if not (vol > 0 and np.isfinite(d_n).all() and np.isfinite(d_o).all()):
             raise NumericalBreakdown("ratio is not finite at the iterate")
-        return d_n, d_o
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        """``plane_gradient`` chained to the packed angles and offsets z."""
-        d_n, d_o = self.plane_gradient(z)
-        cp, sp, cl, sl = np.cos(z[0::3]), np.sin(z[0::3]), np.cos(z[1::3]), np.sin(z[1::3])
-        return np.stack([cp * (d_n[:, 0] * cl + d_n[:, 1] * sl) - sp * d_n[:, 2],
-                         sp * (d_n[:, 1] * cl - d_n[:, 0] * sl),
-                         d_o * self.scale], axis=1).ravel()
+        return np.column_stack([d_n, d_o * self.scale])
 
     def certifies(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray) -> bool:
         """Whether the vertex rows pts (V, 3) of one solved row are the
@@ -250,8 +223,7 @@ class _PlaneObjective:
         return bool((np.abs(R[self.incidence]) <= slack).all()
                     and (R[~self.incidence] < -_WALL_MARGIN * slack).all())
 
-    def rebuild(self, z: np.ndarray) -> Polyhedron | None:
-        normals, offsets = self.planes(z)
+    def rebuild(self, normals: np.ndarray, offsets: np.ndarray) -> Polyhedron | None:
         try:
             Q = from_halfspaces([HalfSpace(n, o) for n, o in zip(normals, offsets)])
         except GeometryError:
@@ -263,18 +235,27 @@ class _PlaneObjective:
         return Polyhedron(Q.vertices + self.origin, Q.faces, shifted, Q.convex, Q.edges)
 
 
-def _log_ratio(obj: _PlaneObjective, z: np.ndarray) -> float:
+def _probe(obj: _PlaneObjective, z: np.ndarray) -> tuple:
+    """The solve of the plane rows z and its ln m; (None, inf) where a
+    vertex system is singular."""
     try:
-        return float(obj.log_ratios(z[None])[0])
+        solved = obj.solve(z)
     except np.linalg.LinAlgError:
-        return math.inf
+        return None, math.inf
+    return solved, obj.log_ratio(*solved)
 
 
-def _settled(obj: _PlaneObjective, z: np.ndarray, f: float, key0: tuple) -> Polyhedron:
+def _anchored(P: Polyhedron) -> tuple:
+    """The objective anchored at P, the solve of P's plane rows and its ln m."""
+    obj = _PlaneObjective.for_polyhedron(P)
+    return (obj, *_probe(obj, obj.pack(P)))
+
+
+def _settled(obj: _PlaneObjective, solved: tuple, f: float, key0: tuple) -> Polyhedron:
     """The polyhedron at a certified iterate, rebuilt and checked against
     what the certificate promised: the start's type and the ratio exp(f)
     to 1e-9. Raises NumericalBreakdown when either fails."""
-    P = obj.rebuild(z)
+    P = obj.rebuild(*solved[:2])
     if (P is None or P.type_key() != key0
             or abs(melzak_ratio(P) - math.exp(f)) > 1e-9 * math.exp(f)):
         raise NumericalBreakdown("a certified iterate does not rebuild to the start's "
@@ -283,7 +264,7 @@ def _settled(obj: _PlaneObjective, z: np.ndarray, f: float, key0: tuple) -> Poly
 
 
 def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) -> OptimizeResult:
-    """Monotone ratio descent over supporting-plane parameters.
+    """Monotone ratio descent over supporting-plane rows.
 
     A line-search probe that passes the Armijo test is accepted only when
     ``_PlaneObjective.certifies`` shows it keeps the start's combinatorial
@@ -292,8 +273,10 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     any other stall re-anchors the parameterization at the current iterate
     and retries before stopping (``stale_anchor``). The gradient tolerance
     applies to the gradient of log(ratio), making the stop test scale
-    invariant. A polyhedron is rebuilt only at a re-anchor and at exit, and
-    raises NumericalBreakdown unless it has the start's type and ratio.
+    invariant. Each probe costs one vertex solve; the accepted probe's
+    unit rows are the next iterate, and its solve feeds the next gradient.
+    A polyhedron is rebuilt only at a re-anchor and at exit, and raises
+    NumericalBreakdown unless it has the start's type and ratio.
 
     Raises InvalidStart unless P0 is a valid convex polyhedron whose
     vertices all have degree 3.
@@ -304,14 +287,12 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         if P0.vertex_degree(v) != 3:
             raise InvalidStart(f"optimization needs a simple start; vertex {v} "
                                f"has degree {P0.vertex_degree(v)}")
-    obj = _PlaneObjective.for_polyhedron(P0)
     key0 = P0.type_key()
-    z = obj.pack(P0)
-    f = _log_ratio(obj, z)
+    obj, solved, f = _anchored(P0)
     if not math.isfinite(f):
         raise NumericalBreakdown("ratio is non-finite at the start")
 
-    current = P0   # the polyhedron at z; None until rebuilt after a step
+    current = P0   # the polyhedron at the iterate; None until rebuilt after a step
     trace = [(0, math.exp(f))]
     stop = "max_iters"
     iters = 0
@@ -319,16 +300,18 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     prev_z = prev_g = None
     fresh_anchor = True
     while iters < opts.max_iters:
-        g = obj.gradient(z)
+        normals, offsets, _ = solved
+        z = np.column_stack([normals, offsets / obj.scale])
+        g = obj.gradient(*solved)
         gnorm = float(np.linalg.norm(g))
         if gnorm < opts.grad_tol:
             stop = "grad_tol"
             break
         if prev_g is not None:
             dz, dg = z - prev_z, g - prev_g
-            denom = float(dg @ dg)
+            denom = float(np.vdot(dg, dg))
             if denom > 0:
-                alpha = abs(float(dz @ dg)) / denom
+                alpha = abs(float(np.vdot(dz, dg))) / denom
         alpha = float(np.clip(alpha, 1e-12, 10.0))
         prev_z, prev_g = z, g
 
@@ -336,15 +319,10 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         hit_boundary = False
         a = alpha
         while a * gnorm > 1e-14:
-            zt = z - a * g
-            try:
-                rows = obj.solve(zt[None])
-                ft = float(obj.log_ratios_of(*rows)[0])
-            except np.linalg.LinAlgError:
-                ft = math.inf
+            probe, ft = _probe(obj, z - a * g)
             if ft < f - 1e-4 * a * gnorm * gnorm:
-                if obj.certifies(*(r[0] for r in rows)):
-                    accepted = (zt, ft)
+                if obj.certifies(*probe):
+                    accepted = (probe, ft)
                     break
                 hit_boundary = True
             a *= 0.5
@@ -352,13 +330,11 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             if hit_boundary or fresh_anchor:
                 stop = "wall" if hit_boundary else "stale_anchor"
                 break
-            # the anchor frame (centroid and scale of the body the step
-            # parameters were packed against) has gone stale; recut it at
-            # the current iterate and retry before giving up
-            current = _settled(obj, z, f, key0)
-            obj = _PlaneObjective.for_polyhedron(current)
-            z = obj.pack(current)
-            f = _log_ratio(obj, z)
+            # the anchor frame (centroid and scale of the body the plane
+            # rows were packed against) has gone stale; recut it at the
+            # current iterate and retry before giving up
+            current = _settled(obj, solved, f, key0)
+            obj, solved, f = _anchored(current)
             if not math.isfinite(f):
                 stop = "stale_anchor"
                 break
@@ -366,7 +342,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             prev_z = prev_g = None
             fresh_anchor = True
             continue
-        z, f = accepted
+        solved, f = accepted
         current = None
         fresh_anchor = False
         alpha = a
@@ -374,7 +350,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         trace.append((iters, math.exp(f)))
 
     if current is None:
-        current = _settled(obj, z, f, key0)
+        current = _settled(obj, solved, f, key0)
     return OptimizeResult(current, melzak_ratio(current), iters, tuple(trace), stop)
 
 

@@ -200,6 +200,8 @@ def test_usage_error_is_exit_1(capsys):
     assert run(capsys, "ratio")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "quad-scan", "--samples", "5")[0] == 1
+    # the descent is deterministic and takes no seed
+    assert run(capsys, "optimize", "cube.off", "--out", "opt.off", "--seed", "1")[0] == 1
 
 
 def test_negative_seed_is_exit_2(capsys):
