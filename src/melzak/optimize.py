@@ -8,8 +8,13 @@ backtracking line search, and treats any change of combinatorial type as
 a hard step boundary. A probe's vertex rows decide whether it keeps the
 type: an exact certificate reads them against every plane by the
 incidence rule of ``from_halfspaces``, so the descent rebuilds a
-polyhedron only at a re-anchor and at exit. Starts must be simple (every
-vertex on three faces), as every vertex of a convex minimizer is.
+polyhedron only at a re-anchor and at exit. The certificate's residuals
+and their first-order rates along the step also say how far the nearest
+wall is, and each line search starts short of it, by the
+fraction-to-the-boundary rule, instead of halving its way there; a wall
+step below the search floor stops the descent at that wall. Starts must
+be simple (every vertex on three faces), as every vertex of a convex
+minimizer is.
 
 The sequence driver enumerates the shipped catalog of combinatorial types
 with up to eight faces, optimizes each, and carries the best ratio
@@ -70,6 +75,8 @@ EXPECTED_SIMPLE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
 _STEP_INIT = 0.1   # first line-search step, and the step after a re-anchor
 _RESTARTS = 3      # sweep descents per catalog type: its start and two jitters
 _WALL_MARGIN = 2.0  # off-plane residuals the certificate needs, in merge slacks
+_TO_WALL = 0.9     # share of the first-order wall step a line search may start at
+_STEP_FLOOR = 1e-14  # the line search gives up once the step times |g| is this small
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,13 @@ class OptimizeResult:
     iterations: int
     trace: tuple
     # why the descent stopped: grad_tol, max_iters, wall (its last line search
-    # met a type wall) or stale_anchor (no step even from a fresh anchor);
-    # closed_form where the optimum is known and no descent ran
+    # met a type wall, or the wall left it no step above the search floor)
+    # or stale_anchor (no step even from a fresh anchor); closed_form where
+    # the optimum is known and no descent ran
     stop_reason: str
+    # at a wall, what collapses there: triangle:f=<face>, edge:e=<edge> of
+    # the result polyhedron, or other
+    wall: str | None = None
 
     @property
     def converged(self) -> bool:
@@ -117,7 +128,7 @@ class _PlaneObjective:
     against each vertex's three planes, so the map stays smooth across the
     walls where the true intersection would change type; ``certifies``
     tells, from the same vertex rows, whether a point lies short of every
-    wall.
+    wall, and ``wall_step`` how far along a step the nearest wall lies.
 
     ``log_ratio`` takes edge lengths and the volume of one solved body,
     the volume from ``twice_areas_and_volumes`` over the anchor's corner
@@ -136,6 +147,9 @@ class _PlaneObjective:
     topology: Topology
     scale: float
     origin: np.ndarray
+    # the vertex rows last read by ``incidence_residuals`` and its answer
+    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False,
+                        compare=False)
 
     @classmethod
     def for_polyhedron(cls, P: Polyhedron) -> "_PlaneObjective":
@@ -201,27 +215,79 @@ class _PlaneObjective:
             raise NumericalBreakdown("ratio is not finite at the iterate")
         return np.column_stack([d_n, d_o * self.scale])
 
+    def incidence_residuals(self, normals: np.ndarray, offsets: np.ndarray,
+                            pts: np.ndarray) -> tuple | None:
+        """``plane_incidence`` (residuals R (V, F), merge slack) of the vertex
+        rows pts (V, 3) of one solved row about the ``interior_point`` that
+        ``from_halfspaces`` would use; None where there is no interior
+        point. The last answer is kept, so the certificate of an accepted
+        probe and the wall step from it find the interior point (which may
+        take an LP) once."""
+        last_pts, last = self._last
+        if last_pts is pts:
+            return last
+        try:
+            out = plane_incidence(pts, normals, offsets, interior_point(normals, offsets))
+        except GeometryError:
+            out = None
+        self._last[:] = pts, out
+        return out
+
     def certifies(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray) -> bool:
         """Whether the vertex rows pts (V, 3) of one solved row are the
         vertices of the planes' intersection with the anchor's incidence,
         so that ``from_halfspaces`` would rebuild the anchor's type.
 
-        It holds when, by ``plane_incidence`` about the ``interior_point``
-        that ``from_halfspaces`` would use, every plane incident to a vertex
-        in the anchor passes within the merge slack of its row, and every
-        other plane lies beyond ``_WALL_MARGIN`` slacks on the inner side,
-        a margin for qhull's points, which differ from these rows in the
-        last bits. One (V, F) residual matrix, no rebuild.
+        It holds when, by ``incidence_residuals``, every plane incident to
+        a vertex in the anchor passes within the merge slack of its row,
+        and every other plane lies beyond ``_WALL_MARGIN`` slacks on the
+        inner side, a margin for qhull's points, which differ from these
+        rows in the last bits. One (V, F) residual matrix, no rebuild.
         """
         if not np.isfinite(pts).all():
             return False
-        try:
-            c = interior_point(normals, offsets)
-        except GeometryError:
+        res = self.incidence_residuals(normals, offsets, pts)
+        if res is None:
             return False
-        R, slack = plane_incidence(pts, normals, offsets, c)
+        R, slack = res
         return bool((np.abs(R[self.incidence]) <= slack).all()
                     and (R[~self.incidence] < -_WALL_MARGIN * slack).all())
+
+    def residual_rates(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray,
+                       d: np.ndarray) -> np.ndarray:
+        """First-order rates (V, F) of the residuals x_v.n_f - o_f of one
+        solved body as its plane rows move along d (F, 4) from its unit
+        rows. ``solve`` rescales each row to unit normal, so a row moves by
+        n' = d_n - (n.d_n) n, o' = d_o scale - (n.d_n) o; a vertex on planes
+        A x = o moves by x' = A^-1 (o' - n' x), as in the rates, and each
+        residual by x'.n + x.n' - o'."""
+        stretch = (normals * d[:, :3]).sum(axis=1)
+        n_dot = d[:, :3] - stretch[:, None] * normals
+        o_dot = d[:, 3] * self.scale - stretch * offsets
+        rhs = o_dot[self.vertex_planes] - (n_dot[self.vertex_planes] * pts[:, None, :]).sum(axis=2)
+        x_dot = np.linalg.solve(normals[self.vertex_planes], rhs[..., None])[..., 0]
+        return x_dot @ normals.T + pts @ n_dot.T - o_dot
+
+    def wall_step(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray,
+                  d: np.ndarray) -> tuple:
+        """(t, (v, g)): the step t along the plane rows d (F, 4) at which,
+        to first order, the residual of vertex row v against a plane g off
+        its anchor incidence first rises to -``_WALL_MARGIN`` slacks, where
+        ``certifies`` stops accepting; t is 0 for a pair already past it.
+        (inf, None) where no such residual rises or there is no interior
+        point."""
+        res = self.incidence_residuals(normals, offsets, pts)
+        if res is None:
+            return math.inf, None
+        R, slack = res
+        rate = self.residual_rates(normals, offsets, pts, d)
+        rising = ~self.incidence & (rate > 0)
+        if not rising.any():
+            return math.inf, None
+        t = np.full(R.shape, math.inf)
+        t[rising] = np.maximum(-_WALL_MARGIN * slack - R[rising], 0.0) / rate[rising]
+        v, g = np.unravel_index(np.argmin(t), t.shape)
+        return float(t[v, g]), (int(v), int(g))
 
     def rebuild(self, normals: np.ndarray, offsets: np.ndarray) -> Polyhedron | None:
         try:
@@ -251,32 +317,61 @@ def _anchored(P: Polyhedron) -> tuple:
     return (obj, *_probe(obj, obj.pack(P)))
 
 
-def _settled(obj: _PlaneObjective, solved: tuple, f: float, key0: tuple) -> Polyhedron:
+def _settled(obj: _PlaneObjective, solved: tuple, f: float) -> Polyhedron:
     """The polyhedron at a certified iterate, rebuilt and checked against
-    what the certificate promised: the start's type and the ratio exp(f)
-    to 1e-9. Raises NumericalBreakdown when either fails."""
+    what the certificate promised: one face per plane row, in row order,
+    the anchor's vertex-plane incidence, which fixes the type, and the
+    ratio exp(f) to 1e-9. Raises NumericalBreakdown when any fails."""
     P = obj.rebuild(*solved[:2])
-    if (P is None or P.type_key() != key0
+    if (P is None or P.n_faces != obj.incidence.shape[1]
+            or sorted(tuple(P.vertex_faces(v)) for v in range(P.n_vertices))
+            != sorted(map(tuple, obj.vertex_planes.tolist()))
             or abs(melzak_ratio(P) - math.exp(f)) > 1e-9 * math.exp(f)):
         raise NumericalBreakdown("a certified iterate does not rebuild to the start's "
                                  "type and ratio")
     return P
 
 
+def _wall_name(obj: _PlaneObjective, P: Polyhedron, pair: tuple | None) -> str:
+    """What collapses at the wall where anchor vertex v meets plane g, for
+    the (v, g) of ``wall_step``: the triangle through v and its two
+    neighbours on g (``triangle:f=<face>``), the edge to its one neighbour
+    on g (``edge:e=<edge>``, numbered in P, whose faces are the plane
+    rows), or ``other``."""
+    if pair is None:
+        return "other"
+    v, g = pair
+    on_g = [u for u in obj.topology.neighbours(v) if obj.incidence[u, g]]
+    shared = set(obj.vertex_planes[v].tolist())
+    for u in on_g:
+        shared &= set(obj.vertex_planes[u].tolist())
+    if len(on_g) == 2:
+        return f"triangle:f={shared.pop()}"
+    if len(on_g) == 1:
+        return f"edge:e={P.topology.edge_faces.index(tuple(sorted(shared)))}"
+    return "other"
+
+
 def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) -> OptimizeResult:
     """Monotone ratio descent over supporting-plane rows.
 
-    A line-search probe that passes the Armijo test is accepted only when
+    Each line search starts at the Barzilai-Borwein step, cut to
+    ``_TO_WALL`` of the first-order step at which the nearest wall is met
+    (``_PlaneObjective.wall_step``, the fraction-to-the-boundary rule). A
+    probe that passes the Armijo test is accepted only when
     ``_PlaneObjective.certifies`` shows it keeps the start's combinatorial
-    type; otherwise the step size is halved. A line search that stalls
-    against such a step stops at a ``wall`` (combinatorics_changed=True);
-    any other stall re-anchors the parameterization at the current iterate
+    type; otherwise the step size is halved. The descent stops at a
+    ``wall`` (combinatorics_changed=True) when a line search stalls
+    against such a step, or when the wall step leaves it no step above
+    the search floor; ``OptimizeResult.wall`` then names what collapses.
+    Any other stall re-anchors the parameterization at the current iterate
     and retries before stopping (``stale_anchor``). The gradient tolerance
     applies to the gradient of log(ratio), making the stop test scale
     invariant. Each probe costs one vertex solve; the accepted probe's
-    unit rows are the next iterate, and its solve feeds the next gradient.
-    A polyhedron is rebuilt only at a re-anchor and at exit, and raises
-    NumericalBreakdown unless it has the start's type and ratio.
+    unit rows are the next iterate, and its solve feeds the next gradient
+    and wall step. A polyhedron is rebuilt only at a re-anchor and at
+    exit, and raises NumericalBreakdown unless it has the start's type and
+    ratio.
 
     Raises InvalidStart unless P0 is a valid convex polyhedron whose
     vertices all have degree 3.
@@ -287,7 +382,6 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         if P0.vertex_degree(v) != 3:
             raise InvalidStart(f"optimization needs a simple start; vertex {v} "
                                f"has degree {P0.vertex_degree(v)}")
-    key0 = P0.type_key()
     obj, solved, f = _anchored(P0)
     if not math.isfinite(f):
         raise NumericalBreakdown("ratio is non-finite at the start")
@@ -315,10 +409,12 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         alpha = float(np.clip(alpha, 1e-12, 10.0))
         prev_z, prev_g = z, g
 
+        to_wall, pair = obj.wall_step(*solved, -g)
+        a = min(alpha, _TO_WALL * to_wall)
         accepted = None
-        hit_boundary = False
-        a = alpha
-        while a * gnorm > 1e-14:
+        # a wall closer than the search floor is met without a probe
+        hit_boundary = a * gnorm <= _STEP_FLOOR < alpha * gnorm
+        while a * gnorm > _STEP_FLOOR:
             probe, ft = _probe(obj, z - a * g)
             if ft < f - 1e-4 * a * gnorm * gnorm:
                 if obj.certifies(*probe):
@@ -333,7 +429,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             # the anchor frame (centroid and scale of the body the plane
             # rows were packed against) has gone stale; recut it at the
             # current iterate and retry before giving up
-            current = _settled(obj, solved, f, key0)
+            current = _settled(obj, solved, f)
             obj, solved, f = _anchored(current)
             if not math.isfinite(f):
                 stop = "stale_anchor"
@@ -350,8 +446,9 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         trace.append((iters, math.exp(f)))
 
     if current is None:
-        current = _settled(obj, solved, f, key0)
-    return OptimizeResult(current, melzak_ratio(current), iters, tuple(trace), stop)
+        current = _settled(obj, solved, f)
+    wall = _wall_name(obj, current, pair) if stop == "wall" else None
+    return OptimizeResult(current, melzak_ratio(current), iters, tuple(trace), stop, wall)
 
 
 # -- combinatorial catalog -------------------------------------------------

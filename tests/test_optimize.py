@@ -463,17 +463,83 @@ def test_certificate_refuses_a_vertex_within_the_margin_of_a_plane():
 
 def test_exit_guard_catches_a_certificate_that_accepts_everything(monkeypatch):
     # the type that flows to the prism meets the prism wall at its eleventh
-    # step, which the certificate turns back; accepting every probe walks
-    # through the wall there (and back out at the twelfth step), so a run
-    # cut at eleven steps ends across it and the one rebuild at exit must
-    # say so
+    # Barzilai-Borwein step, which the certificate turns back; accepting
+    # every probe, with no wall step to start short of it, walks through the
+    # wall there (and back out at the twelfth step), so a run cut at eleven
+    # steps ends across it and the one rebuild at exit must say so
     start = {t.name: t for t in load_catalog()}["simple6f_334455_a"].build()
     opts = OptimizeOptions(max_iters=11)
     res = local_optimize(start, opts)
     assert res.polyhedron.type_key() == start.type_key()
     monkeypatch.setattr(_PlaneObjective, "certifies", lambda self, *rows: True)
+    monkeypatch.setattr(_PlaneObjective, "wall_step", lambda self, *rows: (math.inf, None))
     with pytest.raises(NumericalBreakdown, match="does not rebuild"):
         local_optimize(start, opts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 12))
+def test_wall_step_reads_residual_rates_that_match_central_differences(seed, n_faces):
+    # the residual matrix x_v.n_f - o_f of the solved rows, differenced
+    # along the unit descent direction with the truncation and rounding
+    # bound of the gradient test; on 2,145 bodies (seeds 0-3000 in steps
+    # of 7, 4-12 faces) the error reaches half of it
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    obj = _PlaneObjective.for_polyhedron(P)
+    normals, offsets, pts = obj.solve(obj.pack(P))
+    z = np.column_stack([normals, offsets / obj.scale])
+    g = obj.gradient(normals, offsets, pts)
+    d = -g / np.linalg.norm(g)
+
+    def residuals(t):
+        n, o, x = obj.solve(z + t * d)
+        return x @ n.T - o
+
+    def central(h):
+        return (residuals(h) - residuals(-h)) / (2.0 * h)
+
+    h = 1e-6
+    fd_h, fd_2h = central(h), central(2 * h)
+    rate = obj.residual_rates(normals, offsets, pts, d)
+    bound = (2.0 / 3.0) * np.abs(fd_2h - fd_h) + 64 * np.finfo(float).eps * np.abs(pts).max() / h
+    assert (np.abs(rate - fd_h) <= bound).all()
+    # the wall step is where the first off-incidence residual, followed
+    # along its rate, reaches the certificate's margin (up to the rounding
+    # of R + t R', whose terms are about the body's size)
+    R, slack = obj.incidence_residuals(normals, offsets, pts)
+    t, pair = obj.wall_step(normals, offsets, pts, d)
+    edge, tol = -_WALL_MARGIN * slack, 64 * np.finfo(float).eps * np.abs(R).max()
+    if pair is None:
+        assert t == math.inf and (rate[~obj.incidence] <= 0).all()
+    else:
+        v, f = pair
+        assert not obj.incidence[v, f] and rate[v, f] > 0
+        assert abs(R[v, f] + t * rate[v, f] - edge) <= tol
+        assert (R + t * rate)[~obj.incidence].max() <= edge + tol
+
+
+def test_line_search_starts_short_of_the_wall(monkeypatch):
+    # Barzilai-Borwein steps overshoot the prism wall this type flows to;
+    # started at nine tenths of the wall step, nearly every line search
+    # accepts its first probe (halving from the Barzilai-Borwein step took
+    # 27.7 probes a gradient)
+    calls = collections.Counter()
+    probe, gradient = melzak.optimize._probe, _PlaneObjective.gradient
+
+    def counted_probe(*args):
+        calls["probe"] += 1
+        return probe(*args)
+
+    def counted_gradient(self, *args):
+        calls["gradient"] += 1
+        return gradient(self, *args)
+
+    monkeypatch.setattr(melzak.optimize, "_probe", counted_probe)
+    monkeypatch.setattr(_PlaneObjective, "gradient", counted_gradient)
+    start = {t.name: t for t in load_catalog()}["simple6f_334455_a"].build()
+    res = local_optimize(start)
+    assert (res.stop_reason, res.wall) == ("wall", "triangle:f=5")
+    assert calls["probe"] <= 2 * calls["gradient"]
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +767,59 @@ def _descent_digests(work: pathlib.Path) -> dict:
     return {name: hashlib.sha256(run().encode()).hexdigest() for name, run in runs.items()}
 
 
-def test_golden_descent_digests(tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The descent digests, and every result of a descent that ``sequence
+    --max-faces 8`` ran while they were taken, so that the 8-face sweep
+    runs once for both."""
+    runs, sweeps = [], {}
+
+    def descent(P, opts=OptimizeOptions()):
+        runs.append(local_optimize(P, opts))
+        return runs[-1]
+
+    def sequence(max_faces, opts=OptimizeOptions()):
+        first = len(runs)
+        steps = minimizing_sequence(max_faces, opts)
+        sweeps[max_faces] = runs[first:]
+        return steps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(melzak.optimize, "local_optimize", descent)
+        mp.setattr(cli, "minimizing_sequence", sequence)
+        digests = _descent_digests(tmp_path_factory.mktemp("descent"))
+    return digests, sweeps[8]
+
+
+def test_golden_descent_digests(golden_run):
     want = json.loads(GOLDEN.read_text())
-    got = _descent_digests(tmp_path)
+    got, _ = golden_run
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
+
+
+def _collapsed(P) -> str:
+    """The feature at a wall by its short edges (below 1e-5 of the
+    diameter): one edge, the three edges of one triangle, or other."""
+    d = P.diameter()
+    short = {e for e, (i, j) in enumerate(P.edges)
+             if np.linalg.norm(P.vertices[i] - P.vertices[j]) < 1e-5 * d}
+    triangles = [f for f, cyc in enumerate(P.faces) if len(cyc) == 3
+                 and {P.edge_index(i, j) for i, j in zip(cyc, cyc[1:] + cyc[:1])} == short]
+    if len(short) == 1:
+        return f"edge:e={short.pop()}"
+    return f"triangle:f={triangles[0]}" if len(triangles) == 1 else "other"
+
+
+def test_walls_name_what_collapses(golden_run):
+    # every wall stop of the 8-face sweep names the feature its short edges
+    # show: 48 triangles shrink to a point and 9 edges shrink
+    _, sweep = golden_run
+    walls = [res for res in sweep if res.stop_reason == "wall"]
+    assert [res.wall for res in walls] == [_collapsed(res.polyhedron) for res in walls]
+    assert collections.Counter(res.wall.split(":")[0] for res in walls) == {
+        "triangle": 48, "edge": 9}
+    assert all(res.wall is None for res in sweep if res.stop_reason != "wall")
 
 
 if __name__ == "__main__":
