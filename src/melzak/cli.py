@@ -128,8 +128,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    opts = OptimizeOptions(seed=args.seed)
-    steps = minimizing_sequence(args.max_faces, opts)
+    steps = minimizing_sequence(args.max_faces)
     print("faces best_type ratio carried tie")
     for s in steps:
         print(f"{s.faces} {s.best_name} {_fmt(s.best.ratio)} "
@@ -203,7 +202,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sequence", help="best ratio per face count")
     p.add_argument("--max-faces", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("quad-scan", help="planar chain-condition scan")

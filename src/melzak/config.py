@@ -3,7 +3,8 @@
 Length-like tolerances are relative: they are multiplied by a length scale
 of the body at the point of use. ``from_halfspaces`` uses max|x - c| over
 the vertices x and its interior point c; ``validate`` uses the diameter.
-Angular and unit-norm tolerances are absolute.
+Angular and unit-norm tolerances are absolute. ``json_float`` is the one
+rounding rule for floats written to JSON.
 """
 from __future__ import annotations
 
@@ -23,3 +24,11 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def json_float(x) -> float | None:
+    """Round to 12 significant digits for stable serialized output; None
+    stays None."""
+    if x is None:
+        return None
+    return float(f"{float(x):.12g}")

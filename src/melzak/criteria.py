@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, json_float
 from .errors import GeometryError, InvalidPolyhedron, NotConvex, NotExposed
 from .gauss import EXPOSED, angle_deficit, dihedral_angle, spherical_area, vertex_incircle
 from .perturbations import (
@@ -48,11 +48,11 @@ class Witness:
     dM: float | None = None
 
     def to_dict(self) -> dict:
-        out = {"element": self.element, "measured": _sig(self.measured),
-               "threshold": _sig(self.threshold)}
+        out = {"element": self.element, "measured": json_float(self.measured),
+               "threshold": json_float(self.threshold)}
         if self.perturbation is not None:
             out["perturbation"] = self.perturbation.label()
-            out["dM"] = _sig(self.dM)
+            out["dM"] = json_float(self.dM)
         return out
 
 
@@ -87,13 +87,6 @@ class CriteriaReport:
     @property
     def is_candidate_minimizer(self) -> bool:
         return bool(self.summary["is_candidate_minimizer"])
-
-
-def _sig(x) -> float:
-    """Round to 12 significant digits for stable serialized output."""
-    if x is None:
-        return None
-    return float(f"{float(x):.12g}")
 
 
 def _best_improvement(P: Polyhedron, candidates) -> tuple:

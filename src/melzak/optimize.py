@@ -17,8 +17,9 @@ be simple (every vertex on three faces), as every vertex of a convex
 minimizer is.
 
 The sequence driver enumerates the shipped catalog of combinatorial types
-with up to eight faces, optimizes each, and carries the best ratio
-forward so the per-face-count table is monotone.
+with up to eight faces, descends once from each simple type's catalog
+start, and carries the best ratio forward so the per-face-count table is
+monotone.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from importlib import resources
 
 import numpy as np
 
+from .config import json_float
 from .errors import (
     BadParameter,
     GeometryError,
@@ -73,7 +75,6 @@ __all__ = [
 EXPECTED_SIMPLE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
 
 _STEP_INIT = 0.1   # first line-search step, and the step after a re-anchor
-_RESTARTS = 3      # sweep descents per catalog type: its start and two jitters
 _WALL_MARGIN = 2.0  # off-plane residuals the certificate needs, in merge slacks
 _TO_WALL = 0.9     # share of the first-order wall step a line search may start at
 _STEP_FLOOR = 1e-14  # the line search gives up once the step times |g| is this small
@@ -83,14 +84,11 @@ _STEP_FLOOR = 1e-14  # the line search gives up once the step times |g| is this 
 class OptimizeOptions:
     max_iters: int = 300
     grad_tol: float = 1e-7
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("max_iters", "grad_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise BadParameter(f"{name} must be positive and finite")
-        if self.seed < 0:
-            raise BadParameter("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -147,9 +145,6 @@ class _PlaneObjective:
     topology: Topology
     scale: float
     origin: np.ndarray
-    # the vertex rows last read by ``incidence_residuals`` and its answer
-    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False,
-                        compare=False)
 
     @classmethod
     def for_polyhedron(cls, P: Polyhedron) -> "_PlaneObjective":
@@ -219,34 +214,27 @@ class _PlaneObjective:
                             pts: np.ndarray) -> tuple | None:
         """``plane_incidence`` (residuals R (V, F), merge slack) of the vertex
         rows pts (V, 3) of one solved row about the ``interior_point`` that
-        ``from_halfspaces`` would use; None where there is no interior
-        point. The last answer is kept, so the certificate of an accepted
-        probe and the wall step from it find the interior point (which may
-        take an LP) once."""
-        last_pts, last = self._last
-        if last_pts is pts:
-            return last
-        try:
-            out = plane_incidence(pts, normals, offsets, interior_point(normals, offsets))
-        except GeometryError:
-            out = None
-        self._last[:] = pts, out
-        return out
-
-    def certifies(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray) -> bool:
-        """Whether the vertex rows pts (V, 3) of one solved row are the
-        vertices of the planes' intersection with the anchor's incidence,
-        so that ``from_halfspaces`` would rebuild the anchor's type.
-
-        It holds when, by ``incidence_residuals``, every plane incident to
-        a vertex in the anchor passes within the merge slack of its row,
-        and every other plane lies beyond ``_WALL_MARGIN`` slacks on the
-        inner side, a margin for qhull's points, which differ from these
-        rows in the last bits. One (V, F) residual matrix, no rebuild.
-        """
+        ``from_halfspaces`` would use; None where the rows are not finite or
+        there is no interior point."""
         if not np.isfinite(pts).all():
-            return False
-        res = self.incidence_residuals(normals, offsets, pts)
+            return None
+        try:
+            return plane_incidence(pts, normals, offsets, interior_point(normals, offsets))
+        except GeometryError:
+            return None
+
+    def certifies(self, res: tuple | None) -> bool:
+        """Whether the solved rows whose ``incidence_residuals`` are res are
+        the vertices of the planes' intersection with the anchor's
+        incidence, so that ``from_halfspaces`` would rebuild the anchor's
+        type.
+
+        It holds when every plane incident to a vertex in the anchor passes
+        within the merge slack of its row, and every other plane lies
+        beyond ``_WALL_MARGIN`` slacks on the inner side, a margin for
+        qhull's points, which differ from these rows in the last bits. One
+        (V, F) residual matrix, no rebuild.
+        """
         if res is None:
             return False
         R, slack = res
@@ -269,14 +257,13 @@ class _PlaneObjective:
         return x_dot @ normals.T + pts @ n_dot.T - o_dot
 
     def wall_step(self, normals: np.ndarray, offsets: np.ndarray, pts: np.ndarray,
-                  d: np.ndarray) -> tuple:
-        """(t, (v, g)): the step t along the plane rows d (F, 4) at which,
-        to first order, the residual of vertex row v against a plane g off
+                  res: tuple | None, d: np.ndarray) -> tuple:
+        """(t, (v, g)): the step t along the plane rows d (F, 4) from one
+        solved body, whose ``incidence_residuals`` are res, at which, to
+        first order, the residual of vertex row v against a plane g off
         its anchor incidence first rises to -``_WALL_MARGIN`` slacks, where
         ``certifies`` stops accepting; t is 0 for a pair already past it.
-        (inf, None) where no such residual rises or there is no interior
-        point."""
-        res = self.incidence_residuals(normals, offsets, pts)
+        (inf, None) where no such residual rises or res is None."""
         if res is None:
             return math.inf, None
         R, slack = res
@@ -368,10 +355,10 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     and retries before stopping (``stale_anchor``). The gradient tolerance
     applies to the gradient of log(ratio), making the stop test scale
     invariant. Each probe costs one vertex solve; the accepted probe's
-    unit rows are the next iterate, and its solve feeds the next gradient
-    and wall step. A polyhedron is rebuilt only at a re-anchor and at
-    exit, and raises NumericalBreakdown unless it has the start's type and
-    ratio.
+    unit rows are the next iterate, its solve feeds the next gradient and
+    its certified residuals the next wall step. A polyhedron is rebuilt
+    only at a re-anchor and at exit, and raises NumericalBreakdown unless
+    it has the start's type and ratio.
 
     Raises InvalidStart unless P0 is a valid convex polyhedron whose
     vertices all have degree 3.
@@ -385,6 +372,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
     obj, solved, f = _anchored(P0)
     if not math.isfinite(f):
         raise NumericalBreakdown("ratio is non-finite at the start")
+    res = obj.incidence_residuals(*solved)
 
     current = P0   # the polyhedron at the iterate; None until rebuilt after a step
     trace = [(0, math.exp(f))]
@@ -409,7 +397,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         alpha = float(np.clip(alpha, 1e-12, 10.0))
         prev_z, prev_g = z, g
 
-        to_wall, pair = obj.wall_step(*solved, -g)
+        to_wall, pair = obj.wall_step(*solved, res, -g)
         a = min(alpha, _TO_WALL * to_wall)
         accepted = None
         # a wall closer than the search floor is met without a probe
@@ -417,8 +405,9 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
         while a * gnorm > _STEP_FLOOR:
             probe, ft = _probe(obj, z - a * g)
             if ft < f - 1e-4 * a * gnorm * gnorm:
-                if obj.certifies(*probe):
-                    accepted = (probe, ft)
+                probe_res = obj.incidence_residuals(*probe)
+                if obj.certifies(probe_res):
+                    accepted = (probe, ft, probe_res)
                     break
                 hit_boundary = True
             a *= 0.5
@@ -434,11 +423,12 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             if not math.isfinite(f):
                 stop = "stale_anchor"
                 break
+            res = obj.incidence_residuals(*solved)
             alpha = _STEP_INIT
             prev_z = prev_g = None
             fresh_anchor = True
             continue
-        solved, f = accepted
+        solved, f, res = accepted
         current = None
         fresh_anchor = False
         alpha = a
@@ -548,75 +538,33 @@ class SequenceStep:
     per_type: tuple = field(default=())
 
 
-def _vertex_key(P: Polyhedron) -> tuple:
-    rows = np.round(P.vertices, 9)
-    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
-    return tuple(rows[order].ravel())
-
-
-def _restart_key(res: OptimizeResult) -> tuple:
-    return (round(res.ratio, 9), _vertex_key(res.polyhedron))
-
-
-def _jittered_start(t: CatalogType, rng: np.random.Generator) -> Polyhedron:
-    reference = t.build()
-    key = reference.type_key()
-    amp = 0.12
-    for _ in range(6):
-        hs = []
-        for h in reference.halfspaces:
-            n = h.normal + rng.normal(scale=amp, size=3)
-            hs.append(HalfSpace(n / np.linalg.norm(n),
-                                h.offset * (1.0 + rng.uniform(-amp, amp))))
-        try:
-            P = from_halfspaces(hs)
-        except GeometryError:
-            amp *= 0.5
-            continue
-        if P.type_key() == key:
-            return P
-        amp *= 0.5
-    return reference
-
-
-def _optimize_type(t: CatalogType, opts: OptimizeOptions,
-                   rng: np.random.Generator) -> TypeRun:
+def _optimize_type(t: CatalogType) -> TypeRun:
     if t.pyramid_base:
         P = optimal_pyramid(t.pyramid_base)
         m = melzak_ratio(P)
         return TypeRun(t.name, t.faces, "parametric",
                        OptimizeResult(P, m, 0, ((0, m),), "closed_form"))
-    starts = [t.build()]
-    starts += [_jittered_start(t, rng) for _ in range(_RESTARTS - 1)]
-    best = None
-    for P in starts:
-        res = local_optimize(P, opts)
-        if best is None or _restart_key(res) < _restart_key(best):
-            best = res
-    return TypeRun(t.name, t.faces, "descent", best)
+    return TypeRun(t.name, t.faces, "descent", local_optimize(t.build()))
 
 
-def minimizing_sequence(max_faces: int,
-                        opts: OptimizeOptions = OptimizeOptions()) -> tuple:
+def minimizing_sequence(max_faces: int) -> tuple:
     """Best ratio per face count from four up to max_faces, carried forward.
 
     Every catalog type with k faces is optimized (pyramid types by the
-    closed-form ``optimal_pyramid``, the rest by plane descent with restarts);
-    step k records the best over face counts up to k. Ties against the
-    carried value within 1e-9 relative keep the smaller face count and
-    set the tie flag.
+    closed-form ``optimal_pyramid``, the rest by one plane descent from
+    the catalog start); step k records the best over face counts up to k,
+    by ratio. Ties against the carried value within 1e-9 relative keep
+    the smaller face count and set the tie flag.
     """
     if not 4 <= max_faces <= 8:
         raise UnsupportedFaceCount("face counts outside 4..8 are not cataloged")
     catalog = load_catalog()
-    rng = np.random.default_rng(opts.seed)
     steps = []
     carry = None
     carry_name = ""
     for k in range(4, max_faces + 1):
-        runs = tuple(_optimize_type(t, opts, rng)
-                     for t in catalog if t.faces == k)
-        best_run = min(runs, key=lambda r: _restart_key(r.result))
+        runs = tuple(_optimize_type(t) for t in catalog if t.faces == k)
+        best_run = min(runs, key=lambda r: r.result.ratio)
         tie = False
         carried = False
         if carry is None or best_run.result.ratio < carry.ratio * (1.0 - 1e-9):
@@ -642,8 +590,8 @@ class CriticalityReport:
     skipped: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"entries": {k: float(f"{v:.12g}") for k, v in self.entries.items()},
-                "minimum": float(f"{self.minimum:.12g}"),
+        return {"entries": {k: json_float(v) for k, v in self.entries.items()},
+                "minimum": json_float(self.minimum),
                 "is_critical": self.is_critical}
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import json_float
 from .errors import (
     BadParameter,
     CoincidentPoints,
@@ -340,9 +341,9 @@ class ScanSolution:
     origin_inside: bool
 
     def to_dict(self) -> dict:
-        return {"p": [float(f"{x:.12g}") for x in self.p.ravel()],
-                "residual": float(f"{self.residual:.12g}"),
-                "maxF": float(f"{self.maxF:.12g}"),
+        return {"p": [json_float(x) for x in self.p.ravel()],
+                "residual": json_float(self.residual),
+                "maxF": json_float(self.maxF),
                 "two_adjacent_acute": self.two_adjacent_acute,
                 "origin_inside": self.origin_inside}
 

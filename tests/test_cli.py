@@ -200,16 +200,15 @@ def test_usage_error_is_exit_1(capsys):
     assert run(capsys, "ratio")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "quad-scan", "--samples", "5")[0] == 1
-    # the descent is deterministic and takes no seed
+    # the descent and the sweep are deterministic and take no seed
     assert run(capsys, "optimize", "cube.off", "--out", "opt.off", "--seed", "1")[0] == 1
+    assert run(capsys, "sequence", "--max-faces", "5", "--seed", "1")[0] == 1
 
 
 def test_negative_seed_is_exit_2(capsys):
-    for argv in (("quad-scan", "--samples", "5", "--seed", "-1"),
-                 ("sequence", "--max-faces", "5", "--seed", "-1")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error:")
+    code, out, err = run(capsys, "quad-scan", "--samples", "5", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_bad_scan_tolerance_is_exit_2(tmp_path, capsys):

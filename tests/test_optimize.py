@@ -385,7 +385,8 @@ def _decisions(P, probes) -> list:
             continue
         ft = obj.log_ratio(*row)
         if math.isfinite(ft):
-            out.append((obj.certifies(*row), _oracle_accepts(obj, key0, *row[:2], ft),
+            out.append((obj.certifies(obj.incidence_residuals(*row)),
+                        _oracle_accepts(obj, key0, *row[:2], ft),
                         _off_plane_margin(obj, *row)))
     return out
 
@@ -458,7 +459,7 @@ def test_certificate_refuses_a_vertex_within_the_margin_of_a_plane():
     for slacks, certified in ((1.5, False), (2.5, True)):
         row = row_at_depth(slacks * slack / math.sqrt(3.0))
         assert _off_plane_margin(obj, *row) == pytest.approx(slacks, rel=1e-4)
-        assert obj.certifies(*row) is certified
+        assert obj.certifies(obj.incidence_residuals(*row)) is certified
 
 
 def test_exit_guard_catches_a_certificate_that_accepts_everything(monkeypatch):
@@ -507,8 +508,9 @@ def test_wall_step_reads_residual_rates_that_match_central_differences(seed, n_f
     # along its rate, reaches the certificate's margin (up to the rounding
     # of R + t R', whose terms are about the body's size; on 3,861 bodies,
     # seeds 0-3000 in steps of 7 at 4-12 faces, it reaches 2% of the bound)
-    R, slack = obj.incidence_residuals(normals, offsets, pts)
-    t, pair = obj.wall_step(normals, offsets, pts, d)
+    res = obj.incidence_residuals(normals, offsets, pts)
+    R, slack = res
+    t, pair = obj.wall_step(normals, offsets, pts, res, d)
     edge, tol = -_WALL_MARGIN * slack, 64 * np.finfo(float).eps * np.abs(R).max()
     if pair is None:
         assert t == math.inf and (rate[~obj.incidence] <= 0).all()
@@ -644,7 +646,7 @@ def test_sequence_reports_per_type_runs():
 
 def test_sweep_takes_pyramids_at_their_closed_form():
     for t in (t for t in load_catalog() if t.pyramid_base):
-        run = _optimize_type(t, OptimizeOptions(), np.random.default_rng(0))
+        run = _optimize_type(t)
         assert run.method == "parametric"
         assert run.result.stop_reason == "closed_form"
         assert run.result.converged and not run.result.combinatorics_changed
@@ -779,9 +781,9 @@ def golden_run(tmp_path_factory):
         runs.append(local_optimize(P, opts))
         return runs[-1]
 
-    def sequence(max_faces, opts=OptimizeOptions()):
+    def sequence(max_faces):
         first = len(runs)
-        steps = minimizing_sequence(max_faces, opts)
+        steps = minimizing_sequence(max_faces)
         sweeps[max_faces] = runs[first:]
         return steps
 
@@ -813,14 +815,19 @@ def _collapsed(P) -> str:
 
 
 def test_walls_name_what_collapses(golden_run):
-    # every wall stop of the 8-face sweep names the feature its short edges
-    # show: 48 triangles shrink to a point and 9 edges shrink
+    # every wall stop names the feature its short edges show: in the 8-face
+    # sweep 16 triangles shrink to a point and 3 edges shrink, and from
+    # random_convex(default_rng(s), k) at seeds 0-4 and 4-12 faces 21
+    # triangles and 12 edges (all 134 walls of seeds 0-19 agree as well)
     _, sweep = golden_run
-    walls = [res for res in sweep if res.stop_reason == "wall"]
-    assert [res.wall for res in walls] == [_collapsed(res.polyhedron) for res in walls]
-    assert collections.Counter(res.wall.split(":")[0] for res in walls) == {
-        "triangle": 48, "edge": 9}
-    assert all(res.wall is None for res in sweep if res.stop_reason != "wall")
+    seeded = [local_optimize(random_convex(np.random.default_rng(s), n_faces=k))
+              for s in range(5) for k in range(4, 13)]
+    for runs, want in ((sweep, {"triangle": 16, "edge": 3}),
+                       (seeded, {"triangle": 21, "edge": 12})):
+        walls = [res for res in runs if res.stop_reason == "wall"]
+        assert [res.wall for res in walls] == [_collapsed(res.polyhedron) for res in walls]
+        assert collections.Counter(res.wall.split(":")[0] for res in walls) == want
+        assert all(res.wall is None for res in runs if res.stop_reason != "wall")
 
 
 if __name__ == "__main__":
