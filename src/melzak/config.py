@@ -4,7 +4,8 @@ Length-like tolerances are relative: they are multiplied by a length scale
 of the body at the point of use. ``from_halfspaces`` uses max|x - c| over
 the vertices x and its interior point c; ``validate`` uses the diameter.
 Angular and unit-norm tolerances are absolute. ``json_float`` is the one
-rounding rule for floats written to JSON.
+rounding rule for floats written to JSON, and ``json_rate`` the one for a
+first-order rate of the ratio m.
 """
 from __future__ import annotations
 
@@ -32,3 +33,14 @@ def json_float(x) -> float | None:
     if x is None:
         return None
     return float(f"{float(x):.12g}")
+
+
+def json_rate(rate, m: float) -> float | None:
+    """Round a rate of the ratio ``m`` to 9 significant digits for stable
+    serialized output, and write |rate| <= 1e-9 m as 0: below that the
+    digits are the rate's rounding, not its value. None stays None."""
+    if rate is None:
+        return None
+    if abs(rate) <= 1e-9 * abs(m):
+        return 0.0
+    return float(f"{float(rate):.9g}")

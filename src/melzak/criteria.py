@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, json_float
+from .config import DEFAULT_TOLERANCES, json_float, json_rate
 from .errors import GeometryError, InvalidPolyhedron, NotConvex, NotExposed
 from .gauss import EXPOSED, angle_deficit, dihedral_angle, spherical_area, vertex_incircle
 from .perturbations import (
@@ -41,18 +41,22 @@ WITNESS_TIE = 1e-9  # relative dM spread within which witnesses tie
 
 @dataclass(frozen=True)
 class Witness:
+    """A violated criterion at ``element``; an improving ``perturbation``
+    comes with its rate ``dM`` and the ratio ``M0`` it is a rate of."""
+
     element: str
     measured: float
     threshold: float
     perturbation: Perturbation | None = None
     dM: float | None = None
+    M0: float | None = None
 
     def to_dict(self) -> dict:
         out = {"element": self.element, "measured": json_float(self.measured),
                "threshold": json_float(self.threshold)}
         if self.perturbation is not None:
             out["perturbation"] = self.perturbation.label()
-            out["dM"] = json_float(self.dM)
+            out["dM"] = json_rate(self.dM, self.M0)
         return out
 
 
@@ -90,23 +94,24 @@ class CriteriaReport:
 
 
 def _best_improvement(P: Polyhedron, candidates) -> tuple:
-    """(perturbation, dM) of the most improving candidate, else (None, None).
+    """(perturbation, dM, M0) of the most improving candidate, else
+    (None, None, None).
 
     A dM must lie below -WITNESS_MARGIN; those within a relative WITNESS_TIE
     of the smallest tie, and the smallest label among them wins."""
     improving = []
     for pert in candidates:
         try:
-            dM = derivatives(P, pert).dM
+            rep = derivatives(P, pert)
         except GeometryError:
             continue
-        if dM < -WITNESS_MARGIN:
-            improving.append((pert, dM))
+        if rep.dM < -WITNESS_MARGIN:
+            improving.append((pert, rep.dM, rep.M0))
     if not improving:
-        return None, None
-    tied = min(dM for _, dM in improving) * (1.0 - WITNESS_TIE)  # the minimum is negative
-    return min(((pert, dM) for pert, dM in improving if dM <= tied),
-               key=lambda pd: pd[0].label())
+        return None, None, None
+    tied = min(dM for _, dM, _ in improving) * (1.0 - WITNESS_TIE)  # the minimum is negative
+    return min((best for best in improving if best[1] <= tied),
+               key=lambda best: best[0].label())
 
 
 def _admissible_face_moves(P: Polyhedron, f: int, target: int) -> list:
@@ -132,9 +137,9 @@ def check_vertex_degree(P: Polyhedron) -> CriterionVerdict:
         candidates = []
         for f in P.vertex_faces(v):
             candidates += _admissible_face_moves(P, f, v)
-        pert, dM = _best_improvement(P, candidates)
-        if pert is not None:
-            witnesses.append(Witness(f"vertex:{v}", float(deg), 3.0, pert, dM))
+        best = _best_improvement(P, candidates)
+        if best[0] is not None:
+            witnesses.append(Witness(f"vertex:{v}", float(deg), 3.0, *best))
     return CriterionVerdict("vertex_degree", applicable, not witnesses, tuple(witnesses))
 
 
@@ -174,8 +179,8 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
                 f"vertex {v}: incircle threshold {thr:.6g} and deficit threshold "
                 f"{thr_deficit:.6g} disagree at degree {deg}")
         if deg > thr:
-            pert, dM = _best_improvement(P, [Perturbation("vertex_truncate", v)])
-            witnesses.append(Witness(f"vertex:{v}", float(deg), thr, pert, dM))
+            best = _best_improvement(P, [Perturbation("vertex_truncate", v)])
+            witnesses.append(Witness(f"vertex:{v}", float(deg), thr, *best))
     return CriterionVerdict("vertex_curvature", applicable, not witnesses,
                             tuple(witnesses), tuple(notes))
 
@@ -247,10 +252,10 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
                               for o in others)
                 if cos_sum >= 1.0:
                     preferred.append(Perturbation("face_hinge", f, OUT, e))
-        pert, dM = _best_improvement(P, preferred or candidates)
-        if pert is None and preferred:
-            pert, dM = _best_improvement(P, candidates)
-        witnesses.append(Witness(f"face:{f}", float(total), threshold, pert, dM))
+        best = _best_improvement(P, preferred or candidates)
+        if best[0] is None and preferred:
+            best = _best_improvement(P, candidates)
+        witnesses.append(Witness(f"face:{f}", float(total), threshold, *best))
     return CriterionVerdict("triangle_deficit", applicable, not witnesses,
                             tuple(witnesses), tuple(notes))
 

@@ -30,7 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from .config import json_float
+from .config import json_rate
 from .errors import (
     BadParameter,
     GeometryError,
@@ -580,18 +580,20 @@ def minimizing_sequence(max_faces: int) -> tuple:
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    """``entries`` maps each evaluated perturbation label to its dM;
-    ``skipped`` maps each label whose rate raised a GeometryError to the
-    exception's class name. ``to_dict`` leaves ``skipped`` out."""
+    """``entries`` maps each evaluated perturbation label to its dM, a rate
+    of the body's ratio ``M0``; ``skipped`` maps each label whose rate
+    raised a GeometryError to the exception's class name. ``to_dict``
+    leaves ``M0`` and ``skipped`` out."""
 
     entries: dict
     minimum: float
     is_critical: bool
+    M0: float
     skipped: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"entries": {k: json_float(v) for k, v in self.entries.items()},
-                "minimum": json_float(self.minimum),
+        return {"entries": {k: json_rate(v, self.M0) for k, v in self.entries.items()},
+                "minimum": json_rate(self.minimum, self.M0),
                 "is_critical": self.is_critical}
 
 
@@ -625,4 +627,4 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
     for v in range(P.n_vertices):
         record(f"truncate:v={v}", vertex_truncate_derivatives, v)
     minimum = min(entries.values())
-    return CriticalityReport(entries, minimum, minimum >= -tol, skipped)
+    return CriticalityReport(entries, minimum, minimum >= -tol, melzak_ratio(P), skipped)
