@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from .criteria import audit
@@ -161,7 +162,9 @@ def _cmd_quad_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first ``main`` call and reused after it."""
     ap = _Parser(prog="melzak", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,11 +62,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class CriterionVerdict:
+    """``skipped`` maps each candidate perturbation whose rate raised a
+    GeometryError, by label, to the exception's class name; ``to_dict``
+    leaves it out."""
+
     criterion_id: str
     applicable: bool
     passed: bool
     witnesses: tuple = ()
     notes: tuple = ()
+    skipped: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"id": self.criterion_id, "applicable": self.applicable,
@@ -93,9 +98,9 @@ class CriteriaReport:
         return bool(self.summary["is_candidate_minimizer"])
 
 
-def _best_improvement(P: Polyhedron, candidates) -> tuple:
+def _best_improvement(P: Polyhedron, candidates, skipped: dict) -> tuple:
     """(perturbation, dM, M0) of the most improving candidate, else
-    (None, None, None).
+    (None, None, None); a candidate whose rate raises is named in ``skipped``.
 
     A dM must lie below -WITNESS_MARGIN; those within a relative WITNESS_TIE
     of the smallest tie, and the smallest label among them wins."""
@@ -103,7 +108,8 @@ def _best_improvement(P: Polyhedron, candidates) -> tuple:
     for pert in candidates:
         try:
             rep = derivatives(P, pert)
-        except GeometryError:
+        except GeometryError as exc:
+            skipped[pert.label()] = type(exc).__name__
             continue
         if rep.dM < -WITNESS_MARGIN:
             improving.append((pert, rep.dM, rep.M0))
@@ -128,6 +134,7 @@ def _admissible_face_moves(P: Polyhedron, f: int, target: int) -> list:
 def check_vertex_degree(P: Polyhedron) -> CriterionVerdict:
     """Vertices of degree above 3 admit an improving face slide or hinge."""
     witnesses = []
+    skipped = {}
     applicable = any(_admissible_face_moves(P, f, v)
                      for f, cyc in enumerate(P.faces) for v in cyc)
     for v in range(P.n_vertices):
@@ -137,10 +144,11 @@ def check_vertex_degree(P: Polyhedron) -> CriterionVerdict:
         candidates = []
         for f in P.vertex_faces(v):
             candidates += _admissible_face_moves(P, f, v)
-        best = _best_improvement(P, candidates)
+        best = _best_improvement(P, candidates, skipped)
         if best[0] is not None:
             witnesses.append(Witness(f"vertex:{v}", float(deg), 3.0, *best))
-    return CriterionVerdict("vertex_degree", applicable, not witnesses, tuple(witnesses))
+    return CriterionVerdict("vertex_degree", applicable, not witnesses, tuple(witnesses),
+                            skipped=skipped)
 
 
 def _deficit_threshold(alpha: float) -> float:
@@ -160,6 +168,7 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
     """
     witnesses = []
     notes = []
+    skipped = {}
     applicable = False
     for v in range(P.n_vertices):
         try:
@@ -179,10 +188,10 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
                 f"vertex {v}: incircle threshold {thr:.6g} and deficit threshold "
                 f"{thr_deficit:.6g} disagree at degree {deg}")
         if deg > thr:
-            best = _best_improvement(P, [Perturbation("vertex_truncate", v)])
+            best = _best_improvement(P, [Perturbation("vertex_truncate", v)], skipped)
             witnesses.append(Witness(f"vertex:{v}", float(deg), thr, *best))
     return CriterionVerdict("vertex_curvature", applicable, not witnesses,
-                            tuple(witnesses), tuple(notes))
+                            tuple(witnesses), tuple(notes), skipped)
 
 
 def _prolongations(P: Polyhedron, f: int) -> dict:
@@ -206,6 +215,7 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
     """
     witnesses = []
     notes = []
+    skipped = {}
     applicable = False
     for f in range(P.n_faces):
         cyc = P.faces[f]
@@ -252,12 +262,12 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
                               for o in others)
                 if cos_sum >= 1.0:
                     preferred.append(Perturbation("face_hinge", f, OUT, e))
-        best = _best_improvement(P, preferred or candidates)
+        best = _best_improvement(P, preferred or candidates, skipped)
         if best[0] is None and preferred:
-            best = _best_improvement(P, candidates)
+            best = _best_improvement(P, candidates, skipped)
         witnesses.append(Witness(f"face:{f}", float(total), threshold, *best))
     return CriterionVerdict("triangle_deficit", applicable, not witnesses,
-                            tuple(witnesses), tuple(notes))
+                            tuple(witnesses), tuple(notes), skipped)
 
 
 def check_combinatorics(P: Polyhedron, mode: str = "any") -> CriterionVerdict:
@@ -328,9 +338,10 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
     if damp > 0:
         thr_near = 2.0 * math.atan(base * damp)
         adjacency = set(map(frozenset, P.topology.edge_faces))
+        frames = np.stack(plane_bases(np.array([h.normal for h in P.halfspaces])), axis=1)
         for s in range(P.n_faces):
             cyc = P.faces[s]
-            basis = np.vstack(plane_bases(P.face_normal(s)[None]))
+            basis = frames[s]
             # (face across the rim edge, its two ends in face coordinates)
             rim = [(P.topology.face_of[j, i], P.vertices[i] @ basis.T, P.vertices[j] @ basis.T)
                    for i, j in zip(cyc, cyc[1:] + cyc[:1])]

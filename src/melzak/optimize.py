@@ -38,13 +38,7 @@ from .errors import (
     NumericalBreakdown,
     UnsupportedFaceCount,
 )
-from .perturbations import (
-    IN,
-    OUT,
-    face_hinge_derivatives,
-    face_translate_derivatives,
-    vertex_truncate_derivatives,
-)
+from .perturbations import IN, OUT, face_move_rates, vertex_truncate_derivatives
 from .polyhedron import (
     HalfSpace,
     Polyhedron,
@@ -609,22 +603,22 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
     """
     entries = {}
     skipped = {}
-
-    def record(label, rate, *args):
-        try:
-            entries[label] = rate(P, *args).dM
-        except GeometryError as exc:
-            skipped[label] = type(exc).__name__
-
-    for f in range(P.n_faces):
-        for dirn in (OUT, IN):
-            record(f"translate:f={f}:{dirn}", face_translate_derivatives, f, dirn)
+    translates, hinges = [], []
     for f, cyc in enumerate(P.faces):
-        for i, j in zip(cyc, cyc[1:] + cyc[:1]):
-            e = P.edge_index(i, j)
-            for dirn in (OUT, IN):
-                record(f"hinge:f={f}:e={e}:{dirn}", face_hinge_derivatives, f, e, dirn)
+        dM, errors = face_move_rates(P, f)
+        rates = [errors.get(m, rate) for m, rate in enumerate(dM)]
+        translates += zip([f"translate:f={f}:{d}" for d in (OUT, IN)], rates)
+        hinges += zip([f"hinge:f={f}:e={P.edge_index(i, j)}:{d}"
+                       for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in (OUT, IN)], rates[2:])
+    for label, rate in translates + hinges:
+        if isinstance(rate, GeometryError):
+            skipped[label] = type(rate).__name__
+        else:
+            entries[label] = rate
     for v in range(P.n_vertices):
-        record(f"truncate:v={v}", vertex_truncate_derivatives, v)
+        try:
+            entries[f"truncate:v={v}"] = vertex_truncate_derivatives(P, v).dM
+        except GeometryError as exc:
+            skipped[f"truncate:v={v}"] = type(exc).__name__
     minimum = min(entries.values())
     return CriticalityReport(entries, minimum, minimum >= -tol, melzak_ratio(P), skipped)

@@ -110,14 +110,15 @@ class DerivativeReport:
         return out
 
 
-def _line_velocity(n_a, n_b, n_move, ndot, odot, point) -> np.ndarray:
-    """Velocity of the intersection of two static planes and a moving one."""
+def _slide(n_a, n_b, n_face) -> np.ndarray:
+    """g with g * rdot the velocity of the point on two static planes (unit
+    normals n_a, n_b) and on a moving one (n_face), whose plane moves at
+    rdot = odot - x . ndot through the point."""
     d = cross(n_a, n_b)
-    denom = d @ n_move
+    denom = d @ n_face
     if abs(denom) <= 1e-13:
         raise DegenerateInput("vertex slides along a direction parallel to the moving plane")
-    rate = odot - point @ ndot
-    return d * (rate / denom)
+    return d / denom
 
 
 def _local_fan(P: Polyhedron, f: int, v: int) -> tuple:
@@ -136,6 +137,39 @@ def _local_fan(P: Polyhedron, f: int, v: int) -> tuple:
     return faces[1:], nbrs
 
 
+def _corner_rules(P: Polyhedron, f: int, v: int) -> tuple:
+    """(a, b) of corner (f, v) under the one-correspondent rule and under
+    the split rule, each replaced by the GeometryError it raises: the
+    vertex adds a * rdot + b * |rdot| to dE."""
+    sides, nbrs = _local_fan(P, f, v)
+    k = len(sides) + 1
+    H = P.vertices[v]
+    n_face = P.face_normal(f)
+    u1 = unit(P.vertices[nbrs[0]] - H)
+    u2 = unit(P.vertices[nbrs[-1]] - H)
+    rules = []
+    try:
+        g = _slide(P.face_normal(sides[0]), P.face_normal(sides[-1]), n_face)
+        a = -(g @ (u1 + u2))
+        if k == 3:
+            rules.append((a - g @ unit(P.vertices[nbrs[1]] - H), 0.0))
+        else:
+            rules.append((a, norm(g)))  # a new lateral edge sprouts from the old vertex
+    except GeometryError as exc:
+        rules.append(exc)
+    if k == 3:
+        return rules[0], rules[0]
+    try:
+        gs = [_slide(P.face_normal(sides[n]), P.face_normal(sides[n + 1]), n_face)
+              for n in range(k - 2)]
+        a = -(gs[0] @ u1) - (gs[-1] @ u2)
+        a -= sum(gs[n] @ unit(P.vertices[nbrs[n + 1]] - H) for n in range(k - 2))
+        rules.append((a, sum(norm(gs[n] - gs[n + 1]) for n in range(k - 3))))
+    except GeometryError as exc:
+        rules.append(exc)
+    return tuple(rules)
+
+
 def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
     """Vertices that ``pert`` moves: every vertex of a translated face, the
     vertices of a hinged face off the hinge edge, the cut vertex."""
@@ -148,27 +182,19 @@ def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
     return [v for v in cyc if v not in hinge]
 
 
+def _shared_class(classes) -> str | None:
+    """EXPOSED or NEGATIVELY_EXPOSED when every class in ``classes`` is that one, else None."""
+    shared = set(classes)
+    cls = shared.pop() if len(shared) == 1 else None
+    return cls if cls in (EXPOSED, NEGATIVELY_EXPOSED) else None
+
+
 def uniform_exposure(P: Polyhedron, vertices) -> str | None:
     """EXPOSED or NEGATIVELY_EXPOSED when every vertex has that class, else None.
 
     A face move is admissible exactly when its moving vertices share a class.
     """
-    classes = {exposure(P, v) for v in vertices}
-    cls = classes.pop() if len(classes) == 1 else None
-    return cls if cls in (EXPOSED, NEGATIVELY_EXPOSED) else None
-
-
-def _mover_class(P: Polyhedron, pert: Perturbation) -> str:
-    """Exposure class shared by the movers of a face move; a translate
-    raises NotExposedFace and a hinge NotSemiExposed when there is none."""
-    cls = uniform_exposure(P, moving_vertices(P, pert))
-    if cls is None:
-        msg = (f"face {pert.target}: moving vertices are not uniformly exposed "
-               "or negatively exposed")
-        if pert.kind == "face_hinge":
-            raise NotSemiExposed(msg)
-        raise NotExposedFace(msg)
-    return cls
+    return _shared_class([exposure(P, v) for v in vertices])
 
 
 def _splits(cls: str, direction: str) -> bool:
@@ -177,50 +203,154 @@ def _splits(cls: str, direction: str) -> bool:
     return cls != (EXPOSED if direction == OUT else NEGATIVELY_EXPOSED)
 
 
+@dataclass(frozen=True)
+class _FaceTable:
+    """Every move of one face, evaluated once. Move m of a k-gon is the
+    translate (m = 0 out, 1 in) or the hinge about the edge from corner t
+    to corner t + 1 (m = 2 + 2t out, 3 + 2t in)."""
+
+    edges: tuple          # edge index of each slot t
+    frames: tuple         # (a, w, sigma) of each slot's outward hinge, or its GeometryError
+    movers: np.ndarray    # (k, M): whether move m moves corner t
+    corner_dE: np.ndarray  # (k, M): the dE of corner t under move m, 0 where it stays
+    dE: np.ndarray        # (M,) each move's rates
+    dV: np.ndarray
+    dM: np.ndarray
+    errors: dict          # move -> the GeometryError it raises instead
+
+
+def _mover_class(f: int, hinge: bool, classes: list, frame) -> str:
+    """The exposure class the movers of a move of face ``f`` share, from
+    their ``classes`` in cycle order and, for a hinge, the hinge ``frame``;
+    raises what the move's derivatives raise when there is none."""
+    for cls in classes:
+        if isinstance(cls, GeometryError):
+            raise cls
+    cls = _shared_class(classes)
+    if cls is None:
+        msg = f"face {f}: moving vertices are not uniformly exposed or negatively exposed"
+        if hinge:
+            raise NotSemiExposed(msg)
+        raise NotExposedFace(msg)
+    if isinstance(frame, GeometryError):
+        raise frame
+    return cls
+
+
+def _face_rates(P: Polyhedron, f: int, coef, movers, planes) -> tuple:
+    """(corner_dE, dE, dV, dM) of the moves of face ``f`` whose planes move
+    at rates ``planes`` (M, 4) = (ndot, odot): corner t adds
+    a * rdot + b * |rdot| to move m's dE, with (a, b) = coef[t, m] and
+    rdot = odot - x_t . ndot, when movers[t, m]; dE sums the corners in
+    cycle order, and dV = A_f odot - M_f . ndot."""
+    X = P.vertices[list(P.faces[f])]
+    nd, od = planes[:, :3], planes[:, 3]
+    rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
+    corner_dE = np.where(movers, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
+    dE = np.array([sum(col) for col in corner_dE.T.tolist()])
+    mom = P.face_moments[f]
+    dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
+    E0, V0 = edge_length(P), volume(P)
+    return corner_dE, dE, dV, (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV
+
+
+def _face_table(P: Polyhedron, f: int) -> _FaceTable:
+    """The rate table of face ``f``, memoised in ``P.corner_rates``.
+
+    A corner whose rule raises, at a degenerate denominator or a fan that
+    does not close, fails only the moves that move it under that rule.
+    """
+    if f in P.corner_rates:
+        return P.corner_rates[f]
+    cyc = P.faces[f]
+    k = len(cyc)
+    classes, failed = [], {}
+    rules = np.zeros((k, 2, 2))  # (a, b) of each corner, one-correspondent and split
+    for t, v in enumerate(cyc):
+        try:
+            classes.append(exposure(P, v))
+        except GeometryError as exc:
+            classes.append(exc)
+        try:
+            corner = _corner_rules(P, f, v)
+        except GeometryError as exc:
+            corner = (exc, exc)
+        for split, rule in enumerate(corner):
+            if isinstance(rule, GeometryError):
+                failed[t, split] = rule
+            else:
+                rules[t, split] = rule
+    n_face = P.face_normal(f)
+    c = P.face_centroid(f)
+    edges, frames = [], []
+    planes = np.zeros((2 * k + 2, 4))
+    planes[:2, 3] = (1.0, -1.0)
+    for t in range(k):
+        i, j = sorted((cyc[t], cyc[(t + 1) % k]))
+        edges.append(P.edge_index(i, j))
+        a = P.vertices[i]
+        try:
+            w = unit(P.vertices[j] - a)
+        except GeometryError as exc:
+            frames.append(exc)
+            continue
+        # plane speed along n at a point y is <a - y, w x n>; out means positive
+        # speed over the face interior, probed at the centroid
+        wn = cross(w, n_face)
+        sigma = 1.0 if float((a - c) @ wn) > 0 else -1.0
+        frames.append((a, w, sigma))
+        for m, ndot in ((2 + 2 * t, sigma * wn), (3 + 2 * t, -sigma * wn)):
+            planes[m] = (*ndot, float(a @ ndot))
+    # column s: the movers of the translate (s = 0) or of the hinge at slot s - 1
+    movers = np.ones((k, k + 1), dtype=bool)
+    slots = np.arange(k)
+    movers[slots, slots + 1] = movers[(slots + 1) % k, slots + 1] = False
+    split = np.zeros(2 * k + 2, dtype=int)
+    errors = {}
+    for s in range(k + 1):
+        moved = [t for t in range(k) if movers[t, s]]
+        try:
+            cls = _mover_class(f, s > 0, [classes[t] for t in moved],
+                               frames[s - 1] if s else None)
+        except GeometryError as exc:
+            errors[2 * s] = errors[2 * s + 1] = exc
+            continue
+        for m, direction in ((2 * s, OUT), (2 * s + 1, IN)):
+            split[m] = _splits(cls, direction)
+            err = next((failed[t, split[m]] for t in moved if (t, split[m]) in failed), None)
+            if err is not None:
+                errors[m] = err
+    movers = np.repeat(movers, 2, axis=1)
+    rates = _face_rates(P, f, rules[:, split], movers, planes)
+    table = P.corner_rates[f] = _FaceTable(tuple(edges), tuple(frames), movers, *rates, errors)
+    return table
+
+
+def _move_index(P: Polyhedron, pert: Perturbation) -> int:
+    """Index of face move ``pert`` in its face's table."""
+    back = pert.direction == IN
+    if pert.kind == "face_translate":
+        return int(back)
+    return 2 + 2 * _face_table(P, pert.target).edges.index(pert.edge) + back
+
+
 def _hinge_frame(P: Polyhedron, pert: Perturbation) -> tuple:
     """(a, w, sigma): a point and unit direction of the hinge line, and the
     rotation sense that moves the face plane in ``pert.direction``."""
-    i, j = P.edges[pert.edge]
-    a = P.vertices[i]
-    w = unit(P.vertices[j] - a)
-    c = P.face_centroid(pert.target)
-    # plane speed along n at a point y is <a - y, w x n>; out means positive
-    # speed over the face interior, probed at the centroid
-    sigma = 1.0 if float((a - c) @ cross(w, P.face_normal(pert.target))) > 0 else -1.0
+    frame = _face_table(P, pert.target).frames[_move_index(P, pert) // 2 - 1]
+    if isinstance(frame, GeometryError):
+        raise frame.with_traceback(None)
+    a, w, sigma = frame
     return a, w, sigma if pert.direction == OUT else -sigma
 
 
-def _face_rates(P: Polyhedron, pert: Perturbation, cls: str, ndot, odot) -> dict:
-    """dE contribution of each vertex a face move of class ``cls`` moves
-    while the face plane (n, o) moves at rates (ndot, odot)."""
-    f = pert.target
-    n_move = P.face_normal(f)
-    splits = _splits(cls, pert.direction)
-    rates = {}
-    for v in moving_vertices(P, pert):
-        sides, nbrs = _local_fan(P, f, v)
-        k = len(sides) + 1
-        H = P.vertices[v]
-        u1 = unit(P.vertices[nbrs[0]] - H)
-        u2 = unit(P.vertices[nbrs[-1]] - H)
-        if k == 3 or not splits:
-            va = _line_velocity(P.face_normal(sides[0]), P.face_normal(sides[-1]),
-                                n_move, ndot, odot, H)
-            d = -(va @ (u1 + u2))
-            if k == 3:
-                d -= va @ unit(P.vertices[nbrs[1]] - H)
-            else:
-                d += norm(va)  # new lateral edge sprouts from the old vertex
-        else:
-            vs = [_line_velocity(P.face_normal(sides[n]), P.face_normal(sides[n + 1]),
-                                 n_move, ndot, odot, H) for n in range(k - 2)]
-            d = -(vs[0] @ u1) - (vs[-1] @ u2)
-            for n in range(k - 3):
-                d += norm(vs[n] - vs[n + 1])
-            for n in range(k - 2):
-                d -= vs[n] @ unit(P.vertices[nbrs[n + 1]] - H)
-        rates[v] = float(d)
-    return rates
+def face_move_rates(P: Polyhedron, f: int) -> tuple:
+    """(dM, errors) of the moves of face ``f``: both directions of its
+    translate, then of its hinge about each edge in cycle order, out before
+    in. ``errors`` maps the index of each move that has no rate to the
+    GeometryError its derivatives raise."""
+    table = _face_table(P, f)
+    return table.dM.tolist(), table.errors
 
 
 def _report(P: Polyhedron, pert: Perturbation, dE: float, dV: float,
@@ -231,30 +361,28 @@ def _report(P: Polyhedron, pert: Perturbation, dE: float, dV: float,
     return DerivativeReport(pert, E0, V0, E0 ** 3 / V0, dE, dV, dM, per_vertex)
 
 
+def _face_report(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
+    """The report of face move ``pert``, read from its face's table."""
+    _check_indices(P, pert)
+    m = _move_index(P, pert)
+    table = _face_table(P, pert.target)
+    if m in table.errors:
+        raise table.errors[m].with_traceback(None)
+    per_vertex = {v: float(table.corner_dE[t, m]) for t, v in enumerate(P.faces[pert.target])
+                  if table.movers[t, m]}
+    return _report(P, pert, float(table.dE[m]), float(table.dV[m]), per_vertex)
+
+
 def face_translate_derivatives(P: Polyhedron, face: int,
                                direction: str = OUT) -> DerivativeReport:
     """One-sided derivatives for translating a face plane along its normal."""
-    pert = Perturbation("face_translate", face, direction)
-    _check_indices(P, pert)
-    cls = _mover_class(P, pert)
-    odot = 1.0 if direction == OUT else -1.0
-    per_vertex = _face_rates(P, pert, cls, np.zeros(3), odot)
-    return _report(P, pert, float(sum(per_vertex.values())),
-                   float(P.face_area(face) * odot), per_vertex)
+    return _face_report(P, Perturbation("face_translate", face, direction))
 
 
 def face_hinge_derivatives(P: Polyhedron, face: int, hinge_edge: int,
                            direction: str = OUT) -> DerivativeReport:
     """One-sided derivatives for rotating a face plane about one of its edges."""
-    pert = Perturbation("face_hinge", face, direction, hinge_edge)
-    _check_indices(P, pert)
-    cls = _mover_class(P, pert)
-    a, w, sigma = _hinge_frame(P, pert)
-    ndot = sigma * cross(w, P.face_normal(face))
-    odot = float(a @ ndot)
-    per_vertex = _face_rates(P, pert, cls, ndot, odot)
-    dV = P.face_area(face) * odot - float(P.face_moments[face] @ ndot)
-    return _report(P, pert, float(sum(per_vertex.values())), dV, per_vertex)
+    return _face_report(P, Perturbation("face_hinge", face, direction, hinge_edge))
 
 
 def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
@@ -293,7 +421,8 @@ def _check_indices(P: Polyhedron, pert: Perturbation) -> None:
     if pert.kind == "face_hinge":
         if not 0 <= pert.edge < P.n_edges:
             raise BadParameter(f"edge {pert.edge} is out of range 0..{P.n_edges - 1}")
-        if not set(P.edges[pert.edge]) <= set(P.faces[pert.target]):
+        i, j = P.edges[pert.edge]
+        if pert.target not in (P.topology.face_of.get((i, j)), P.topology.face_of.get((j, i))):
             raise BadParameter(f"edge {pert.edge} is not an edge of face {pert.target}")
 
 

@@ -199,6 +199,12 @@ class Polyhedron:
         return {}
 
     @cached_property
+    def corner_rates(self) -> dict:
+        """face -> the rate table every move of the face reads; see
+        ``perturbations._face_table``."""
+        return {}
+
+    @cached_property
     def dihedrals(self) -> np.ndarray:
         """Interior dihedral angle of every edge, in (0, 2*pi).
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hull_polyhedron, octahedron
+import melzak.perturbations
+from conftest import crater_can, hull_polyhedron, octahedron
 from melzak import (
     HalfSpace,
     cube,
@@ -18,6 +19,7 @@ from melzak import (
 )
 from melzak.criteria import (
     WITNESS_TIE,
+    _admissible_face_moves,
     audit,
     check_combinatorics,
     check_dihedral,
@@ -25,7 +27,8 @@ from melzak.criteria import (
     check_vertex_curvature,
     check_vertex_degree,
 )
-from melzak.perturbations import Perturbation, apply
+from melzak.errors import DegenerateInput
+from melzak.perturbations import Perturbation, apply, moving_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +184,33 @@ def test_report_json_shape_and_determinism():
     assert all(set(w) >= {"element", "measured", "threshold"}
                for c in payload["criteria"] for w in c["witnesses"])
     assert audit(optimal_prism(), mode="candidate").to_json() == js
+
+
+def test_audit_names_skipped_candidates_on_the_crater(monkeypatch):
+    # every candidate the audit tries on the crater is admissible and has a
+    # rate, so none is skipped; made degenerate, the first mid-ring corner
+    # fails each candidate that moves it, and the degree verdict names
+    # every one of them by label, outside the JSON
+    P, _, M, _ = crater_can()
+    rep = audit(P, mode="candidate")
+    assert all(v.skipped == {} for v in rep.verdicts)
+    rules = melzak.perturbations._corner_rules
+
+    def failing_rules(P, f, v):
+        if v == M:
+            raise DegenerateInput("mid ring")
+        return rules(P, f, v)
+
+    monkeypatch.setattr(melzak.perturbations, "_corner_rules", failing_rules)
+    P = crater_can()[0]  # a new body: the rate tables are memoised on the old one
+    want = {m.label(): "DegenerateInput"
+            for v in range(P.n_vertices) if P.vertex_degree(v) > 3
+            for f in P.vertex_faces(v) for m in _admissible_face_moves(P, f, v)
+            if M in moving_vertices(P, m)}
+    degree = next(v for v in audit(P, mode="candidate").verdicts
+                  if v.criterion_id == "vertex_degree")
+    assert want and degree.skipped == want
+    assert set(degree.to_dict()) == {"id", "applicable", "passed", "witnesses"}
 
 
 # ---------------------------------------------------------------------------

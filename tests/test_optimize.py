@@ -27,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import melzak.optimize
+import melzak.perturbations
 from conftest import crater_can, octahedron
 from melzak import (
     HalfSpace,
@@ -699,28 +700,30 @@ def test_criticality_accounts_for_every_perturbation(make):
 
 def test_criticality_names_skipped_perturbations(monkeypatch):
     # the crater can skips hinges and cuts, but only as NotSemiExposed and
-    # NotExposed; the apex's hinges and cut are made to raise the other
-    # two classes, DegenerateInput and DegeneratePolygon, here
+    # NotExposed; the apex's corner rules and its cut are made to raise the
+    # other two classes, DegenerateInput and DegeneratePolygon, here, and
+    # every translate and hinge that moves the apex is skipped with it
     P = ngon_pyramid(6, 1.0, 0.8)
     apex = next(v for v in range(P.n_vertices) if P.vertex_degree(v) == 6)
-    hinge, cut = melzak.optimize.face_hinge_derivatives, melzak.optimize.vertex_truncate_derivatives
+    rules, cut = melzak.perturbations._corner_rules, melzak.optimize.vertex_truncate_derivatives
 
-    def failing_hinge(P, f, e, dirn):
-        if apex not in P.edges[e] and apex in P.faces[f]:  # the apex moves
+    def failing_rules(P, f, v):
+        if v == apex:
             raise DegenerateInput("apex")
-        return hinge(P, f, e, dirn)
+        return rules(P, f, v)
 
     def failing_cut(P, v):
         if v == apex:
             raise DegeneratePolygon("apex")
         return cut(P, v)
 
-    monkeypatch.setattr(melzak.optimize, "face_hinge_derivatives", failing_hinge)
+    monkeypatch.setattr(melzak.perturbations, "_corner_rules", failing_rules)
     monkeypatch.setattr(melzak.optimize, "vertex_truncate_derivatives", failing_cut)
     rep = criticality_report(P)
     lateral = [f for f in range(P.n_faces) if apex in P.faces[f]]
-    want = {f"hinge:f={f}:e={P.edge_index(*[v for v in P.faces[f] if v != apex])}:{d}":
-            "DegenerateInput" for f in lateral for d in ("out", "in")}
+    want = {f"translate:f={f}:{d}": "DegenerateInput" for f in lateral for d in ("out", "in")}
+    want.update({f"hinge:f={f}:e={P.edge_index(*[v for v in P.faces[f] if v != apex])}:{d}":
+                 "DegenerateInput" for f in lateral for d in ("out", "in")})
     want[f"truncate:v={apex}"] = "DegeneratePolygon"
     assert rep.skipped == want
     assert len(rep.entries) + len(rep.skipped) == 2 * P.n_faces + 4 * P.n_edges + P.n_vertices

@@ -1,13 +1,27 @@
-"""First-order shape derivatives: translations, hinges, truncations."""
+"""First-order shape derivatives: translations, hinges, truncations.
+
+``_fan_report`` below is the per-move rule the package used before each
+face got one rate table: it walks the fan of every vertex a move moves and
+takes each vertex's velocity from ``_fan_line_velocity``, the intersection
+of two static planes with the moving one. It stays here as the oracle the
+table is checked against, move by move and through ``criticality_report``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import crater_can, crater_cavity, match_face, match_vertex, octahedron
 from melzak import (
+    EXPOSED,
+    NEGATIVELY_EXPOSED,
+    criticality_report,
     cube,
+    edge_length,
+    melzak_ratio,
     ngon_pyramid,
     optimal_prism,
     random_convex,
@@ -18,10 +32,12 @@ from melzak.criteria import _admissible_face_moves
 from melzak.errors import (
     BadParameter,
     CombinatorialCollapse,
+    DegenerateInput,
     GeometryError,
     NotExposedFace,
     NotSemiExposed,
 )
+from melzak.gauss import ordered_edges_at_vertex, ordered_faces_at_vertex
 from melzak.optimize import load_catalog
 from melzak.perturbations import (
     Perturbation,
@@ -320,6 +336,159 @@ def test_negative_hinge_evaluates():
     ring = [v for v in CR.faces[pyr] if v != A]
     r = face_hinge_derivatives(CR, pyr, CR.edge_index(*ring), "out")
     assert np.isfinite(r.dE) and np.isfinite(r.dV)
+
+
+# ---------------------------------------------------------------------------
+# fan-walk oracle: every face move's rates, vertex by vertex
+# ---------------------------------------------------------------------------
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+def _fan_line_velocity(n_a, n_b, n_move, ndot, odot, point):
+    """Velocity of the intersection of two static planes and a moving one."""
+    d = np.cross(n_a, n_b)
+    denom = d @ n_move
+    if abs(denom) <= 1e-13:
+        raise DegenerateInput("vertex slides along a direction parallel to the moving plane")
+    return d * ((odot - point @ ndot) / denom)
+
+
+def _fan_plane_rates(P, pert):
+    """(ndot, odot) of the moving face plane."""
+    out = pert.direction == "out"
+    if pert.kind == "face_translate":
+        return np.zeros(3), 1.0 if out else -1.0
+    i, j = P.edges[pert.edge]
+    a = P.vertices[i]
+    w = _unit(P.vertices[j] - a)
+    n = P.face_normal(pert.target)
+    sigma = 1.0 if (a - P.face_centroid(pert.target)) @ np.cross(w, n) > 0 else -1.0
+    ndot = (sigma if out else -sigma) * np.cross(w, n)
+    return ndot, float(a @ ndot)
+
+
+def _fan_report(P, pert):
+    """(dE, dV, dM, per-vertex dE) of a face move, each mover's fan walked
+    from one edge of the face to the other."""
+    f = pert.target
+    movers = moving_vertices(P, pert)
+    cls = uniform_exposure(P, movers)
+    if cls is None:
+        raise NotSemiExposed("hinge") if pert.kind == "face_hinge" else NotExposedFace("translate")
+    ndot, odot = _fan_plane_rates(P, pert)
+    splits = cls != (EXPOSED if pert.direction == "out" else NEGATIVELY_EXPOSED)
+    n_move = P.face_normal(f)
+    per_vertex = {}
+    for v in movers:
+        faces = ordered_faces_at_vertex(P, v)
+        nbrs = ordered_edges_at_vertex(P, v)
+        s = faces.index(f)
+        sides, nbrs = (faces[s:] + faces[:s])[1:], nbrs[s:] + nbrs[:s]
+        k = len(nbrs)
+        H = P.vertices[v]
+        u = [_unit(P.vertices[w] - H) for w in nbrs]
+        if k == 3 or not splits:
+            va = _fan_line_velocity(P.face_normal(sides[0]), P.face_normal(sides[-1]),
+                                    n_move, ndot, odot, H)
+            d = -(va @ (u[0] + u[-1]))
+            d += -(va @ u[1]) if k == 3 else np.linalg.norm(va)
+        else:
+            vs = [_fan_line_velocity(P.face_normal(sides[n]), P.face_normal(sides[n + 1]),
+                                     n_move, ndot, odot, H) for n in range(k - 2)]
+            d = -(vs[0] @ u[0]) - (vs[-1] @ u[-1])
+            d += sum(np.linalg.norm(vs[n] - vs[n + 1]) for n in range(k - 3))
+            d -= sum(vs[n] @ u[n + 1] for n in range(k - 2))
+        per_vertex[v] = float(d)
+    dE = sum(per_vertex.values())
+    dV = P.face_area(f) * odot - float(P.face_moments[f] @ ndot)
+    E0, V0 = edge_length(P), volume(P)
+    return dE, dV, (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV, per_vertex
+
+
+def _fan_criticality(P):
+    """(entries, skipped) of ``criticality_report``, with the oracle's face moves."""
+    perts = [Perturbation("face_translate", f, d) for f in range(P.n_faces) for d in ("out", "in")]
+    perts += [m for f in range(P.n_faces) for m in _face_moves(P, f)[2:]]
+    entries, skipped = {}, {}
+    for pert in perts:
+        try:
+            entries[pert.label()] = _fan_report(P, pert)[2]
+        except GeometryError as exc:
+            skipped[pert.label()] = type(exc).__name__
+    for v in range(P.n_vertices):
+        try:
+            entries[f"truncate:v={v}"] = vertex_truncate_derivatives(P, v).dM
+        except GeometryError as exc:
+            skipped[f"truncate:v={v}"] = type(exc).__name__
+    return entries, skipped
+
+
+def _assert_matches_fan_oracle(P):
+    """The same labels, order and skipped names, and every rate within
+    1e-12 max(|x|, 1e-3 m): dE and dV are taken as their shares of dM,
+    and dM, their difference, also within 1e-12 of the sum of the shares,
+    which is where a rate near 0 gets its rounding."""
+    m = melzak_ratio(P)
+    E0, V0 = edge_length(P), volume(P)
+    to_E, to_V = 3.0 * E0 * E0 / V0, E0 ** 3 / V0 ** 2
+
+    def close(got, want, scale=1.0, terms=0.0):
+        return abs(got - want) * scale <= 1e-12 * max(abs(want) * scale, 1e-3 * m, terms)
+
+    crit = criticality_report(P)
+    entries, skipped = _fan_criticality(P)
+    assert list(crit.entries) == list(entries)
+    assert list(crit.skipped.items()) == list(skipped.items())
+    checked = 0
+    for f in range(P.n_faces):
+        for pert in _face_moves(P, f):
+            try:
+                dE, dV, dM, per_vertex = _fan_report(P, pert)
+            except GeometryError as exc:
+                with pytest.raises(type(exc)):
+                    derivatives(P, pert)
+                continue
+            rep = derivatives(P, pert)
+            assert close(rep.dE, dE, to_E) and close(rep.dV, dV, to_V), pert.label()
+            assert close(rep.dM, dM, terms=abs(to_E * dE) + abs(to_V * dV)), pert.label()
+            assert rep.dM == crit.entries[pert.label()], pert.label()
+            assert list(rep.per_vertex_dE) == list(per_vertex), pert.label()
+            assert all(close(rep.per_vertex_dE[v], x, to_E) for v, x in per_vertex.items())
+            checked += 1
+    truncates = [label for label in entries if label.startswith("truncate")]
+    assert all(crit.entries[label] == entries[label] for label in truncates)
+    assert checked + len(truncates) == len(entries)
+
+
+_ORACLE_BODIES = {
+    **{f"catalog:{t.name}": t.build for t in load_catalog()},
+    "cube": cube, "tetrahedron": regular_tetrahedron, "prism": optimal_prism,
+    "octahedron": octahedron,
+    **{f"pyramid:{n}": (lambda n=n: ngon_pyramid(n, 1.0, 0.8)) for n in range(3, 25)},
+    **{f"random:{k}": (lambda k=k: random_convex(np.random.default_rng(k), n_faces=k))
+       for k in range(4, 31)},
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_BODIES))
+def test_rate_table_matches_fan_oracle(name):
+    _assert_matches_fan_oracle(_ORACLE_BODIES[name]())
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 30))
+def test_rate_table_matches_fan_oracle_on_random_bodies(seed, n_faces):
+    _assert_matches_fan_oracle(random_convex(np.random.default_rng(seed), n_faces=n_faces))
+
+
+def test_crater_rate_table_matches_fan_oracle():
+    # a non-convex body: its rim corners are neither exposed nor negatively
+    # exposed, so the same translates and hinges are skipped, by name
+    P = crater_can()[0]
+    _assert_matches_fan_oracle(P)
+    assert criticality_report(P).skipped
 
 
 # ---------------------------------------------------------------------------
