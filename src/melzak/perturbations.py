@@ -15,9 +15,22 @@ Each rule of a face move is decided in one place. ``moving_vertices``
 names the vertices a move moves (the whole face for a translate, the
 vertices off the hinge edge for a hinge) and ``uniform_exposure`` their
 shared exposure class; a face move is admissible exactly when there is
-one, which is also how the audit picks its candidates. ``_hinge_frame``
-gives the hinge line and rotation sense to both the rates and the
-rebuild, and one per-vertex loop (``_face_rates``) serves both face kinds.
+one, which is also how the audit picks its candidates. ``_hinge_axis`` and
+the face's table give the hinge line and rotation sense to both the rates
+and the rebuild.
+
+The one vertex-rate rule: a face plane (n, o) moving at rates (ndot, odot)
+moves through its vertex x at rdot = odot - x . ndot, and every velocity
+of x or of its correspondents is g * rdot, with g = (n_a x n_b) /
+((n_a x n_b) . n) fixed by the corner alone (``_slide``). So a moved
+vertex adds a * rdot + b * |rdot| to dE, with (a, b) per corner and rule
+(``_corner_rules``): b = 0 at degree 3; a = -g . (u1 + u2) and b = |g| for
+a vertex of degree k > 3 that keeps one correspondent; sums over the k - 2
+consecutive g_n, with b the sum of |g_n - g_n+1|, for one that splits.
+Each face's table (``_face_table``, memoised on the body) evaluates all of
+its 2 + 2k moves in one array product, and ``derivatives``,
+``criticality_report`` and the audit read it. A corner whose rule has no
+rate, at a degenerate denominator, fails only the moves that move it.
 
 The one split rule (``_splits``): when the local motion pushes the
 supporting plane outward past an exposed vertex of degree k > 3, the
@@ -203,26 +216,38 @@ def _splits(cls: str, direction: str) -> bool:
     return cls != (EXPOSED if direction == OUT else NEGATIVELY_EXPOSED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _FaceTable:
     """Every move of one face, evaluated once. Move m of a k-gon is the
     translate (m = 0 out, 1 in) or the hinge about the edge from corner t
     to corner t + 1 (m = 2 + 2t out, 3 + 2t in)."""
 
-    edges: tuple          # edge index of each slot t
-    frames: tuple         # (a, w, sigma) of each slot's outward hinge, or its GeometryError
-    movers: np.ndarray    # (k, M): whether move m moves corner t
-    corner_dE: np.ndarray  # (k, M): the dE of corner t under move m, 0 where it stays
-    dE: np.ndarray        # (M,) each move's rates
-    dV: np.ndarray
-    dM: np.ndarray
-    errors: dict          # move -> the GeometryError it raises instead
+    rates: np.ndarray  # (k + 3, M): the dE of each corner (0 where it stays), then dE, dV, dM
+    sigma: tuple       # the rotation sense of each slot's outward hinge
+    errors: dict       # move -> the GeometryError it raises instead of a rate
 
 
-def _mover_class(f: int, hinge: bool, classes: list, frame) -> str:
+def _moved(k: int, m: int) -> list:
+    """The corners move m of a k-gon moves: all of them for the translate,
+    all but the hinge edge's two ends for a hinge."""
+    hinge = m // 2 - 1
+    return [t for t in range(k) if hinge < 0 or (t - hinge) % k > 1]
+
+
+def _hinge_axis(P: Polyhedron, f: int, t: int) -> tuple:
+    """(a, w): the lower-numbered end of the edge from corner t to corner
+    t + 1 of face ``f``, and the unit direction to its other end."""
+    cyc = P.faces[f]
+    i, j = sorted((cyc[t], cyc[(t + 1) % len(cyc)]))
+    a = P.vertices[i]
+    return a, unit(P.vertices[j] - a)
+
+
+def _mover_class(f: int, hinge: bool, classes: list, axis_error) -> str:
     """The exposure class the movers of a move of face ``f`` share, from
-    their ``classes`` in cycle order and, for a hinge, the hinge ``frame``;
-    raises what the move's derivatives raise when there is none."""
+    their ``classes`` in cycle order; raises what the move's derivatives
+    raise when there is none, and then ``axis_error``, the GeometryError of
+    a hinge without an axis, if any."""
     for cls in classes:
         if isinstance(cls, GeometryError):
             raise cls
@@ -232,17 +257,17 @@ def _mover_class(f: int, hinge: bool, classes: list, frame) -> str:
         if hinge:
             raise NotSemiExposed(msg)
         raise NotExposedFace(msg)
-    if isinstance(frame, GeometryError):
-        raise frame
+    if axis_error is not None:
+        raise axis_error
     return cls
 
 
-def _face_rates(P: Polyhedron, f: int, coef, movers, planes) -> tuple:
-    """(corner_dE, dE, dV, dM) of the moves of face ``f`` whose planes move
-    at rates ``planes`` (M, 4) = (ndot, odot): corner t adds
-    a * rdot + b * |rdot| to move m's dE, with (a, b) = coef[t, m] and
-    rdot = odot - x_t . ndot, when movers[t, m]; dE sums the corners in
-    cycle order, and dV = A_f odot - M_f . ndot."""
+def _face_rates(P: Polyhedron, f: int, coef, movers, planes) -> np.ndarray:
+    """The rates (k + 3, M) of the moves of face ``f`` whose planes move at
+    ``planes`` (M, 4) = (ndot, odot): corner t adds a * rdot + b * |rdot|
+    to move m's dE, with (a, b) = coef[t, m] and rdot = odot - x_t . ndot,
+    when movers[t, m]; dE sums the corners in cycle order, and
+    dV = A_f odot - M_f . ndot."""
     X = P.vertices[list(P.faces[f])]
     nd, od = planes[:, :3], planes[:, 3]
     rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
@@ -251,7 +276,8 @@ def _face_rates(P: Polyhedron, f: int, coef, movers, planes) -> tuple:
     mom = P.face_moments[f]
     dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
     E0, V0 = edge_length(P), volume(P)
-    return corner_dE, dE, dV, (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV
+    dM = (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV
+    return np.vstack((corner_dE, dE, dV, dM))
 
 
 def _face_table(P: Polyhedron, f: int) -> _FaceTable:
@@ -282,36 +308,31 @@ def _face_table(P: Polyhedron, f: int) -> _FaceTable:
                 rules[t, split] = rule
     n_face = P.face_normal(f)
     c = P.face_centroid(f)
-    edges, frames = [], []
+    axis_errors, sigma = [None], []
     planes = np.zeros((2 * k + 2, 4))
     planes[:2, 3] = (1.0, -1.0)
     for t in range(k):
-        i, j = sorted((cyc[t], cyc[(t + 1) % k]))
-        edges.append(P.edge_index(i, j))
-        a = P.vertices[i]
         try:
-            w = unit(P.vertices[j] - a)
+            a, w = _hinge_axis(P, f, t)
         except GeometryError as exc:
-            frames.append(exc)
+            axis_errors.append(exc)
+            sigma.append(None)
             continue
+        axis_errors.append(None)
         # plane speed along n at a point y is <a - y, w x n>; out means positive
         # speed over the face interior, probed at the centroid
         wn = cross(w, n_face)
-        sigma = 1.0 if float((a - c) @ wn) > 0 else -1.0
-        frames.append((a, w, sigma))
-        for m, ndot in ((2 + 2 * t, sigma * wn), (3 + 2 * t, -sigma * wn)):
+        sigma.append(1.0 if float((a - c) @ wn) > 0 else -1.0)
+        for m, ndot in ((2 + 2 * t, sigma[t] * wn), (3 + 2 * t, -sigma[t] * wn)):
             planes[m] = (*ndot, float(a @ ndot))
-    # column s: the movers of the translate (s = 0) or of the hinge at slot s - 1
-    movers = np.ones((k, k + 1), dtype=bool)
-    slots = np.arange(k)
-    movers[slots, slots + 1] = movers[(slots + 1) % k, slots + 1] = False
+    movers = np.zeros((k, 2 * k + 2), dtype=bool)
     split = np.zeros(2 * k + 2, dtype=int)
     errors = {}
-    for s in range(k + 1):
-        moved = [t for t in range(k) if movers[t, s]]
+    for s in range(k + 1):  # the translate, then the hinge at each slot
+        moved = _moved(k, 2 * s)
+        movers[moved, 2 * s:2 * s + 2] = True
         try:
-            cls = _mover_class(f, s > 0, [classes[t] for t in moved],
-                               frames[s - 1] if s else None)
+            cls = _mover_class(f, s > 0, [classes[t] for t in moved], axis_errors[s])
         except GeometryError as exc:
             errors[2 * s] = errors[2 * s + 1] = exc
             continue
@@ -320,9 +341,8 @@ def _face_table(P: Polyhedron, f: int) -> _FaceTable:
             err = next((failed[t, split[m]] for t in moved if (t, split[m]) in failed), None)
             if err is not None:
                 errors[m] = err
-    movers = np.repeat(movers, 2, axis=1)
-    rates = _face_rates(P, f, rules[:, split], movers, planes)
-    table = P.corner_rates[f] = _FaceTable(tuple(edges), tuple(frames), movers, *rates, errors)
+    table = _FaceTable(_face_rates(P, f, rules[:, split], movers, planes), tuple(sigma), errors)
+    P.corner_rates[f] = table
     return table
 
 
@@ -331,16 +351,18 @@ def _move_index(P: Polyhedron, pert: Perturbation) -> int:
     back = pert.direction == IN
     if pert.kind == "face_translate":
         return int(back)
-    return 2 + 2 * _face_table(P, pert.target).edges.index(pert.edge) + back
+    i, j = P.edges[pert.edge]
+    cyc = P.faces[pert.target]
+    t = cyc.index(i if P.topology.face_of.get((i, j)) == pert.target else j)
+    return 2 + 2 * t + back
 
 
 def _hinge_frame(P: Polyhedron, pert: Perturbation) -> tuple:
     """(a, w, sigma): a point and unit direction of the hinge line, and the
     rotation sense that moves the face plane in ``pert.direction``."""
-    frame = _face_table(P, pert.target).frames[_move_index(P, pert) // 2 - 1]
-    if isinstance(frame, GeometryError):
-        raise frame.with_traceback(None)
-    a, w, sigma = frame
+    t = _move_index(P, pert) // 2 - 1
+    a, w = _hinge_axis(P, pert.target, t)
+    sigma = _face_table(P, pert.target).sigma[t]
     return a, w, sigma if pert.direction == OUT else -sigma
 
 
@@ -350,7 +372,7 @@ def face_move_rates(P: Polyhedron, f: int) -> tuple:
     in. ``errors`` maps the index of each move that has no rate to the
     GeometryError its derivatives raise."""
     table = _face_table(P, f)
-    return table.dM.tolist(), table.errors
+    return table.rates[-1].tolist(), table.errors
 
 
 def _report(P: Polyhedron, pert: Perturbation, dE: float, dV: float,
@@ -368,9 +390,10 @@ def _face_report(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
     table = _face_table(P, pert.target)
     if m in table.errors:
         raise table.errors[m].with_traceback(None)
-    per_vertex = {v: float(table.corner_dE[t, m]) for t, v in enumerate(P.faces[pert.target])
-                  if table.movers[t, m]}
-    return _report(P, pert, float(table.dE[m]), float(table.dV[m]), per_vertex)
+    cyc = P.faces[pert.target]
+    rates = table.rates[:, m].tolist()
+    per_vertex = {cyc[t]: rates[t] for t in _moved(len(cyc), m)}
+    return _report(P, pert, rates[-3], rates[-2], per_vertex)
 
 
 def face_translate_derivatives(P: Polyhedron, face: int,
