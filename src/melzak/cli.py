@@ -2,8 +2,8 @@
 
 Every command prints with fixed 12-significant-digit formatting (rates of
 m in JSON follow ``config.json_rate``) and all randomized paths take
-explicit seeds, so identical invocations produce byte-identical output. Exit codes: 0 success, 1 usage error, 2 geometric
-or validation failure.
+explicit seeds, so identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 usage error, 2 geometric or validation failure.
 """
 from __future__ import annotations
 

@@ -189,10 +189,7 @@ def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
     if pert.kind == "vertex_truncate":
         return [pert.target]
     cyc = P.faces[pert.target]
-    if pert.kind == "face_translate":
-        return list(cyc)
-    hinge = P.edges[pert.edge]
-    return [v for v in cyc if v not in hinge]
+    return [cyc[t] for t in _moved(len(cyc), _move_index(P, pert))]
 
 
 def _shared_class(classes) -> str | None:
@@ -275,9 +272,7 @@ def _face_rates(P: Polyhedron, f: int, coef, movers, planes) -> np.ndarray:
     dE = np.array([sum(col) for col in corner_dE.T.tolist()])
     mom = P.face_moments[f]
     dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
-    E0, V0 = edge_length(P), volume(P)
-    dM = (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV
-    return np.vstack((corner_dE, dE, dV, dM))
+    return np.vstack((corner_dE, dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)))
 
 
 def _face_table(P: Polyhedron, f: int) -> _FaceTable:
@@ -334,13 +329,13 @@ def _face_table(P: Polyhedron, f: int) -> _FaceTable:
         try:
             cls = _mover_class(f, s > 0, [classes[t] for t in moved], axis_errors[s])
         except GeometryError as exc:
-            errors[2 * s] = errors[2 * s + 1] = exc
+            errors[2 * s] = errors[2 * s + 1] = exc.with_traceback(None)
             continue
         for m, direction in ((2 * s, OUT), (2 * s + 1, IN)):
             split[m] = _splits(cls, direction)
             err = next((failed[t, split[m]] for t in moved if (t, split[m]) in failed), None)
             if err is not None:
-                errors[m] = err
+                errors[m] = err.with_traceback(None)
     table = _FaceTable(_face_rates(P, f, rules[:, split], movers, planes), tuple(sigma), errors)
     P.corner_rates[f] = table
     return table
@@ -375,12 +370,17 @@ def face_move_rates(P: Polyhedron, f: int) -> tuple:
     return table.rates[-1].tolist(), table.errors
 
 
+def _ratio_rate(E0: float, V0: float, dE, dV):
+    """dM = d(E^3/V) at (E0, V0) from dE and dV, floats or arrays."""
+    return (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV
+
+
 def _report(P: Polyhedron, pert: Perturbation, dE: float, dV: float,
             per_vertex: dict) -> DerivativeReport:
-    """The report of ``pert``, with M0 and dM = d(E^3/V) from dE and dV."""
+    """The report of ``pert``, with M0 and dM from dE and dV."""
     E0, V0 = edge_length(P), volume(P)
-    dM = (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV
-    return DerivativeReport(pert, E0, V0, E0 ** 3 / V0, dE, dV, dM, per_vertex)
+    return DerivativeReport(pert, E0, V0, E0 ** 3 / V0, dE, dV,
+                            _ratio_rate(E0, V0, dE, dV), per_vertex)
 
 
 def _face_report(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
@@ -389,7 +389,8 @@ def _face_report(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
     m = _move_index(P, pert)
     table = _face_table(P, pert.target)
     if m in table.errors:
-        raise table.errors[m].with_traceback(None)
+        err = table.errors[m]
+        raise type(err)(*err.args)
     cyc = P.faces[pert.target]
     rates = table.rates[:, m].tolist()
     per_vertex = {cyc[t]: rates[t] for t in _moved(len(cyc), m)}
