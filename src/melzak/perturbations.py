@@ -213,17 +213,6 @@ def _splits(cls: str, direction: str) -> bool:
     return cls != (EXPOSED if direction == OUT else NEGATIVELY_EXPOSED)
 
 
-@dataclass(frozen=True, slots=True)
-class _FaceTable:
-    """Every move of one face, evaluated once. Move m of a k-gon is the
-    translate (m = 0 out, 1 in) or the hinge about the edge from corner t
-    to corner t + 1 (m = 2 + 2t out, 3 + 2t in)."""
-
-    rates: np.ndarray  # (k + 3, M): the dE of each corner (0 where it stays), then dE, dV, dM
-    sigma: tuple       # the rotation sense of each slot's outward hinge
-    errors: dict       # move -> the GeometryError it raises instead of a rate
-
-
 def _moved(k: int, m: int) -> list:
     """The corners move m of a k-gon moves: all of them for the translate,
     all but the hinge edge's two ends for a hinge."""
@@ -275,11 +264,17 @@ def _face_rates(P: Polyhedron, f: int, coef, movers, planes) -> np.ndarray:
     return np.vstack((corner_dE, dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)))
 
 
-def _face_table(P: Polyhedron, f: int) -> _FaceTable:
-    """The rate table of face ``f``, memoised in ``P.corner_rates``.
-
-    A corner whose rule raises, at a degenerate denominator or a fan that
-    does not close, fails only the moves that move it under that rule.
+def _face_table(P: Polyhedron, f: int) -> tuple:
+    """(rates, sigma, errors): every move of face ``f``, evaluated once and
+    memoised in ``P.corner_rates``. Move m of a k-gon is the translate
+    (m = 0 out, 1 in) or the hinge about the edge from corner t to corner
+    t + 1 (m = 2 + 2t out, 3 + 2t in). ``rates`` (k + 3, M) holds the dE of
+    each corner under each move (0 where the move leaves it), then each
+    move's dE, dV and dM; ``sigma`` the rotation sense of each slot's
+    outward hinge; ``errors`` maps each move without a rate to the
+    GeometryError it raises. A corner whose rule raises, at a degenerate
+    denominator or a fan that does not close, fails only the moves that
+    move it under that rule.
     """
     if f in P.corner_rates:
         return P.corner_rates[f]
@@ -336,7 +331,7 @@ def _face_table(P: Polyhedron, f: int) -> _FaceTable:
             err = next((failed[t, split[m]] for t in moved if (t, split[m]) in failed), None)
             if err is not None:
                 errors[m] = err.with_traceback(None)
-    table = _FaceTable(_face_rates(P, f, rules[:, split], movers, planes), tuple(sigma), errors)
+    table = _face_rates(P, f, rules[:, split], movers, planes), tuple(sigma), errors
     P.corner_rates[f] = table
     return table
 
@@ -357,7 +352,7 @@ def _hinge_frame(P: Polyhedron, pert: Perturbation) -> tuple:
     rotation sense that moves the face plane in ``pert.direction``."""
     t = _move_index(P, pert) // 2 - 1
     a, w = _hinge_axis(P, pert.target, t)
-    sigma = _face_table(P, pert.target).sigma[t]
+    sigma = _face_table(P, pert.target)[1][t]
     return a, w, sigma if pert.direction == OUT else -sigma
 
 
@@ -366,8 +361,8 @@ def face_move_rates(P: Polyhedron, f: int) -> tuple:
     translate, then of its hinge about each edge in cycle order, out before
     in. ``errors`` maps the index of each move that has no rate to the
     GeometryError its derivatives raise."""
-    table = _face_table(P, f)
-    return table.rates[-1].tolist(), table.errors
+    rates, _, errors = _face_table(P, f)
+    return rates[-1].tolist(), errors
 
 
 def _ratio_rate(E0: float, V0: float, dE, dV):
@@ -387,12 +382,11 @@ def _face_report(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
     """The report of face move ``pert``, read from its face's table."""
     _check_indices(P, pert)
     m = _move_index(P, pert)
-    table = _face_table(P, pert.target)
-    if m in table.errors:
-        err = table.errors[m]
-        raise type(err)(*err.args)
+    rates, _, errors = _face_table(P, pert.target)
+    if m in errors:
+        raise type(errors[m])(*errors[m].args)
     cyc = P.faces[pert.target]
-    rates = table.rates[:, m].tolist()
+    rates = rates[:, m].tolist()
     per_vertex = {cyc[t]: rates[t] for t in _moved(len(cyc), m)}
     return _report(P, pert, rates[-3], rates[-2], per_vertex)
 
