@@ -1,10 +1,10 @@
 """First-order shape derivatives: translations, hinges, truncations.
 
-``_fan_report`` below is the per-move rule the package used before each
-face got one rate table: it walks the fan of every vertex a move moves and
-takes each vertex's velocity from ``_fan_line_velocity``, the intersection
-of two static planes with the moving one. It stays here as the oracle the
-table is checked against, move by move and through ``criticality_report``.
+``_fan_report`` below computes one face move's rates the direct way: it
+walks the fan of every vertex the move moves and takes each velocity from
+``_fan_line_velocity``, the intersection of two static planes with the
+moving one. It is the oracle the package's per-face rate tables are
+checked against, move by move and through ``criticality_report``.
 """
 
 import math
