@@ -8,11 +8,11 @@ elementary perturbation rate (face translations, face hinges, vertex
 truncations) is then evaluated there. A clean local minimizer shows a
 non-negative worst rate up to tolerance; a converged optimum with a
 decisively negative rate names the escape direction that the within-type
-descent cannot take: of the rates within a relative ``WITNESS_TIE`` of the
-worst, the smallest label, as the audit picks its witnesses, so rounding
-does not choose among the symmetric copies of one move. A descent that did not converge is reported by its
-stop reason, since a negative rate there shows only an unfinished
-descent. A descent error ends the survey, as it ends ``melzak sequence``.
+descent cannot take, picked among the rates by ``pick_witness``, the tie
+rule the audit picks its witnesses by. A descent that did not converge is
+reported by its stop reason, since a negative rate there shows only an
+unfinished descent. A descent error ends the survey, as it ends ``melzak
+sequence``.
 
 Usage: PYTHONPATH=src python3 scripts/criticality_survey.py [--tol T] [--json PATH]
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from melzak import criticality_report, minimizing_sequence
 from melzak.config import json_float
-from melzak.criteria import WITNESS_TIE
+from melzak.criteria import pick_witness
 
 
 def main(argv=None) -> int:
@@ -37,9 +37,8 @@ def main(argv=None) -> int:
     for run in (run for step in minimizing_sequence(8) for run in step.per_type):
         res = run.result
         rep = criticality_report(res.polyhedron, tol=args.tol)
-        tied = rep.minimum + WITNESS_TIE * abs(rep.minimum)
-        worst = min(label for label, dM in rep.entries.items() if dM <= tied)
-        verdict = ("critical" if rep.is_critical else f"escape {worst}" if res.converged
+        verdict = ("critical" if rep.is_critical
+                   else f"escape {pick_witness(rep.entries)}" if res.converged
                    else f"{res.stop_reason} after {res.iterations} iterations")
         print(f"{run.name:24s} faces={run.faces} ratio={res.ratio:14.6f} "
               f"min_dM={rep.minimum:+.3e}  {verdict}")

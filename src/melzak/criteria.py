@@ -3,9 +3,11 @@
 Each checker is a pure function returning a verdict with violation
 witnesses. A witness that carries an improving perturbation has its ratio
 derivative verified once, in ``_best_improvement``, to be strictly
-negative; thresholds come from the criterion statements, the perturbation
-module supplies the certificates and decides which face moves are
-admissible (``moving_vertices``, ``uniform_exposure``).
+negative; thresholds come from the criterion statements. The perturbation
+module supplies the certificates: each face's moves come from
+``face_moves`` with their rates, and a move is admissible unless its entry
+is a NotExposedFace or NotSemiExposed refusal; ``moving_vertices`` says
+which vertices an admitted move moves.
 
 The audit degrades gracefully on non-convex input: checkers that need
 convexity or a particular exposure class mark elements as non-applicable
@@ -22,16 +24,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, json_float, json_rate
 from .errors import GeometryError, InvalidPolyhedron, NotConvex, NotExposed
-from .gauss import EXPOSED, angle_deficit, dihedral_angle, spherical_area, vertex_incircle
-from .perturbations import (
-    IN,
-    OUT,
-    Perturbation,
-    derivatives,
-    moving_vertices,
-    uniform_exposure,
-)
-from .polyhedron import Polyhedron, edge_length, validate, volume
+from .gauss import EXPOSED, angle_deficit, dihedral_angle, exposure, spherical_area, vertex_incircle
+from .perturbations import REFUSALS, Perturbation, derivatives, face_moves, moving_vertices
+from .polyhedron import Polyhedron, edge_length, melzak_ratio, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
 from .vec3 import norm, plane_bases, unit
 
@@ -98,52 +93,47 @@ class CriteriaReport:
         return bool(self.summary["is_candidate_minimizer"])
 
 
-def _best_improvement(P: Polyhedron, candidates, skipped: dict) -> tuple:
-    """(perturbation, dM, M0) of the most improving candidate, else
-    (None, None, None); a candidate whose rate raises is named in ``skipped``.
+def pick_witness(rates: dict) -> str:
+    """The label of the witness among ``rates`` (label -> dM, the smallest
+    negative): the rates within a relative WITNESS_TIE of the smallest tie,
+    and the smallest label among them wins, so rounding does not choose
+    among the symmetric copies of one move."""
+    tied = min(rates.values()) * (1.0 - WITNESS_TIE)
+    return min(label for label, dM in rates.items() if dM <= tied)
 
-    A dM must lie below -WITNESS_MARGIN; those within a relative WITNESS_TIE
-    of the smallest tie, and the smallest label among them wins."""
-    improving = []
-    for pert in candidates:
-        try:
-            rep = derivatives(P, pert)
-        except GeometryError as exc:
-            skipped[pert.label()] = type(exc).__name__
-            continue
-        if rep.dM < -WITNESS_MARGIN:
-            improving.append((pert, rep.dM, rep.M0))
-    if not improving:
+
+def _best_improvement(P: Polyhedron, moves, skipped: dict) -> tuple:
+    """(perturbation, dM, M0) of the most improving of ``moves``, pairs of a
+    perturbation and its dM or the GeometryError its rate raises, else
+    (None, None, None); a move without a rate is named in ``skipped``.
+
+    A dM must lie below -WITNESS_MARGIN, and ``pick_witness`` picks among them."""
+    perts, rates = {}, {}
+    for pert, dM in moves:
+        label = pert.label()
+        if isinstance(dM, GeometryError):
+            skipped[label] = type(dM).__name__
+        elif dM < -WITNESS_MARGIN:
+            perts[label], rates[label] = pert, dM
+    if not rates:
         return None, None, None
-    tied = min(dM for _, dM, _ in improving) * (1.0 - WITNESS_TIE)  # the minimum is negative
-    return min((best for best in improving if best[1] <= tied),
-               key=lambda best: best[0].label())
-
-
-def _admissible_face_moves(P: Polyhedron, f: int, target: int) -> list:
-    """Translate/hinge perturbations of face ``f`` that move ``target`` and
-    whose moving vertices share one exposure class."""
-    cyc = P.faces[f]
-    moves = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
-    for i, j in zip(cyc, cyc[1:] + cyc[:1]):
-        if target not in (i, j):
-            moves += [Perturbation("face_hinge", f, d, P.edge_index(i, j)) for d in (OUT, IN)]
-    return [m for m in moves if uniform_exposure(P, moving_vertices(P, m)) is not None]
+    label = pick_witness(rates)
+    return perts[label], rates[label], melzak_ratio(P)
 
 
 def check_vertex_degree(P: Polyhedron) -> CriterionVerdict:
     """Vertices of degree above 3 admit an improving face slide or hinge."""
     witnesses = []
     skipped = {}
-    applicable = any(_admissible_face_moves(P, f, v)
-                     for f, cyc in enumerate(P.faces) for v in cyc)
+    applicable = any(not isinstance(dM, REFUSALS)
+                     for f in range(P.n_faces) for _, dM in face_moves(P, f))
     for v in range(P.n_vertices):
         deg = P.vertex_degree(v)
         if deg <= 3:
             continue
-        candidates = []
-        for f in P.vertex_faces(v):
-            candidates += _admissible_face_moves(P, f, v)
+        # the admitted moves of the faces at v that move v
+        candidates = [(pert, dM) for f in P.vertex_faces(v) for pert, dM in face_moves(P, f)
+                      if not isinstance(dM, REFUSALS) and v in moving_vertices(P, pert)]
         best = _best_improvement(P, candidates, skipped)
         if best[0] is not None:
             witnesses.append(Witness(f"vertex:{v}", float(deg), 3.0, *best))
@@ -188,7 +178,12 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
                 f"vertex {v}: incircle threshold {thr:.6g} and deficit threshold "
                 f"{thr_deficit:.6g} disagree at degree {deg}")
         if deg > thr:
-            best = _best_improvement(P, [Perturbation("vertex_truncate", v)], skipped)
+            cut = Perturbation("vertex_truncate", v)
+            try:
+                rate = derivatives(P, cut).dM
+            except GeometryError as exc:
+                rate = exc
+            best = _best_improvement(P, [(cut, rate)], skipped)
             witnesses.append(Witness(f"vertex:{v}", float(deg), thr, *best))
     return CriterionVerdict("vertex_curvature", applicable, not witnesses,
                             tuple(witnesses), tuple(notes), skipped)
@@ -221,9 +216,10 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
         cyc = P.faces[f]
         if len(cyc) != 3 or any(P.vertex_degree(v) != 3 for v in cyc):
             continue
-        cls = uniform_exposure(P, cyc)
-        if cls is None:
+        moves = face_moves(P, f)
+        if isinstance(moves[0][1], REFUSALS):  # the translate moves every corner
             continue
+        cls = exposure(P, cyc[0])
         applicable = True
         total = sum(angle_deficit(P, v) for v in cyc)
         prolong = _prolongations(P, f)
@@ -234,7 +230,7 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
                 for b in cyc:
                     if a != b:
                         u = unit(P.vertices[b] - P.vertices[a])
-                        gamma_sum += math.acos(float(np.clip(prolong[a] @ u, -1, 1)))
+                        gamma_sum += math.acos(min(max(float(prolong[a] @ u), -1.0), 1.0))
             if abs((gamma_sum - math.pi) - total) > 1e-9:
                 notes.append(
                     f"face {f}: pairwise prolongation angles minus pi give "
@@ -249,19 +245,15 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
         if not violated:
             continue
 
-        candidates = []
+        candidates = moves[2:]
         preferred = []
-        for t in range(3):
-            h = cyc[t]
-            others = [v for v in cyc if v != h]
-            e = P.edge_index(others[0], others[1])
-            perts = [Perturbation("face_hinge", f, d, e) for d in (OUT, IN)]
-            candidates += perts
-            if prolong and cls == EXPOSED:
+        if prolong and cls == EXPOSED:
+            for s in range(3):
+                h = cyc[s - 1]  # the one corner off the hinge edge at slot s
                 cos_sum = sum(float(prolong[h] @ unit(P.vertices[o] - P.vertices[h]))
-                              for o in others)
+                              for o in cyc if o != h)
                 if cos_sum >= 1.0:
-                    preferred.append(Perturbation("face_hinge", f, OUT, e))
+                    preferred.append(candidates[2 * s])  # its outward hinge
         best = _best_improvement(P, preferred or candidates, skipped)
         if best[0] is None and preferred:
             best = _best_improvement(P, candidates, skipped)
@@ -287,14 +279,14 @@ def check_combinatorics(P: Polyhedron, mode: str = "any") -> CriterionVerdict:
 
 def _plane_wedge_angle(n1, n2) -> float:
     """Interior angle of the wedge cut out by two oriented halfspaces."""
-    return math.acos(float(np.clip(-(n1 @ n2), -1.0, 1.0)))
+    return math.acos(min(max(float(-(n1 @ n2)), -1.0), 1.0))
 
 
 def _segment_distance_2d(p1, p2, q1, q2) -> float:
     """Minimum distance between segments [p1,p2] and [q1,q2] in the plane."""
     def point_seg(p, a, b):
         ab = b - a
-        t = float(np.clip((p - a) @ ab / max(ab @ ab, 1e-300), 0.0, 1.0))
+        t = min(max(float((p - a) @ ab / max(ab @ ab, 1e-300)), 0.0), 1.0)
         return norm(p - (a + t * ab))
 
     return min(point_seg(p1, q1, q2), point_seg(p2, q1, q2),

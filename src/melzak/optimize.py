@@ -38,7 +38,7 @@ from .errors import (
     NumericalBreakdown,
     UnsupportedFaceCount,
 )
-from .perturbations import IN, OUT, face_move_rates, vertex_truncate_derivatives
+from .perturbations import face_moves, vertex_truncate_derivatives
 from .polyhedron import (
     HalfSpace,
     Polyhedron,
@@ -388,7 +388,7 @@ def local_optimize(P0: Polyhedron, opts: OptimizeOptions = OptimizeOptions()) ->
             denom = float(np.vdot(dg, dg))
             if denom > 0:
                 alpha = abs(float(np.vdot(dz, dg))) / denom
-        alpha = float(np.clip(alpha, 1e-12, 10.0))
+        alpha = min(max(alpha, 1e-12), 10.0)
         prev_z, prev_g = z, g
 
         to_wall, pair = obj.wall_step(*solved, res, -g)
@@ -603,18 +603,14 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
     """
     entries = {}
     skipped = {}
-    translates, hinges = [], []
-    for f, cyc in enumerate(P.faces):
-        dM, errors = face_move_rates(P, f)
-        rates = [errors.get(m, rate) for m, rate in enumerate(dM)]
-        translates += zip([f"translate:f={f}:{d}" for d in (OUT, IN)], rates)
-        hinges += zip([f"hinge:f={f}:e={P.edge_index(i, j)}:{d}"
-                       for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in (OUT, IN)], rates[2:])
-    for label, rate in translates + hinges:
+    tables = [face_moves(P, f) for f in range(P.n_faces)]
+    translates = [move for moves in tables for move in moves[:2]]
+    hinges = [move for moves in tables for move in moves[2:]]
+    for pert, rate in translates + hinges:
         if isinstance(rate, GeometryError):
-            skipped[label] = type(rate).__name__
+            skipped[pert.label()] = type(rate).__name__
         else:
-            entries[label] = rate
+            entries[pert.label()] = rate
     for v in range(P.n_vertices):
         try:
             entries[f"truncate:v={v}"] = vertex_truncate_derivatives(P, v).dM

@@ -13,11 +13,13 @@ finite-difference routine exists as an independent cross-check.
 
 Each rule of a face move is decided in one place. ``moving_vertices``
 names the vertices a move moves (the whole face for a translate, the
-vertices off the hinge edge for a hinge) and ``uniform_exposure`` their
+vertices off the hinge edge for a hinge) and ``_mover_class`` their
 shared exposure class; a face move is admissible exactly when there is
-one, which is also how the audit picks its candidates. ``_hinge_axis`` and
-the face's table give the hinge line and rotation sense to both the rates
-and the rebuild.
+one. ``face_moves`` lists each move of a face with its dM, or the
+GeometryError it raises, a NotExposedFace or NotSemiExposed refusal for
+an inadmissible one; the audit picks its candidates from that list.
+``_hinge_axis`` and the face's table give the hinge line and rotation
+sense to both the rates and the rebuild.
 
 The one vertex-rate rule: a face plane (n, o) moving at rates (ndot, odot)
 moves through its vertex x at rdot = odot - x . ndot, and every velocity
@@ -68,6 +70,7 @@ from .vec3 import cross, norm, unit
 
 OUT = "out"
 IN = "in"
+REFUSALS = (NotExposedFace, NotSemiExposed)  # what an inadmissible face move raises
 
 
 @dataclass(frozen=True)
@@ -192,21 +195,6 @@ def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
     return [cyc[t] for t in _moved(len(cyc), _move_index(P, pert))]
 
 
-def _shared_class(classes) -> str | None:
-    """EXPOSED or NEGATIVELY_EXPOSED when every class in ``classes`` is that one, else None."""
-    shared = set(classes)
-    cls = shared.pop() if len(shared) == 1 else None
-    return cls if cls in (EXPOSED, NEGATIVELY_EXPOSED) else None
-
-
-def uniform_exposure(P: Polyhedron, vertices) -> str | None:
-    """EXPOSED or NEGATIVELY_EXPOSED when every vertex has that class, else None.
-
-    A face move is admissible exactly when its moving vertices share a class.
-    """
-    return _shared_class([exposure(P, v) for v in vertices])
-
-
 def _splits(cls: str, direction: str) -> bool:
     """Whether a moved vertex of degree k > 3 in class ``cls`` splits into
     k - 2 correspondents (else it keeps one and sheds a lateral edge)."""
@@ -237,8 +225,8 @@ def _mover_class(f: int, hinge: bool, classes: list, axis_error) -> str:
     for cls in classes:
         if isinstance(cls, GeometryError):
             raise cls
-    cls = _shared_class(classes)
-    if cls is None:
+    cls = classes[0]
+    if len(set(classes)) > 1 or cls not in (EXPOSED, NEGATIVELY_EXPOSED):
         msg = f"face {f}: moving vertices are not uniformly exposed or negatively exposed"
         if hinge:
             raise NotSemiExposed(msg)
@@ -356,13 +344,18 @@ def _hinge_frame(P: Polyhedron, pert: Perturbation) -> tuple:
     return a, w, sigma if pert.direction == OUT else -sigma
 
 
-def face_move_rates(P: Polyhedron, f: int) -> tuple:
-    """(dM, errors) of the moves of face ``f``: both directions of its
+def face_moves(P: Polyhedron, f: int) -> list:
+    """(Perturbation, dM) of each move of face ``f``: both directions of its
     translate, then of its hinge about each edge in cycle order, out before
-    in. ``errors`` maps the index of each move that has no rate to the
-    GeometryError its derivatives raise."""
+    in. A move without a rate has the GeometryError its derivatives raise
+    in place of dM."""
     rates, _, errors = _face_table(P, f)
-    return rates[-1].tolist(), errors
+    cyc = P.faces[f]
+    perts = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
+    perts += [Perturbation("face_hinge", f, d, P.edge_index(i, j))
+              for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in (OUT, IN)]
+    return [(pert, errors.get(m, dM))
+            for m, (pert, dM) in enumerate(zip(perts, rates[-1].tolist()))]
 
 
 def _ratio_rate(E0: float, V0: float, dE, dV):

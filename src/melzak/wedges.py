@@ -107,7 +107,7 @@ def _corner_angles(b: np.ndarray) -> np.ndarray:
     for i in range(4):
         u = unit(b[(i + 1) % 4] - b[i])
         w = unit(b[(i - 1) % 4] - b[i])
-        out.append(math.acos(float(np.clip(u @ w, -1.0, 1.0))))
+        out.append(math.acos(min(max(float(u @ w), -1.0), 1.0)))
     return np.array(out)
 
 

@@ -5,30 +5,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import melzak.perturbations
 from conftest import crater_can, hull_polyhedron, octahedron
 from melzak import (
     HalfSpace,
+    criticality_report,
     cube,
     from_halfspaces,
     load_catalog,
     ngon_pyramid,
     optimal_prism,
+    random_convex,
     regular_tetrahedron,
 )
 from melzak.criteria import (
     WITNESS_TIE,
-    _admissible_face_moves,
     audit,
     check_combinatorics,
     check_dihedral,
     check_triangle_deficit,
     check_vertex_curvature,
     check_vertex_degree,
+    pick_witness,
 )
-from melzak.errors import DegenerateInput
-from melzak.perturbations import Perturbation, apply, moving_vertices
+from melzak.errors import DegenerateInput, NotExposedFace, NotSemiExposed
+from melzak.perturbations import Perturbation, apply, face_moves, moving_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +209,51 @@ def test_audit_names_skipped_candidates_on_the_crater(monkeypatch):
     P = crater_can()[0]  # a new body: the rate tables are memoised on the old one
     want = {m.label(): "DegenerateInput"
             for v in range(P.n_vertices) if P.vertex_degree(v) > 3
-            for f in P.vertex_faces(v) for m in _admissible_face_moves(P, f, v)
-            if M in moving_vertices(P, m)}
+            for f in P.vertex_faces(v) for m, dM in face_moves(P, f)
+            if not isinstance(dM, (NotExposedFace, NotSemiExposed))
+            and v in moving_vertices(P, m) and M in moving_vertices(P, m)}
     degree = next(v for v in audit(P, mode="candidate").verdicts
                   if v.criterion_id == "vertex_degree")
     assert want and degree.skipped == want
     assert set(degree.to_dict()) == {"id", "applicable", "passed", "witnesses"}
+    _assert_audit_reads_criticality_rates(P)
+
+
+def _assert_audit_reads_criticality_rates(P):
+    """Each witness's dM is the very rate ``criticality_report`` lists for
+    its perturbation, and each skipped candidate is skipped there too, for
+    the same reason."""
+    crit = criticality_report(P)
+    for verdict in audit(P, mode="candidate").verdicts:
+        for w in verdict.witnesses:
+            if w.perturbation is not None:
+                assert w.dM == crit.entries[w.perturbation.label()], w
+        for label, name in verdict.skipped.items():
+            assert crit.skipped[label] == name, label
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 30))
+def test_audit_reads_criticality_rates_on_random_bodies(seed, n_faces):
+    _assert_audit_reads_criticality_rates(random_convex(np.random.default_rng(seed), n_faces))
+
+
+def test_audit_reads_criticality_rates_on_the_crater():
+    _assert_audit_reads_criticality_rates(crater_can()[0])
 
 
 # ---------------------------------------------------------------------------
 # witness ties
 # ---------------------------------------------------------------------------
+
+def test_pick_witness_takes_the_smallest_label_among_ties():
+    rates = {"b": -2.0, "c": -2.0 * (1.0 - 0.5 * WITNESS_TIE), "a": -1.0}
+    assert pick_witness(rates) == "b"
+    rates["a"] = -2.0 * (1.0 - 0.9 * WITNESS_TIE)
+    assert pick_witness(rates) == "a"
+    rates["0"] = -1.0
+    assert pick_witness(rates) == "a"
+
 
 def _pentagonal_pyramid_rows():
     return np.array(next(t for t in load_catalog() if t.name == "pentagonal_pyramid").halfspaces)

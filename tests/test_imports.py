@@ -2,16 +2,19 @@
 private names; shared helpers get a public home instead. Every exception
 class the package defines is raised somewhere in it, every private
 module-level name is read in its module, and the shipped catalog stores
-nothing that ``load_catalog`` does not read."""
+nothing that ``load_catalog`` does not read. Every function the benchmark's
+tracer wraps still exists under its name."""
 
 import ast
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
 from melzak import CatalogType
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "melzak"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "melzak"
 
 
 def test_no_private_names_imported_across_modules():
@@ -69,3 +72,16 @@ def test_catalog_entries_hold_only_what_load_catalog_reads():
     fields = {f.name for f in dataclasses.fields(CatalogType)}
     assert raw["types"]
     assert all(set(entry) == fields for entry in raw["types"])
+
+
+def test_every_traced_function_resolves():
+    # the tracer looks each name of its LAYERS table up on its module, so a
+    # name that is gone fails every benchmark run; read the table as source
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tracing.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    assert layers
+    missing = [f"{module}.{name}" for module, names in layers.values() for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert not missing, missing

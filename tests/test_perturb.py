@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import melzak.perturbations
 from conftest import crater_can, crater_cavity, match_face, match_vertex, octahedron
 from melzak import (
     EXPOSED,
@@ -28,7 +29,7 @@ from melzak import (
     regular_tetrahedron,
     volume,
 )
-from melzak.criteria import _admissible_face_moves
+from melzak.criteria import check_vertex_degree
 from melzak.errors import (
     BadParameter,
     CombinatorialCollapse,
@@ -37,18 +38,18 @@ from melzak.errors import (
     NotExposedFace,
     NotSemiExposed,
 )
-from melzak.gauss import ordered_edges_at_vertex, ordered_faces_at_vertex
+from melzak.gauss import exposure, ordered_edges_at_vertex, ordered_faces_at_vertex
 from melzak.optimize import load_catalog
 from melzak.perturbations import (
     Perturbation,
     apply,
     derivatives,
     face_hinge_derivatives,
+    face_moves,
     face_translate_derivatives,
     finite_difference_check,
     moving_vertices,
     perturbed_halfspaces,
-    uniform_exposure,
     vertex_truncate_derivatives,
 )
 
@@ -308,24 +309,37 @@ _ADMISSION_BODIES = {
 
 
 @pytest.mark.parametrize("name", sorted(_ADMISSION_BODIES))
-def test_admissibility_matches_rates(name):
+def test_admissibility_matches_rates(name, monkeypatch):
     """A face move is refused exactly when its movers share no exposure
-    class, and the audit's candidates are exactly the admitted moves that
-    move the target."""
+    class, ``face_moves`` carries exactly those refusals, and the audit's
+    candidates are exactly the admitted moves that move the target."""
     P = _ADMISSION_BODIES[name]()
     refused_kinds = set()
+    candidates = {}
     for f, cyc in enumerate(P.faces):
         admitted = []
         for m in _face_moves(P, f):
             refused = _refused(P, m)
-            assert refused == (uniform_exposure(P, moving_vertices(P, m)) is None), m.label()
+            assert refused == (_shared_class(P, moving_vertices(P, m)) is None), m.label()
             if refused:
                 refused_kinds.add(m.kind)
             else:
                 admitted.append(m)
+        assert [m for m, dM in face_moves(P, f)
+                if not isinstance(dM, (NotExposedFace, NotSemiExposed))] == admitted, f
         for v in cyc:
-            assert _admissible_face_moves(P, f, v) == \
-                [m for m in admitted if v in moving_vertices(P, m)], (f, v)
+            if P.vertex_degree(v) > 3:
+                candidates.update((m.label(), "DegenerateInput")
+                                  for m in admitted if v in moving_vertices(P, m))
+
+    # with every corner's rule failing, the degree check skips each
+    # candidate it tries, by name
+    def failing_rules(P, f, v):
+        raise DegenerateInput("every corner")
+
+    monkeypatch.setattr(melzak.perturbations, "_corner_rules", failing_rules)
+    P = _ADMISSION_BODIES[name]()  # a new body: the rate tables are memoised on the old one
+    assert check_vertex_degree(P).skipped == candidates
     if name == "crater":
         assert refused_kinds == {"face_translate", "face_hinge"}
 
@@ -344,6 +358,15 @@ def test_negative_hinge_evaluates():
 
 def _unit(x):
     return x / np.linalg.norm(x)
+
+
+def _shared_class(P, vertices):
+    """EXPOSED or NEGATIVELY_EXPOSED when every one of ``vertices`` has that
+    class, else None: a face move is admissible exactly when its movers
+    share one."""
+    classes = {exposure(P, v) for v in vertices}
+    cls = classes.pop() if len(classes) == 1 else None
+    return cls if cls in (EXPOSED, NEGATIVELY_EXPOSED) else None
 
 
 def _fan_line_velocity(n_a, n_b, n_move, ndot, odot, point):
@@ -374,7 +397,7 @@ def _fan_report(P, pert):
     from one edge of the face to the other."""
     f = pert.target
     movers = moving_vertices(P, pert)
-    cls = uniform_exposure(P, movers)
+    cls = _shared_class(P, movers)
     if cls is None:
         raise NotSemiExposed("hinge") if pert.kind == "face_hinge" else NotExposedFace("translate")
     ndot, odot = _fan_plane_rates(P, pert)
