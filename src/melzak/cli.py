@@ -18,7 +18,7 @@ from .offio import read_off, write_off
 from .optimize import OptimizeOptions, local_optimize, minimizing_sequence
 from .perturbations import Perturbation, derivatives, with_fd
 from .polyhedron import edge_length, melzak_ratio, volume
-from .shapes import box, cube, ngon_pyramid, optimal_prism, regular_tetrahedron
+from .shapes import canonical
 from .wedges import check_scan_args, cleancond_scan
 
 
@@ -34,25 +34,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# --shape name -> (shapes.canonical name, its parameters in spec order)
+_SHAPES = {
+    "cube": ("cube", ()),
+    "tetra": ("regular_tetrahedron", ()),
+    "prism": ("optimal_prism", ()),
+    "pyramid": ("ngon_pyramid", ("n", "base_radius", "height")),
+    "box": ("box", ("a", "b", "c")),
+}
+
+
 def _shape_from_spec(spec: str):
+    """The body of a --shape spec, name[:p1,p2,...], built by canonical."""
     name, _, params = spec.partition(":")
-    if name == "cube":
-        return cube()
-    if name == "tetra":
-        return regular_tetrahedron()
-    if name == "prism":
-        return optimal_prism()
-    if name == "pyramid":
-        parts = params.split(",")
-        if len(parts) != 3:
-            raise GeometryError("pyramid takes n,base_radius,height")
-        return ngon_pyramid(int(parts[0]), float(parts[1]), float(parts[2]))
-    if name == "box":
-        parts = params.split(",")
-        if len(parts) != 3:
-            raise GeometryError("box takes a,b,c")
-        return box(*(float(x) for x in parts))
-    raise GeometryError(f"unknown shape {spec!r}")
+    if name not in _SHAPES:
+        raise GeometryError(f"unknown shape {spec!r}")
+    shape, keys = _SHAPES[name]
+    values = params.split(",") if params else []
+    if len(values) != len(keys):
+        raise GeometryError(f"{name} takes {','.join(keys) or 'no parameters'}")
+    return canonical(shape, **dict(zip(keys, values)))
 
 
 def _cmd_build(args) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, json_float, json_rate
-from .errors import GeometryError, InvalidPolyhedron, NotConvex, NotExposed
+from .errors import BadParameter, GeometryError, InvalidPolyhedron, NotConvex, NotExposed
 from .gauss import EXPOSED, angle_deficit, dihedral_angle, exposure, spherical_area, vertex_incircle
 from .perturbations import REFUSALS, Perturbation, derivatives, face_moves, moving_vertices
 from .polyhedron import Polyhedron, edge_length, melzak_ratio, validate, volume
@@ -300,14 +300,15 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
     Adjacent faces must meet at 2*arctan(27/(4 B^3)) or more. Faces that
     come within ``d`` of each other along a shared face must satisfy the
     same bound damped by (1/2 - d B^2/4); that check is skipped when the
-    damping factor is nonpositive. ``d`` defaults to 1/B^2.
+    damping factor is nonpositive. ``d`` defaults to 1/B^2. A given ``B``
+    that is not finite and positive raises BadParameter.
     """
+    if B is not None and not (math.isfinite(B) and B > 0):
+        raise BadParameter(f"edge-length bound must be finite and positive, got {B!r}")
     if not P.convex:
         raise NotConvex("dihedral bounds are stated for convex polyhedra")
     if B is None:
         B = edge_length(P) * volume(P) ** (-1.0 / 3.0)
-    if B <= 0:
-        raise NotConvex("edge-length bound must be positive")
     if d is None:
         d = 1.0 / (B * B)
     base = 27.0 / (4.0 * B ** 3)

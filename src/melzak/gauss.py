@@ -8,6 +8,7 @@ perturbation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,7 +32,11 @@ NEITHER = "neither"
 
 @dataclass(frozen=True)
 class SphericalPolygon:
-    """Unit-sphere polygon given by its vertices in rotational order."""
+    """Unit-sphere polygon given by its vertices in rotational order.
+
+    Its side poles (``poles``) are derived once, on first read, and kept
+    with it; ``spherical_area`` and ``spherical_incircle`` both read them,
+    so a memoised image runs one pole pass for both."""
 
     points: np.ndarray
     convex: bool
@@ -46,6 +51,33 @@ class SphericalPolygon:
         pts /= norms[:, None]
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    @functools.cached_property
+    def poles(self) -> np.ndarray:
+        """Inward unit side poles, side i from point i to point i + 1, the
+        points reversed first if consecutive cross products point against
+        their mean. Side by side, a zero-length pole raises
+        DegeneratePolygon and a point beyond the side's geodesic
+        NonConvexPolygon, on every access: only a good polygon's poles are
+        kept."""
+        points = self.points
+        n = len(points)
+        sides = [cross(points[i], points[(i + 1) % n]) for i in range(n)]
+        c = points.mean(axis=0)
+        if sum(s @ c for s in sides) < 0:
+            # reversed order: side i is the negated old side n-2-i (mod n)
+            points = points[::-1]
+            sides = [-s for s in sides[-2::-1] + sides[-1:]]
+        poles = np.empty((n, 3))
+        for i, side in enumerate(sides):
+            length = norm(side)
+            if length <= 1e-12:
+                raise DegeneratePolygon("consecutive points are parallel or antipodal")
+            poles[i] = side / length
+            if (points @ poles[i] < -1e-12).any():
+                raise NonConvexPolygon("polygon crosses one of its own geodesics")
+        poles.flags.writeable = False
+        return poles
 
 
 @dataclass(frozen=True)
@@ -99,38 +131,13 @@ def angle_deficit(P: Polyhedron, v: int) -> float:
     return 2.0 * np.pi - total
 
 
-def _poles(points: np.ndarray) -> tuple:
-    """(oriented points, inward unit side poles) of a convex spherical polygon.
-
-    The points are reversed if consecutive cross products point against
-    their mean. Side by side, a zero-length pole raises DegeneratePolygon
-    and a point beyond the side's geodesic NonConvexPolygon."""
-    n = len(points)
-    sides = [cross(points[i], points[(i + 1) % n]) for i in range(n)]
-    c = points.mean(axis=0)
-    if sum(s @ c for s in sides) < 0:
-        # reversed order: side i is the negated old side n-2-i (mod n)
-        points = points[::-1]
-        sides = [-s for s in sides[-2::-1] + sides[-1:]]
-    poles = np.empty((n, 3))
-    for i, side in enumerate(sides):
-        length = norm(side)
-        if length <= 1e-12:
-            raise DegeneratePolygon("consecutive points are parallel or antipodal")
-        poles[i] = side / length
-        if (points @ poles[i] < -1e-12).any():
-            raise NonConvexPolygon("polygon crosses one of its own geodesics")
-    return points, poles
-
-
 def spherical_area(poly: SphericalPolygon) -> float:
     """Area of a convex spherical polygon: 2*pi less the turning angles
     between consecutive side poles, by atan2, which keeps every digit."""
     if len(poly.points) < 3:
         raise DegeneratePolygon("area needs at least 3 points")
-    _, poles = _poles(poly.points)
     return 2.0 * np.pi - sum(np.arctan2(norm(cross(a, b)), a @ b)
-                             for a, b in zip(np.roll(poles, 1, axis=0), poles))
+                             for a, b in zip(np.roll(poly.poles, 1, axis=0), poly.poles))
 
 
 def spherical_incircle(poly: SphericalPolygon) -> Incircle:
@@ -141,7 +148,7 @@ def spherical_incircle(poly: SphericalPolygon) -> Incircle:
     (two active sides) and equal-clearance points of pole triples, then
     keeping the feasible maximizer. Radius is clamped to (0, pi/2).
     """
-    _, poles = _poles(poly.points)
+    poles = poly.poles
     n = len(poles)
 
     candidates = []

@@ -46,6 +46,7 @@ def parse_off(text: str) -> Polyhedron:
         raise ParseError(f"line {lineno}: need at least 4 vertices and 4 faces")
 
     verts = np.zeros((nv, 3))
+    vert_lines = []
     for k in range(nv):
         try:
             lineno, line = next(it)
@@ -58,6 +59,10 @@ def parse_off(text: str) -> Polyhedron:
             verts[k] = [float(p) for p in parts]
         except ValueError:
             raise ParseError(f"line {lineno}: bad float in vertex")
+        vert_lines.append(lineno)
+    finite = np.isfinite(verts).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"line {vert_lines[finite.argmin()]}: vertex coordinate is not finite")
 
     faces = []
     for k in range(nf):

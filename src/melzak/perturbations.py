@@ -29,6 +29,11 @@ vertex adds a * rdot + b * |rdot| to dE, with (a, b) per corner and rule
 (``_corner_rules``): b = 0 at degree 3; a = -g . (u1 + u2) and b = |g| for
 a vertex of degree k > 3 that keeps one correspondent; sums over the k - 2
 consecutive g_n, with b the sum of |g_n - g_n+1|, for one that splits.
+A vertex cut is the split rule of a new plane: its normal c, the incircle
+centre, moves at rdot = -1, every fan edge carries one correspondent with
+g_n from the edge's two faces and c, and the ring of correspondents
+closes, so dE sums |g_n - g_n+1| - |g_n| all the way round; a degenerate
+cut raises ``_slide``'s DegenerateInput like any face move.
 Each face's table (``_face_table``, memoised on the body) evaluates all of
 its 2 + 2k moves in one array product, and ``derivatives``,
 ``criticality_report`` and the audit read it. A corner whose rule has no
@@ -401,24 +406,15 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
 
     Volume changes at second order only, so dV = 0. Works for exposed
     vertices and, through the complement image, negatively exposed ones.
+    The correspondent on the edge of fan faces S_n and S_n+1 moves at
+    -g_n, g_n = ``_slide``(n_S_n, n_S_n+1, c), for incircle centre c.
     """
     pert = Perturbation("vertex_truncate", vertex)
     _check_indices(P, pert)
     c = vertex_incircle(P, vertex)[1].center
-    H = P.vertices[vertex]
-    nbrs = ordered_edges_at_vertex(P, vertex)
-    vs = []
-    for u in nbrs:
-        w = unit(P.vertices[u] - H)
-        s = abs(w @ c)
-        if s <= 1e-12:
-            raise DegenerateInput("cut plane is parallel to an incident edge")
-        vs.append(w / s)
-    k = len(vs)
-    dE = 0.0
-    for n in range(k):
-        dE += norm(vs[n] - vs[(n + 1) % k])
-        dE -= norm(vs[n])
+    normals = [P.face_normal(f) for f in ordered_faces_at_vertex(P, vertex)]
+    gs = [_slide(a, b, c) for a, b in zip(normals, normals[1:] + normals[:1])]
+    dE = sum(norm(g - h) - norm(g) for g, h in zip(gs, gs[1:] + gs[:1]))
     return _report(P, pert, float(dE), 0.0, {vertex: float(dE)})
 
 

@@ -5,6 +5,8 @@ incidence views are consistent by construction.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadParameter, DegenerateInput, GeometryError
@@ -96,20 +98,37 @@ def optimal_pyramid(n: int) -> Polyhedron:
     return ngon_pyramid(n, 1.0, float(np.sqrt(slant * slant - 1.0)))
 
 
+_CANONICAL = {  # name -> (constructor, its parameters in order)
+    "cube": (cube, ()),
+    "regular_tetrahedron": (regular_tetrahedron, ()),
+    "optimal_prism": (optimal_prism, ()),
+    "ngon_pyramid": (ngon_pyramid, ("n", "base_radius", "height")),
+    "box": (box, ("a", "b", "c")),
+}
+
+
 def canonical(shape: str, **params) -> Polyhedron:
-    """Dispatch on a shape name; see the individual constructors."""
-    if shape == "cube":
-        return cube()
-    if shape == "regular_tetrahedron":
-        return regular_tetrahedron()
-    if shape == "optimal_prism":
-        return optimal_prism()
-    if shape == "ngon_pyramid":
-        return ngon_pyramid(int(params["n"]), float(params["base_radius"]),
-                            float(params["height"]))
-    if shape == "box":
-        return box(float(params["a"]), float(params["b"]), float(params["c"]))
-    raise BadParameter(f"unknown canonical shape {shape!r}")
+    """Dispatch on a shape name; see the individual constructors.
+
+    Parameters go by name, as numbers or their strings. An unknown shape, a
+    missing or extra parameter, a value that is not a finite number, or a
+    non-integral ``n`` raises BadParameter."""
+    if shape not in _CANONICAL:
+        raise BadParameter(f"unknown canonical shape {shape!r}")
+    build, names = _CANONICAL[shape]
+    if sorted(params) != sorted(names):
+        raise BadParameter(f"{shape} takes {', '.join(names) or 'no parameters'}")
+    values = []
+    for key in names:
+        try:
+            x = float(params[key])
+        except (TypeError, ValueError):
+            x = math.nan
+        if not math.isfinite(x) or (key == "n" and not x.is_integer()):
+            kind = "an integer" if key == "n" else "a finite number"
+            raise BadParameter(f"{shape}: {key} must be {kind}, got {params[key]!r}")
+        values.append(int(x) if key == "n" else x)
+    return build(*values)
 
 
 def unit_volume(P: Polyhedron) -> Polyhedron:

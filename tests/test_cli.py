@@ -52,9 +52,15 @@ def test_build_parametrized_shapes(tmp_path, capsys):
                        "--out", str(path))
     assert code == 0
     assert read_off(path).n_faces == 6
-    code, _, err = run(capsys, "build", "--shape", "gyroid", "--out", str(path))
-    assert code == 2
-    assert err.startswith("error:")
+    # an unknown name, a wrong parameter count, a non-numeric or non-finite
+    # parameter and a non-integral n are each one error line and exit 2
+    for spec in ("gyroid", "tetra:3", "cube:1", "pyramid:5,1", "box:1,2,3,4",
+                 "pyramid:x,1,1", "box:1,b,2", "box:nan,1,1", "pyramid:5,inf,1",
+                 "pyramid:5.5,1,1"):
+        code, out, err = run(capsys, "build", "--shape", spec, "--out", str(path))
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error:") and err.count("\n") == 1, spec
+    assert read_off(path).n_faces == 6
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +76,22 @@ def test_audit_candidate(prism_off, tmp_path, capsys):
     assert all(": fail" not in line for line in out.splitlines())
     payload = json.loads(js.read_text())
     assert list(payload) == ["criteria", "summary", "notes"]
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
+def test_audit_bound_must_be_finite_and_positive(prism_off, capsys, bound):
+    code, out, err = run(capsys, "audit", str(prism_off), "--bound", bound)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "finite and positive" in err
+
+
+def test_ratio_of_a_non_finite_vertex_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.off"
+    path.write_text("OFF\n4 4 6\nnan 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+    code, out, err = run(capsys, "ratio", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3:")
 
 
 def test_audit_notes_mention_doubling(prism_off, capsys):

@@ -31,7 +31,7 @@ from melzak.criteria import (
     check_vertex_degree,
     pick_witness,
 )
-from melzak.errors import DegenerateInput, NotExposedFace, NotSemiExposed
+from melzak.errors import BadParameter, DegenerateInput, NotExposedFace, NotSemiExposed
 from melzak.perturbations import Perturbation, apply, face_moves, moving_vertices
 
 
@@ -172,6 +172,23 @@ def test_fine_truncation_near_face_pairs_pass():
     TC2 = apply(cube(), Perturbation("vertex_truncate", 0), 1e-4)
     dd = check_dihedral(TC2, B=12.0, d=0.01)
     assert dd.passed
+
+
+@pytest.mark.parametrize("B", [math.nan, math.inf, 0.0, -1.0])
+def test_dihedral_bound_must_be_finite_and_positive(B):
+    # a NaN or infinite bound would pass every edge; a bound <= 0 is no
+    # bound at all, and none of them says the body is not convex
+    for P in (cube(), crater_can()[0]):
+        with pytest.raises(BadParameter):
+            check_dihedral(P, B=B)
+        with pytest.raises(BadParameter):
+            audit(P, B=B)
+
+
+def test_dihedral_is_not_applicable_to_a_non_convex_body():
+    verdict = next(v for v in audit(crater_can()[0], B=12.0).verdicts
+                   if v.criterion_id == "dihedral")
+    assert not verdict.applicable and verdict.notes[0].startswith("skipped:")
 
 
 # ---------------------------------------------------------------------------

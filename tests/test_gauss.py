@@ -1,5 +1,6 @@
 """Spherical vertex images, angle deficits, exposure, and incircles."""
 
+import dataclasses
 import itertools
 import math
 
@@ -264,6 +265,30 @@ def test_one_pole_pass_matches_the_oracle():
             assert got.tangent_sides == want[1]
         classes.add(kind)
     assert classes == {"ok", "DegeneratePolygon", "NonConvexPolygon"}
+
+
+def test_each_image_takes_its_poles_once(monkeypatch):
+    # area and incircle of one image share one pole pass; a bad polygon
+    # keeps no poles and raises again on every read
+    prop = SphericalPolygon.__dict__["poles"]
+    passes = []
+    monkeypatch.setattr(prop, "func", lambda poly, take=prop.func: passes.append(1) or take(poly))
+    raised = set()
+    for g in _vertex_images():
+        passes.clear()
+        kind = _outcome(lambda poly: poly.poles, g)[0]
+        if kind == "ok":
+            _outcome(spherical_area, g)
+            _outcome(spherical_incircle, g)
+            assert len(passes) == 1
+            assert g.poles is g.poles and not g.poles.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.poles = None
+        else:
+            assert _outcome(spherical_incircle, g)[0] == kind
+            assert "poles" not in vars(g) and len(passes) == 2
+            raised.add(kind)
+    assert raised == {"DegeneratePolygon", "NonConvexPolygon"}
 
 
 @settings(max_examples=15, deadline=None)

@@ -78,3 +78,7 @@ def test_parse_errors():
         parse_off(TETRA_TXT.replace("3 0 3 2", "3 0 3 9"))
     with pytest.raises(NonManifold):
         parse_off(TETRA_TXT.replace("3 0 3 2", "3 1 2 3"))
+    # a non-finite coordinate is named by its line (the vertex lines are 3-6)
+    for bad in ("nan", "inf", "-inf", "NaN"):
+        with pytest.raises(ParseError, match="^line 4: "):
+            parse_off(TETRA_TXT.replace("\n1 0 0\n", f"\n1 {bad} 0\n"))

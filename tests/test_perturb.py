@@ -19,6 +19,7 @@ from conftest import crater_can, crater_cavity, match_face, match_vertex, octahe
 from melzak import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
+    NEITHER,
     criticality_report,
     cube,
     edge_length,
@@ -38,7 +39,12 @@ from melzak.errors import (
     NotExposedFace,
     NotSemiExposed,
 )
-from melzak.gauss import exposure, ordered_edges_at_vertex, ordered_faces_at_vertex
+from melzak.gauss import (
+    exposure,
+    ordered_edges_at_vertex,
+    ordered_faces_at_vertex,
+    vertex_incircle,
+)
 from melzak.optimize import load_catalog
 from melzak.perturbations import (
     Perturbation,
@@ -428,6 +434,65 @@ def _fan_report(P, pert):
     dV = P.face_area(f) * odot - float(P.face_moments[f] @ ndot)
     E0, V0 = edge_length(P), volume(P)
     return dE, dV, (3.0 * E0 * E0 / V0) * dE - (E0 ** 3 / V0 ** 2) * dV, per_vertex
+
+
+def _edge_cut_dE(P, v):
+    """dE of cutting ``v``, the edge-direction way: the correspondent on the
+    edge to each fan neighbour, unit direction w, moves at w / |w . c|,
+    with c the incircle centre, and the ring of correspondents closes."""
+    c = vertex_incircle(P, v)[1].center
+    H = P.vertices[v]
+    vs = []
+    for u in ordered_edges_at_vertex(P, v):
+        w = _unit(P.vertices[u] - H)
+        s = abs(w @ c)
+        if s <= 1e-12:
+            raise DegenerateInput("cut plane is parallel to an incident edge")
+        vs.append(w / s)
+    k = len(vs)
+    return sum(np.linalg.norm(vs[n] - vs[(n + 1) % k]) - np.linalg.norm(vs[n])
+               for n in range(k))
+
+
+def _assert_cut_matches_edge_oracle(P):
+    """Every vertex's cut dE within 1e-12 max(|dE|, E0) of the oracle's, or
+    the oracle's GeometryError raised; returns how many cuts had a rate."""
+    E0 = edge_length(P)
+    rated = 0
+    for v in range(P.n_vertices):
+        try:
+            want = _edge_cut_dE(P, v)
+        except GeometryError as exc:
+            with pytest.raises(type(exc)):
+                vertex_truncate_derivatives(P, v)
+            continue
+        got = vertex_truncate_derivatives(P, v).dE
+        assert abs(got - want) <= 1e-12 * max(abs(want), E0), v
+        rated += 1
+    return rated
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 30))
+def test_cut_matches_edge_oracle_on_random_bodies(seed, n_faces):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    assert _assert_cut_matches_edge_oracle(P) == P.n_vertices
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(3, 24), height=st.floats(0.05, 20.0))
+def test_cut_matches_edge_oracle_on_pyramids(n, height):
+    P = ngon_pyramid(n, 1.0, height)
+    assert _assert_cut_matches_edge_oracle(P) == P.n_vertices
+
+
+def test_cut_matches_edge_oracle_on_the_crater():
+    # the pit's vertices are negatively exposed, so their cuts read the
+    # complement image; the rim's are neither and raise NotExposed
+    P = crater_can()[0]
+    classes = [exposure(P, v) for v in range(P.n_vertices)]
+    assert NEGATIVELY_EXPOSED in classes
+    assert _assert_cut_matches_edge_oracle(P) == len(classes) - classes.count(NEITHER)
 
 
 def _fan_criticality(P):

@@ -101,6 +101,16 @@ def test_canonical_dispatch():
     assert P.n_faces == 6
     with pytest.raises(BadParameter):
         canonical("dodecahedron")
+    assert canonical("box", a="1", b="2", c="3").n_faces == 6
+    assert canonical("ngon_pyramid", n=5.0, base_radius=1.0, height=2.0).n_faces == 6
+    for shape, params in (("ngon_pyramid", dict(n=5.5, base_radius=1.0, height=2.0)),
+                          ("ngon_pyramid", dict(n="x", base_radius=1.0, height=2.0)),
+                          ("ngon_pyramid", dict(n=5, base_radius=1.0)),
+                          ("box", dict(a=1.0, b=float("nan"), c=1.0)),
+                          ("box", dict(a=1.0, b=1.0, c=None)),
+                          ("regular_tetrahedron", dict(n=3))):
+        with pytest.raises(BadParameter):
+            canonical(shape, **params)
 
 
 def test_parameter_validation():
