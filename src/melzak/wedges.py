@@ -12,6 +12,11 @@ alternating chain F(1) = -F(2) = F(3) = -F(4) with some F(i) nonzero; such
 a find with the apex inside the quadrilateral would be a counterexample to
 the closing conjecture that the chain forces all F(i) to vanish. One kernel,
 _chain, evaluates F and the residual for a stack of quadrilaterals at once.
+The scan evaluates both trials of a coordinate step, +step and -step, in
+one call of at most _BLOCK rows. Where +step is kept, the -step trial from
+there needs a second evaluation only if adding and taking back the step
+changed the coordinate's bits; the search path is the one-trial-at-a-time
+path, bit for bit.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from .errors import (
 )
 from .gauss import angle_deficit, dihedral_angle
 from .polyhedron import HalfSpace, Polyhedron, from_halfspaces
-from .vec3 import cross, unit
+from .vec3 import cross, rowdot, unit
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,9 @@ class Wedge:
         base = np.asarray(self.base, dtype=float)
         if base.shape != (4, 3):
             raise BadParameter("wedge base must be four 3-vectors")
+        if not all(np.isfinite(np.asarray(a, dtype=float)).all()
+                   for a in (base, self.apex, self.lateral)):
+            raise BadParameter("wedge coordinates must be finite")
         n = self.base_normal()
         spread = np.ptp((base - base[0]) @ n)
         if spread > 1e-9 * max(1.0, float(np.abs(base).max())):
@@ -249,9 +257,9 @@ class PyramidQuad:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (4, 2):
             raise BadParameter("need four 2-vectors")
-        if not math.isfinite(_chain(p.reshape(1, 8))[0][0]):
-            raise CoincidentPoints("quadrilateral has coincident points, a vertex "
-                                   "on the apex, or crossing edges")
+        if not np.isfinite(p).all():
+            raise BadParameter("quadrilateral coordinates must be finite")
+        _check_chain(_chain(p.reshape(1, 8))[0])
         object.__setattr__(self, "p", p)
 
 
@@ -307,18 +315,29 @@ def _chain(X: np.ndarray) -> tuple:
     return r, F.T
 
 
+def _check_chain(r: np.ndarray) -> None:
+    """Raise CoincidentPoints unless every quad's chain residual is finite."""
+    if not np.isfinite(r).all():
+        raise CoincidentPoints("quadrilateral has coincident points, a vertex "
+                               "on the apex, or crossing edges")
+
+
 def pyramid_F(q: PyramidQuad) -> tuple:
     """Per-vertex slide-to-apex values F(1..4) of the flat pyramid."""
     return tuple(_chain(q.p.reshape(1, 8))[1][0].tolist())
 
 
 def _gauge(p: np.ndarray) -> np.ndarray:
-    """Longest edge scaled to 1 and p1 rotated onto the positive x-axis."""
-    edges = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
-    q = p / edges.max()
-    c, s = q[0] / np.linalg.norm(q[0])
-    rot = np.array([[c, s], [-s, c]])
-    return q @ rot.T
+    """Each quad of the (m, 4, 2) stack p with its longest edge scaled to 1
+    and p1 rotated onto the positive x-axis: bit for bit what the one-quad
+    q = p / max|edge|, rot = [[c, s], [-s, c]] with (c, s) = q1 / |q1| and
+    q @ rot.T give."""
+    D = np.roll(p, -1, axis=1) - p
+    q = p / np.sqrt((D * D).sum(axis=2)).max(axis=1)[:, None, None]
+    q1 = q[:, 0]
+    c, s = (q1 / np.sqrt(rowdot(q1, q1))[:, None]).T
+    rot = np.stack((np.stack((c, s), axis=1), np.stack((-s, c), axis=1)), axis=1)
+    return q @ rot.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -398,6 +417,7 @@ def _star(rng) -> np.ndarray:
 
 
 _SCAN_ITERATIONS = 100   # pattern-search iterations per sample, at most
+_BLOCK = 512             # rows per _chain call in the search: temporaries stay cache-sized
 
 
 def check_scan_args(samples: int, seed: int, tol: float) -> None:
@@ -410,6 +430,61 @@ def check_scan_args(samples: int, seed: int, tol: float) -> None:
         raise BadParameter("tolerance must be finite and positive")
 
 
+def _residuals(X: np.ndarray) -> np.ndarray:
+    """Chain residuals of the rows of X, _BLOCK rows per _chain call."""
+    return np.concatenate([_chain(X[i:i + _BLOCK])[0] for i in range(0, len(X), _BLOCK)])
+
+
+def _search(X: np.ndarray) -> np.ndarray:
+    """Pattern-search every row of X in place; returns the rows' residuals.
+
+    Each row carries its residual b and its step s. An iteration takes the
+    coordinates in turn: it tries +s and keeps the move where the residual
+    falls below b, then tries -s from wherever the row now is, kept the
+    same way. One stacked call evaluates x + s and x - s. Where +s was not
+    kept that is the -s trial itself. Where it was, the -s trial is
+    (x + s) - s; on almost every row that is x bit for bit, so its residual
+    is the old b and it cannot gain, and only the other rows are evaluated
+    again. Every row thus takes the path of the one-trial-at-a-time search.
+    A row's step halves after an iteration without a gain, and the row
+    stops once the step falls below 1e-13.
+    """
+    best = _residuals(X)
+    step = np.full(len(X), 0.1)
+    live = np.arange(len(X))
+    for _ in range(_SCAN_ITERATIONS):
+        x, b, s = X[live], best[live], step[live]
+        n = len(live)
+        improved = np.zeros(n, dtype=bool)
+        for k in range(8):
+            old = x[:, k].copy()
+            up = old + s
+            Y = np.concatenate((x, x))
+            Y[:n, k] = up
+            Y[n:, k] = old - s
+            r = _residuals(Y)
+            up_gain = r[:n] < b
+            back = up - s
+            down = np.where(up_gain, back, Y[n:, k])
+            r_down = np.where(up_gain, b, r[n:])
+            redo = np.flatnonzero(up_gain & (back.view(np.int64) != old.view(np.int64)))
+            if redo.size:
+                Z = x[redo]
+                Z[:, k] = back[redo]
+                r_down[redo] = _residuals(Z)
+            b = np.where(up_gain, r[:n], b)
+            down_gain = r_down < b
+            x[:, k] = np.where(down_gain, down, np.where(up_gain, up, old))
+            b = np.where(down_gain, r_down, b)
+            improved |= up_gain | down_gain
+        s[~improved] *= 0.5
+        X[live], best[live], step[live] = x, b, s
+        live = live[s >= 1e-13]
+        if not live.size:
+            break
+    return best
+
+
 def cleancond_scan(samples: int, seed: int, tol: float = 1e-10) -> ScanReport:
     """Pattern-search for quadrilaterals satisfying the alternating chain.
 
@@ -418,40 +493,22 @@ def cleancond_scan(samples: int, seed: int, tol: float = 1e-10) -> ScanReport:
     iteration tries +step and -step on each coordinate in turn, keeps every
     trial that lowers the residual, halves the step after an iteration
     without a gain and stops once it falls below 1e-13. The searches are
-    independent, so they run side by side as the rows of one array. Every
+    independent, so they run side by side as the rows of one array, and
+    both trials of a coordinate share one evaluation (see _search); every
+    row takes the path it would take alone, one trial at a time. Every
     solution below tol is reported with its max|F(i)|, the acute-pair flag
     and whether the origin stayed inside the quad (the search is
     unconstrained, so solutions can leave the star-shaped start region).
     """
     check_scan_args(samples, seed, tol)
     rng = np.random.default_rng(seed)
-    X = np.array([_gauge(_star(rng)).ravel() for _ in range(samples)])
-    best = _chain(X)[0]
-    step = np.full(samples, 0.1)
-    live = np.arange(samples)
-    for _ in range(_SCAN_ITERATIONS):
-        x, b, s = X[live], best[live], step[live]
-        improved = np.zeros(len(live), dtype=bool)
-        for k in range(8):
-            for sign in (1.0, -1.0):
-                old = x[:, k].copy()
-                x[:, k] += sign * s
-                r = _chain(x)[0]
-                gain = r < b
-                x[:, k] = np.where(gain, x[:, k], old)
-                b = np.where(gain, r, b)
-                improved |= gain
-        s[~improved] *= 0.5
-        X[live], best[live], step[live] = x, b, s
-        live = live[s >= 1e-13]
-        if not live.size:
-            break
-    sols = []
+    X = _gauge(np.array([_star(rng) for _ in range(samples)])).reshape(samples, 8)
+    best = _search(X)
     found = best < tol
-    for x, r in zip(X[found], best[found]):
-        g = _gauge(x.reshape(4, 2))
-        F = pyramid_F(PyramidQuad(g))
-        sols.append(ScanSolution(g, float(r), max(abs(f) for f in F),
-                                 _two_adjacent_acute(g), _origin_inside(g)))
+    G = _gauge(X[found].reshape(-1, 4, 2))
+    r, F = _chain(G.reshape(-1, 8))
+    _check_chain(r)
+    sols = [ScanSolution(g, res, maxF, _two_adjacent_acute(g), _origin_inside(g))
+            for g, res, maxF in zip(G, best[found].tolist(), np.abs(F).max(axis=1).tolist())]
     sols.sort(key=lambda s: (s.residual, s.maxF))
     return ScanReport(samples, seed, tuple(sols))

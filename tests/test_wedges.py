@@ -1,5 +1,6 @@
 """Protruding wedges, the quad residual system, and the seeded scan."""
 
+import hashlib
 import json
 import math
 
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import frustum
-from melzak import cube, from_halfspaces, HalfSpace, ngon_pyramid
-from melzak.errors import CoincidentPoints, UnboundedWedge
+from melzak import cube, from_halfspaces, HalfSpace, ngon_pyramid, wedges
+from melzak.errors import BadParameter, CoincidentPoints, UnboundedWedge
 from melzak.gauss import angle_deficit
 from melzak.perturbations import face_hinge_derivatives
 from melzak.polyhedron import volume
 from melzak.wedges import (
     _chain,
+    _gauge,
     PyramidQuad,
     Wedge,
     cleancond_scan,
@@ -160,6 +162,27 @@ def test_apex_coincident_vertex_rejected():
         PyramidQuad(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_quad_is_bad_parameter(bad):
+    p = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=float)
+    p[2, 1] = bad
+    with pytest.raises(BadParameter, match="finite"):
+        PyramidQuad(p)
+
+
+def test_nonfinite_wedge_is_bad_parameter():
+    base = np.array([[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]], dtype=float)
+    apex = np.array([[0.0, 0.0, 1.0]])
+    Wedge(base, apex, np.repeat(apex, 4, axis=0), 1.0)
+    with pytest.raises(BadParameter, match="finite"):
+        Wedge(np.full((4, 3), np.nan), apex, np.repeat(apex, 4, axis=0), 1.0)
+    far = np.array([[0.0, 0.0, math.inf]])
+    with pytest.raises(BadParameter, match="finite"):
+        Wedge(base, far, np.repeat(apex, 4, axis=0), 1.0)
+    with pytest.raises(BadParameter, match="finite"):
+        Wedge(base, apex, np.repeat(far, 4, axis=0), 1.0)
+
+
 def star_quad(gaps, radii):
     """Quad around the origin, vertices in angle order, gaps in proportion."""
     ang = np.cumsum(gaps) * (2 * math.pi / gaps.sum())
@@ -267,9 +290,136 @@ def test_flat_limit_matches_weighted_F():
     assert errs[-1] < errs[0]
 
 
+def gauge_one(p):
+    """The one-quad gauge formula, the reference for the batched _gauge."""
+    edges = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
+    q = p / edges.max()
+    c, s = q[0] / np.linalg.norm(q[0])
+    rot = np.array([[c, s], [-s, c]])
+    return q @ rot.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(star_gaps, star_radii, st.integers(0, 3), st.floats(-6.0, 6.0),
+                          st.floats(-math.pi, math.pi)), min_size=1, max_size=6))
+def test_batched_gauge_is_the_one_quad_gauge(quads):
+    stack = []
+    for gaps, radii, shift, log_scale, th in quads:
+        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        p = 10.0 ** log_scale * star_quad(gaps, radii) @ rot.T
+        stack.append(np.roll(p, -shift, axis=0))
+    P = np.array(stack)
+    G = _gauge(P)
+    for p, g in zip(P, G):
+        assert g.tobytes() == gauge_one(p).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the seeded scan
 # ---------------------------------------------------------------------------
+
+def sequential_search(X):
+    """The scan's search with one _chain call per trial: +s, then -s from
+    wherever +s left the row. The oracle for wedges._search. Also returns
+    how often a -s trial that followed a kept +s gained."""
+    best = wedges._chain(X)[0]
+    step = np.full(len(X), 0.1)
+    live = np.arange(len(X))
+    back_gains = 0
+    for _ in range(100):
+        x, b, s = X[live], best[live], step[live]
+        improved = np.zeros(len(live), dtype=bool)
+        for k in range(8):
+            up_gain = None
+            for sign in (1.0, -1.0):
+                old = x[:, k].copy()
+                x[:, k] += sign * s
+                r = wedges._chain(x)[0]
+                gain = r < b
+                x[:, k] = np.where(gain, x[:, k], old)
+                b = np.where(gain, r, b)
+                improved |= gain
+                if up_gain is None:
+                    up_gain = gain
+                else:
+                    back_gains += int((up_gain & gain).sum())
+        s[~improved] *= 0.5
+        X[live], best[live], step[live] = x, b, s
+        live = live[s >= 1e-13]
+        if not live.size:
+            break
+    return best, back_gains
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (17, 4), (150, 9), (600, 2)])
+def test_paired_search_matches_sequential_oracle(samples, seed, monkeypatch):
+    # 600 samples stack 1200 rows, so the paired call runs in several blocks
+    paired = cleancond_scan(samples, seed).to_json()
+    monkeypatch.setattr(wedges, "_search", lambda X: sequential_search(X)[0])
+    assert paired == cleancond_scan(samples, seed).to_json()
+
+
+def keyed_chain(X):
+    """A stand-in residual in [0, 1) keyed on each row's exact bytes."""
+    h = np.ascontiguousarray(X).view(np.uint64)
+    acc = np.zeros(len(X), dtype=np.uint64)
+    for j in range(8):
+        acc = (acc ^ h[:, j]) * np.uint64(0x9E3779B97F4A7C15)
+        acc ^= acc >> np.uint64(29)
+    return (acc >> np.uint64(11)).astype(float) / 2.0 ** 53, np.zeros((len(X), 4))
+
+
+def test_paired_search_takes_back_trial_gains(monkeypatch):
+    # with a residual that is noise, the -s trial after a kept +s gains,
+    # and it can only gain where (x + s) - s is not x bit for bit, which
+    # coordinates much smaller than the step make common; 300 rows stack
+    # 600, so the paired call runs in two blocks
+    monkeypatch.setattr(wedges, "_chain", keyed_chain)
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-0.01, 0.01, size=(300, 8))
+    Xo = X.copy()
+    best_o, back_gains = sequential_search(Xo)
+    assert back_gains > 20
+    best = wedges._search(X)
+    assert X.tobytes() == Xo.tobytes()
+    assert best.tobytes() == best_o.tobytes()
+
+
+SCAN_DIGESTS = {
+    (1, 0): "c0d752ed6057e747e3b558c75d6208fcfa199700e3bff85df3e36f3c71bbf053",
+    (8, 5): "6dcc7d760f2b5cab676b46117c47ee77b5d3a98319b2862775f945e567537dca",
+    (60, 1): "cbfbae4b1ecdae473f4deb514e0402503f8d1a7bd6264f399fff759aa1514eee",
+    (200, 1): "53a61ce6879486a63d4ac86461ba0b0e5abd140d830057aa39fd53442c48c747",
+    (1000, 1): "3e6cfd05956166136af5ab2f478ba283bb8d7f24ed5520f1344e7f933cb4eb1d",
+}
+
+
+@pytest.mark.parametrize("samples, seed", sorted(SCAN_DIGESTS))
+def test_scan_bytes_pinned(samples, seed):
+    text = cleancond_scan(samples, seed).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_DIGESTS[samples, seed]
+
+
+def test_scan_kernel_calls(monkeypatch):
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return _chain(X)
+
+    monkeypatch.setattr(wedges, "_chain", counted)
+    cleancond_scan(200, seed=1)
+    assert len(rows) <= 900 and max(rows) <= wedges._BLOCK
+
+
+def test_scan_rejects_a_degenerate_solution(monkeypatch):
+    def collapse(X):
+        X[:] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, -1.0, -1.0]   # p2 == p3
+        return np.zeros(len(X))
+
+    monkeypatch.setattr(wedges, "_search", collapse)
+    with pytest.raises(CoincidentPoints):
+        cleancond_scan(3, seed=0)
 
 def test_scan_deterministic_and_sorted():
     rep = cleancond_scan(8, seed=5)
