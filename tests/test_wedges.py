@@ -11,9 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import frustum
-from melzak import cube, from_halfspaces, HalfSpace, ngon_pyramid, wedges
-from melzak.errors import BadParameter, CoincidentPoints, UnboundedWedge
-from melzak.gauss import angle_deficit
+from melzak import cube, from_halfspaces, HalfSpace, ngon_pyramid, random_convex, wedges
+from melzak.errors import (
+    BadParameter,
+    CoincidentPoints,
+    DegenerateInput,
+    GeometryError,
+    NotConvex,
+    UnboundedIntersection,
+    UnboundedWedge,
+)
+from melzak.gauss import angle_deficit, dihedral_angle
 from melzak.perturbations import face_hinge_derivatives
 from melzak.polyhedron import volume
 from melzak.wedges import (
@@ -127,6 +135,130 @@ def test_R_matches_hinge_dE():
     H = tent_host()
     cap = top_face(H, min_nz=1 - 1e-9)
     assert_R_matches_hinges(H, cap, protruding_wedge(H, cap))
+
+
+# ---------------------------------------------------------------------------
+# the wedge built by matching coordinates: the oracle for the incidence rule
+# ---------------------------------------------------------------------------
+
+def vertex_by_distance(P, x):
+    """Index of the vertex of P nearest x, within 1e-7 x max(1, diameter)."""
+    d = np.linalg.norm(P.vertices - np.asarray(x), axis=1)
+    i = int(np.argmin(d))
+    if d[i] > 1e-7 * max(1.0, P.diameter()):
+        raise DegenerateInput("point is not a vertex of the wedge")
+    return i
+
+
+def matched_wedge(P, face):
+    """(base, apex, lateral, height, base dihedrals, top curvature) of the
+    wedge over ``face``, each wedge vertex found from coordinates: the base
+    is the vertices within 1e-8 x max(1, diameter) of the host plane, and
+    each host corner is the wedge vertex nearest it."""
+    if not P.convex:
+        raise NotConvex("protruding wedges are defined on convex hosts")
+    cyc = P.faces[face]
+    if len(cyc) != 4:
+        raise BadParameter(f"face {face} has {len(cyc)} vertices, need 4")
+    side_hs = [P.halfspaces[P.topology.face_of[cyc[(t + 1) % 4], cyc[t]]] for t in range(4)]
+    if len({id(h) for h in side_hs}) != 4:
+        raise UnboundedWedge("face does not have four distinct neighbors")
+    hf = P.halfspaces[face]
+    try:
+        poly = from_halfspaces(tuple(side_hs) + (HalfSpace(-hf.normal, -hf.offset),))
+    except UnboundedIntersection:
+        raise UnboundedWedge("adjacent planes do not close above the face")
+    except GeometryError as exc:
+        raise UnboundedWedge(f"wedge assembly failed: {exc}")
+
+    base_pts = P.vertices[list(cyc)]
+    heights = poly.vertices @ np.asarray(hf.normal, dtype=float) - hf.offset
+    on_base = np.abs(heights) <= 1e-8 * max(1.0, P.diameter())
+    apex_idx = [i for i in range(poly.n_vertices) if not on_base[i]]
+    if not 1 <= len(apex_idx) <= 2:
+        raise UnboundedWedge(f"wedge top has {len(apex_idx)} vertices, expected 1 or 2")
+    if int(on_base.sum()) != 4:
+        raise UnboundedWedge("wedge base does not match the host face")
+    corners = [vertex_by_distance(poly, x) for x in base_pts]
+    lateral = np.empty((4, 3))
+    for k, v in enumerate(corners):
+        partners = [u for u in poly.topology.neighbours(v) if not on_base[u]]
+        if len(partners) != 1:
+            raise UnboundedWedge("base vertex is not joined to exactly one top vertex")
+        lateral[k] = poly.vertices[partners[0]]
+    apex = poly.vertices[apex_idx]
+    height = float(heights.max())
+    dihedrals = np.zeros(4)
+    if height >= 1e-12:
+        dihedrals = np.array([dihedral_angle(poly, poly.edge_index(
+            vertex_by_distance(poly, base_pts[i]), vertex_by_distance(poly, base_pts[(i + 1) % 4])))
+            for i in range(4)])
+    top = min(angle_deficit(poly, vertex_by_distance(poly, x)) for x in apex)
+    return base_pts, apex, lateral, height, dihedrals, top
+
+
+def incidence_wedge(P, face):
+    """The same six values from protruding_wedge and its two readers."""
+    W = protruding_wedge(P, face)
+    return W.base, W.apex, W.lateral, W.height, W.base_dihedrals(), wedge_top_curvature(W)
+
+
+def wedge_bytes(build, P, face):
+    """The bytes of the six values, or the name of the error raised instead."""
+    try:
+        values = build(P, face)
+    except Exception as exc:
+        return type(exc).__name__.encode()
+    return b"".join(np.asarray(x, dtype=float).tobytes() for x in values)
+
+
+def ac8_hosts():
+    """The hosts test_ac8_quad_layer draws before it has 50 good wedges."""
+    from test_acceptance import _rect_pyramid_host
+
+    rng = np.random.default_rng(606)
+    hosts, n_good = [], 0
+    while n_good < 50:
+        H = _rect_pyramid_host(rng)
+        top = next(f for f in range(H.n_faces)
+                   if H.face_normal(f)[2] > 1 - 1e-9 and len(H.faces[f]) == 4)
+        hosts.append(H)
+        n_good += is_good_wedge(protruding_wedge(H, top))
+    return hosts
+
+
+WEDGE_HOSTS = {
+    "fixtures": lambda: [cube(), frustum(4, 1.0, 1.0, 0.5),
+                         frustum(4, 1.0, 1.0, 0.45, jitter=JITTER),
+                         frustum(4, math.sqrt(0.5), 1.0, 0.5), tent_host()],
+    "random": lambda: [random_convex(np.random.default_rng(s), 6 + s % 7) for s in range(300)],
+    "ac8": ac8_hosts,
+}
+
+# sha256 of the wedge_bytes of every quad face of the hosts, in host then
+# face order; (quad faces, wedges built) per family
+WEDGE_DIGESTS = {
+    "fixtures": "5cc421798619af78c31ac445bb76f0df7ead17480bc7f2c22bb4cae1ff7daac0",
+    "random": "ad472c2cb06c062735e4517378fb408515cc467ddc95888e94b7b68b2f5cc746",
+    "ac8": "bc08f9d4582bd4d60e4f31c8419f4778ecdc35e71febb2a1c2a410fbe5e2265d",
+}
+WEDGE_COUNTS = {"fixtures": (30, 6), "random": (948, 824), "ac8": (300, 50)}
+
+
+@pytest.mark.parametrize("family", sorted(WEDGE_HOSTS))
+def test_incidence_wedge_matches_distance_oracle(family):
+    digest, faces, built = hashlib.sha256(), 0, 0
+    for P in WEDGE_HOSTS[family]():
+        for f in range(P.n_faces):
+            if len(P.faces[f]) != 4:
+                continue
+            got = wedge_bytes(incidence_wedge, P, f)
+            assert got == wedge_bytes(matched_wedge, P, f)
+            digest.update(got)
+            faces += 1
+            built += len(got) > 100
+    assert (faces, built) == WEDGE_COUNTS[family]
+    assert digest.hexdigest() == WEDGE_DIGESTS[family]
 
 
 # ---------------------------------------------------------------------------
