@@ -301,10 +301,12 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
     come within ``d`` of each other along a shared face must satisfy the
     same bound damped by (1/2 - d B^2/4); that check is skipped when the
     damping factor is nonpositive. ``d`` defaults to 1/B^2. A given ``B``
-    that is not finite and positive raises BadParameter.
+    or ``d`` that is not finite and positive raises BadParameter.
     """
     if B is not None and not (math.isfinite(B) and B > 0):
         raise BadParameter(f"edge-length bound must be finite and positive, got {B!r}")
+    if d is not None and not (math.isfinite(d) and d > 0):
+        raise BadParameter(f"near-face distance must be finite and positive, got {d!r}")
     if not P.convex:
         raise NotConvex("dihedral bounds are stated for convex polyhedra")
     if B is None:

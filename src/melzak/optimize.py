@@ -599,8 +599,11 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
     vertex truncation. A critical candidate has minimum dM >= -tol. A
     perturbation whose rate raises GeometryError, as on a face or vertex
     of a non-convex body that is not exposed, is recorded in ``skipped``
-    instead of ``entries``.
+    instead of ``entries``. A ``tol`` that is not finite and nonnegative
+    raises BadParameter.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadParameter(f"criticality tolerance must be finite and nonnegative, got {tol!r}")
     entries = {}
     skipped = {}
     tables = [face_moves(P, f) for f in range(P.n_faces)]

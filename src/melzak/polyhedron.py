@@ -128,7 +128,10 @@ class Topology:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """Closed halfspace {x : <x, normal> <= offset} with unit outward normal."""
+    """Closed halfspace {x : <x, normal> <= offset} with unit outward normal.
+
+    Raises BadParameter for a zero normal or a non-finite normal or offset.
+    """
 
     normal: np.ndarray
     offset: float
@@ -139,6 +142,8 @@ class HalfSpace:
         if norm <= 1e-12:
             raise BadParameter("halfspace normal must be nonzero")
         o = float(self.offset)
+        if not (math.isfinite(norm) and math.isfinite(o)):
+            raise BadParameter(f"halfspace normal and offset must be finite, got {n}, {o}")
         if abs(norm - 1.0) > DEFAULT_TOLERANCES.unit_norm:
             # rescale both so the defining plane is unchanged
             n = n / norm

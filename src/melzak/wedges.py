@@ -7,6 +7,12 @@ base), evaluates the hinge condition R along a base edge, and studies the
 degenerate height-zero limit where the wedge flattens onto a planar
 quadrilateral with an interior apex.
 
+The wedge body has the four side planes as faces 0..3 and the flipped
+host plane as face 4, its base. Wedge vertices and base edges are read
+from that plane incidence, never matched by distance: base corner t lies
+on faces t - 1, t and 4, the top is the vertices off face 4, and base edge
+t is the edge between faces t and 4.
+
 The planar residual scan searches for quadrilaterals satisfying the
 alternating chain F(1) = -F(2) = F(3) = -F(4) with some F(i) nonzero; such
 a find with the apex inside the quadrilateral would be a counterexample to
@@ -49,7 +55,8 @@ class Wedge:
     base vertices are ordered as in the host face cycle (counterclockwise
     seen from the apex side). apex holds one point for a pyramid tip, two
     for a ridge. lateral[i] is the apex point joined to base[i] by a wedge
-    edge.
+    edge. poly, when set, is the wedge body with side faces 0..3 and the
+    base as face 4 (see protruding_wedge).
     """
 
     base: np.ndarray
@@ -95,12 +102,8 @@ class Wedge:
         """Dihedral angles along the four base edges."""
         if self.poly is None or self.height < 1e-12:
             return np.zeros(4)
-        out = []
-        for i in range(4):
-            a = _vertex_index(self.poly, self.base[i])
-            b = _vertex_index(self.poly, self.base[(i + 1) % 4])
-            out.append(dihedral_angle(self.poly, self.poly.edge_index(a, b)))
-        return np.array(out)
+        edge = {fs: e for e, fs in enumerate(self.poly.topology.edge_faces)}
+        return np.array([dihedral_angle(self.poly, edge[i, 4]) for i in range(4)])
 
     def scaled(self, factor: float, normalized: bool | None = None) -> "Wedge":
         return Wedge(self.base * factor, self.apex * factor, self.lateral * factor,
@@ -119,12 +122,10 @@ def _corner_angles(b: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _vertex_index(P: Polyhedron, x) -> int:
-    d = np.linalg.norm(P.vertices - np.asarray(x), axis=1)
-    i = int(np.argmin(d))
-    if d[i] > 1e-7 * max(1.0, P.diameter()):
-        raise DegenerateInput("point is not a vertex of the wedge")
-    return i
+def _top(poly: Polyhedron) -> list:
+    """Vertices of a wedge body off its base face 4, in index order."""
+    base = poly.faces[4]
+    return [v for v in range(poly.n_vertices) if v not in base]
 
 
 def normalize_wedge(W: Wedge) -> Wedge:
@@ -136,9 +137,24 @@ def normalize_wedge(W: Wedge) -> Wedge:
 
 
 def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
-    """Wedge the four neighboring halfspaces carve above a quad face."""
+    """Wedge the four neighboring halfspaces carve above a quad face.
+
+    The body is built from the side planes, side t across the host edge
+    (cyc[t], cyc[t + 1]), then the flipped host plane. When it keeps all
+    five, its face 4 is the base and the wedge is read from its incidence:
+    base corner t is the vertex of face 4 on side faces t - 1 and t, the
+    apex is the vertices off face 4 in index order, lateral[t] is corner
+    t's one neighbour off face 4, and height is the largest apex height
+    over the host plane. base holds the host's own corner coordinates.
+
+    Raises BadParameter for a face index out of range 0..F-1 or a face that
+    is not a quadrilateral, and UnboundedWedge where the planes do not
+    close a five-faced body over a quadrilateral base.
+    """
     if not P.convex:
         raise NotConvex("protruding wedges are defined on convex hosts")
+    if not (isinstance(face, (int, np.integer)) and 0 <= face < P.n_faces):
+        raise BadParameter(f"face {face!r} is out of range 0..{P.n_faces - 1}")
     cyc = P.faces[face]
     if len(cyc) != 4:
         raise BadParameter(f"face {face} has {len(cyc)} vertices, need 4")
@@ -153,29 +169,18 @@ def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
         raise UnboundedWedge("adjacent planes do not close above the face")
     except GeometryError as exc:
         raise UnboundedWedge(f"wedge assembly failed: {exc}")
-
-    base_pts = P.vertices[list(cyc)]
-    n_up = np.asarray(hf.normal, dtype=float)
-    heights = poly.vertices @ n_up - hf.offset
-    scale = max(1.0, P.diameter())
-    on_base = np.abs(heights) <= 1e-8 * scale
-    apex_idx = [i for i in range(poly.n_vertices) if not on_base[i]]
-    if not 1 <= len(apex_idx) <= 2:
-        raise UnboundedWedge(f"wedge top has {len(apex_idx)} vertices, expected 1 or 2")
-    if int(on_base.sum()) != 4:
+    if poly.n_faces != 5 or len(poly.faces[4]) != 4:
         raise UnboundedWedge("wedge base does not match the host face")
-    for x in base_pts:
-        _vertex_index(poly, x)
 
-    apex = poly.vertices[apex_idx]
-    lateral = np.empty((4, 3))
-    for k, x in enumerate(base_pts):
-        v = _vertex_index(poly, x)
-        partners = [u for u in poly.topology.neighbours(v) if not on_base[u]]
-        if len(partners) != 1:
-            raise UnboundedWedge("base vertex is not joined to exactly one top vertex")
-        lateral[k] = poly.vertices[partners[0]]
-    return Wedge(base_pts, apex, lateral, float(heights.max()), False, poly)
+    top = _top(poly)
+    corner = {frozenset(poly.vertex_faces(v)): v for v in poly.faces[4]}
+    lateral = []
+    for t in range(4):
+        v = corner[frozenset(((t - 1) % 4, t, 4))]
+        lateral += [u for u in poly.topology.neighbours(v) if u in top]
+    heights = poly.vertices @ hf.normal - hf.offset
+    return Wedge(P.vertices[list(cyc)], poly.vertices[top], poly.vertices[lateral],
+                 float(heights[top].max()), False, poly)
 
 
 def rectangle_deviation(W: Wedge) -> float:
@@ -202,7 +207,7 @@ def wedge_top_curvature(W: Wedge) -> float:
     """
     if W.poly is None:
         raise DegenerateInput("synthetic flat wedge has no top vertex")
-    return min(angle_deficit(W.poly, _vertex_index(W.poly, x)) for x in W.apex)
+    return min(angle_deficit(W.poly, v) for v in _top(W.poly))
 
 
 def wedge_R(W: Wedge, base_edge: int) -> float:

@@ -185,6 +185,13 @@ def test_dihedral_bound_must_be_finite_and_positive(B):
             audit(P, B=B)
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, 0.0, -1.0])
+def test_near_face_distance_must_be_finite_and_positive(d):
+    # a NaN or negative d skipped the near-face check and passed the body
+    with pytest.raises(BadParameter, match="near-face"):
+        check_dihedral(cube(), B=12.0, d=d)
+
+
 def test_dihedral_is_not_applicable_to_a_non_convex_body():
     verdict = next(v for v in audit(crater_can()[0], B=12.0).verdicts
                    if v.criterion_id == "dihedral")

@@ -684,6 +684,14 @@ def test_octahedron_not_critical():
     assert kinds == {"translate", "hinge", "truncate"}
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_criticality_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN tolerance called every body not critical
+    with pytest.raises(BadParameter, match="tolerance"):
+        criticality_report(cube(), tol=tol)
+    assert criticality_report(cube(), tol=0.0).is_critical
+
+
 def test_criticality_dict_roundtrip():
     d = criticality_report(cube()).to_dict()
     assert set(d) == {"entries", "minimum", "is_critical"}

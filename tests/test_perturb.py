@@ -233,6 +233,15 @@ def test_hinge_edge_off_the_face_is_bad_parameter():
             call()
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_step_is_bad_parameter(t):
+    C = cube()
+    hinge = C.edge_index(*C.faces[0][:2])
+    for pert in (Perturbation("face_translate", 0), Perturbation("face_hinge", 0, edge=hinge)):
+        with pytest.raises(BadParameter, match="finite"):
+            apply(C, pert, t)
+
+
 def test_shallow_squeeze_keeps_combinatorics():
     Q = apply(cube(), Perturbation("face_translate", 0, "in"), 0.4)
     assert Q.n_vertices == 8

@@ -27,7 +27,7 @@ from melzak import (
     validate,
     volume,
 )
-from melzak.errors import EmptyInterior, UnboundedIntersection
+from melzak.errors import BadParameter, EmptyInterior, UnboundedIntersection
 from melzak.shapes import PRISM_EDGE_LENGTH
 
 
@@ -54,6 +54,29 @@ def test_halfspace_normalizes_input():
     h = HalfSpace(np.array([0.0, 0.0, 2.0]), 3.0)
     assert np.allclose(h.normal, [0, 0, 1])
     assert h.offset == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("normal, offset", [
+    ([math.inf, 0.0, 1.0], 1.0), ([math.nan, 0.0, 1.0], 1.0), ([0.0, 0.0, 1.0], math.nan),
+    ([0.0, 0.0, 1.0], math.inf), ([0.0, 0.0, 2.0], -math.inf)])
+def test_non_finite_halfspace_is_bad_parameter(normal, offset):
+    # an infinite normal would normalize to NaN, and a NaN or infinite
+    # offset would reach the interior-point LP
+    with pytest.raises(BadParameter, match="finite"):
+        HalfSpace(np.array(normal), offset)
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf])
+def test_from_halfspaces_with_a_non_finite_offset_is_bad_parameter(offset):
+    # refused by HalfSpace, so the offset never reaches scipy's LP
+    with pytest.raises(BadParameter, match="finite"):
+        from_halfspaces(list(cube().halfspaces[:5]) + [HalfSpace(np.array([0.0, 0.0, -1.0]), offset)])
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_non_finite_scale_is_bad_parameter(factor):
+    with pytest.raises(BadParameter):
+        cube().scaled(factor)
 
 
 def test_redundant_plane_dropped():

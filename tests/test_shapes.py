@@ -124,6 +124,20 @@ def test_parameter_validation():
         box(0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_box_side_is_bad_parameter(bad):
+    with pytest.raises(BadParameter, match="finite"):
+        box(bad, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_pyramid_is_bad_parameter(bad):
+    with pytest.raises(BadParameter, match="finite"):
+        ngon_pyramid(5, 1.0, bad)
+    with pytest.raises(BadParameter, match="finite"):
+        ngon_pyramid(5, bad, 1.0)
+
+
 def test_random_convex_deterministic_per_seed():
     A = random_convex(np.random.default_rng(42))
     B = random_convex(np.random.default_rng(42))

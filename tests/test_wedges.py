@@ -106,6 +106,14 @@ def test_tent_wedge_top_curvature():
     assert wedge_top_curvature(W) == pytest.approx(min(defs), abs=1e-15)
 
 
+@pytest.mark.parametrize("face", [99, 6, -1, 5.0, "0"])
+def test_face_index_out_of_range_is_bad_parameter(face):
+    F4 = frustum(4, 1.0, 1.0, 0.5)
+    with pytest.raises(BadParameter, match="out of range 0..5"):
+        protruding_wedge(F4, face)
+    assert protruding_wedge(F4, np.int64(top_face(F4))).is_pyramid
+
+
 def test_normalize_scales_longest_base_edge():
     F4t = frustum(4, 1.0, 1.0, 0.45, jitter=JITTER)
     WN = normalize_wedge(protruding_wedge(F4t, top_face(F4t)))
@@ -207,7 +215,7 @@ def wedge_bytes(build, P, face):
     """The bytes of the six values, or the name of the error raised instead."""
     try:
         values = build(P, face)
-    except Exception as exc:
+    except GeometryError as exc:
         return type(exc).__name__.encode()
     return b"".join(np.asarray(x, dtype=float).tobytes() for x in values)
 
@@ -256,7 +264,7 @@ def test_incidence_wedge_matches_distance_oracle(family):
             assert got == wedge_bytes(matched_wedge, P, f)
             digest.update(got)
             faces += 1
-            built += len(got) > 100
+            built += len(got) > 100   # an error's record is its class name
     assert (faces, built) == WEDGE_COUNTS[family]
     assert digest.hexdigest() == WEDGE_DIGESTS[family]
 
