@@ -5,11 +5,14 @@ of the body at the point of use. ``from_halfspaces`` uses max|x - c| over
 the vertices x and its interior point c; ``validate`` uses the diameter.
 Angular and unit-norm tolerances are absolute. ``json_float`` is the one
 rounding rule for floats written to JSON, and ``json_rate`` the one for a
-first-order rate of the ratio m.
+first-order rate of the ratio m. ``is_index`` is the one test for an
+index argument.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,3 +47,8 @@ def json_rate(rate, m: float) -> float | None:
     if abs(rate) <= 1e-9 * abs(m):
         return 0.0
     return float(f"{float(rate):.9g}")
+
+
+def is_index(x) -> bool:
+    """Whether x is a Python or numpy integer that is not a bool."""
+    return type(x) is not bool and isinstance(x, (int, np.integer))

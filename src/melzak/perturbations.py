@@ -49,10 +49,12 @@ vertex/edge counts ``apply`` expects both read it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import is_index
 from .errors import (
     BadParameter,
     CombinatorialCollapse,
@@ -94,6 +96,9 @@ class Perturbation:
             raise BadParameter(f"direction must be 'out' or 'in', got {self.direction!r}")
         if self.kind == "face_hinge" and self.edge is None:
             raise BadParameter("face_hinge needs an edge index")
+        if not (is_index(self.target) and (self.edge is None or is_index(self.edge))):
+            raise BadParameter(f"target and edge must be integers, got {self.target!r} "
+                               f"and {self.edge!r}")
 
     def label(self) -> str:
         if self.kind == "face_translate":
@@ -462,10 +467,11 @@ def _expected_counts(P: Polyhedron, pert: Perturbation) -> tuple:
 def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
     """Halfspace set of the perturbed polyhedron at parameter ``t``.
 
-    Raises BadParameter for a negative ``t`` or an index ``P`` does not have.
+    Raises BadParameter for a ``t`` that is not finite and nonnegative, or
+    an index ``P`` does not have.
     """
-    if t < 0:
-        raise BadParameter("perturbation parameter must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise BadParameter(f"perturbation parameter must be finite and nonnegative, got {t!r}")
     _check_indices(P, pert)
     hs = list(P.halfspaces)
     if pert.kind == "face_translate":

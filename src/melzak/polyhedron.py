@@ -347,8 +347,8 @@ class Polyhedron:
         return tuple(best)
 
     def scaled(self, factor: float) -> "Polyhedron":
-        if factor <= 0:
-            raise BadParameter("scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise BadParameter(f"scale factor must be finite and positive, got {factor!r}")
         hs = tuple(HalfSpace(h.normal, h.offset * factor) for h in self.halfspaces)
         return Polyhedron(self.vertices * factor, self.faces, hs, self.convex, self.edges)
 

@@ -28,8 +28,8 @@ _RANDOM_MIN_EDGE = 1e-3
 
 def box(a: float, b: float, c: float) -> Polyhedron:
     """Axis-aligned box with side lengths a, b, c centered at the origin."""
-    if min(a, b, c) <= 0:
-        raise BadParameter("box sides must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (a, b, c)):
+        raise BadParameter(f"box sides must be finite and positive, got {a!r}, {b!r}, {c!r}")
     hs = []
     for k, side in enumerate((a, b, c)):
         for sign in (1.0, -1.0):
@@ -70,8 +70,9 @@ def ngon_pyramid(n: int, base_radius: float, height: float) -> Polyhedron:
     """Pyramid over a regular n-gon (circumradius ``base_radius``), apex on axis."""
     if n < 3:
         raise BadParameter("pyramid base needs at least 3 sides")
-    if base_radius <= 0 or height <= 0:
-        raise BadParameter("base_radius and height must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (base_radius, height)):
+        raise BadParameter("base_radius and height must be finite and positive, "
+                           f"got {base_radius!r} and {height!r}")
     apex = np.array([0.0, 0.0, height])
     base = np.array([[base_radius * np.cos(2 * np.pi * k / n),
                       base_radius * np.sin(2 * np.pi * k / n), 0.0] for k in range(n)])

@@ -13,16 +13,14 @@ from that plane incidence, never matched by distance: base corner t lies
 on faces t - 1, t and 4, the top is the vertices off face 4, and base edge
 t is the edge between faces t and 4.
 
-The planar residual scan searches for quadrilaterals satisfying the
+The planar residual scan solves for quadrilaterals satisfying the
 alternating chain F(1) = -F(2) = F(3) = -F(4) with some F(i) nonzero; such
 a find with the apex inside the quadrilateral would be a counterexample to
 the closing conjecture that the chain forces all F(i) to vanish. One kernel,
-_chain, evaluates F and the residual for a stack of quadrilaterals at once.
-The scan evaluates both trials of a coordinate step, +step and -step, in
-one call of at most _BLOCK rows. Where +step is kept, the -step trial from
-there needs a second evaluation only if adding and taking back the step
-changed the coordinate's bits; the search path is the one-trial-at-a-time
-path, bit for bit.
+_chain, evaluates F and the chain's residual vector for a stack of
+quadrilaterals at once; the scan's Gauss-Newton projection reads nothing
+else, its Jacobian included, and a root is reported only if it is one as
+printed.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import json_float
+from .config import is_index, json_float
 from .errors import (
     BadParameter,
     CoincidentPoints,
@@ -147,13 +145,13 @@ def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
     t's one neighbour off face 4, and height is the largest apex height
     over the host plane. base holds the host's own corner coordinates.
 
-    Raises BadParameter for a face index out of range 0..F-1 or a face that
-    is not a quadrilateral, and UnboundedWedge where the planes do not
-    close a five-faced body over a quadrilateral base.
+    Raises BadParameter for a face that is not an integer (is_index) in
+    range 0..F-1 or not a quadrilateral, and UnboundedWedge where the
+    planes do not close a five-faced body over a quadrilateral base.
     """
     if not P.convex:
         raise NotConvex("protruding wedges are defined on convex hosts")
-    if not (isinstance(face, (int, np.integer)) and 0 <= face < P.n_faces):
+    if not (is_index(face) and 0 <= face < P.n_faces):
         raise BadParameter(f"face {face!r} is out of range 0..{P.n_faces - 1}")
     cyc = P.faces[face]
     if len(cyc) != 4:
@@ -264,7 +262,9 @@ class PyramidQuad:
             raise BadParameter("need four 2-vectors")
         if not np.isfinite(p).all():
             raise BadParameter("quadrilateral coordinates must be finite")
-        _check_chain(_chain(p.reshape(1, 8))[0])
+        if not np.isfinite(_chain(p.reshape(1, 8))[0]).all():
+            raise CoincidentPoints("quadrilateral has coincident points, a vertex "
+                                   "on the apex, or crossing edges")
         object.__setattr__(self, "p", p)
 
 
@@ -282,15 +282,17 @@ _RIGHT = np.array([0, 1, 2, 3, 8, 9, 2, 3, 4, 5, 6, 7, 10, 11, 6, 7])
 
 
 def _chain(X: np.ndarray) -> tuple:
-    """Chain residuals r (n,) and slide-to-apex values F (n, 4) of n quads.
+    """Chain residual vectors S (n, 3) and slide-to-apex values F (n, 4)
+    of n quads.
 
     Row i of X is (x1, y1, ..., x4, y4), apex at the origin, scaled here to
     unit longest edge. F(i) = |p_i| - u.p_i - w.p_i, with u and w the unit
     vectors from the two neighbours of p_i towards it. F is returned in the
-    row's own units, r = |(F1+F2, F2+F3, F3+F4)| in the scaled ones. A row
-    whose longest edge is below 1e-12, whose edges cross, or whose scaled
-    quad has a vertex or an edge shorter than 1e-12 gets r = F = inf. Rows
-    never mix: each row's values are what it would get on its own.
+    row's own units, S = (F1+F2, F2+F3, F3+F4) in the scaled ones; the chain
+    residual r is |S| (_residual). A row whose longest edge is below 1e-12,
+    whose edges cross, or whose scaled quad has a vertex or an edge shorter
+    than 1e-12 gets S = F = inf. Rows never mix: each row's values are what
+    it would get on its own.
     """
     P = X.T[_XY]
     D = P[_NEXT] - P
@@ -312,19 +314,15 @@ def _chain(X: np.ndarray) -> tuple:
     bad = ((m[:2] & m[2:]).any(axis=0) | (longest < 1e-12)
            | (np.minimum(N, L).min(axis=0) < 1e-12))
     S = F[:3] + F[1:]
-    S *= S
-    r = np.sqrt(S[0] + S[1] + S[2])
-    r[bad] = math.inf
+    S[:, bad] = math.inf
     F *= longest
     F[:, bad] = math.inf
-    return r, F.T
+    return S.T, F.T
 
 
-def _check_chain(r: np.ndarray) -> None:
-    """Raise CoincidentPoints unless every quad's chain residual is finite."""
-    if not np.isfinite(r).all():
-        raise CoincidentPoints("quadrilateral has coincident points, a vertex "
-                               "on the apex, or crossing edges")
+def _residual(S: np.ndarray) -> np.ndarray:
+    """The chain residuals |S| of _chain's (n, 3) residual vectors."""
+    return np.sqrt((S * S).sum(axis=1))
 
 
 def pyramid_F(q: PyramidQuad) -> tuple:
@@ -347,10 +345,10 @@ def _gauge(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanSolution:
-    """Gauged quadrilateral whose chain residual dropped below tolerance.
+    """Gauged quadrilateral whose chain residual is below tolerance.
 
-    residual is the value the search reached and tested against tol, taken
-    before p was rotated into the gauge; maxF is max|F(i)| of p itself.
+    p is rounded as the JSON prints it, and residual is the residual of p
+    as printed, the value tested against tol; maxF is max|F(i)| of p.
     two_adjacent_acute reports the acute-pair exclusion check; a True here
     is evidence against the descent having stayed meaningful, not a claim
     about the source material. origin_inside records whether the apex
@@ -421,8 +419,11 @@ def _star(rng) -> np.ndarray:
     return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
 
 
-_SCAN_ITERATIONS = 100   # pattern-search iterations per sample, at most
-_BLOCK = 512             # rows per _chain call in the search: temporaries stay cache-sized
+_BLOCK = 64        # samples per projection block: a _chain call takes at most 16 x 64 rows
+_ITERATIONS = 50   # Gauss-Newton iterations per sample, at most
+_H = 1e-6          # central-difference step of the Jacobian
+_SHIFTS = np.concatenate((np.eye(8), -np.eye(8))) * _H
+_HALVINGS = 0.5 ** np.arange(8)   # the line search's fractions of a step
 
 
 def check_scan_args(samples: int, seed: int, tol: float) -> None:
@@ -435,85 +436,67 @@ def check_scan_args(samples: int, seed: int, tol: float) -> None:
         raise BadParameter("tolerance must be finite and positive")
 
 
-def _residuals(X: np.ndarray) -> np.ndarray:
-    """Chain residuals of the rows of X, _BLOCK rows per _chain call."""
-    return np.concatenate([_chain(X[i:i + _BLOCK])[0] for i in range(0, len(X), _BLOCK)])
+def _project(X: np.ndarray, tol: float) -> None:
+    """Project each row of X onto the chain's roots by Gauss-Newton, in place.
 
-
-def _search(X: np.ndarray) -> np.ndarray:
-    """Pattern-search every row of X in place; returns the rows' residuals.
-
-    Each row carries its residual b and its step s. An iteration takes the
-    coordinates in turn: it tries +s and keeps the move where the residual
-    falls below b, then tries -s from wherever the row now is, kept the
-    same way. One stacked call evaluates x + s and x - s. Where +s was not
-    kept that is the -s trial itself. Where it was, the -s trial is
-    (x + s) - s; on almost every row that is x bit for bit, so its residual
-    is the old b and it cannot gain, and only the other rows are evaluated
-    again. Every row thus takes the path of the one-trial-at-a-time search.
-    A row's step halves after an iteration without a gain, and the row
-    stops once the step falls below 1e-13.
+    J is the central difference of S through _chain, the 16 shifted copies
+    of every live row in one call. The step is the minimum-norm
+    d = -J^T (J J^T)^-1 S, the 3 x 3 inverse by the triple-product rule.
+    The trials x + 2^-k d, k = 0..7, go in one call, and a row moves to the
+    first that lowers r. A row stops below tol / 1000, where no trial lowers
+    r (a singular or non-finite step never does), or after _ITERATIONS.
+    Every product is elementwise, so rows never mix.
     """
-    best = _residuals(X)
-    step = np.full(len(X), 0.1)
-    live = np.arange(len(X))
-    for _ in range(_SCAN_ITERATIONS):
-        x, b, s = X[live], best[live], step[live]
-        n = len(live)
-        improved = np.zeros(n, dtype=bool)
-        for k in range(8):
-            old = x[:, k].copy()
-            up = old + s
-            Y = np.concatenate((x, x))
-            Y[:n, k] = up
-            Y[n:, k] = old - s
-            r = _residuals(Y)
-            up_gain = r[:n] < b
-            back = up - s
-            down = np.where(up_gain, back, Y[n:, k])
-            r_down = np.where(up_gain, b, r[n:])
-            redo = np.flatnonzero(up_gain & (back.view(np.int64) != old.view(np.int64)))
-            if redo.size:
-                Z = x[redo]
-                Z[:, k] = back[redo]
-                r_down[redo] = _residuals(Z)
-            b = np.where(up_gain, r[:n], b)
-            down_gain = r_down < b
-            x[:, k] = np.where(down_gain, down, np.where(up_gain, up, old))
-            b = np.where(down_gain, r_down, b)
-            improved |= up_gain | down_gain
-        s[~improved] *= 0.5
-        X[live], best[live], step[live] = x, b, s
-        live = live[s >= 1e-13]
-        if not live.size:
-            break
-    return best
+    S = _chain(X)[0]
+    r = _residual(S)
+    live = np.flatnonzero(r >= tol / 1000)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ITERATIONS):
+            if not live.size:
+                break
+            x, s, m = X[live], S[live], len(live)
+            D = _chain((x + _SHIFTS[:, None]).reshape(-1, 8))[0].reshape(16, m, 3)
+            J = (D[:8] - D[8:]) / (2 * _H)                   # J[k, :, i] = dS_i/dx_k
+            # J J^T, (m, 3, 3): the built-in sum adds the 8 terms in order,
+            # where numpy's .sum(axis=0) may pair them by the stack's layout
+            A = sum(J[:, :, :, None] * J[:, :, None, :])
+            C = np.cross(A[:, [1, 2, 0]], A[:, [2, 0, 1]])   # det * inverse^T
+            y = (C * s[:, :, None]).sum(axis=1) / (A[:, 0] * C[:, 0]).sum(axis=1)[:, None]
+            T = x - _HALVINGS[:, None, None] * (J * y).sum(axis=2).T
+            St = _chain(T.reshape(-1, 8))[0].reshape(8, m, 3)
+            rt = _residual(St.reshape(-1, 3)).reshape(8, m)
+            gain = rt < r[live]
+            j = np.flatnonzero(gain.any(axis=0))
+            k = gain.argmax(axis=0)[j]
+            live = live[j]
+            X[live], S[live], r[live] = T[k, j], St[k, j], rt[k, j]
+            live = live[r[live] >= tol / 1000]
 
 
 def cleancond_scan(samples: int, seed: int, tol: float = 1e-10) -> ScanReport:
-    """Pattern-search for quadrilaterals satisfying the alternating chain.
+    """Solve for quadrilaterals satisfying the alternating chain.
 
-    Draws all star-shaped starts around the origin first, then runs one
-    Hooke-Jeeves-style search per sample on the chain residual: each
-    iteration tries +step and -step on each coordinate in turn, keeps every
-    trial that lowers the residual, halves the step after an iteration
-    without a gain and stops once it falls below 1e-13. The searches are
-    independent, so they run side by side as the rows of one array, and
-    both trials of a coordinate share one evaluation (see _search); every
-    row takes the path it would take alone, one trial at a time. Every
-    solution below tol is reported with its max|F(i)|, the acute-pair flag
-    and whether the origin stayed inside the quad (the search is
-    unconstrained, so solutions can leave the star-shaped start region).
+    Draws all star-shaped starts around the origin first, then projects
+    each onto the chain's roots (_project), _BLOCK samples at a time; the
+    projections are independent, so each row ends where it would alone.
+    The final quads are gauged and rounded as the JSON prints them, and
+    exactly those whose residual as printed is below tol are reported, with
+    their max|F(i)|, the acute-pair flag and whether the origin is inside
+    the quad (the projection is unconstrained, so it can leave the
+    star-shaped start region).
     """
     check_scan_args(samples, seed, tol)
     rng = np.random.default_rng(seed)
     X = _gauge(np.array([_star(rng) for _ in range(samples)])).reshape(samples, 8)
-    best = _search(X)
-    found = best < tol
-    G = _gauge(X[found].reshape(-1, 4, 2))
-    r, F = _chain(G.reshape(-1, 8))
-    _check_chain(r)
+    for i in range(0, samples, _BLOCK):
+        _project(X[i:i + _BLOCK], tol)
+    G = np.array([json_float(x) for x in _gauge(X.reshape(-1, 4, 2)).ravel().tolist()])
+    S, F = _chain(G.reshape(-1, 8))
+    r = _residual(S)
+    found = np.flatnonzero(r < tol)
+    G = G.reshape(-1, 4, 2)[found]
     sols = [ScanSolution(g, res, maxF, _two_adjacent_acute(g), _origin_inside(g))
-            for g, res, maxF in zip(G, best[found].tolist(), np.abs(F).max(axis=1).tolist())]
+            for g, res, maxF in zip(G, r[found].tolist(),
+                                    np.abs(F[found]).max(axis=1).tolist())]
     sols.sort(key=lambda s: (s.residual, s.maxF))
     return ScanReport(samples, seed, tuple(sols))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import melzak.perturbations
-from conftest import crater_can, crater_cavity, match_face, match_vertex, octahedron
+from conftest import crater_can, crater_cavity, frustum, match_face, match_vertex, octahedron
 from melzak import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
@@ -26,6 +26,7 @@ from melzak import (
     melzak_ratio,
     ngon_pyramid,
     optimal_prism,
+    protruding_wedge,
     random_convex,
     regular_tetrahedron,
     volume,
@@ -38,6 +39,7 @@ from melzak.errors import (
     GeometryError,
     NotExposedFace,
     NotSemiExposed,
+    UnboundedWedge,
 )
 from melzak.gauss import (
     exposure,
@@ -221,6 +223,24 @@ def test_out_of_range_index_is_bad_parameter(pert):
                  per_kind[pert.kind]):
         with pytest.raises(BadParameter, match="out of range"):
             call()
+
+
+@pytest.mark.parametrize("index", [2.0, True, np.int64(1)], ids=repr)
+def test_one_integer_rule_for_indices(index):
+    # a numpy integer is an index; a float or a bool is not, even where it
+    # has an integer's value
+    host = frustum(4, 1.0, 1.0, 0.5)
+    if isinstance(index, np.integer):
+        assert Perturbation("face_translate", index).label() == "translate:f=1:out"
+        assert Perturbation("face_hinge", 0, "out", index).label() == "hinge:f=0:e=1:out"
+        with pytest.raises(UnboundedWedge, match="do not close"):   # face 1 is a side
+            protruding_wedge(host, index)
+        return
+    for make in (lambda: Perturbation("face_translate", index),
+                 lambda: Perturbation("face_hinge", 0, "out", index),
+                 lambda: protruding_wedge(host, index)):
+        with pytest.raises(BadParameter):
+            make()
 
 
 def test_hinge_edge_off_the_face_is_bad_parameter():

@@ -75,7 +75,7 @@ def test_from_halfspaces_with_a_non_finite_offset_is_bad_parameter(offset):
 
 @pytest.mark.parametrize("factor", [math.nan, math.inf])
 def test_non_finite_scale_is_bad_parameter(factor):
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="scale factor"):
         cube().scaled(factor)
 
 

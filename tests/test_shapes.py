@@ -126,15 +126,15 @@ def test_parameter_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_box_side_is_bad_parameter(bad):
-    with pytest.raises(BadParameter, match="finite"):
+    with pytest.raises(BadParameter, match="box sides must be finite"):
         box(bad, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_pyramid_is_bad_parameter(bad):
-    with pytest.raises(BadParameter, match="finite"):
+    with pytest.raises(BadParameter, match="height must be finite"):
         ngon_pyramid(5, 1.0, bad)
-    with pytest.raises(BadParameter, match="finite"):
+    with pytest.raises(BadParameter, match="height must be finite"):
         ngon_pyramid(5, bad, 1.0)
 
 

@@ -383,26 +383,30 @@ def test_chain_rows_independent_and_guarded(X, degenerate):
         X[::2, 2:4] = X[::2, 0:2]
     elif degenerate == "bowtie":
         X[::2] = np.array([1, 1, -1, -1, -1, 1, 1, -1]) * (0.5 + np.abs(X[::2, :1]))
-    r, F = _chain(X)
-    assert r.shape == (len(X),) and F.shape == (len(X), 4)
+    S, F = _chain(X)
+    assert S.shape == (len(X), 3) and F.shape == (len(X), 4)
     for i, row in enumerate(X):
-        ri, Fi = _chain(row[None])
-        assert ri.tobytes() == r[i:i + 1].tobytes()
+        Si, Fi = _chain(row[None])
+        assert Si.tobytes() == S[i:i + 1].tobytes()
         assert Fi.tobytes() == F[i:i + 1].tobytes()
         # the kernel tests crossings on the quad scaled to unit longest edge
         p = row.reshape(4, 2)
         longest = math.sqrt(max(dx * dx + dy * dy for dx, dy in np.roll(p, -1, axis=0) - p))
         if longest >= 1e-12 and crosses(p * (1.0 / longest)):
-            assert r[i] == math.inf
+            assert (S[i] == math.inf).all()
     if degenerate != "none":
-        assert (r[::2] == math.inf).all() and (F[::2] == math.inf).all()
-    # rows far from every guard match the one-vertex-at-a-time formula
-    for i in np.flatnonzero(np.isfinite(r)):
+        assert (S[::2] == math.inf).all() and (F[::2] == math.inf).all()
+    # rows far from every guard match the one-vertex-at-a-time formula, and
+    # S is the chain (F1+F2, F2+F3, F3+F4) of the quad at unit longest edge
+    for i in np.flatnonzero(np.isfinite(S).all(axis=1)):
         p = X[i].reshape(4, 2)
         edges = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
         longest = edges.max()
         if min(np.linalg.norm(p, axis=1).min(), edges.min()) > 1e-3 * longest:
-            assert np.allclose(F[i], reference_F(p), rtol=0, atol=1e-9 * longest)
+            ref = reference_F(p)
+            assert np.allclose(F[i], ref, rtol=0, atol=1e-9 * longest)
+            chain = [(a + b) / longest for a, b in zip(ref, ref[1:])]
+            assert np.allclose(S[i], chain, rtol=0, atol=1e-9)
 
 
 def test_flat_limit_matches_weighted_F():
@@ -458,79 +462,37 @@ def test_batched_gauge_is_the_one_quad_gauge(quads):
 # the seeded scan
 # ---------------------------------------------------------------------------
 
-def sequential_search(X):
-    """The scan's search with one _chain call per trial: +s, then -s from
-    wherever +s left the row. The oracle for wedges._search. Also returns
-    how often a -s trial that followed a kept +s gained."""
-    best = wedges._chain(X)[0]
-    step = np.full(len(X), 0.1)
-    live = np.arange(len(X))
-    back_gains = 0
-    for _ in range(100):
-        x, b, s = X[live], best[live], step[live]
-        improved = np.zeros(len(live), dtype=bool)
-        for k in range(8):
-            up_gain = None
-            for sign in (1.0, -1.0):
-                old = x[:, k].copy()
-                x[:, k] += sign * s
-                r = wedges._chain(x)[0]
-                gain = r < b
-                x[:, k] = np.where(gain, x[:, k], old)
-                b = np.where(gain, r, b)
-                improved |= gain
-                if up_gain is None:
-                    up_gain = gain
-                else:
-                    back_gains += int((up_gain & gain).sum())
-        s[~improved] *= 0.5
-        X[live], best[live], step[live] = x, b, s
-        live = live[s >= 1e-13]
-        if not live.size:
-            break
-    return best, back_gains
+@pytest.mark.parametrize("samples, seed", [(200, 1), (200, 7), (300, 13)])
+def test_scan_reports_roots_as_printed(samples, seed):
+    rep = cleancond_scan(samples, seed)
+    assert rep.solutions
+    for sol in rep.solutions:
+        S, F = _chain(np.array(sol.to_dict()["p"]).reshape(1, 8))
+        assert sol.residual == wedges._residual(S)[0] < 1e-10
+        assert sol.maxF == np.abs(F).max()
 
 
-@pytest.mark.parametrize("samples, seed", [(1, 0), (17, 4), (150, 9), (600, 2)])
-def test_paired_search_matches_sequential_oracle(samples, seed, monkeypatch):
-    # 600 samples stack 1200 rows, so the paired call runs in several blocks
-    paired = cleancond_scan(samples, seed).to_json()
-    monkeypatch.setattr(wedges, "_search", lambda X: sequential_search(X)[0])
-    assert paired == cleancond_scan(samples, seed).to_json()
-
-
-def keyed_chain(X):
-    """A stand-in residual in [0, 1) keyed on each row's exact bytes."""
-    h = np.ascontiguousarray(X).view(np.uint64)
-    acc = np.zeros(len(X), dtype=np.uint64)
-    for j in range(8):
-        acc = (acc ^ h[:, j]) * np.uint64(0x9E3779B97F4A7C15)
-        acc ^= acc >> np.uint64(29)
-    return (acc >> np.uint64(11)).astype(float) / 2.0 ** 53, np.zeros((len(X), 4))
-
-
-def test_paired_search_takes_back_trial_gains(monkeypatch):
-    # with a residual that is noise, the -s trial after a kept +s gains,
-    # and it can only gain where (x + s) - s is not x bit for bit, which
-    # coordinates much smaller than the step make common; 300 rows stack
-    # 600, so the paired call runs in two blocks
-    monkeypatch.setattr(wedges, "_chain", keyed_chain)
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-0.01, 0.01, size=(300, 8))
-    Xo = X.copy()
-    best_o, back_gains = sequential_search(Xo)
-    assert back_gains > 20
-    best = wedges._search(X)
-    assert X.tobytes() == Xo.tobytes()
-    assert best.tobytes() == best_o.tobytes()
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projection_rows_never_mix(seed):
+    # a block of star starts, with rows of noise that include crossing and
+    # collapsed quads, ends bit for bit where each row ends projected alone
+    rng = np.random.default_rng(seed)
+    X = _gauge(np.array([wedges._star(rng) for _ in range(48)])).reshape(48, 8)
+    X = np.concatenate((X, rng.uniform(-1.0, 1.0, size=(16, 8))))
+    X[-1] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, -1.0, -1.0]
+    alone = X.copy()
+    wedges._project(X, 1e-10)
+    for i in range(len(X)):
+        wedges._project(alone[i:i + 1], 1e-10)
+    assert X.tobytes() == alone.tobytes()
 
 
 SCAN_DIGESTS = {
-    (1, 0): "c0d752ed6057e747e3b558c75d6208fcfa199700e3bff85df3e36f3c71bbf053",
-    (8, 5): "6dcc7d760f2b5cab676b46117c47ee77b5d3a98319b2862775f945e567537dca",
-    (60, 1): "cbfbae4b1ecdae473f4deb514e0402503f8d1a7bd6264f399fff759aa1514eee",
-    (200, 1): "53a61ce6879486a63d4ac86461ba0b0e5abd140d830057aa39fd53442c48c747",
-    (1000, 1): "3e6cfd05956166136af5ab2f478ba283bb8d7f24ed5520f1344e7f933cb4eb1d",
+    (1, 0): "48189b374c71cbe6500ee08f0e711e8dbc012276d0e12981cc72c782087f49ad",
+    (8, 5): "b5b1a1fdce3b6e01906ef2f4c3d95d5ceb858b61707cfd231e1ef9c65ab82ab0",
+    (60, 1): "cdc64cc6ab96abf103310189e15dff3a35c0b6fa07a8690300a6b839aae80ea4",
+    (200, 1): "b9c40b1f267d43d813e6147a3876da1b67ff7fc19046bd9569bd5d33fb146a6b",
+    (1000, 1): "13ac088bc7a3b9a1b35d2f1a116de13747d084279b4457b37b6938975824d387",
 }
 
 
@@ -549,17 +511,25 @@ def test_scan_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(wedges, "_chain", counted)
     cleancond_scan(200, seed=1)
-    assert len(rows) <= 900 and max(rows) <= wedges._BLOCK
+    assert len(rows) <= 85 and max(rows) <= 16 * wedges._BLOCK
 
 
 def test_scan_rejects_a_degenerate_solution(monkeypatch):
-    def collapse(X):
-        X[:] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, -1.0, -1.0]   # p2 == p3
-        return np.zeros(len(X))
+    # the projection ends on collapsed quads, on roots and on a near-root;
+    # only the roots are reported
+    roots = [s.p.ravel() for s in cleancond_scan(40, seed=1).solutions[:2]]
+    near = roots[0] + 1e-6
 
-    monkeypatch.setattr(wedges, "_search", collapse)
-    with pytest.raises(CoincidentPoints):
-        cleancond_scan(3, seed=0)
+    def collapse(X, tol):
+        X[:] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, -1.0, -1.0]   # p2 == p3
+        X[1], X[3], X[4] = roots[0], roots[1], near
+
+    monkeypatch.setattr(wedges, "_project", collapse)
+    rep = cleancond_scan(6, seed=0)
+    assert len(rep.solutions) == 2
+    for sol in rep.solutions:
+        assert any(np.allclose(sol.p.ravel(), p, rtol=0, atol=1e-11) for p in roots)
+
 
 def test_scan_deterministic_and_sorted():
     rep = cleancond_scan(8, seed=5)
@@ -573,9 +543,9 @@ def test_scan_deterministic_and_sorted():
 
 def test_scan_seed1_counts():
     rep = cleancond_scan(200, seed=1)
-    assert len(rep.solutions) == 118
-    assert sum(s.origin_inside for s in rep.solutions) == 4
-    assert len(rep.counterexamples()) == 4
+    assert len(rep.solutions) == 171
+    assert sum(s.origin_inside for s in rep.solutions) == 1
+    assert len(rep.counterexamples()) == 1
     assert all(s.origin_inside for s in rep.counterexamples())
 
 
