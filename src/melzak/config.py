@@ -21,9 +21,8 @@ class Tolerances:
     plane_triple: float = 1e-10     # determinant cutoff for 3-plane solves
     dedup: float = 1e-9             # x scale: vertex merge radius
     coplanarity: float = 1e-9       # x scale: vertex-on-face-plane slack
-    convexity: float = 1e-9         # x scale: convexity containment slack
     exposure: float = 1e-9          # rad: dihedral margin around pi
-    tangency: float = 1e-9          # rad: incircle side-tangency slack
+    tangency: float = 1e-9          # rad: an incircle this small is flat
     witness_margin: float = 1e-10   # improving perturbations need dM below -this
 
 

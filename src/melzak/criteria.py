@@ -300,8 +300,10 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
     Adjacent faces must meet at 2*arctan(27/(4 B^3)) or more. Faces that
     come within ``d`` of each other along a shared face must satisfy the
     same bound damped by (1/2 - d B^2/4); that check is skipped when the
-    damping factor is nonpositive. ``d`` defaults to 1/B^2. A given ``B``
-    or ``d`` that is not finite and positive raises BadParameter.
+    damping factor is nonpositive. ``d`` defaults to 1/B^2. Both are
+    unit-volume quantities: B = E V^(-1/3), and faces are near when their
+    rims come within d V^(1/3) in body coordinates. A given ``B`` or ``d``
+    that is not finite and positive raises BadParameter.
     """
     if B is not None and not (math.isfinite(B) and B > 0):
         raise BadParameter(f"edge-length bound must be finite and positive, got {B!r}")
@@ -332,6 +334,7 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
     damp = 0.5 - d * B * B / 4.0
     if damp > 0:
         thr_near = 2.0 * math.atan(base * damp)
+        near = d * volume(P) ** (1.0 / 3.0)
         adjacency = set(map(frozenset, P.topology.edge_faces))
         frames = np.stack(plane_bases(np.array([h.normal for h in P.halfspaces])), axis=1)
         for s in range(P.n_faces):
@@ -343,7 +346,7 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
             for (f1, p1, p2), (f2, q1, q2) in itertools.combinations(rim, 2):
                 if f1 == f2 or frozenset((f1, f2)) in adjacency:
                     continue
-                if _segment_distance_2d(p1, p2, q1, q2) > d:
+                if _segment_distance_2d(p1, p2, q1, q2) > near:
                     continue
                 ang = _plane_wedge_angle(P.face_normal(f1), P.face_normal(f2))
                 if ang < thr_near:

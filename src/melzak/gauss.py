@@ -39,7 +39,6 @@ class SphericalPolygon:
     so a memoised image runs one pole pass for both."""
 
     points: np.ndarray
-    convex: bool
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -84,7 +83,6 @@ class SphericalPolygon:
 class Incircle:
     center: np.ndarray
     radius: float
-    tangent_sides: tuple
 
 
 def ordered_faces_at_vertex(P: Polyhedron, v: int) -> list:
@@ -105,14 +103,14 @@ def gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
     """Spherical image of a vertex: incident outward normals in fan order."""
     faces = ordered_faces_at_vertex(P, v)
     pts = np.array([P.face_normal(f) for f in faces])
-    return SphericalPolygon(pts, exposure(P, v) == EXPOSED)
+    return SphericalPolygon(pts)
 
 
 def complement_gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
     """Spherical image of the vertex seen from the complement solid."""
     faces = ordered_faces_at_vertex(P, v)
     pts = np.array([-P.face_normal(f) for f in reversed(faces)])
-    return SphericalPolygon(pts, exposure(P, v) == NEGATIVELY_EXPOSED)
+    return SphericalPolygon(pts)
 
 
 def angle_deficit(P: Polyhedron, v: int) -> float:
@@ -171,14 +169,11 @@ def spherical_incircle(poly: SphericalPolygon) -> Incircle:
         r = float(np.min(np.arcsin(np.clip(poles @ c, -1.0, 1.0))))
         if r > best_r:
             best_r, best_c = r, c
-    tol = DEFAULT_TOLERANCES.tangency
-    if best_r <= tol:
+    if best_r <= DEFAULT_TOLERANCES.tangency:
         raise DegeneratePolygon("polygon is flat: incircle radius is zero")
     if best_r >= np.pi / 2:
         raise DegeneratePolygon("incircle radius reached pi/2")
-    dists = np.arcsin(np.clip(poles @ best_c, -1.0, 1.0))
-    tangent = tuple(int(i) for i in np.nonzero(dists <= best_r + tol)[0])
-    return Incircle(best_c, best_r, tangent)
+    return Incircle(best_c, best_r)
 
 
 def vertex_incircle(P: Polyhedron, v: int) -> tuple:

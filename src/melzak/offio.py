@@ -22,7 +22,10 @@ def _lines_with_numbers(text: str):
 
 
 def parse_off(text: str) -> Polyhedron:
-    """Parse OFF text into a Polyhedron; convexity is detected, not assumed."""
+    """Parse OFF text into a Polyhedron. Each face's plane passes through
+    its vertex centroid along its Newell normal, taken about that centroid;
+    a face whose Newell area is below 1e-14 of its squared extent raises
+    ParseError."""
     it = _lines_with_numbers(text)
     try:
         lineno, header = next(it)
@@ -89,23 +92,21 @@ def parse_off(text: str) -> Polyhedron:
     halfspaces = []
     for cyc in faces:
         pts = verts[list(cyc)]
-        # Newell normal: robust to slight non-planarity
+        c = pts.mean(axis=0)
+        rel = pts - c
+        # Newell normal about the face centroid: robust to slight
+        # non-planarity, and as exact far from the origin as near it
         nrm = np.zeros(3)
-        for t in range(len(pts)):
-            a, b = pts[t], pts[(t + 1) % len(pts)]
-            nrm += cross(a, b)
+        for t in range(len(rel)):
+            nrm += cross(rel[t], rel[(t + 1) % len(rel)])
         norm = np.linalg.norm(nrm)
-        if norm <= 1e-14:
+        if norm <= 1e-14 * float((rel * rel).sum(axis=1).max()):
             raise ParseError("degenerate face with zero area")
         nrm /= norm
-        halfspaces.append(HalfSpace(nrm, float(nrm @ pts.mean(axis=0))))
+        halfspaces.append(HalfSpace(nrm, float(nrm @ c)))
 
-    scale = max(float(np.abs(verts).max()), 1e-12)
-    N = np.array([h.normal for h in halfspaces])
-    b = np.array([h.offset for h in halfspaces])
-    convex = bool((verts @ N.T - b <= 1e-9 * scale).all())
     # raises NonManifold with the bad edge
-    return Polyhedron(verts, tuple(faces), tuple(halfspaces), convex)
+    return Polyhedron(verts, tuple(faces), tuple(halfspaces))
 
 
 def emit_off(P: Polyhedron) -> str:

@@ -279,7 +279,7 @@ class _PlaneObjective:
         # plane offsets keeps the well-conditioned centered reconstruction
         shifted = tuple(HalfSpace(h.normal, h.offset + float(h.normal @ self.origin))
                         for h in Q.halfspaces)
-        return Polyhedron(Q.vertices + self.origin, Q.faces, shifted, Q.convex, Q.edges)
+        return Polyhedron(Q.vertices + self.origin, Q.faces, shifted)
 
 
 def _probe(obj: _PlaneObjective, z: np.ndarray) -> tuple:

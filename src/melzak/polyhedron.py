@@ -11,7 +11,7 @@ import itertools
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,9 +63,10 @@ def _rotation_code(rings: list, v0: int, u0: int, bound: list | None = None) -> 
 class Topology:
     """Vertex/edge/face incidence of a face list, derived in one pass.
 
-    ``Polyhedron.topology`` builds it on first use and every incidence query
-    reads it. Building never raises: a face list that is not edge-manifold
-    is recorded in ``nonmanifold``, and a vertex whose faces do not form one
+    ``Polyhedron.topology`` builds it when the body is made and every
+    incidence query reads it. Building never raises: a face list that is not
+    edge-manifold is recorded in ``nonmanifold`` (the body raises
+    NonManifold for it), and a vertex whose faces do not form one
     closed fan raises ``DanglingVertex`` only when its fan is asked for. A
     vertex index in no face, in range or not, has no edges and no faces.
     """
@@ -170,17 +171,15 @@ class Polyhedron:
     """Immutable polyhedron; arrays are read-only once constructed.
 
     ``faces[i]`` is the cyclic vertex index tuple of the face supported by
-    ``halfspaces[i]``, ordered counterclockwise as seen from outside.
-    ``edges``, when given, must be the sorted edge list of ``faces``; when
-    omitted it is derived, and a face list that is not edge-manifold raises
-    NonManifold. Incidence queries read the lazily built ``topology``.
+    ``halfspaces[i]``, ordered counterclockwise as seen from outside. A face
+    list that is not edge-manifold raises NonManifold. Everything else,
+    ``edges`` and ``convex`` among it, is derived from these three and
+    cached; incidence queries read ``topology``.
     """
 
     vertices: np.ndarray
     faces: tuple
     halfspaces: tuple
-    convex: bool
-    edges: tuple = field(default=())
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -188,15 +187,28 @@ class Polyhedron:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", tuple(tuple(int(i) for i in f) for f in self.faces))
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        if not self.edges:
-            if self.topology.nonmanifold:
-                raise NonManifold(self.topology.nonmanifold)
-            object.__setattr__(self, "edges", self.topology.edges)
+        if self.topology.nonmanifold:
+            raise NonManifold(self.topology.nonmanifold)
 
     # -- incidence, derived once ----------------------------------------
     @cached_property
     def topology(self) -> Topology:
         return Topology(self.faces)
+
+    @property
+    def edges(self) -> tuple:
+        """Sorted (i < j) vertex pairs of every edge."""
+        return self.topology.edges
+
+    @cached_property
+    def convex(self) -> bool:
+        """Whether no vertex lies above any face plane by more than
+        ``plane_incidence``'s merge slack about the vertex centroid."""
+        c = self.vertices.mean(axis=0)
+        N = np.array([h.normal for h in self.halfspaces])
+        b = np.array([h.offset for h in self.halfspaces])
+        R, slack = plane_incidence(self.vertices - c, N, b - N @ c, 0.0)
+        return bool((R <= slack).all())
 
     @cached_property
     def incircles(self) -> dict:
@@ -350,23 +362,20 @@ class Polyhedron:
         if not (math.isfinite(factor) and factor > 0):
             raise BadParameter(f"scale factor must be finite and positive, got {factor!r}")
         hs = tuple(HalfSpace(h.normal, h.offset * factor) for h in self.halfspaces)
-        return Polyhedron(self.vertices * factor, self.faces, hs, self.convex, self.edges)
+        return Polyhedron(self.vertices * factor, self.faces, hs)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     euler_ok: bool
     coplanar_ok: bool
-    convex_ok: bool
-    manifold_ok: bool
     orientation_ok: bool
     max_coplanarity_error: float
     messages: tuple
 
     @property
     def ok(self) -> bool:
-        return (self.euler_ok and self.coplanar_ok and self.convex_ok
-                and self.manifold_ok and self.orientation_ok)
+        return self.euler_ok and self.coplanar_ok and self.orientation_ok
 
 
 def _sort_cycle(points: np.ndarray, idx: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> tuple:
@@ -449,7 +458,7 @@ def from_halfspaces(halfspaces) -> Polyhedron:
 
     kept_hs = tuple(hs[f] for f in kept)
     try:
-        poly = Polyhedron(verts, tuple(faces), kept_hs, True)
+        poly = Polyhedron(verts, tuple(faces), kept_hs)
     except NonManifold:
         raise DegenerateInput("vertex/face incidence is not edge-manifold")
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
@@ -538,7 +547,10 @@ def melzak_ratio(P: Polyhedron) -> float:
 
 
 def validate(P: Polyhedron) -> ValidationReport:
-    """Non-throwing structural report: Euler, planarity, convexity, manifold."""
+    """Non-throwing structural report: Euler, planarity, orientation.
+
+    Convexity is not validated: it is a property of the body (``convex``),
+    and a face list that is not edge-manifold never becomes a body."""
     msgs = []
     euler_ok = (P.n_vertices - P.n_edges + P.n_faces == 2)
     if not euler_ok:
@@ -554,17 +566,6 @@ def validate(P: Polyhedron) -> ValidationReport:
     if not coplanar_ok:
         msgs.append(f"coplanarity: max error {max_cop:.3e}")
 
-    worst = float((P.vertices @ N.T - b).max())
-    convex_ok = worst <= DEFAULT_TOLERANCES.convexity * scale
-    if P.convex and not convex_ok:
-        msgs.append(f"convexity: vertex violates a halfspace by {worst:.3e}")
-    if not P.convex:
-        convex_ok = True  # declared non-convex: containment is not required
-
-    manifold_ok = P.topology.nonmanifold is None
-    if not manifold_ok:
-        msgs.append(P.topology.nonmanifold)
-
     orientation_ok = True
     try:
         if volume(P) <= 0:
@@ -574,5 +575,4 @@ def validate(P: Polyhedron) -> ValidationReport:
         orientation_ok = False
         msgs.append(f"orientation: {exc}")
 
-    return ValidationReport(euler_ok, coplanar_ok, convex_ok, manifold_ok,
-                            orientation_ok, max_cop, tuple(msgs))
+    return ValidationReport(euler_ok, coplanar_ok, orientation_ok, max_cop, tuple(msgs))

@@ -61,7 +61,6 @@ class Wedge:
     apex: np.ndarray
     lateral: np.ndarray
     height: float
-    normalized: bool = False
     poly: Polyhedron | None = None
 
     def __post_init__(self):
@@ -103,11 +102,9 @@ class Wedge:
         edge = {fs: e for e, fs in enumerate(self.poly.topology.edge_faces)}
         return np.array([dihedral_angle(self.poly, edge[i, 4]) for i in range(4)])
 
-    def scaled(self, factor: float, normalized: bool | None = None) -> "Wedge":
+    def scaled(self, factor: float) -> "Wedge":
         return Wedge(self.base * factor, self.apex * factor, self.lateral * factor,
-                     self.height * factor,
-                     self.normalized if normalized is None else normalized,
-                     None if self.poly is None else self.poly.scaled(factor))
+                     self.height * factor, None if self.poly is None else self.poly.scaled(factor))
 
 
 def _corner_angles(b: np.ndarray) -> np.ndarray:
@@ -131,7 +128,7 @@ def normalize_wedge(W: Wedge) -> Wedge:
     longest = float(W.base_edge_lengths().max())
     if longest <= 0:
         raise DegenerateInput("wedge base has no extent")
-    return W.scaled(1.0 / longest, normalized=True)
+    return W.scaled(1.0 / longest)
 
 
 def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
@@ -178,7 +175,7 @@ def protruding_wedge(P: Polyhedron, face: int) -> Wedge:
         lateral += [u for u in poly.topology.neighbours(v) if u in top]
     heights = poly.vertices @ hf.normal - hf.offset
     return Wedge(P.vertices[list(cyc)], poly.vertices[top], poly.vertices[lateral],
-                 float(heights[top].max()), False, poly)
+                 float(heights[top].max()), poly)
 
 
 def rectangle_deviation(W: Wedge) -> float:

@@ -36,7 +36,7 @@ def relabelled(P, vperm, fperm, shifts):
         s = shifts[f] % len(cyc)
         faces[fperm[f]] = tuple(int(vperm[u]) for u in cyc[s:] + cyc[:s])
         hs[fperm[f]] = P.halfspaces[f]
-    return Polyhedron(verts, tuple(faces), tuple(hs), P.convex)
+    return Polyhedron(verts, tuple(faces), tuple(hs))
 
 
 def octahedron():

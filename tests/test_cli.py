@@ -208,6 +208,12 @@ def test_quad_scan_deterministic(tmp_path, capsys):
     assert got["samples"] == "20"
     assert int(got["solutions"]) >= 1
     assert int(got["counterexamples"]) <= int(got["solutions"])
+    # perfbench/workloads.py reads these with _printed, the first line that
+    # starts with "key = ", and int: each must be one `key = <int>` line
+    for key in ("samples", "solutions", "counterexamples", "origin_inside",
+                "two_adjacent_acute"):
+        lines = [line for line in out1.splitlines() if line.startswith(key + " = ")]
+        assert lines == [f"{key} = {int(got[key])}"]
     code, out2, _ = run(capsys, "quad-scan", "--samples", "20", "--seed", "1",
                         "--json", str(js2))
     assert out1 == out2

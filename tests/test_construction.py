@@ -136,7 +136,7 @@ def _triple_from_halfspaces(halfspaces, tol=DEFAULT_TOLERANCES):
     if len(faces) < 4:
         _classify_failure(N, b, "fewer than four faces")
     try:
-        poly = Polyhedron(verts, tuple(faces), tuple(hs[f] for f in kept), True)
+        poly = Polyhedron(verts, tuple(faces), tuple(hs[f] for f in kept))
     except NonManifold:
         _classify_failure(N, b, "not edge-manifold")
     if poly.n_vertices - poly.n_edges + poly.n_faces != 2:

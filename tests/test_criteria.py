@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import melzak.perturbations
@@ -20,6 +20,7 @@ from melzak import (
     optimal_prism,
     random_convex,
     regular_tetrahedron,
+    unit_volume,
 )
 from melzak.criteria import (
     WITNESS_TIE,
@@ -196,6 +197,26 @@ def test_dihedral_is_not_applicable_to_a_non_convex_body():
     verdict = next(v for v in audit(crater_can()[0], B=12.0).verdicts
                    if v.criterion_id == "dihedral")
     assert not verdict.applicable and verdict.notes[0].startswith("skipped:")
+
+
+def _verdicts(P):
+    return [(v.criterion_id, v.applicable, v.passed, [w.element for w in v.witnesses])
+            for v in audit(P, "candidate").verdicts]
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 46), scale=st.integers(-6, 6))
+@example(k=0, scale=-3)
+@example(k=2, scale=-6)
+def test_audit_verdicts_are_free_of_scale(k, scale):
+    # the cube, tetrahedron, prism, four pyramids and random bodies, each
+    # scaled by 1e-6 to 1e6: every criterion reads as on the unit-volume
+    # copy, with the same witness elements
+    named = [cube(), regular_tetrahedron(), optimal_prism()]
+    named += [ngon_pyramid(n, 1.0, 0.7) for n in (3, 4, 5, 8)]
+    P = named[k] if k < len(named) else random_convex(np.random.default_rng(k), 4 + k % 20)
+    U = unit_volume(P)
+    assert _verdicts(U.scaled(10.0 ** scale)) == _verdicts(U)
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,7 @@ def test_type_key_is_invariant(seed, n_faces, relabel, scale):
 
     flip = np.array([-1.0, 1.0, 1.0])
     mirror = Polyhedron(P.vertices * flip, tuple(cyc[::-1] for cyc in P.faces),
-                        tuple(HalfSpace(h.normal * flip, h.offset) for h in P.halfspaces),
-                        True)
+                        tuple(HalfSpace(h.normal * flip, h.offset) for h in P.halfspaces))
     assert validate(mirror).ok
     assert mirror.type_key() == key
 
@@ -351,12 +350,8 @@ def test_non_manifold_faces():
     T = regular_tetrahedron()
     faces = T.faces + (T.faces[0],)
     hs = T.halfspaces + (T.halfspaces[0],)
-    with pytest.raises(NonManifold):
-        Polyhedron(T.vertices, faces, hs, True)
-    P = Polyhedron(T.vertices, faces, hs, True, T.edges)
-    rep = validate(P)
-    assert not rep.manifold_ok and not rep.ok
-    assert any("lies in 3 faces, expected 2" in m for m in rep.messages)
+    with pytest.raises(NonManifold, match="lies in 3 faces, expected 2"):
+        Polyhedron(T.vertices, faces, hs)
     with pytest.raises(NonManifold):
         parse_off(TETRA_TXT.replace("3 0 3 2", "3 1 2 3"))
 

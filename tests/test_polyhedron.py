@@ -1,5 +1,6 @@
 """Halfspace intersection, mesh accessors, and the edge/volume functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,17 @@ def test_cube_counts_and_euler():
     assert (C.n_vertices, C.n_edges, C.n_faces) == (8, 12, 6)
     assert C.n_vertices - C.n_edges + C.n_faces == 2
     assert C.convex
+
+
+def test_a_body_stores_only_its_geometry():
+    assert [f.name for f in dataclasses.fields(Polyhedron)] == ["vertices", "faces", "halfspaces"]
+    T = regular_tetrahedron()
+    assert T.edges == T.topology.edges and T.convex
+    # inside out: every cycle reversed and every plane flipped
+    inverted = Polyhedron(T.vertices, tuple(cyc[::-1] for cyc in T.faces),
+                          tuple(HalfSpace(-h.normal, -h.offset) for h in T.halfspaces))
+    assert not inverted.convex
+    assert not validate(inverted).orientation_ok and not validate(inverted).ok
 
 
 def test_cube_vertices_exact():
@@ -169,8 +181,7 @@ def test_signature_is_scale_invariant():
 def test_validate_reference_shapes():
     for P in (cube(), regular_tetrahedron(), optimal_prism(), box(0.5, 1.0, 2.0)):
         rep = validate(P)
-        assert rep.euler_ok and rep.coplanar_ok and rep.convex_ok
-        assert rep.manifold_ok and rep.orientation_ok
+        assert rep.euler_ok and rep.coplanar_ok and rep.orientation_ok and P.convex
         assert rep.max_coplanarity_error < 1e-9
 
 
@@ -219,7 +230,7 @@ def test_ratio_scale_invariance(s):
 def test_random_convex_is_valid(seed):
     P = random_convex(np.random.default_rng(seed))
     rep = validate(P)
-    assert rep.euler_ok and rep.convex_ok and rep.manifold_ok
+    assert rep.euler_ok and rep.ok and P.convex
     assert volume(P) > 0
 
 
@@ -227,7 +238,7 @@ def _moved(P, R, d):
     """P rotated by R about the origin, then shifted by d: vertices and
     plane offsets both, without a rebuild."""
     hs = tuple(HalfSpace(R @ h.normal, h.offset + (R @ h.normal) @ d) for h in P.halfspaces)
-    return Polyhedron(P.vertices @ R.T + d, P.faces, hs, P.convex)
+    return Polyhedron(P.vertices @ R.T + d, P.faces, hs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -118,7 +118,6 @@ def test_normalize_scales_longest_base_edge():
     F4t = frustum(4, 1.0, 1.0, 0.45, jitter=JITTER)
     WN = normalize_wedge(protruding_wedge(F4t, top_face(F4t)))
     assert WN.base_edge_lengths().max() == pytest.approx(1.0, abs=1e-12)
-    assert WN.normalized
 
 
 # ---------------------------------------------------------------------------
