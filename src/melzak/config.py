@@ -1,10 +1,10 @@
 """Centralized numerical tolerances.
 
 Length-like tolerances are relative: they are multiplied by a length scale
-of the body at the point of use. ``from_halfspaces`` uses max|x - c| over
-the vertices x and its interior point c; ``validate`` uses the diameter.
-Angular and unit-norm tolerances are absolute. ``json_float`` is the one
-rounding rule for floats written to JSON, and ``json_rate`` the one for a
+of the body at the point of use, max|x - c| over the vertices x about a
+centre c for the one vertex-on-plane rule (``plane_incidence``). Angular
+and unit-norm tolerances are absolute. ``json_float`` is the one rounding
+rule for floats written to JSON, and ``json_rate`` the one for a
 first-order rate of the ratio m. ``is_index`` is the one test for an
 index argument.
 """
@@ -19,7 +19,7 @@ import numpy as np
 class Tolerances:
     unit_norm: float = 1e-12        # |normal| - 1 accepted drift
     plane_triple: float = 1e-10     # determinant cutoff for 3-plane solves
-    dedup: float = 1e-9             # x scale: vertex merge radius
+    dedup: float = 1e-9             # x max|vertex|: vertex-order rounding grid
     coplanarity: float = 1e-9       # x scale: vertex-on-face-plane slack
     exposure: float = 1e-9          # rad: dihedral margin around pi
     tangency: float = 1e-9          # rad: an incircle this small is flat

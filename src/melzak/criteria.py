@@ -336,7 +336,7 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
         thr_near = 2.0 * math.atan(base * damp)
         near = d * volume(P) ** (1.0 / 3.0)
         adjacency = set(map(frozenset, P.topology.edge_faces))
-        frames = np.stack(plane_bases(np.array([h.normal for h in P.halfspaces])), axis=1)
+        frames = np.stack(plane_bases(P.planes[0]), axis=1)
         for s in range(P.n_faces):
             cyc = P.faces[s]
             basis = frames[s]

@@ -101,16 +101,12 @@ def ordered_edges_at_vertex(P: Polyhedron, v: int) -> list:
 
 def gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
     """Spherical image of a vertex: incident outward normals in fan order."""
-    faces = ordered_faces_at_vertex(P, v)
-    pts = np.array([P.face_normal(f) for f in faces])
-    return SphericalPolygon(pts)
+    return SphericalPolygon(P.planes[0][ordered_faces_at_vertex(P, v)])
 
 
 def complement_gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
     """Spherical image of the vertex seen from the complement solid."""
-    faces = ordered_faces_at_vertex(P, v)
-    pts = np.array([-P.face_normal(f) for f in reversed(faces)])
-    return SphericalPolygon(pts)
+    return SphericalPolygon(-P.planes[0][ordered_faces_at_vertex(P, v)[::-1]])
 
 
 def angle_deficit(P: Polyhedron, v: int) -> float:

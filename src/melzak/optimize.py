@@ -149,8 +149,7 @@ class _PlaneObjective:
                    P.topology, P.diameter(), P.vertices.mean(axis=0))
 
     def pack(self, P: Polyhedron) -> np.ndarray:
-        normals = np.array([h.normal for h in P.halfspaces])
-        offsets = np.array([h.offset for h in P.halfspaces])
+        normals, offsets = P.planes
         return np.column_stack([normals, (offsets - normals @ self.origin) / self.scale])
 
     def solve(self, z: np.ndarray) -> tuple:

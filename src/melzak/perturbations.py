@@ -417,7 +417,7 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     pert = Perturbation("vertex_truncate", vertex)
     _check_indices(P, pert)
     c = vertex_incircle(P, vertex)[1].center
-    normals = [P.face_normal(f) for f in ordered_faces_at_vertex(P, vertex)]
+    normals = list(P.planes[0][ordered_faces_at_vertex(P, vertex)])
     gs = [_slide(a, b, c) for a, b in zip(normals, normals[1:] + normals[:1])]
     dE = sum(norm(g - h) - norm(g) for g, h in zip(gs, gs[1:] + gs[:1]))
     return _report(P, pert, float(dE), 0.0, {vertex: float(dE)})

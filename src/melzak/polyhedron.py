@@ -201,13 +201,28 @@ class Polyhedron:
         return self.topology.edges
 
     @cached_property
-    def convex(self) -> bool:
-        """Whether no vertex lies above any face plane by more than
-        ``plane_incidence``'s merge slack about the vertex centroid."""
-        c = self.vertices.mean(axis=0)
+    def planes(self) -> tuple:
+        """(N (F, 3), b (F)): the normal and offset rows of the face planes."""
         N = np.array([h.normal for h in self.halfspaces])
         b = np.array([h.offset for h in self.halfspaces])
+        N.flags.writeable = b.flags.writeable = False
+        return N, b
+
+    @cached_property
+    def plane_residuals(self) -> tuple:
+        """(R (V, F), slack): ``plane_incidence`` of the vertices against the face
+        planes about the vertex centroid; on a plane is |R| <= slack."""
+        c = self.vertices.mean(axis=0)
+        N, b = self.planes
         R, slack = plane_incidence(self.vertices - c, N, b - N @ c, 0.0)
+        R.flags.writeable = False
+        return R, slack
+
+    @cached_property
+    def convex(self) -> bool:
+        """Whether no vertex lies above any face plane by more than the
+        slack of ``plane_residuals``."""
+        R, slack = self.plane_residuals
         return bool((R <= slack).all())
 
     @cached_property
@@ -233,7 +248,7 @@ class Polyhedron:
         ends = np.array(top.edges, dtype=int).reshape(-1, 2)
         left = np.array([top.face_of.get((i, j), -1) for i, j in top.edges], dtype=int)
         right = np.array([top.face_of.get((j, i), -1) for i, j in top.edges], dtype=int)
-        N = np.array([h.normal for h in self.halfspaces])
+        N = self.planes[0]
         m1, m2 = N[left], N[right]
         d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
         length = np.sqrt(rowdot(d, d))
@@ -259,9 +274,9 @@ class Polyhedron:
         to unit normals (a halfspace keeps a normal only to within
         ``unit_norm``); the moments are moved back to the world by A_f c."""
         c = self.vertices.mean(axis=0)
-        N = np.array([h.normal for h in self.halfspaces])
+        N, b = self.planes
         length = np.sqrt(rowdot(N, N))
-        N, b = N / length[:, None], np.array([h.offset for h in self.halfspaces]) / length
+        N, b = N / length[:, None], b / length
         twice, vol, M = twice_areas_and_volumes(self.topology, self.vertices - c, N, b - N @ c)
         areas = 0.5 * twice
         moments = M + areas[:, None] * c
@@ -327,10 +342,7 @@ class Polyhedron:
         return self.topology.edge_id[min(i, j), max(i, j)]
 
     def edge_faces(self, e: int) -> tuple:
-        out = self.topology.edge_faces[e]
-        if len(out) != 2:
-            raise NonManifold(f"edge {e} shared by {len(out)} faces")
-        return out
+        return self.topology.edge_faces[e]
 
     def diameter(self) -> float:
         v = self.vertices
@@ -487,19 +499,22 @@ def plane_incidence(pts: np.ndarray, N: np.ndarray, b: np.ndarray, c: np.ndarray
 
 
 def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Centre of the largest ball inside every halfspace, by one LP."""
+    """Centre of the largest ball inside every halfspace, by one LP on b / s, s the
+    power of two nearest max|b|, so its absolute tolerances are relative to b."""
     from scipy.optimize import linprog
 
-    # max r s.t. N x + r <= b
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=np.hstack([N, np.ones((len(N), 1))]), b_ub=b,
-                  bounds=[(None, None)] * 4, method="highs")
+    big = float(np.abs(b).max())
+    s = 2.0 ** round(math.log2(big)) if big > 0 else 1.0
+    # max r s.t. N x + r <= b / s
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=np.hstack([N, np.ones((len(N), 1))]),
+                  b_ub=b / s, bounds=[(None, None)] * 4, method="highs")
     if res.status == 3:
         raise UnboundedIntersection("the halfspaces hold balls of every radius")
     if res.status == 2 or (res.status == 0 and res.x[3] <= 1e-12):
         raise EmptyInterior("the halfspaces hold no ball of positive radius")
     if res.status != 0:
         raise DegenerateInput(f"Chebyshev-centre LP failed: {res.message}")
-    return res.x[:3]
+    return res.x[:3] * s
 
 
 # -- functionals ---------------------------------------------------------
@@ -556,23 +571,16 @@ def validate(P: Polyhedron) -> ValidationReport:
     if not euler_ok:
         msgs.append(f"euler: V-E+F = {P.n_vertices - P.n_edges + P.n_faces}")
 
-    scale = max(P.diameter(), 1e-12)
-    N = np.array([h.normal for h in P.halfspaces])
-    b = np.array([h.offset for h in P.halfspaces])
-    # each face's vertices against its own plane, over the corner table
-    on_face = (P.vertices[P.topology.corner_table[..., 0]] @ N[:, :, None])[..., 0] - b[:, None]
+    # each face's own corners against its plane, by the rule ``convex`` reads
+    R, slack = P.plane_residuals
+    on_face = R[P.topology.corner_table[..., 0], np.arange(P.n_faces)[:, None]]
     max_cop = float(np.abs(on_face[P.topology.corner_mask]).max(initial=0.0))
-    coplanar_ok = max_cop <= DEFAULT_TOLERANCES.coplanarity * scale
+    coplanar_ok = max_cop <= slack
     if not coplanar_ok:
         msgs.append(f"coplanarity: max error {max_cop:.3e}")
 
-    orientation_ok = True
-    try:
-        if volume(P) <= 0:
-            orientation_ok = False
-            msgs.append("orientation: nonpositive enclosed volume")
-    except Exception as exc:  # pragma: no cover - defensive
-        orientation_ok = False
-        msgs.append(f"orientation: {exc}")
+    orientation_ok = volume(P) > 0.0
+    if not orientation_ok:
+        msgs.append("orientation: nonpositive enclosed volume")
 
     return ValidationReport(euler_ok, coplanar_ok, orientation_ok, max_cop, tuple(msgs))

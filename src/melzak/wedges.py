@@ -97,7 +97,7 @@ class Wedge:
 
     def base_dihedrals(self) -> np.ndarray:
         """Dihedral angles along the four base edges."""
-        if self.poly is None or self.height < 1e-12:
+        if self.poly is None or self.height < 1e-12 * self.base_edge_lengths().max():
             return np.zeros(4)
         edge = {fs: e for e, fs in enumerate(self.poly.topology.edge_faces)}
         return np.array([dihedral_angle(self.poly, edge[i, 4]) for i in range(4)])
@@ -218,9 +218,10 @@ def wedge_R(W: Wedge, base_edge: int) -> float:
     i1, i2 = base_edge, (base_edge + 1) % 4
     j1, j2 = (base_edge + 2) % 4, (base_edge + 3) % 4
     b = np.asarray(W.base, dtype=float)
+    cut = 1e-12 * W.base_edge_lengths().max()  # lengths below this are zero
     hinge_a, hinge_b = b[j1], b[j2]
     axis = hinge_b - hinge_a
-    if np.linalg.norm(axis) < 1e-12:
+    if np.linalg.norm(axis) < cut:
         raise DegenerateEdge("opposite edge has zero length")
     axis = unit(axis)
     up = W.base_normal()
@@ -230,7 +231,7 @@ def wedge_R(W: Wedge, base_edge: int) -> float:
         H = b[i]
         d = np.asarray(W.lateral[i], dtype=float) - H
         dn = np.linalg.norm(d)
-        if dn < 1e-12:
+        if dn < cut:
             raise DegenerateEdge("lateral wedge edge has zero length")
         d = d / dn
         rel = H - hinge_a

@@ -1,6 +1,7 @@
 """End-to-end CLI runs, all in process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +219,27 @@ def test_quad_scan_deterministic(tmp_path, capsys):
                         "--json", str(js2))
     assert out1 == out2
     assert js1.read_text() == js2.read_text()
+
+
+def test_perfbench_quadscan_items_pass_its_check(tmp_path, monkeypatch):
+    # perfbench/run.py fails a quadscan run when an item raises or when
+    # QuadScan.check finds a printed root off its residual bound or a
+    # re-scan that differs; run its items and its check for three seeds
+    import melzak
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    scan = WORKLOADS["quadscan"]
+    for seed in (1, 2, 3):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        items = scan.inputs(melzak, None, seed, 5, work)
+        outputs = [it.call() for it in items]
+        assert scan.check(melzak, items, outputs) == []
+        assert scan.guards(items, outputs)["scan_solutions"] >= len(items)
+        assert set(scan.details(items, outputs)) == {
+            "solutions", "counterexamples", "origin_inside", "two_adjacent_acute"}
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,25 @@ def test_a_body_stores_only_its_geometry():
     assert not validate(inverted).orientation_ok and not validate(inverted).ok
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_nudged_vertex_is_judged_by_one_slack(sign):
+    # the cube's (+,+,+) corner moved 1e-9 along (1, 1, 1)/sqrt(3) lies
+    # 5.77e-10 off each of its three faces, beyond the vertex-on-plane slack
+    # 1e-9 x max|x - c| = 5e-10. Outward it is neither convex nor coplanar;
+    # inward it is convex but off its faces, as from_halfspaces' merge rule
+    # would judge it
+    C = cube()
+    v = C.vertices.copy()
+    v[np.argmax(v.sum(axis=1))] += sign * 1e-9 / math.sqrt(3.0)
+    Q = Polyhedron(v, C.faces, C.halfspaces)
+    rep = validate(Q)
+    assert (Q.convex, rep.coplanar_ok, rep.ok) == (sign < 0, False, False)
+    assert rep.max_coplanarity_error == pytest.approx(1e-9 / math.sqrt(3.0), rel=1e-6)
+    R, slack = Q.plane_residuals
+    assert slack == pytest.approx(5e-10, rel=1e-12)
+    assert not R.flags.writeable and not any(a.flags.writeable for a in Q.planes)
+
+
 def test_cube_vertices_exact():
     C = cube()
     want = {(sx, sy, sz) for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)
@@ -121,6 +140,17 @@ def test_infeasible_empty_interior():
                          HalfSpace(np.array([-1.0, 0.0, 0.0]), 1.0),
                          HalfSpace(np.array([0.0, 1.0, 0.0]), 1.0),
                          HalfSpace(np.array([0.0, -1.0, 0.0]), 1.0)])
+
+
+@pytest.mark.parametrize("side", [1e-30, 1e-15, 1e-13, 1e-12, 1.0, 1e6, 1e20])
+def test_chebyshev_centre_does_not_depend_on_scale(side):
+    # a cube of side s centred at (3s, 0, 0): its offsets differ in sign, so
+    # it is intersected about its Chebyshev centre
+    hs = [HalfSpace(h.normal, side * (h.offset + 3.0 * h.normal[0])) for h in cube().halfspaces]
+    P = from_halfspaces(hs)
+    assert melzak_ratio(P) == pytest.approx(1728.0, rel=1e-14)
+    assert P.vertices.mean(axis=0) == pytest.approx([3.0 * side, 0.0, 0.0], rel=1e-14,
+                                                    abs=1e-14 * side)
 
 
 def test_near_coaxial_plane_triples_do_not_poison_the_scale():
@@ -258,6 +288,17 @@ def test_ratio_is_invariant_under_motions_and_relabelling(seed, n_faces, move):
         d = s * P.diameter() * u / np.linalg.norm(u)
         shifted = _moved(P, np.eye(3), d)
         assert melzak_ratio(shifted) == pytest.approx(m, rel=1e-13 * (1 + s), abs=0.0)
+        _assert_convex_means_coplanar(shifted)
+    for moved in (_moved(P, R, np.zeros(3)), Q):
+        _assert_convex_means_coplanar(moved)
+
+
+def _assert_convex_means_coplanar(P):
+    """A body that reads convex has each face's own corners within the
+    vertex-on-plane slack of its plane."""
+    R, slack = P.plane_residuals
+    own = max(np.abs(R[list(cyc), f]).max() for f, cyc in enumerate(P.faces))
+    assert not P.convex or own <= slack
 
 
 # the functionals one edge and one face at a time: the per-call edge sum the

@@ -120,6 +120,21 @@ def test_normalize_scales_longest_base_edge():
     assert WN.base_edge_lengths().max() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-30, 1e-12, 1e-6, 1e6])
+def test_wedge_layer_does_not_depend_on_scale(s):
+    # the jittered frustum scaled by s gives the unit host's wedge, its
+    # lengths times s, to 9 digits
+    H = frustum(4, 1.0, 1.0, 0.45, jitter=JITTER)
+    f = top_face(H)
+    W1, W = protruding_wedge(H, f), protruding_wedge(H.scaled(s), f)
+    assert is_good_wedge(W) == is_good_wedge(W1)
+    assert W.base_dihedrals() == pytest.approx(W1.base_dihedrals(), rel=1e-9, abs=0.0)
+    assert wedge_top_curvature(W) == pytest.approx(wedge_top_curvature(W1), rel=1e-9, abs=0.0)
+    assert W.height / s == pytest.approx(W1.height, rel=1e-9, abs=0.0)
+    assert ([wedge_R(W, t) / s for t in range(4)]
+            == pytest.approx([wedge_R(W1, t) for t in range(4)], rel=1e-9, abs=0.0))
+
+
 # ---------------------------------------------------------------------------
 # R versus host hinge rates
 # ---------------------------------------------------------------------------
