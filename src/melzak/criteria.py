@@ -15,7 +15,6 @@ instead of failing.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -24,11 +23,11 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, json_float, json_rate
 from .errors import BadParameter, GeometryError, InvalidPolyhedron, NotConvex, NotExposed
-from .gauss import EXPOSED, angle_deficit, dihedral_angle, exposure, spherical_area, vertex_incircle
+from .gauss import EXPOSED, angle_deficit, dihedral_angle, exposure, vertex_image
 from .perturbations import REFUSALS, Perturbation, derivatives, face_moves, moving_vertices
 from .polyhedron import Polyhedron, edge_length, melzak_ratio, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
-from .vec3 import norm, plane_bases, unit
+from .vec3 import plane_bases, rowdot, unit
 
 WITNESS_MARGIN = DEFAULT_TOLERANCES.witness_margin
 WITNESS_TIE = 1e-9  # relative dM spread within which witnesses tie
@@ -153,8 +152,9 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
     """High-degree vertices inside a fat spherical-image incircle get cut.
 
     The enforced threshold is 2*pi/tan(radius of the image incircle); the
-    deficit-based variant is evaluated alongside and any disagreement is
-    reported as a note instead of affecting the verdict.
+    deficit-based variant, from the image's area, is evaluated alongside
+    and any disagreement is reported as a note instead of affecting the
+    verdict. Both read ``vertex_image``.
     """
     witnesses = []
     notes = []
@@ -162,17 +162,16 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
     applicable = False
     for v in range(P.n_vertices):
         try:
-            image, inc = vertex_incircle(P, v)
+            entry = vertex_image(P, v)
         except NotExposed:
             continue
         except GeometryError as exc:
             notes.append(f"vertex {v}: incircle unavailable ({exc})")
             continue
         applicable = True
-        thr = 2.0 * math.pi / math.tan(inc.radius)
+        thr = 2.0 * math.pi / math.tan(entry.incircle.radius)
         deg = P.vertex_degree(v)
-        alpha = spherical_area(image)
-        thr_deficit = _deficit_threshold(alpha)
+        thr_deficit = _deficit_threshold(entry.area)
         if (deg > thr) != (deg > thr_deficit):
             notes.append(
                 f"vertex {v}: incircle threshold {thr:.6g} and deficit threshold "
@@ -282,15 +281,38 @@ def _plane_wedge_angle(n1, n2) -> float:
     return math.acos(min(max(float(-(n1 @ n2)), -1.0), 1.0))
 
 
-def _segment_distance_2d(p1, p2, q1, q2) -> float:
-    """Minimum distance between segments [p1,p2] and [q1,q2] in the plane."""
-    def point_seg(p, a, b):
-        ab = b - a
-        t = min(max(float((p - a) @ ab / max(ab @ ab, 1e-300)), 0.0), 1.0)
-        return norm(p - (a + t * ab))
+def _point_segment(p, a, b) -> np.ndarray:
+    """Distances from the points ``p`` to the segments [a, b] in the plane,
+    along the last axes of (..., 2) arrays."""
+    ab = b - a
+    t = np.clip(rowdot(p - a, ab) / np.maximum(rowdot(ab, ab), 1e-300), 0.0, 1.0)
+    r = p - (a + t[..., None] * ab)
+    return np.hypot(r[..., 0], r[..., 1])
 
-    return min(point_seg(p1, q1, q2), point_seg(p2, q1, q2),
-               point_seg(q1, p1, p2), point_seg(q2, p1, p2))
+
+def _near_rim_pairs(P: Polyhedron, near: float) -> list:
+    """(f1, f2) for each pair of rim edges of a face whose faces across are
+    neither one face nor adjacent and whose segments come within ``near``
+    of each other in the face's plane: face by face, and within a face the
+    pairs of rim slots t1 < t2 in cycle order. All faces at once, on the
+    padded corner table (slot t of face s is its edge from corner t)."""
+    top = P.topology
+    ends, mask = top.corner_table, top.corner_mask
+    across = np.full(mask.shape, -1)
+    across[mask] = [top.face_of[b, a] for a, b in ends[mask].tolist()]
+    adjacent = np.zeros((P.n_faces, P.n_faces), dtype=bool)
+    fa, fb = np.array(top.edge_faces).T
+    adjacent[fa, fb] = adjacent[fb, fa] = True
+    frames = np.stack(plane_bases(P.planes[0]), axis=2)  # (F, 3, 2)
+    rim = P.vertices[ends] @ frames[:, None]  # (F, K, 2 ends, 2 face coordinates)
+    I, J = np.triu_indices(mask.shape[1], 1)
+    f1, f2 = across[:, I], across[:, J]
+    p1, p2, q1, q2 = rim[:, I, 0], rim[:, I, 1], rim[:, J, 0], rim[:, J, 1]
+    gap = np.minimum.reduce([_point_segment(p1, q1, q2), _point_segment(p2, q1, q2),
+                             _point_segment(q1, p1, p2), _point_segment(q2, p1, p2)])
+    keep = mask[:, I] & mask[:, J] & (f1 != f2) & ~adjacent[f1, f2] & ~(gap > near)
+    s, q = np.nonzero(keep)
+    return list(zip(f1[s, q].tolist(), f2[s, q].tolist()))
 
 
 def check_dihedral(P: Polyhedron, B: float | None = None,
@@ -334,24 +356,11 @@ def check_dihedral(P: Polyhedron, B: float | None = None,
     damp = 0.5 - d * B * B / 4.0
     if damp > 0:
         thr_near = 2.0 * math.atan(base * damp)
-        near = d * volume(P) ** (1.0 / 3.0)
-        adjacency = set(map(frozenset, P.topology.edge_faces))
-        frames = np.stack(plane_bases(P.planes[0]), axis=1)
-        for s in range(P.n_faces):
-            cyc = P.faces[s]
-            basis = frames[s]
-            # (face across the rim edge, its two ends in face coordinates)
-            rim = [(P.topology.face_of[j, i], P.vertices[i] @ basis.T, P.vertices[j] @ basis.T)
-                   for i, j in zip(cyc, cyc[1:] + cyc[:1])]
-            for (f1, p1, p2), (f2, q1, q2) in itertools.combinations(rim, 2):
-                if f1 == f2 or frozenset((f1, f2)) in adjacency:
-                    continue
-                if _segment_distance_2d(p1, p2, q1, q2) > near:
-                    continue
-                ang = _plane_wedge_angle(P.face_normal(f1), P.face_normal(f2))
-                if ang < thr_near:
-                    witnesses.append(Witness(f"faces:{min(f1, f2)},{max(f1, f2)}",
-                                             float(ang), thr_near))
+        for f1, f2 in _near_rim_pairs(P, d * volume(P) ** (1.0 / 3.0)):
+            ang = _plane_wedge_angle(P.face_normal(f1), P.face_normal(f2))
+            if ang < thr_near:
+                witnesses.append(Witness(f"faces:{min(f1, f2)},{max(f1, f2)}",
+                                         float(ang), thr_near))
     return CriterionVerdict("dihedral", True, not witnesses, tuple(witnesses),
                             tuple(notes))
 

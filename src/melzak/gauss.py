@@ -5,12 +5,22 @@ faces in rotational order. Its sides are geodesic arcs whose lengths are pi
 minus the interior dihedral angles of the corresponding edges, its area
 equals the angle deficit, and its inscribed circle drives the vertex-cutting
 perturbation.
+
+Every vertex of a body is read from one table (``vertex_image`` reads it),
+built on first read in one pass: the vertices are grouped by degree, and
+each group takes its images, side poles, incircles, areas and incircle-cut
+rates in one set of array operations. The single-polygon
+``SphericalPolygon.poles``, ``spherical_area`` and ``spherical_incircle``
+run the same kernels on a stack of one.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,16 +28,19 @@ from .config import DEFAULT_TOLERANCES
 from .errors import (
     BadParameter,
     DanglingVertex,
+    DegenerateInput,
     DegeneratePolygon,
+    GeometryError,
     NonConvexPolygon,
     NotExposed,
 )
 from .polyhedron import Polyhedron
-from .vec3 import cross, norm, unit
+from .vec3 import cross, rowcross, rowdot, unit
 
 EXPOSED = "exposed"
 NEGATIVELY_EXPOSED = "negatively_exposed"
 NEITHER = "neither"
+_BLOCK = 1 << 20  # candidate-pole products an incircle search scores at once
 
 
 @dataclass(frozen=True)
@@ -44,10 +57,9 @@ class SphericalPolygon:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 2:
             raise BadParameter("spherical polygon needs >= 2 points in R^3")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
-            raise BadParameter("spherical polygon points must be unit vectors")
-        pts /= norms[:, None]
+        pts, off = _unit_points(pts[None])
+        _check_unit(off[0])
+        pts = pts[0]
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -59,24 +71,20 @@ class SphericalPolygon:
         DegeneratePolygon and a point beyond the side's geodesic
         NonConvexPolygon, on every access: only a good polygon's poles are
         kept."""
-        points = self.points
-        n = len(points)
-        sides = [cross(points[i], points[(i + 1) % n]) for i in range(n)]
-        c = points.mean(axis=0)
-        if sum(s @ c for s in sides) < 0:
-            # reversed order: side i is the negated old side n-2-i (mod n)
-            points = points[::-1]
-            sides = [-s for s in sides[-2::-1] + sides[-1:]]
-        poles = np.empty((n, 3))
-        for i, side in enumerate(sides):
-            length = norm(side)
-            if length <= 1e-12:
-                raise DegeneratePolygon("consecutive points are parallel or antipodal")
-            poles[i] = side / length
-            if (points @ poles[i] < -1e-12).any():
-                raise NonConvexPolygon("polygon crosses one of its own geodesics")
+        poles, flat, crossed = _side_poles(self.points[None])
+        _check_sides(flat[0], crossed[0])
+        poles = poles[0]
         poles.flags.writeable = False
         return poles
+
+
+def _image(points: np.ndarray, poles: np.ndarray) -> SphericalPolygon:
+    """The polygon of read-only unit ``points`` whose poles are ``poles``,
+    without normalising or deriving either again."""
+    poly = object.__new__(SphericalPolygon)
+    object.__setattr__(poly, "points", points)
+    poly.__dict__["poles"] = poles
+    return poly
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,157 @@ class Incircle:
     center: np.ndarray
     radius: float
 
+
+class VertexImage(NamedTuple):
+    """What a body's vertex table holds for a vertex with an incircle: its
+    image, the image's incircle and area, and the dE of cutting the vertex
+    with the plane normal to the incircle centre, or the DegenerateInput
+    that the cut's rate raises."""
+
+    image: SphericalPolygon
+    incircle: Incircle
+    area: float
+    cut: float | GeometryError
+
+
+# -- kernels on stacks of polygons ----------------------------------------
+# Each takes polygons of one size stacked on the first axis. Lengths are
+# math.hypot of each row, as vec3.norm takes them, dot products are
+# ``rowdot``'s, and sums run left to right, so a polygon gets the same bits
+# in a stack of any height.
+
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """math.hypot of each row of ``rows`` (..., 3)."""
+    flat = rows.reshape(-1, rows.shape[-1]).tolist()
+    return np.array([math.hypot(*r) for r in flat]).reshape(rows.shape[:-1])
+
+
+def _unit_rows(rows: np.ndarray) -> tuple:
+    """(rows scaled to unit length, their lengths); a row 1e-12 long or
+    shorter is returned unscaled."""
+    lengths = _lengths(rows)
+    return rows / np.where(lengths > 1e-12, lengths, 1.0)[..., None], lengths
+
+
+def _unit_points(points: np.ndarray) -> tuple:
+    """(points (G, k, 3) divided by their lengths, which polygons have a
+    point whose length is off 1 by more than 1e-9); such a polygon is
+    returned unscaled."""
+    norms = np.linalg.norm(points, axis=-1)
+    off = (np.abs(norms - 1.0) > 1e-9).any(axis=-1)
+    return points / np.where(off[:, None], 1.0, norms)[..., None], off
+
+
+def _check_unit(off: bool) -> None:
+    """Raise BadParameter for a polygon with a point off the unit sphere."""
+    if off:
+        raise BadParameter("spherical polygon points must be unit vectors")
+
+
+def _side_poles(points: np.ndarray) -> tuple:
+    """(poles (G, k, 3), flat (G, k), crossed (G, k)) of unit polygons
+    (G, k, 3): the side poles as ``SphericalPolygon.poles`` takes them, the
+    sides 1e-12 long or shorter, and the sides some point lies beyond. Only
+    a polygon with neither has poles (``_check_sides``)."""
+    k = points.shape[1]
+    sides = rowcross(points, np.roll(points, -1, axis=1))
+    turn = np.add.accumulate(rowdot(sides, points.mean(axis=1)[:, None]), axis=1)[:, -1]
+    flip = (turn < 0)[:, None, None]
+    if flip.any():
+        # reversed order: side i is the negated old side k-2-i (mod k)
+        points = np.where(flip, points[:, ::-1], points)
+        sides = np.where(flip, -sides[:, (k - 2 - np.arange(k)) % k], sides)
+    poles, lengths = _unit_rows(sides)
+    flat = lengths <= 1e-12
+    crossed = ((points[:, None] @ poles[..., None])[..., 0] < -1e-12).any(axis=-1)
+    return poles, flat, crossed
+
+
+def _check_sides(flat: np.ndarray, crossed: np.ndarray) -> None:
+    """Raise the error of a polygon's first bad side, by its ``flat`` and
+    ``crossed`` rows of ``_side_poles``."""
+    bad = flat | crossed
+    if bad.any():
+        if flat[bad.argmax()]:
+            raise DegeneratePolygon("consecutive points are parallel or antipodal")
+        raise NonConvexPolygon("polygon crosses one of its own geodesics")
+
+
+def _areas(poles: np.ndarray) -> np.ndarray:
+    """Area of each polygon of good side poles (G, k, 3): 2*pi less the
+    turning angles between consecutive poles, by atan2."""
+    prev = np.roll(poles, 1, axis=1)
+    turns = np.arctan2(_lengths(rowcross(prev, poles)), rowdot(prev, poles))
+    return 2.0 * np.pi - np.add.accumulate(turns, axis=1)[:, -1]
+
+
+def _candidates(poles: np.ndarray):
+    """Blocks (C (G, m, 3), ok (G, m)) of the incircle candidates of each
+    polygon, in order: the normalised bisector of each pole pair, then plus
+    and minus the normalised equal-clearance direction of each pole triple;
+    ``ok`` is false where the unnormalised candidate is 1e-12 long or
+    shorter. A block scores at most about _BLOCK products."""
+    G, k = poles.shape[:2]
+    step = max(1, _BLOCK // (2 * G * k))
+    pairs = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), 2)),
+                        dtype=int).reshape(-1, 2)
+    for s in range(0, len(pairs), step):
+        i, j = pairs[s:s + step].T
+        C, lengths = _unit_rows(poles[:, i] + poles[:, j])
+        yield C, lengths > 1e-12
+    triples = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), 3)),
+                          dtype=int).reshape(-1, 3)
+    for s in range(0, len(triples), step):
+        i, j, l = triples[s:s + step].T
+        C, lengths = _unit_rows(rowcross(poles[:, i] - poles[:, j], poles[:, j] - poles[:, l]))
+        yield np.stack([C, -C], axis=2).reshape(G, -1, 3), np.repeat(lengths > 1e-12, 2, axis=1)
+
+
+def _incircles(poles: np.ndarray) -> tuple:
+    """(centres (G, 3), radii (G)) of the polygons of side poles (G, k, 3):
+    each candidate scores the smallest arcsine of its dot product with a
+    pole, and the first best candidate wins. A polygon without candidates
+    has radius -inf; ``_check_radius`` judges the radius."""
+    G = len(poles)
+    rows = np.arange(G)
+    centres, radii = np.zeros((G, 3)), np.full(G, -np.inf)
+    for C, ok in _candidates(poles):
+        score = np.arcsin(np.clip((poles[:, None] @ C[..., None])[..., 0], -1.0, 1.0))
+        r = np.where(ok, score.min(axis=-1), -np.inf)
+        best = r.argmax(axis=1)
+        better = r[rows, best] > radii
+        radii[better] = r[rows, best][better]
+        centres[better] = C[rows, best][better]
+    return centres, radii
+
+
+def _check_radius(r: float) -> None:
+    """Raise DegeneratePolygon for an incircle radius of ``_incircles`` that
+    is not in (tangency, pi/2)."""
+    if r == -np.inf:
+        raise DegeneratePolygon("no incircle candidates")
+    if r <= DEFAULT_TOLERANCES.tangency:
+        raise DegeneratePolygon("polygon is flat: incircle radius is zero")
+    if r >= np.pi / 2:
+        raise DegeneratePolygon("incircle radius reached pi/2")
+
+
+def _cut_rates(normals: np.ndarray, centres: np.ndarray) -> tuple:
+    """(dE (G), flat (G)) of cutting vertices whose fans have face normals
+    (G, k, 3) with the planes of normals ``centres`` (G, 3): the
+    correspondent on the edge of fan faces n and n + 1 moves at -g_n,
+    g_n = d / (d . c) with d = n_n x n_n+1 (``perturbations._slide``), and
+    dE sums |g_n - g_n+1| - |g_n| round the fan. A cut with a slide
+    |d . c| <= 1e-13 is flat and has no rate."""
+    d = rowcross(normals, np.roll(normals, -1, axis=1))
+    denom = rowdot(d, centres[:, None])
+    flat = np.abs(denom) <= 1e-13
+    g = d / np.where(flat, 1.0, denom)[..., None]
+    terms = _lengths(g - np.roll(g, -1, axis=1)) - _lengths(g)
+    return np.add.accumulate(terms, axis=1)[:, -1], flat.any(axis=1)
+
+
+# -- one polygon -----------------------------------------------------------
 
 def ordered_faces_at_vertex(P: Polyhedron, v: int) -> list:
     """Incident face indices in a consistent rotational order around ``v``."""
@@ -130,8 +289,7 @@ def spherical_area(poly: SphericalPolygon) -> float:
     between consecutive side poles, by atan2, which keeps every digit."""
     if len(poly.points) < 3:
         raise DegeneratePolygon("area needs at least 3 points")
-    return 2.0 * np.pi - sum(np.arctan2(norm(cross(a, b)), a @ b)
-                             for a, b in zip(np.roll(poly.poles, 1, axis=0), poly.poles))
+    return float(_areas(poly.poles[None])[0])
 
 
 def spherical_incircle(poly: SphericalPolygon) -> Incircle:
@@ -142,50 +300,83 @@ def spherical_incircle(poly: SphericalPolygon) -> Incircle:
     (two active sides) and equal-clearance points of pole triples, then
     keeping the feasible maximizer. Radius is clamped to (0, pi/2).
     """
-    poles = poly.poles
-    n = len(poles)
+    centres, radii = _incircles(poly.poles[None])
+    radius = float(radii[0])
+    _check_radius(radius)
+    return Incircle(centres[0], radius)
 
-    candidates = []
-    for i, j in itertools.combinations(range(n), 2):
-        s = poles[i] + poles[j]
-        length = norm(s)
-        if length > 1e-12:
-            candidates.append(s / length)
-    for i, j, k in itertools.combinations(range(n), 3):
-        d = cross(poles[i] - poles[j], poles[j] - poles[k])
-        length = norm(d)
-        if length > 1e-12:
-            candidates.append(d / length)
-            candidates.append(-d / length)
-    if not candidates:
-        raise DegeneratePolygon("no incircle candidates")
 
-    best_c, best_r = None, -np.inf
-    for c in candidates:
-        r = float(np.min(np.arcsin(np.clip(poles @ c, -1.0, 1.0))))
-        if r > best_r:
-            best_r, best_c = r, c
-    if best_r <= DEFAULT_TOLERANCES.tangency:
-        raise DegeneratePolygon("polygon is flat: incircle radius is zero")
-    if best_r >= np.pi / 2:
-        raise DegeneratePolygon("incircle radius reached pi/2")
-    return Incircle(best_c, best_r)
+# -- every vertex of a body ------------------------------------------------
+
+def _vertex_table(P: Polyhedron) -> dict:
+    """vertex -> its VertexImage, or the GeometryError that
+    ``vertex_incircle`` raises for it. Built on first read in one pass over
+    the vertices grouped by degree, and memoised in ``P.vertex_images``."""
+    table = P.vertex_images
+    if table:
+        return table
+    groups = defaultdict(list)  # degree -> (vertex, fan faces, negatively exposed)
+    for v in range(P.n_vertices):
+        try:
+            cls = exposure(P, v)
+            if cls == NEITHER:
+                raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
+            fan = P.topology.fan(v)[0]
+        except GeometryError as exc:
+            table[v] = exc.with_traceback(None)
+            continue
+        groups[len(fan)].append((v, fan, cls == NEGATIVELY_EXPOSED))
+    N = P.planes[0]
+    for group in groups.values():
+        verts, fans, negative = zip(*group)
+        normals = N[np.array(fans)]
+        flip = np.array(negative)[:, None, None]
+        points, off = _unit_points(np.where(flip, -normals[:, ::-1], normals))
+        poles, flat, crossed = _side_poles(points)
+        points.flags.writeable = poles.flags.writeable = False
+        bad = off | (flat | crossed).any(axis=1)
+        centres, radii = _incircles(poles)
+        rates, flat_cut = _cut_rates(normals, centres)
+        for g, (v, radius, area, rate, flat_slide) in enumerate(zip(
+                verts, radii.tolist(), _areas(poles).tolist(), rates.tolist(),
+                flat_cut.tolist())):
+            try:
+                if bad[g]:
+                    _check_unit(off[g])
+                    _check_sides(flat[g], crossed[g])
+                _check_radius(radius)
+            except GeometryError as exc:
+                table[v] = exc.with_traceback(None)
+                continue
+            if flat_slide:
+                rate = DegenerateInput(
+                    "vertex slides along a direction parallel to the moving plane")
+            table[v] = VertexImage(_image(points[g], poles[g]), Incircle(centres[g], radius),
+                                   area, rate)
+    return table
+
+
+def vertex_image(P: Polyhedron, v: int) -> VertexImage:
+    """The VertexImage of ``v`` from its body's vertex table, which is built
+    on first read in one pass and memoised in ``P.vertex_images``; a vertex
+    without one raises its GeometryError, a fresh instance on every call."""
+    entry = _vertex_table(P).get(v)
+    if entry is None:
+        exposure(P, v)  # a vertex in no face: raises DanglingVertex
+    if isinstance(entry, GeometryError):
+        raise type(entry)(*entry.args)
+    return entry
 
 
 def vertex_incircle(P: Polyhedron, v: int) -> tuple:
     """(image, incircle) of a vertex: its Gauss image if exposed, its
     complement image if negatively exposed, and that image's incircle.
 
-    Memoised in ``P.incircles``. Raises NotExposed for a vertex that is
-    neither; a failed incircle is raised again on every call, not stored.
+    Read from ``vertex_image``. Raises NotExposed for a vertex that is
+    neither, and a vertex's failed image or incircle on every call.
     """
-    if v not in P.incircles:
-        expo = exposure(P, v)
-        if expo == NEITHER:
-            raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
-        image = gauss_image(P, v) if expo == EXPOSED else complement_gauss_image(P, v)
-        P.incircles[v] = image, spherical_incircle(image)
-    return P.incircles[v]
+    entry = vertex_image(P, v)
+    return entry.image, entry.incircle
 
 
 def incircle_area_bounds(radius: float) -> tuple:

@@ -33,7 +33,9 @@ A vertex cut is the split rule of a new plane: its normal c, the incircle
 centre, moves at rdot = -1, every fan edge carries one correspondent with
 g_n from the edge's two faces and c, and the ring of correspondents
 closes, so dE sums |g_n - g_n+1| - |g_n| all the way round; a degenerate
-cut raises ``_slide``'s DegenerateInput like any face move.
+cut raises ``_slide``'s DegenerateInput like any face move. The vertex
+table of ``gauss`` takes every vertex's cut rate in one pass, with
+``_slide``'s cutoff and error on stacked rows (``gauss.vertex_image``).
 Each face's table (``_face_table``, memoised on the body) evaluates all of
 its 2 + 2k moves in one array product, and ``derivatives``,
 ``criticality_report`` and the audit read it. A corner whose rule has no
@@ -70,6 +72,7 @@ from .gauss import (
     exposure,
     ordered_edges_at_vertex,
     ordered_faces_at_vertex,
+    vertex_image,
     vertex_incircle,
 )
 from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
@@ -412,15 +415,15 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     Volume changes at second order only, so dV = 0. Works for exposed
     vertices and, through the complement image, negatively exposed ones.
     The correspondent on the edge of fan faces S_n and S_n+1 moves at
-    -g_n, g_n = ``_slide``(n_S_n, n_S_n+1, c), for incircle centre c.
+    -g_n, g_n = ``_slide``(n_S_n, n_S_n+1, c), for incircle centre c; the
+    rate is read from ``gauss.vertex_image``.
     """
     pert = Perturbation("vertex_truncate", vertex)
     _check_indices(P, pert)
-    c = vertex_incircle(P, vertex)[1].center
-    normals = list(P.planes[0][ordered_faces_at_vertex(P, vertex)])
-    gs = [_slide(a, b, c) for a, b in zip(normals, normals[1:] + normals[:1])]
-    dE = sum(norm(g - h) - norm(g) for g, h in zip(gs, gs[1:] + gs[:1]))
-    return _report(P, pert, float(dE), 0.0, {vertex: float(dE)})
+    dE = vertex_image(P, vertex).cut
+    if isinstance(dE, GeometryError):
+        raise type(dE)(*dE.args)
+    return _report(P, pert, dE, 0.0, {vertex: dE})
 
 
 def _check_indices(P: Polyhedron, pert: Perturbation) -> None:

@@ -26,7 +26,7 @@ from .errors import (
     UnboundedIntersection,
     ZeroVolume,
 )
-from .vec3 import cross, plane_bases, rowdot, unit
+from .vec3 import cross, plane_bases, rowcross, rowdot, unit
 
 logger = logging.getLogger(__name__)
 
@@ -226,8 +226,9 @@ class Polyhedron:
         return bool((R <= slack).all())
 
     @cached_property
-    def incircles(self) -> dict:
-        """vertex -> (spherical image, its incircle); see ``gauss.vertex_incircle``."""
+    def vertex_images(self) -> dict:
+        """vertex -> its spherical image, incircle, area and cut rate, filled
+        in one pass on first read; see ``gauss.vertex_image``."""
         return {}
 
     @cached_property
@@ -538,10 +539,7 @@ def twice_areas_and_volumes(top: Topology, pts: np.ndarray, normals: np.ndarray,
     offset x area / 3 in face order; M = (sum a_t (p_t + p_t+1) + o A n) / 3
     over the corner triangles from the origin's foot, a_t = n.(p_t x p_t+1)/2."""
     p, q = pts[..., top.corner_table[..., 0], :], pts[..., top.corner_table[..., 1], :]
-    # np.cross(p, q), the same products in the same order without its axis handling
-    cr = np.stack([p[..., 1] * q[..., 2] - p[..., 2] * q[..., 1],
-                   p[..., 2] * q[..., 0] - p[..., 0] * q[..., 2],
-                   p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]], axis=-1)
+    cr = rowcross(p, q)
     cr[..., ~top.corner_mask, :] = 0.0
     cross_sum = cr[..., 0, :]
     for k in range(1, cr.shape[-2]):

@@ -1,9 +1,10 @@
 """Small helpers on single 3-vectors and on (n, 3) rows of them.
 
-``cross``, ``norm`` and ``unit`` take one 3-vector; ``rowdot`` and
-``plane_bases`` take (n, 3) arrays. ``cross`` and ``rowdot`` return bit
-for bit what the numpy expression they replace returns; ``norm`` is
-``math.hypot``, which can differ from ``np.linalg.norm`` in the last bit.
+``cross``, ``norm`` and ``unit`` take one 3-vector; ``rowcross`` and
+``rowdot`` take stacks of them and ``plane_bases`` (n, 3) arrays.
+``cross``, ``rowcross`` and ``rowdot`` return bit for bit what the numpy
+expression they replace returns; ``norm`` is ``math.hypot``, which can
+differ from ``np.linalg.norm`` in the last bit.
 """
 from __future__ import annotations
 
@@ -38,9 +39,19 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def rowcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` of the 3-vectors along the last axes, the leading
+    axes broadcast, bit for bit: the same products and differences in the
+    same order, without its axis handling."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, bit for bit equal to each ``a[k] @ b[k]``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Dot products of the vectors along the last axes of ``a`` and ``b``,
+    the leading axes broadcast, bit for bit equal to each ``a[k] @ b[k]``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def plane_bases(N: np.ndarray) -> tuple:

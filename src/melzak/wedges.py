@@ -70,9 +70,10 @@ class Wedge:
         if not all(np.isfinite(np.asarray(a, dtype=float)).all()
                    for a in (base, self.apex, self.lateral)):
             raise BadParameter("wedge coordinates must be finite")
+        # out of plane by more than 1e-9 of the longest base edge, at any scale
         n = self.base_normal()
         spread = np.ptp((base - base[0]) @ n)
-        if spread > 1e-9 * max(1.0, float(np.abs(base).max())):
+        if spread > 1e-9 * self.base_edge_lengths().max():
             raise BadParameter("wedge base is not planar")
 
     @property

@@ -394,7 +394,7 @@ def test_ac8_quad_layer():
                  for a, b in zip(pyramid_F(PyramidQuad(q.p @ rot.T)), F))
 
     rng = np.random.default_rng(606)
-    n_good, signs_ok = 0, True
+    n_good, signs_ok, values_ok = 0, True, True
     while n_good < 50:
         H = _rect_pyramid_host(rng)
         top = next(f for f in range(H.n_faces)
@@ -406,7 +406,9 @@ def test_ac8_quad_layer():
         for t in range(4):
             e = H.edge_index(cyc[(t + 2) % 4], cyc[(t + 3) % 4])
             dE = face_hinge_derivatives(H, top, e, "out").dE
-            signs_ok &= (wedge_R(W, t) <= 0) == (dE <= 0)
+            R = wedge_R(W, t)
+            signs_ok &= (R <= 0) == (dE <= 0)
+            values_ok &= abs(R - dE) <= 1e-9 * max(1.0, abs(dE))
         n_good += 1
 
     t0 = perf_counter()
@@ -421,6 +423,7 @@ def test_ac8_quad_layer():
         ("degree-1 homogeneity within 1e-12", homog_ok),
         ("rotation invariance within 1e-12", rot_ok),
         ("sign of R matches hinge rate on 50 good wedges", signs_ok),
+        ("R equals hinge rate within 1e-9 max(1, |dE|) on 50 good wedges", values_ok),
         ("1000-sample scan under 60 s", elapsed < 60.0),
         ("scan is seed-deterministic", rep.to_json() == rep2.to_json()),
         ("every low-residual solution logged with max |F|",

@@ -1,5 +1,6 @@
 """Local-minimality audits: each criterion, its witnesses, and the report."""
 
+import itertools
 import json
 import math
 
@@ -23,6 +24,7 @@ from melzak import (
     unit_volume,
 )
 from melzak.criteria import (
+    _near_rim_pairs,
     WITNESS_TIE,
     audit,
     check_combinatorics,
@@ -34,6 +36,7 @@ from melzak.criteria import (
 )
 from melzak.errors import BadParameter, DegenerateInput, NotExposedFace, NotSemiExposed
 from melzak.perturbations import Perturbation, apply, face_moves, moving_vertices
+from melzak.vec3 import plane_bases
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +176,48 @@ def test_fine_truncation_near_face_pairs_pass():
     TC2 = apply(cube(), Perturbation("vertex_truncate", 0), 1e-4)
     dd = check_dihedral(TC2, B=12.0, d=0.01)
     assert dd.passed
+
+
+def _loop_near_rim_pairs(P):
+    """The near-face prefilter one pair of rim edges at a time, as it ran
+    before it took every face at once: (f1, f2, gap) of each pair of a
+    face's rim edges whose faces across are neither one face nor adjacent,
+    the gap by four point-segment distances in the face's plane."""
+    def point_seg(p, a, b):
+        ab = b - a
+        t = min(max(float((p - a) @ ab / max(ab @ ab, 1e-300)), 0.0), 1.0)
+        return math.hypot(*(p - (a + t * ab)))
+
+    adjacency = set(map(frozenset, P.topology.edge_faces))
+    frames = np.stack(plane_bases(P.planes[0]), axis=1)
+    pairs = []
+    for s, cyc in enumerate(P.faces):
+        rim = [(P.topology.face_of[j, i], P.vertices[i] @ frames[s].T, P.vertices[j] @ frames[s].T)
+               for i, j in zip(cyc, cyc[1:] + cyc[:1])]
+        for (f1, p1, p2), (f2, q1, q2) in itertools.combinations(rim, 2):
+            if f1 != f2 and frozenset((f1, f2)) not in adjacency:
+                gap = min(point_seg(p1, q1, q2), point_seg(p2, q1, q2),
+                          point_seg(q1, p1, p2), point_seg(q2, p1, p2))
+                pairs.append((f1, f2, gap))
+    return pairs
+
+
+def test_near_rim_pairs_match_the_pair_loop():
+    # every cut between two distinct gaps of the loop, so that the last bit
+    # of a distance cannot decide, keeps the loop's pairs in its order
+    sliver = hull_polyhedron(np.array([
+        [0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+        [0, 0, 0.0005], [1, 0, 0.0005], [0, 0.001, 0.0005], [1, 0.001, 0.0005]]))
+    bodies = [sliver, optimal_prism(), ngon_pyramid(9, 1.0, 0.3), octahedron()]
+    bodies += [random_convex(np.random.default_rng(s), n_faces=n)
+               for s, n in enumerate((6, 12, 20, 30))]
+    for P in bodies:
+        pairs = _loop_near_rim_pairs(P)
+        gaps = sorted({g for _, _, g in pairs})
+        cuts = [0.5 * (a + b) for a, b in zip(gaps, gaps[1:]) if b - a > 1e-9 * b]
+        for near in [0.5 * gaps[0]] + cuts[::max(1, len(cuts) // 8)] + [2.0 * gaps[-1]]:
+            want = [(f1, f2) for f1, f2, g in pairs if g <= near]
+            assert _near_rim_pairs(P, near) == want
 
 
 @pytest.mark.parametrize("B", [math.nan, math.inf, 0.0, -1.0])

@@ -7,11 +7,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import crater_can, crater_cavity, match_vertex, octahedron
 from melzak import (
+    criticality_report,
     cube,
     load_catalog,
     ngon_pyramid,
@@ -20,7 +21,21 @@ from melzak import (
     random_convex,
     regular_tetrahedron,
 )
-from melzak.errors import DegeneratePolygon, NonConvexPolygon
+from melzak import gauss
+from melzak.criteria import check_vertex_curvature
+from melzak.errors import (
+    DegenerateInput,
+    DegeneratePolygon,
+    GeometryError,
+    NonConvexPolygon,
+    NotExposed,
+)
+from melzak.perturbations import (
+    Perturbation,
+    _report,
+    perturbed_halfspaces,
+    vertex_truncate_derivatives,
+)
 from melzak.vec3 import norm
 from melzak.gauss import (
     EXPOSED,
@@ -34,8 +49,11 @@ from melzak.gauss import (
     gauss_image,
     incircle_area_bounds,
     ordered_edges_at_vertex,
+    ordered_faces_at_vertex,
     spherical_area,
     spherical_incircle,
+    vertex_image,
+    vertex_incircle,
 )
 
 
@@ -233,11 +251,15 @@ def _outcome(fn, poly):
         return type(exc).__name__, None
 
 
-def _vertex_images():
+def _bodies():
     bodies = [t.build() for t in load_catalog()]
     bodies += [optimal_pyramid(n) for n in range(3, 25)]
     bodies += [random_convex(np.random.default_rng(s)) for s in range(60)]
-    images = [gauss_image(P, v) for P in bodies for v in range(P.n_vertices)]
+    return bodies
+
+
+def _vertex_images():
+    images = [gauss_image(P, v) for P in _bodies() for v in range(P.n_vertices)]
     # a repeated point, a reflex point, a flat triangle and a two-gon
     e = np.eye(3)
     bent = np.array([e[0], e[1], e[2], (e[0] + e[1] + 3 * e[2]) / math.sqrt(11)])
@@ -286,6 +308,180 @@ def test_each_image_takes_its_poles_once(monkeypatch):
             assert "poles" not in vars(g) and len(passes) == 2
             raised.add(kind)
     assert raised == {"DegeneratePolygon", "NonConvexPolygon"}
+
+
+# The single-polygon loops before the kernels ran on stacks: the pole pass,
+# the candidate scan and the area sum one polygon at a time, and the cut
+# rate one fan edge at a time. The kernels must give their bits.
+
+def _loop_poles(points):
+    n = len(points)
+    sides = [np.cross(points[i], points[(i + 1) % n]) for i in range(n)]
+    c = points.mean(axis=0)
+    if sum(s @ c for s in sides) < 0:
+        points = points[::-1]
+        sides = [-s for s in sides[-2::-1] + sides[-1:]]
+    poles = np.empty((n, 3))
+    for i, side in enumerate(sides):
+        length = norm(side)
+        if length <= 1e-12:
+            raise DegeneratePolygon("consecutive points are parallel or antipodal")
+        poles[i] = side / length
+        if (points @ poles[i] < -1e-12).any():
+            raise NonConvexPolygon("polygon crosses one of its own geodesics")
+    return poles
+
+
+def _loop_area(poles):
+    return 2.0 * np.pi - sum(np.arctan2(norm(np.cross(a, b)), a @ b)
+                             for a, b in zip(np.roll(poles, 1, axis=0), poles))
+
+
+def _loop_incircle(poles):
+    candidates = []
+    for i, j in itertools.combinations(range(len(poles)), 2):
+        s = poles[i] + poles[j]
+        if norm(s) > 1e-12:
+            candidates.append(s / norm(s))
+    for i, j, k in itertools.combinations(range(len(poles)), 3):
+        d = np.cross(poles[i] - poles[j], poles[j] - poles[k])
+        if norm(d) > 1e-12:
+            candidates += [d / norm(d), -d / norm(d)]
+    if not candidates:
+        raise DegeneratePolygon("no incircle candidates")
+    best_c, best_r = None, -np.inf
+    for c in candidates:
+        r = float(np.min(np.arcsin(np.clip(poles @ c, -1.0, 1.0))))
+        if r > best_r:
+            best_r, best_c = r, c
+    if best_r <= 1e-9:
+        raise DegeneratePolygon("polygon is flat: incircle radius is zero")
+    if best_r >= np.pi / 2:
+        raise DegeneratePolygon("incircle radius reached pi/2")
+    return best_c, best_r
+
+
+def _loop_cut(P, v, c):
+    normals = list(P.planes[0][ordered_faces_at_vertex(P, v)])
+    gs = []
+    for a, b in zip(normals, normals[1:] + normals[:1]):
+        d = np.cross(a, b)
+        if abs(d @ c) <= 1e-13:
+            raise DegenerateInput("vertex slides along a direction parallel to the moving plane")
+        gs.append(d / (d @ c))
+    dE = float(sum(norm(g - h) - norm(g) for g, h in zip(gs, gs[1:] + gs[:1])))
+    return _report(P, Perturbation("vertex_truncate", v), dE, 0.0, {v: dE}).to_dict()
+
+
+def _fact_outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except GeometryError as exc:
+        return type(exc), exc.args
+
+
+def _loop_vertex(P, v):
+    """Every fact of vertex v, one polygon at a time: its image points,
+    poles and incircle centre as bytes, the incircle radius, the area, and
+    the outcome of its cut report."""
+    cls = exposure(P, v)
+    if cls == NEITHER:
+        raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
+    image = gauss_image(P, v) if cls == EXPOSED else complement_gauss_image(P, v)
+    poles = _loop_poles(image.points)
+    centre, radius = _loop_incircle(poles)
+    return (image.points.tobytes(), poles.tobytes(), centre.tobytes(), radius,
+            _loop_area(poles), _fact_outcome(_loop_cut, P, v, centre))
+
+
+def _table_vertex(P, v):
+    """The same facts as the vertex table holds them."""
+    image, inc = vertex_incircle(P, v)
+    cut = _fact_outcome(lambda: vertex_truncate_derivatives(P, v).to_dict())
+    return (image.points.tobytes(), image.poles.tobytes(), inc.center.tobytes(), inc.radius,
+            vertex_image(P, v).area, cut)
+
+
+def _single_vertex(P, v):
+    """The facts but the cut from the single-polygon functions, on a fresh image."""
+    single = (gauss_image if exposure(P, v) == EXPOSED else complement_gauss_image)(P, v)
+    inc = spherical_incircle(single)
+    return (single.points.tobytes(), single.poles.tobytes(), inc.center.tobytes(), inc.radius,
+            spherical_area(single))
+
+
+def test_vertex_table_matches_the_single_polygon_loops_bit_for_bit():
+    # the crater's pit is negatively exposed, and its rim neither
+    seen = set()
+    for P in _bodies() + [crater_can()[0]]:
+        for v in range(P.n_vertices):
+            want = _fact_outcome(_loop_vertex, P, v)
+            assert _fact_outcome(_table_vertex, P, v) == want, v
+            if want[0] == "ok":
+                assert _fact_outcome(_single_vertex, P, v) == ("ok", want[1][:5])
+                seen.add(exposure(P, v))
+            seen.add(want[0])
+    assert seen == {"ok", EXPOSED, NEGATIVELY_EXPOSED, NotExposed}
+
+
+def test_a_body_takes_one_table_pass(monkeypatch):
+    # however many of a body's vertices are read, and by whichever reader,
+    # each vertex goes through the kernels once; a failing vertex keeps its
+    # error and raises a fresh instance of it on every read
+    heights = []
+    take = gauss._side_poles
+    monkeypatch.setattr(gauss, "_side_poles",
+                        lambda points: heights.append(len(points)) or take(points))
+    for P in (ngon_pyramid(7, 1.0, 0.6), crater_can()[0], octahedron()):
+        heights.clear()
+        readable = [v for v in range(P.n_vertices) if exposure(P, v) != NEITHER]
+        for _ in range(2):
+            check_vertex_curvature(P)
+            criticality_report(P)
+            for v in range(P.n_vertices):
+                for read in (vertex_incircle, vertex_truncate_derivatives):
+                    _fact_outcome(read, P, v)
+            for v in readable:
+                if exposure(P, v) == EXPOSED:
+                    perturbed_halfspaces(P, Perturbation("vertex_truncate", v), 0.1)
+        assert sum(heights) == len(readable)
+        assert len(heights) == len({P.vertex_degree(v) for v in readable})
+        for v in set(range(P.n_vertices)) - set(readable):
+            raised = []
+            for _ in range(2):
+                with pytest.raises(NotExposed, match=f"vertex {v} is neither") as info:
+                    vertex_incircle(P, v)
+                raised.append(info.value)
+            assert raised[0] is not raised[1]
+            assert isinstance(P.vertex_images[v], NotExposed)
+
+
+def _image_rates(points):
+    poly = SphericalPolygon(points)
+    return spherical_incircle(poly).radius, spherical_area(poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 12), height=st.floats(0.05, 5.0),
+       pyramid=st.booleans(), quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       shift=st.integers(0, 11))
+def test_incircle_and_area_are_invariant_under_rotation_and_relabelling(
+        seed, n, height, pyramid, quaternion, shift):
+    w, x, y, z = quaternion
+    q = math.sqrt(w * w + x * x + y * y + z * z)
+    assume(q > 0.1)
+    w, x, y, z = w / q, x / q, y / q, z / q
+    R = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                  [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                  [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+    P = ngon_pyramid(n, 1.0, height) if pyramid else random_convex(np.random.default_rng(seed))
+    for v in range(P.n_vertices):
+        points = gauss_image(P, v).points
+        radius, area = _image_rates(points)
+        moved = np.roll(points @ R.T, shift % len(points), axis=0)
+        radius2, area2 = _image_rates(moved)
+        assert abs(radius2 - radius) <= 1e-12
+        assert abs(area2 - area) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,5 @@
-"""3-vector helpers: the scalar cross product against ``np.cross``, the norm."""
+"""3-vector helpers: the scalar and stacked cross products against
+``np.cross``, the norm."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from melzak.vec3 import cross, norm
+from melzak.vec3 import cross, norm, rowcross
 
 # signed zeros, inf, nan, subnormals and magnitudes from 1e-300 to 1e300
 _special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
@@ -27,6 +28,13 @@ def test_cross_equals_numpy_bytes(a, b):
         want = np.cross(a, b)
     got = cross(a, b)
     assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # stacked, with the leading axes broadcast
+    rows, other = np.stack([a, b])[:, None], np.stack([b, a, b])
+    with np.errstate(all="ignore"):
+        want = np.cross(rows, other)
+        got = rowcross(rows, other)
+    assert got.shape == want.shape == (2, 3, 3)
     assert got.tobytes() == want.tobytes()
 
 

@@ -337,6 +337,20 @@ def test_nonfinite_wedge_is_bad_parameter():
         Wedge(base, apex, np.repeat(far, 4, axis=0), 1.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e12])
+def test_wedge_base_planarity_is_relative_to_the_base(scale):
+    # a base corner 5% of an edge out of plane is refused, and a planar
+    # base accepted, however small or large the wedge
+    base = np.array([[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]], dtype=float)
+    bent = base.copy()
+    bent[2, 2] = 0.1
+    apex = np.array([[0.0, 0.0, 1.0]])
+    lateral = np.repeat(apex, 4, axis=0)
+    Wedge(base * scale, apex * scale, lateral * scale, scale)
+    with pytest.raises(BadParameter, match="planar"):
+        Wedge(bent * scale, apex * scale, lateral * scale, scale)
+
+
 def star_quad(gaps, radii):
     """Quad around the origin, vertices in angle order, gaps in proportion."""
     ang = np.cumsum(gaps) * (2 * math.pi / gaps.sum())
