@@ -5,9 +5,10 @@ witnesses. A witness that carries an improving perturbation has its ratio
 derivative verified once, in ``_best_improvement``, to be strictly
 negative; thresholds come from the criterion statements. The perturbation
 module supplies the certificates: each face's moves come from
-``face_moves`` with their rates, and a move is admissible unless its entry
-is a NotExposedFace or NotSemiExposed refusal; ``moving_vertices`` says
-which vertices an admitted move moves.
+``face_moves`` and the vertex cuts from ``vertex_cuts``, with their rates,
+and a move is admissible unless its entry is a NotExposedFace or
+NotSemiExposed refusal; ``moving_vertices`` says which vertices an
+admitted move moves.
 
 The audit degrades gracefully on non-convex input: checkers that need
 convexity or a particular exposure class mark elements as non-applicable
@@ -24,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, json_float, json_rate
 from .errors import BadParameter, GeometryError, InvalidPolyhedron, NotConvex, NotExposed
 from .gauss import EXPOSED, angle_deficit, dihedral_angle, exposure, vertex_image
-from .perturbations import REFUSALS, Perturbation, derivatives, face_moves, moving_vertices
+from .perturbations import REFUSALS, Perturbation, face_moves, moving_vertices, vertex_cuts
 from .polyhedron import Polyhedron, edge_length, melzak_ratio, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
 from .vec3 import plane_bases, rowdot, unit
@@ -160,6 +161,7 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
     notes = []
     skipped = {}
     applicable = False
+    cuts = vertex_cuts(P)
     for v in range(P.n_vertices):
         try:
             entry = vertex_image(P, v)
@@ -177,12 +179,7 @@ def check_vertex_curvature(P: Polyhedron) -> CriterionVerdict:
                 f"vertex {v}: incircle threshold {thr:.6g} and deficit threshold "
                 f"{thr_deficit:.6g} disagree at degree {deg}")
         if deg > thr:
-            cut = Perturbation("vertex_truncate", v)
-            try:
-                rate = derivatives(P, cut).dM
-            except GeometryError as exc:
-                rate = exc
-            best = _best_improvement(P, [(cut, rate)], skipped)
+            best = _best_improvement(P, [cuts[v]], skipped)
             witnesses.append(Witness(f"vertex:{v}", float(deg), thr, *best))
     return CriterionVerdict("vertex_curvature", applicable, not witnesses,
                             tuple(witnesses), tuple(notes), skipped)
@@ -262,7 +259,10 @@ def check_triangle_deficit(P: Polyhedron) -> CriterionVerdict:
 
 
 def check_combinatorics(P: Polyhedron, mode: str = "any") -> CriterionVerdict:
-    """Face-degree sum inequality, plus the triangle-count cap in candidate mode."""
+    """Face-degree sum inequality, plus the triangle-count cap in candidate
+    mode; an unknown ``mode`` raises BadParameter."""
+    if mode not in ("any", "candidate"):
+        raise BadParameter(f"unknown audit mode {mode!r}")
     chi = P.n_vertices - P.n_edges + P.n_faces
     lhs = float(sum(len(c) - 6 for c in P.faces))
     rhs = float(-6 * chi)
@@ -369,10 +369,9 @@ def audit(P: Polyhedron, mode: str = "any", B: float | None = None) -> CriteriaR
     """Run every criterion and assemble the deterministic report.
 
     mode "candidate" additionally enforces results that hold only along a
-    minimizing sequence, such as the triangle-count cap.
+    minimizing sequence, such as the triangle-count cap. A body that fails
+    validation raises InvalidPolyhedron, an unknown mode BadParameter.
     """
-    if mode not in ("any", "candidate"):
-        raise InvalidPolyhedron(f"unknown audit mode {mode!r}")
     rep = validate(P)
     if not rep.ok:
         raise InvalidPolyhedron("; ".join(rep.messages) or "validation failed")

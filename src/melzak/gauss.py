@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,11 +34,12 @@ from .errors import (
     NotExposed,
 )
 from .polyhedron import Polyhedron
-from .vec3 import cross, rowcross, rowdot, unit
+from .vec3 import cross, lengths, rowcross, rowdot, unit
 
 EXPOSED = "exposed"
 NEGATIVELY_EXPOSED = "negatively_exposed"
 NEITHER = "neither"
+FLAT_SLIDE = "vertex slides along a direction parallel to the moving plane"
 _BLOCK = 1 << 20  # candidate-pole products an incircle search scores at once
 
 
@@ -107,21 +107,15 @@ class VertexImage(NamedTuple):
 
 # -- kernels on stacks of polygons ----------------------------------------
 # Each takes polygons of one size stacked on the first axis. Lengths are
-# math.hypot of each row, as vec3.norm takes them, dot products are
-# ``rowdot``'s, and sums run left to right, so a polygon gets the same bits
-# in a stack of any height.
-
-def _lengths(rows: np.ndarray) -> np.ndarray:
-    """math.hypot of each row of ``rows`` (..., 3)."""
-    flat = rows.reshape(-1, rows.shape[-1]).tolist()
-    return np.array([math.hypot(*r) for r in flat]).reshape(rows.shape[:-1])
-
+# ``lengths``', math.hypot of each row as vec3.norm takes them, dot
+# products are ``rowdot``'s, and sums run left to right, so a polygon gets
+# the same bits in a stack of any height.
 
 def _unit_rows(rows: np.ndarray) -> tuple:
     """(rows scaled to unit length, their lengths); a row 1e-12 long or
     shorter is returned unscaled."""
-    lengths = _lengths(rows)
-    return rows / np.where(lengths > 1e-12, lengths, 1.0)[..., None], lengths
+    size = lengths(rows)
+    return rows / np.where(size > 1e-12, size, 1.0)[..., None], size
 
 
 def _unit_points(points: np.ndarray) -> tuple:
@@ -152,8 +146,8 @@ def _side_poles(points: np.ndarray) -> tuple:
         # reversed order: side i is the negated old side k-2-i (mod k)
         points = np.where(flip, points[:, ::-1], points)
         sides = np.where(flip, -sides[:, (k - 2 - np.arange(k)) % k], sides)
-    poles, lengths = _unit_rows(sides)
-    flat = lengths <= 1e-12
+    poles, size = _unit_rows(sides)
+    flat = size <= 1e-12
     crossed = ((points[:, None] @ poles[..., None])[..., 0] < -1e-12).any(axis=-1)
     return poles, flat, crossed
 
@@ -172,7 +166,7 @@ def _areas(poles: np.ndarray) -> np.ndarray:
     """Area of each polygon of good side poles (G, k, 3): 2*pi less the
     turning angles between consecutive poles, by atan2."""
     prev = np.roll(poles, 1, axis=1)
-    turns = np.arctan2(_lengths(rowcross(prev, poles)), rowdot(prev, poles))
+    turns = np.arctan2(lengths(rowcross(prev, poles)), rowdot(prev, poles))
     return 2.0 * np.pi - np.add.accumulate(turns, axis=1)[:, -1]
 
 
@@ -188,14 +182,14 @@ def _candidates(poles: np.ndarray):
                         dtype=int).reshape(-1, 2)
     for s in range(0, len(pairs), step):
         i, j = pairs[s:s + step].T
-        C, lengths = _unit_rows(poles[:, i] + poles[:, j])
-        yield C, lengths > 1e-12
+        C, size = _unit_rows(poles[:, i] + poles[:, j])
+        yield C, size > 1e-12
     triples = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), 3)),
                           dtype=int).reshape(-1, 3)
     for s in range(0, len(triples), step):
         i, j, l = triples[s:s + step].T
-        C, lengths = _unit_rows(rowcross(poles[:, i] - poles[:, j], poles[:, j] - poles[:, l]))
-        yield np.stack([C, -C], axis=2).reshape(G, -1, 3), np.repeat(lengths > 1e-12, 2, axis=1)
+        C, size = _unit_rows(rowcross(poles[:, i] - poles[:, j], poles[:, j] - poles[:, l]))
+        yield np.stack([C, -C], axis=2).reshape(G, -1, 3), np.repeat(size > 1e-12, 2, axis=1)
 
 
 def _incircles(poles: np.ndarray) -> tuple:
@@ -227,18 +221,26 @@ def _check_radius(r: float) -> None:
         raise DegeneratePolygon("incircle radius reached pi/2")
 
 
+def slide_rule(n_a: np.ndarray, n_b: np.ndarray, n_move: np.ndarray) -> tuple:
+    """(g, flat): the point on two static planes, unit normals ``n_a`` and
+    ``n_b``, and on one of normal ``n_move`` moving through it at rdot
+    moves at g * rdot, g = d / (d . n_move) with d = n_a x n_b; stacks of
+    rows, the leading axes broadcast. A ``flat`` row slides parallel to the
+    moving plane and has no rate (FLAT_SLIDE); its g is d."""
+    d = rowcross(n_a, n_b)
+    denom = rowdot(d, n_move)
+    flat = np.abs(denom) <= 1e-13
+    return d / np.where(flat, 1.0, denom)[..., None], flat
+
+
 def _cut_rates(normals: np.ndarray, centres: np.ndarray) -> tuple:
     """(dE (G), flat (G)) of cutting vertices whose fans have face normals
     (G, k, 3) with the planes of normals ``centres`` (G, 3): the
-    correspondent on the edge of fan faces n and n + 1 moves at -g_n,
-    g_n = d / (d . c) with d = n_n x n_n+1 (``perturbations._slide``), and
-    dE sums |g_n - g_n+1| - |g_n| round the fan. A cut with a slide
-    |d . c| <= 1e-13 is flat and has no rate."""
-    d = rowcross(normals, np.roll(normals, -1, axis=1))
-    denom = rowdot(d, centres[:, None])
-    flat = np.abs(denom) <= 1e-13
-    g = d / np.where(flat, 1.0, denom)[..., None]
-    terms = _lengths(g - np.roll(g, -1, axis=1)) - _lengths(g)
+    correspondent on the edge of fan faces n and n + 1 moves at -g_n, the
+    ``slide_rule`` of n_n, n_n+1 and c, and dE sums |g_n - g_n+1| - |g_n|
+    round the fan. A cut with a flat slide has no rate."""
+    g, flat = slide_rule(normals, np.roll(normals, -1, axis=1), centres[:, None])
+    terms = lengths(g - np.roll(g, -1, axis=1)) - lengths(g)
     return np.add.accumulate(terms, axis=1)[:, -1], flat.any(axis=1)
 
 
@@ -349,8 +351,7 @@ def _vertex_table(P: Polyhedron) -> dict:
                 table[v] = exc.with_traceback(None)
                 continue
             if flat_slide:
-                rate = DegenerateInput(
-                    "vertex slides along a direction parallel to the moving plane")
+                rate = DegenerateInput(FLAT_SLIDE)
             table[v] = VertexImage(_image(points[g], poles[g]), Incircle(centres[g], radius),
                                    area, rate)
     return table

@@ -38,7 +38,7 @@ from .errors import (
     NumericalBreakdown,
     UnsupportedFaceCount,
 )
-from .perturbations import face_moves, vertex_truncate_derivatives
+from .perturbations import face_moves, vertex_cuts
 from .polyhedron import (
     HalfSpace,
     Polyhedron,
@@ -608,15 +608,10 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
     tables = [face_moves(P, f) for f in range(P.n_faces)]
     translates = [move for moves in tables for move in moves[:2]]
     hinges = [move for moves in tables for move in moves[2:]]
-    for pert, rate in translates + hinges:
+    for pert, rate in translates + hinges + vertex_cuts(P):
         if isinstance(rate, GeometryError):
             skipped[pert.label()] = type(rate).__name__
         else:
             entries[pert.label()] = rate
-    for v in range(P.n_vertices):
-        try:
-            entries[f"truncate:v={v}"] = vertex_truncate_derivatives(P, v).dM
-        except GeometryError as exc:
-            skipped[f"truncate:v={v}"] = type(exc).__name__
     minimum = min(entries.values())
     return CriticalityReport(entries, minimum, minimum >= -tol, melzak_ratio(P), skipped)

@@ -17,29 +17,29 @@ vertices off the hinge edge for a hinge) and ``_mover_class`` their
 shared exposure class; a face move is admissible exactly when there is
 one. ``face_moves`` lists each move of a face with its dM, or the
 GeometryError it raises, a NotExposedFace or NotSemiExposed refusal for
-an inadmissible one; the audit picks its candidates from that list.
-``_hinge_axis`` and the face's table give the hinge line and rotation
-sense to both the rates and the rebuild.
+an inadmissible one (the audit's candidates), as ``vertex_cuts`` lists
+the cuts. ``_hinge_axis`` and the face's table give the hinge line and
+rotation sense to both the rates and the rebuild.
 
 The one vertex-rate rule: a face plane (n, o) moving at rates (ndot, odot)
 moves through its vertex x at rdot = odot - x . ndot, and every velocity
 of x or of its correspondents is g * rdot, with g = (n_a x n_b) /
-((n_a x n_b) . n) fixed by the corner alone (``_slide``). So a moved
-vertex adds a * rdot + b * |rdot| to dE, with (a, b) per corner and rule
-(``_corner_rules``): b = 0 at degree 3; a = -g . (u1 + u2) and b = |g| for
-a vertex of degree k > 3 that keeps one correspondent; sums over the k - 2
+((n_a x n_b) . n) fixed by the corner alone (``gauss.slide_rule``). So a
+moved vertex adds a * rdot + b * |rdot| to dE, with (a, b) per corner and
+rule: b = 0 at degree 3; a = -g . (u1 + u2) and b = |g| for a vertex of
+degree k > 3 that keeps one correspondent; sums over the k - 2
 consecutive g_n, with b the sum of |g_n - g_n+1|, for one that splits.
 A vertex cut is the split rule of a new plane: its normal c, the incircle
 centre, moves at rdot = -1, every fan edge carries one correspondent with
 g_n from the edge's two faces and c, and the ring of correspondents
-closes, so dE sums |g_n - g_n+1| - |g_n| all the way round; a degenerate
-cut raises ``_slide``'s DegenerateInput like any face move. The vertex
-table of ``gauss`` takes every vertex's cut rate in one pass, with
-``_slide``'s cutoff and error on stacked rows (``gauss.vertex_image``).
-Each face's table (``_face_table``, memoised on the body) evaluates all of
-its 2 + 2k moves in one array product, and ``derivatives``,
-``criticality_report`` and the audit read it. A corner whose rule has no
-rate, at a degenerate denominator, fails only the moves that move it.
+closes, so dE sums |g_n - g_n+1| - |g_n| all the way round
+(``gauss.vertex_image``). One pass over a body's vertices
+(``_vertex_rules``) classifies each once and takes both rules of every
+corner on stacked fans; every face's table is built from it on first
+read and memoised, each evaluating the 2 + 2k moves of a k-gon in one
+array product, and ``derivatives``, ``face_moves`` and the audit read
+them. A corner whose rule has no rate, at a flat slide, fails only the
+moves that move it.
 
 The one split rule (``_splits``): when the local motion pushes the
 supporting plane outward past an exposed vertex of degree k > 3, the
@@ -52,6 +52,7 @@ vertex/edge counts ``apply`` expects both read it.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,21 +63,22 @@ from .errors import (
     CombinatorialCollapse,
     DegenerateInput,
     GeometryError,
+    NotConvex,
     NotExposed,
     NotExposedFace,
     NotSemiExposed,
 )
 from .gauss import (
     EXPOSED,
+    FLAT_SLIDE,
     NEGATIVELY_EXPOSED,
     exposure,
-    ordered_edges_at_vertex,
-    ordered_faces_at_vertex,
+    slide_rule,
     vertex_image,
     vertex_incircle,
 )
 from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
-from .vec3 import cross, norm, unit
+from .vec3 import cross, lengths, rowdot, unit
 
 OUT = "out"
 IN = "in"
@@ -139,64 +141,61 @@ class DerivativeReport:
         return out
 
 
-def _slide(n_a, n_b, n_face) -> np.ndarray:
-    """g with g * rdot the velocity of the point on two static planes (unit
-    normals n_a, n_b) and on a moving one (n_face), whose plane moves at
-    rdot = odot - x . ndot through the point."""
-    d = cross(n_a, n_b)
-    denom = d @ n_face
-    if abs(denom) <= 1e-13:
-        raise DegenerateInput("vertex slides along a direction parallel to the moving plane")
-    return d / denom
+def _sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Python's ``sum`` along ``axis``, bit for bit: left to right from 0."""
+    return 0.0 + np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
 
 
-def _local_fan(P: Polyhedron, f: int, v: int) -> tuple:
-    """Side faces and neighbor vertices of ``v`` arranged from one edge of
-    face ``f`` to the other: ([S_1..S_{k-1}], [nbr_0..nbr_{k-1}]).
-
-    nbr_0 and nbr_{k-1} are the face's own edge neighbors (u1, u2 ends);
-    nbr_1..nbr_{k-2} are the lateral edge neighbors, ordered so that the
-    lateral edge n lies on the planes of S_n and S_{n+1}.
-    """
-    faces = ordered_faces_at_vertex(P, v)
-    nbrs = ordered_edges_at_vertex(P, v)
-    k = faces.index(f)
-    faces = faces[k:] + faces[:k]
-    nbrs = nbrs[k:] + nbrs[:k]
-    return faces[1:], nbrs
-
-
-def _corner_rules(P: Polyhedron, f: int, v: int) -> tuple:
-    """(a, b) of corner (f, v) under the one-correspondent rule and under
-    the split rule, each replaced by the GeometryError it raises: the
-    vertex adds a * rdot + b * |rdot| to dE."""
-    sides, nbrs = _local_fan(P, f, v)
-    k = len(sides) + 1
-    H = P.vertices[v]
-    n_face = P.face_normal(f)
-    u1 = unit(P.vertices[nbrs[0]] - H)
-    u2 = unit(P.vertices[nbrs[-1]] - H)
-    rules = []
-    try:
-        g = _slide(P.face_normal(sides[0]), P.face_normal(sides[-1]), n_face)
-        a = -(g @ (u1 + u2))
+def _vertex_rules(P: Polyhedron) -> tuple:
+    """(classes, corners), the pass over a body's vertices that its face
+    tables read: ``classes[v]``, v's exposure class or GeometryError, and
+    ``corners[f, v]``, the (a, b) of the one-correspondent and the split
+    rule (2, 2) of the corner of face f at v, and each rule's GeometryError
+    or None. Each degree's fans, rotated to start at each of their faces by
+    one index array, take every rule at once. A flat slide fails its rule,
+    a fan that does not close its vertex's; a zero-length edge's rules stay
+    finite and unread, as ``exposure`` refuses both of its ends."""
+    classes, corners, groups = [], {}, defaultdict(list)
+    for v in range(P.n_vertices):
+        try:
+            classes.append(exposure(P, v))
+        except GeometryError as exc:
+            classes.append(exc)
+        try:
+            fan = P.topology.fan(v)
+        except GeometryError as exc:
+            corners.update({(f, v): (np.zeros((2, 2)), (exc.with_traceback(None),) * 2)
+                            for f, _, _ in P.topology.corners[v]})
+            continue
+        groups[len(fan[0])].append((v, *fan))
+    X, N = P.vertices, P.planes[0]
+    degenerate = DegenerateInput(FLAT_SLIDE)
+    for k, group in groups.items():
+        verts, fans, nbrs = (np.array(column) for column in zip(*group))
+        turn = (np.arange(k)[:, None] + np.arange(k)) % k  # row s: the fan from its face s
+        n = N[fans[:, turn]]  # (G, k, k, 3): the face, then S_1..S_k-1
+        D = X[nbrs] - X[verts][:, None]
+        L = lengths(D)
+        u = (D / np.where(L > 0.0, L, 1.0)[..., None])[:, turn]  # nbr_0..nbr_k-1
+        g, flat = slide_rule(n[:, :, 1], n[:, :, -1], n[:, :, 0])
+        a = -rowdot(g, u[:, :, 0] + u[:, :, -1])
         if k == 3:
-            rules.append((a - g @ unit(P.vertices[nbrs[1]] - H), 0.0))
+            one = split = np.stack([a - rowdot(g, u[:, :, 1]), np.zeros_like(a)], axis=-1)
+            split_flat = flat
         else:
-            rules.append((a, norm(g)))  # a new lateral edge sprouts from the old vertex
-    except GeometryError as exc:
-        rules.append(exc)
-    if k == 3:
-        return rules[0], rules[0]
-    try:
-        gs = [_slide(P.face_normal(sides[n]), P.face_normal(sides[n + 1]), n_face)
-              for n in range(k - 2)]
-        a = -(gs[0] @ u1) - (gs[-1] @ u2)
-        a -= sum(gs[n] @ unit(P.vertices[nbrs[n + 1]] - H) for n in range(k - 2))
-        rules.append((a, sum(norm(gs[n] - gs[n + 1]) for n in range(k - 3))))
-    except GeometryError as exc:
-        rules.append(exc)
-    return tuple(rules)
+            one = np.stack([a, lengths(g)], axis=-1)  # a new lateral edge sprouts from the vertex
+            gs, flats = slide_rule(n[:, :, 1:-1], n[:, :, 2:], n[:, :, :1])
+            a = -rowdot(gs[:, :, 0], u[:, :, 0]) - rowdot(gs[:, :, -1], u[:, :, -1])
+            split = np.stack([a - _sum(rowdot(gs, u[:, :, 1:-1])),
+                              _sum(lengths(gs[:, :, :-1] - gs[:, :, 1:]))], axis=-1)
+            split_flat = flats.any(axis=-1)
+        rules = np.stack([one, split], axis=2)
+        failed = np.stack([flat, split_flat], axis=2)
+        rules[failed] = 0.0  # a failed rule adds 0 to the unread rates of the moves it fails
+        for v, fan, rule, fail in zip(verts.tolist(), fans.tolist(), rules, failed.tolist()):
+            for f, r, bad in zip(fan, rule, fail):
+                corners[f, v] = (r, tuple(degenerate if b else None for b in bad))
+    return classes, corners
 
 
 def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
@@ -249,54 +248,29 @@ def _mover_class(f: int, hinge: bool, classes: list, axis_error) -> str:
     return cls
 
 
-def _face_rates(P: Polyhedron, f: int, coef, movers, planes) -> np.ndarray:
-    """The rates (k + 3, M) of the moves of face ``f`` whose planes move at
-    ``planes`` (M, 4) = (ndot, odot): corner t adds a * rdot + b * |rdot|
-    to move m's dE, with (a, b) = coef[t, m] and rdot = odot - x_t . ndot,
-    when movers[t, m]; dE sums the corners in cycle order, and
-    dV = A_f odot - M_f . ndot."""
-    X = P.vertices[list(P.faces[f])]
-    nd, od = planes[:, :3], planes[:, 3]
-    rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
-    corner_dE = np.where(movers, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
-    dE = np.array([sum(col) for col in corner_dE.T.tolist()])
-    mom = P.face_moments[f]
-    dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
-    return np.vstack((corner_dE, dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)))
+def _face_tables(P: Polyhedron) -> dict:
+    """face -> its ``_face_table``, every face's built from one
+    ``_vertex_rules`` pass on first read and memoised in ``P.corner_rates``."""
+    tables = P.corner_rates
+    if not tables:
+        classes, corners = _vertex_rules(P)
+        tables.update({f: _face_table(P, f, classes, corners) for f in range(P.n_faces)})
+    return tables
 
 
-def _face_table(P: Polyhedron, f: int) -> tuple:
-    """(rates, sigma, errors): every move of face ``f``, evaluated once and
-    memoised in ``P.corner_rates``. Move m of a k-gon is the translate
-    (m = 0 out, 1 in) or the hinge about the edge from corner t to corner
-    t + 1 (m = 2 + 2t out, 3 + 2t in). ``rates`` (k + 3, M) holds the dE of
-    each corner under each move (0 where the move leaves it), then each
-    move's dE, dV and dM; ``sigma`` the rotation sense of each slot's
-    outward hinge; ``errors`` maps each move without a rate to the
-    GeometryError it raises. A corner whose rule raises, at a degenerate
-    denominator or a fan that does not close, fails only the moves that
-    move it under that rule.
-    """
-    if f in P.corner_rates:
-        return P.corner_rates[f]
+def _face_table(P: Polyhedron, f: int, classes: list, corners: dict) -> tuple:
+    """(rates, sigma, errors, moves): every move of face ``f``, from the
+    ``classes`` and ``corners`` of ``_vertex_rules``. Move m of a k-gon is
+    the translate (m = 0 out, 1 in) or the hinge about the edge from corner
+    t to corner t + 1 (m = 2 + 2t out, 3 + 2t in). ``rates`` (k + 3, M)
+    holds the dE of each corner under each move (0 where the move leaves
+    it), then each move's dE, dV and dM; ``sigma`` the rotation sense of
+    each slot's outward hinge; ``errors`` maps each move without a rate to
+    its GeometryError, a failed corner rule failing only the moves that
+    move it under that rule; ``moves`` is what ``face_moves`` lists."""
     cyc = P.faces[f]
     k = len(cyc)
-    classes, failed = [], {}
-    rules = np.zeros((k, 2, 2))  # (a, b) of each corner, one-correspondent and split
-    for t, v in enumerate(cyc):
-        try:
-            classes.append(exposure(P, v))
-        except GeometryError as exc:
-            classes.append(exc)
-        try:
-            corner = _corner_rules(P, f, v)
-        except GeometryError as exc:
-            corner = (exc, exc)
-        for split, rule in enumerate(corner):
-            if isinstance(rule, GeometryError):
-                failed[t, split] = rule
-            else:
-                rules[t, split] = rule
+    rules, failed = zip(*(corners[f, v] for v in cyc))
     n_face = P.face_normal(f)
     c = P.face_centroid(f)
     axis_errors, sigma = [None], []
@@ -323,18 +297,31 @@ def _face_table(P: Polyhedron, f: int) -> tuple:
         moved = _moved(k, 2 * s)
         movers[moved, 2 * s:2 * s + 2] = True
         try:
-            cls = _mover_class(f, s > 0, [classes[t] for t in moved], axis_errors[s])
+            cls = _mover_class(f, s > 0, [classes[cyc[t]] for t in moved], axis_errors[s])
         except GeometryError as exc:
             errors[2 * s] = errors[2 * s + 1] = exc.with_traceback(None)
             continue
         for m, direction in ((2 * s, OUT), (2 * s + 1, IN)):
             split[m] = _splits(cls, direction)
-            err = next((failed[t, split[m]] for t in moved if (t, split[m]) in failed), None)
+            err = next((failed[t][split[m]] for t in moved if failed[t][split[m]]), None)
             if err is not None:
-                errors[m] = err.with_traceback(None)
-    table = _face_rates(P, f, rules[:, split], movers, planes), tuple(sigma), errors
-    P.corner_rates[f] = table
-    return table
+                errors[m] = err
+    # corner t adds a * rdot + b * |rdot| to move m's dE, (a, b) its rule
+    # under the move's split and rdot = odot - x_t . ndot; dV = A_f odot - M_f . ndot
+    X, coef = P.vertices[list(cyc)], np.array(rules)[:, split]
+    nd, od = planes[:, :3], planes[:, 3]
+    rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
+    corner_dE = np.where(movers, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
+    dE = _sum(corner_dE, axis=0)
+    mom = P.face_moments[f]
+    dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
+    rates = np.vstack((corner_dE, dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)))
+    perts = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
+    perts += [Perturbation("face_hinge", f, d, P.edge_index(i, j))
+              for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in (OUT, IN)]
+    moves = [(pert, errors.get(m, dM))
+             for m, (pert, dM) in enumerate(zip(perts, rates[-1].tolist()))]
+    return rates, tuple(sigma), errors, moves
 
 
 def _move_index(P: Polyhedron, pert: Perturbation) -> int:
@@ -353,7 +340,7 @@ def _hinge_frame(P: Polyhedron, pert: Perturbation) -> tuple:
     rotation sense that moves the face plane in ``pert.direction``."""
     t = _move_index(P, pert) // 2 - 1
     a, w = _hinge_axis(P, pert.target, t)
-    sigma = _face_table(P, pert.target)[1][t]
+    sigma = _face_tables(P)[pert.target][1][t]
     return a, w, sigma if pert.direction == OUT else -sigma
 
 
@@ -361,14 +348,8 @@ def face_moves(P: Polyhedron, f: int) -> list:
     """(Perturbation, dM) of each move of face ``f``: both directions of its
     translate, then of its hinge about each edge in cycle order, out before
     in. A move without a rate has the GeometryError its derivatives raise
-    in place of dM."""
-    rates, _, errors = _face_table(P, f)
-    cyc = P.faces[f]
-    perts = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
-    perts += [Perturbation("face_hinge", f, d, P.edge_index(i, j))
-              for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in (OUT, IN)]
-    return [(pert, errors.get(m, dM))
-            for m, (pert, dM) in enumerate(zip(perts, rates[-1].tolist()))]
+    in place of dM. Every read returns the list stored with the face's table."""
+    return _face_tables(P)[f][3]
 
 
 def _ratio_rate(E0: float, V0: float, dE, dV):
@@ -388,7 +369,7 @@ def _face_report(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
     """The report of face move ``pert``, read from its face's table."""
     _check_indices(P, pert)
     m = _move_index(P, pert)
-    rates, _, errors = _face_table(P, pert.target)
+    rates, _, errors, _ = _face_tables(P)[pert.target]
     if m in errors:
         raise type(errors[m])(*errors[m].args)
     cyc = P.faces[pert.target]
@@ -415,8 +396,8 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     Volume changes at second order only, so dV = 0. Works for exposed
     vertices and, through the complement image, negatively exposed ones.
     The correspondent on the edge of fan faces S_n and S_n+1 moves at
-    -g_n, g_n = ``_slide``(n_S_n, n_S_n+1, c), for incircle centre c; the
-    rate is read from ``gauss.vertex_image``.
+    -g_n, g_n the ``gauss.slide_rule`` of S_n, S_n+1 and the incircle
+    centre c; the rate is read from ``gauss.vertex_image``.
     """
     pert = Perturbation("vertex_truncate", vertex)
     _check_indices(P, pert)
@@ -424,6 +405,22 @@ def vertex_truncate_derivatives(P: Polyhedron, vertex: int) -> DerivativeReport:
     if isinstance(dE, GeometryError):
         raise type(dE)(*dE.args)
     return _report(P, pert, dE, 0.0, {vertex: dE})
+
+
+def vertex_cuts(P: Polyhedron) -> list:
+    """(Perturbation, dM) of each vertex's cut, in vertex order: the dM its
+    derivatives report, from ``gauss.vertex_image``, or the GeometryError
+    they raise in place of dM."""
+    E0, V0 = edge_length(P), volume(P)
+    cuts = []
+    for v in range(P.n_vertices):
+        try:
+            dE = vertex_image(P, v).cut
+        except GeometryError as exc:
+            dE = exc
+        rate = dE if isinstance(dE, GeometryError) else _ratio_rate(E0, V0, dE, 0.0)
+        cuts.append((Perturbation("vertex_truncate", v), rate))
+    return cuts
 
 
 def _check_indices(P: Polyhedron, pert: Perturbation) -> None:
@@ -500,10 +497,11 @@ def apply(P: Polyhedron, pert: Perturbation, t: float) -> Polyhedron:
 
     Raises CombinatorialCollapse when the rebuilt polyhedron does not have
     the vertex/edge/face counts the first-order picture predicts, which is
-    how crossing ``t_max`` manifests.
+    how crossing ``t_max`` manifests, and NotConvex for a body that is
+    not convex.
     """
     if not P.convex:
-        raise BadParameter("apply() requires a convex polyhedron")
+        raise NotConvex("apply() requires a convex polyhedron")
     try:
         Q = from_halfspaces(perturbed_halfspaces(P, pert, t))
     except BadParameter:

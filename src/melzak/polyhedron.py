@@ -233,8 +233,8 @@ class Polyhedron:
 
     @cached_property
     def corner_rates(self) -> dict:
-        """face -> the rate table every move of the face reads; see
-        ``perturbations._face_table``."""
+        """face -> the rate table and moves of the face, every face's filled
+        in one pass on first read; see ``perturbations._face_tables``."""
         return {}
 
     @cached_property

@@ -1,10 +1,10 @@
 """Small helpers on single 3-vectors and on (n, 3) rows of them.
 
-``cross``, ``norm`` and ``unit`` take one 3-vector; ``rowcross`` and
-``rowdot`` take stacks of them and ``plane_bases`` (n, 3) arrays.
-``cross``, ``rowcross`` and ``rowdot`` return bit for bit what the numpy
-expression they replace returns; ``norm`` is ``math.hypot``, which can
-differ from ``np.linalg.norm`` in the last bit.
+``cross``, ``norm`` and ``unit`` take one 3-vector; ``rowcross``,
+``rowdot`` and ``lengths`` take stacks of them and ``plane_bases`` (n, 3)
+arrays. ``cross``, ``rowcross`` and ``rowdot`` return bit for bit what the
+numpy expression they replace returns; ``norm`` and ``lengths`` are
+``math.hypot``, which can differ from ``np.linalg.norm`` in the last bit.
 """
 from __future__ import annotations
 
@@ -29,6 +29,12 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def norm(v: np.ndarray) -> float:
     """Euclidean length of one 3-vector, by ``math.hypot`` on Python floats."""
     return math.hypot(*v.tolist())
+
+
+def lengths(rows: np.ndarray) -> np.ndarray:
+    """``norm`` of each vector along the last axis of ``rows``."""
+    flat = rows.reshape(-1, rows.shape[-1]).tolist()
+    return np.array([math.hypot(*r) for r in flat]).reshape(rows.shape[:-1])
 
 
 def unit(v: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ need; none of these shapes are expensive enough to cache as fixtures.
 import numpy as np
 from scipy.spatial import ConvexHull
 
+import melzak.perturbations
 from melzak import HalfSpace, Polyhedron, from_halfspaces, ngon_pyramid
 from melzak.offio import parse_off
 
@@ -37,6 +38,29 @@ def relabelled(P, vperm, fperm, shifts):
         faces[fperm[f]] = tuple(int(vperm[u]) for u in cyc[s:] + cyc[:s])
         hs[fperm[f]] = P.halfspaces[f]
     return Polyhedron(verts, tuple(faces), tuple(hs))
+
+
+def moved(P, R, d):
+    """P rotated by R about the origin, then shifted by d: vertices and
+    plane offsets both, without a rebuild."""
+    hs = tuple(HalfSpace(R @ h.normal, h.offset + (R @ h.normal) @ d) for h in P.halfspaces)
+    return Polyhedron(P.vertices @ R.T + d, P.faces, hs)
+
+
+def fail_corner_rules(monkeypatch, error, vertices=None):
+    """Make both rules of every corner at ``vertices`` (at every vertex when
+    None) raise ``error`` on each body whose face tables are built after
+    this call, by wrapping the vertex pass the tables read."""
+    rules = melzak.perturbations._vertex_rules
+
+    def failing_rules(P):
+        classes, corners = rules(P)
+        for (f, v), (rule, _) in corners.items():
+            if vertices is None or v in vertices:
+                corners[f, v] = (rule, (error, error))
+        return classes, corners
+
+    monkeypatch.setattr(melzak.perturbations, "_vertex_rules", failing_rules)
 
 
 def octahedron():

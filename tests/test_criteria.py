@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import melzak.perturbations
-from conftest import crater_can, hull_polyhedron, octahedron
+from conftest import crater_can, fail_corner_rules, hull_polyhedron, octahedron
 from melzak import (
     HalfSpace,
     criticality_report,
@@ -136,6 +135,13 @@ def test_tetra_triangles_pass():
 
 def test_cube_combinatorics():
     assert check_combinatorics(cube()).passed
+
+
+def test_unknown_audit_mode_is_bad_parameter():
+    with pytest.raises(BadParameter, match="unknown audit mode 'bogus'"):
+        audit(cube(), mode="bogus")
+    with pytest.raises(BadParameter, match="unknown audit mode 'bogus'"):
+        check_combinatorics(cube(), "bogus")
 
 
 def test_icosahedron_combinatorics():
@@ -288,14 +294,7 @@ def test_audit_names_skipped_candidates_on_the_crater(monkeypatch):
     P, _, M, _ = crater_can()
     rep = audit(P, mode="candidate")
     assert all(v.skipped == {} for v in rep.verdicts)
-    rules = melzak.perturbations._corner_rules
-
-    def failing_rules(P, f, v):
-        if v == M:
-            raise DegenerateInput("mid ring")
-        return rules(P, f, v)
-
-    monkeypatch.setattr(melzak.perturbations, "_corner_rules", failing_rules)
+    fail_corner_rules(monkeypatch, DegenerateInput("mid ring"), {M})
     P = crater_can()[0]  # a new body: the rate tables are memoised on the old one
     want = {m.label(): "DegenerateInput"
             for v in range(P.n_vertices) if P.vertex_degree(v) > 3

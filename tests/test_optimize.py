@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import melzak.optimize
 import melzak.perturbations
-from conftest import crater_can, octahedron
+from conftest import crater_can, fail_corner_rules, octahedron
 from melzak import (
     HalfSpace,
     box,
@@ -717,20 +717,15 @@ def test_criticality_names_skipped_perturbations(monkeypatch):
     # every translate and hinge that moves the apex is skipped with it
     P = ngon_pyramid(6, 1.0, 0.8)
     apex = next(v for v in range(P.n_vertices) if P.vertex_degree(v) == 6)
-    rules, cut = melzak.perturbations._corner_rules, melzak.optimize.vertex_truncate_derivatives
+    image = melzak.perturbations.vertex_image
 
-    def failing_rules(P, f, v):
-        if v == apex:
-            raise DegenerateInput("apex")
-        return rules(P, f, v)
-
-    def failing_cut(P, v):
+    def failing_image(P, v):
         if v == apex:
             raise DegeneratePolygon("apex")
-        return cut(P, v)
+        return image(P, v)
 
-    monkeypatch.setattr(melzak.perturbations, "_corner_rules", failing_rules)
-    monkeypatch.setattr(melzak.optimize, "vertex_truncate_derivatives", failing_cut)
+    fail_corner_rules(monkeypatch, DegenerateInput("apex"), {apex})
+    monkeypatch.setattr(melzak.perturbations, "vertex_image", failing_image)
     rep = criticality_report(P)
     lateral = [f for f in range(P.n_faces) if apex in P.faces[f]]
     want = {f"translate:f={f}:{d}": "DegenerateInput" for f in lateral for d in ("out", "in")}

@@ -15,11 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import melzak.perturbations
-from conftest import crater_can, crater_cavity, frustum, match_face, match_vertex, octahedron
+from conftest import (
+    crater_can,
+    crater_cavity,
+    fail_corner_rules,
+    frustum,
+    match_face,
+    match_vertex,
+    octahedron,
+    moved,
+    relabelled,
+)
 from melzak import (
     EXPOSED,
     NEGATIVELY_EXPOSED,
     NEITHER,
+    HalfSpace,
+    Polyhedron,
     criticality_report,
     cube,
     edge_length,
@@ -37,6 +49,7 @@ from melzak.errors import (
     CombinatorialCollapse,
     DegenerateInput,
     GeometryError,
+    NotConvex,
     NotExposedFace,
     NotSemiExposed,
     UnboundedWedge,
@@ -48,6 +61,7 @@ from melzak.gauss import (
     vertex_incircle,
 )
 from melzak.optimize import load_catalog
+from melzak.vec3 import cross, norm, unit
 from melzak.perturbations import (
     Perturbation,
     apply,
@@ -308,6 +322,11 @@ def test_crater_rejections():
         face_hinge_derivatives(CR, wall, e, "out")
 
 
+def test_apply_on_a_non_convex_body_is_not_convex():
+    with pytest.raises(NotConvex, match="requires a convex polyhedron"):
+        apply(crater_can()[0], Perturbation("face_translate", 0), 1e-3)
+
+
 def _face_moves(P, f):
     """Both directions of the translate and of every hinge of face ``f``,
     translates first, hinges in cycle-edge order."""
@@ -369,10 +388,7 @@ def test_admissibility_matches_rates(name, monkeypatch):
 
     # with every corner's rule failing, the degree check skips each
     # candidate it tries, by name
-    def failing_rules(P, f, v):
-        raise DegenerateInput("every corner")
-
-    monkeypatch.setattr(melzak.perturbations, "_corner_rules", failing_rules)
+    fail_corner_rules(monkeypatch, DegenerateInput("every corner"))
     P = _ADMISSION_BODIES[name]()  # a new body: the rate tables are memoised on the old one
     assert check_vertex_degree(P).skipped == candidates
     if name == "crater":
@@ -606,6 +622,191 @@ def test_crater_rate_table_matches_fan_oracle():
     P = crater_can()[0]
     _assert_matches_fan_oracle(P)
     assert criticality_report(P).skipped
+
+
+# ---------------------------------------------------------------------------
+# the vertex pass: the scalar corner rules as the oracle
+# ---------------------------------------------------------------------------
+# Before the corner rules ran on stacked fans they were taken one corner at
+# a time: ``_local_fan`` rotates the vertex's fan to start at the face, and
+# ``_slide`` takes one slide. The pass must give their bits.
+
+def _slide(n_a, n_b, n_face):
+    d = cross(n_a, n_b)
+    denom = d @ n_face
+    if abs(denom) <= 1e-13:
+        raise DegenerateInput("vertex slides along a direction parallel to the moving plane")
+    return d / denom
+
+
+def _local_fan(P, f, v):
+    """([S_1..S_k-1], [nbr_0..nbr_k-1]): the fan of ``v`` from face ``f``."""
+    faces = ordered_faces_at_vertex(P, v)
+    nbrs = ordered_edges_at_vertex(P, v)
+    k = faces.index(f)
+    faces = faces[k:] + faces[:k]
+    nbrs = nbrs[k:] + nbrs[:k]
+    return faces[1:], nbrs
+
+
+def _corner_rules(P, f, v):
+    """(a, b) of corner (f, v) under the one-correspondent rule and under
+    the split rule, each replaced by the GeometryError it raises."""
+    sides, nbrs = _local_fan(P, f, v)
+    k = len(sides) + 1
+    H = P.vertices[v]
+    n_face = P.face_normal(f)
+    u1 = unit(P.vertices[nbrs[0]] - H)
+    u2 = unit(P.vertices[nbrs[-1]] - H)
+    rules = []
+    try:
+        g = _slide(P.face_normal(sides[0]), P.face_normal(sides[-1]), n_face)
+        a = -(g @ (u1 + u2))
+        if k == 3:
+            rules.append((a - g @ unit(P.vertices[nbrs[1]] - H), 0.0))
+        else:
+            rules.append((a, norm(g)))
+    except GeometryError as exc:
+        rules.append(exc)
+    if k == 3:
+        return rules[0], rules[0]
+    try:
+        gs = [_slide(P.face_normal(sides[n]), P.face_normal(sides[n + 1]), n_face)
+              for n in range(k - 2)]
+        a = -(gs[0] @ u1) - (gs[-1] @ u2)
+        a -= sum(gs[n] @ unit(P.vertices[nbrs[n + 1]] - H) for n in range(k - 2))
+        rules.append((a, sum(norm(gs[n] - gs[n + 1]) for n in range(k - 3))))
+    except GeometryError as exc:
+        rules.append(exc)
+    return tuple(rules)
+
+
+def _scalar_pass(P):
+    """(classes, corners) as ``_vertex_rules`` holds them, one vertex and
+    one corner at a time."""
+    classes = []
+    for v in range(P.n_vertices):
+        try:
+            classes.append(exposure(P, v))
+        except GeometryError as exc:
+            classes.append(exc)
+    corners = {}
+    for f, cyc in enumerate(P.faces):
+        for v in cyc:
+            try:
+                rules = _corner_rules(P, f, v)
+            except GeometryError as exc:
+                rules = (exc, exc)
+            failed = tuple(isinstance(r, GeometryError) for r in rules)
+            corners[f, v] = (np.array([(0.0, 0.0) if bad else r for r, bad in zip(rules, failed)]),
+                             tuple(r if bad else None for r, bad in zip(rules, failed)))
+    return classes, corners
+
+
+def _outcome(x):
+    return (type(x), x.args) if isinstance(x, Exception) else x
+
+
+def _bent_pyramid():
+    """A square pyramid whose plane row of the apex's first fan face is bent
+    into the span of the next two: some of the apex's slides are flat."""
+    P = ngon_pyramid(4, 1.0, 0.8)
+    fan = P.topology.fan(next(v for v in range(5) if P.vertex_degree(v) == 4))[0]
+    hs = list(P.halfspaces)
+    hs[fan[0]] = HalfSpace(hs[fan[1]].normal + hs[fan[2]].normal, hs[fan[0]].offset)
+    return Polyhedron(P.vertices, P.faces, tuple(hs))
+
+
+_PASS_BODIES = {**_ORACLE_BODIES, "crater": lambda: crater_can()[0], "bent": _bent_pyramid}
+
+
+@pytest.mark.parametrize("name", list(_PASS_BODIES))
+def test_vertex_pass_matches_the_scalar_corner_rules(name):
+    P = _PASS_BODIES[name]()
+    classes, corners = _scalar_pass(P)
+    got_classes, got = melzak.perturbations._vertex_rules(P)
+    assert list(map(_outcome, got_classes)) == list(map(_outcome, classes))
+    assert got.keys() == corners.keys()
+    if name == "bent":
+        assert {type(e) for _, errors in corners.values() for e in errors} == {
+            type(None), DegenerateInput}
+    for key, (rules, errors) in corners.items():
+        assert list(map(_outcome, got[key][1])) == list(map(_outcome, errors)), key
+        for split, error in enumerate(errors):
+            if error is None:
+                assert got[key][0][split].tobytes() == rules[split].tobytes(), key
+    for f in range(P.n_faces):
+        rates, sigma, errors, _ = melzak.perturbations._face_table(P, f, classes, corners)
+        table = melzak.perturbations._face_tables(P)[f]
+        assert table[0].tobytes() == rates.tobytes() and table[1] == sigma, f
+        assert {m: _outcome(e) for m, e in table[2].items()} == \
+            {m: _outcome(e) for m, e in errors.items()}, f
+
+
+def test_one_vertex_pass_builds_every_face_table(monkeypatch):
+    # reading one face's moves builds every face's table in one pass, which
+    # classifies each vertex once; every later read, by any reader, builds
+    # nothing and gets the stored list
+    passes, classified = [], []
+    rules, classify = melzak.perturbations._vertex_rules, melzak.perturbations.exposure
+    monkeypatch.setattr(melzak.perturbations, "_vertex_rules",
+                        lambda P: passes.append(1) or rules(P))
+    monkeypatch.setattr(melzak.perturbations, "exposure",
+                        lambda P, v: classified.append(v) or classify(P, v))
+    for P in (ngon_pyramid(7, 1.0, 0.6), crater_can()[0],
+              random_convex(np.random.default_rng(3), n_faces=20)):
+        passes.clear()
+        classified.clear()
+        moves = face_moves(P, P.n_faces - 1)
+        assert len(passes) == 1 and sorted(classified) == list(range(P.n_vertices))
+        assert sorted(P.corner_rates) == list(range(P.n_faces))
+        criticality_report(P)
+        check_vertex_degree(P)
+        for f in range(P.n_faces):
+            for pert, dM in face_moves(P, f):
+                if not isinstance(dM, GeometryError):
+                    assert derivatives(P, pert).dM == dM
+        assert face_moves(P, P.n_faces - 1) is moves
+        assert len(passes) == 1 and len(classified) == P.n_vertices
+
+
+def _rotation(q):
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
+def _relabel(label, vperm, fperm, P, Q):
+    """``label`` of a move of P as the same move of Q = relabelled(P, vperm, fperm, ...)."""
+    kind, *fields = label.split(":")
+    if kind == "truncate":
+        return f"truncate:v={vperm[int(fields[0][2:])]}"
+    fields[0] = f"f={fperm[int(fields[0][2:])]}"
+    if kind == "hinge":
+        i, j = P.edges[int(fields[1][2:])]
+        fields[1] = f"e={Q.edge_index(int(vperm[i]), int(vperm[j]))}"
+    return ":".join([kind, *fields])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 30), move=st.integers(0, 10_000))
+def test_rates_do_not_depend_on_labels_or_position(seed, n_faces, move):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    m = melzak_ratio(P)
+    crit = criticality_report(P)
+    rng = np.random.default_rng(move)
+    vperm, fperm = rng.permutation(P.n_vertices), rng.permutation(P.n_faces)
+    Q = relabelled(P, vperm, fperm, rng.integers(0, 8, size=P.n_faces))
+    shift = rng.uniform(-1.0, 1.0, 3) * P.diameter() / math.sqrt(3.0)
+    M = moved(P, _rotation(rng.normal(size=4)), shift)
+    for other, rename in ((Q, lambda label: _relabel(label, vperm, fperm, P, Q)),
+                          (M, lambda label: label)):
+        got = criticality_report(other)
+        assert {rename(label): name for label, name in crit.skipped.items()} == got.skipped
+        assert {rename(label) for label in crit.entries} == set(got.entries)
+        for label, dM in crit.entries.items():
+            assert abs(got.entries[rename(label)] - dM) <= 1e-10 * max(abs(dM), 1e-3 * m), label
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import melzak.optimize
-from conftest import relabelled
+from conftest import moved, relabelled
 from melzak import (
     HalfSpace,
     Perturbation,
@@ -264,13 +263,6 @@ def test_random_convex_is_valid(seed):
     assert volume(P) > 0
 
 
-def _moved(P, R, d):
-    """P rotated by R about the origin, then shifted by d: vertices and
-    plane offsets both, without a rebuild."""
-    hs = tuple(HalfSpace(R @ h.normal, h.offset + (R @ h.normal) @ d) for h in P.halfspaces)
-    return Polyhedron(P.vertices @ R.T + d, P.faces, hs)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n_faces=st.integers(5, 20), move=st.integers(0, 10_000))
 def test_ratio_is_invariant_under_motions_and_relabelling(seed, n_faces, move):
@@ -279,18 +271,18 @@ def test_ratio_is_invariant_under_motions_and_relabelling(seed, n_faces, move):
     rng = np.random.default_rng(move)
     R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     R *= np.sign(np.linalg.det(R))
-    assert melzak_ratio(_moved(P, R, np.zeros(3))) == pytest.approx(m, rel=1e-12, abs=0.0)
+    assert melzak_ratio(moved(P, R, np.zeros(3))) == pytest.approx(m, rel=1e-12, abs=0.0)
     Q = relabelled(P, rng.permutation(P.n_vertices), rng.permutation(P.n_faces),
                     rng.integers(0, 8, size=P.n_faces))
     assert melzak_ratio(Q) == pytest.approx(m, rel=1e-12, abs=0.0)
     u = rng.normal(size=3)
     for s in (1e2, 1e4, 1e6):
         d = s * P.diameter() * u / np.linalg.norm(u)
-        shifted = _moved(P, np.eye(3), d)
+        shifted = moved(P, np.eye(3), d)
         assert melzak_ratio(shifted) == pytest.approx(m, rel=1e-13 * (1 + s), abs=0.0)
         _assert_convex_means_coplanar(shifted)
-    for moved in (_moved(P, R, np.zeros(3)), Q):
-        _assert_convex_means_coplanar(moved)
+    for body in (moved(P, R, np.zeros(3)), Q):
+        _assert_convex_means_coplanar(body)
 
 
 def _assert_convex_means_coplanar(P):
@@ -329,53 +321,38 @@ def _loop_areas_and_volume(P):
     return np.array(areas), vol / 3.0
 
 
-def _assert_cached_functionals(P, monkeypatch):
+def _assert_cached_functionals(P):
     areas, vol = _loop_areas_and_volume(P)
     assert P.face_areas.tobytes() == areas.tobytes()
     want = (_loop_edge_length(P).hex(), vol.hex())
     for _ in range(2):  # the first call computes, the second reads the cache
         assert (edge_length(P).hex(), volume(P).hex()) == want
-    reports = []
-
-    def recording(fn):
-        def call(*args):
-            rep = fn(*args)
-            reports.append(rep)
-            return rep
-        return call
-
-    with monkeypatch.context() as mp:
-        name = "vertex_truncate_derivatives"
-        mp.setattr(melzak.optimize, name, recording(getattr(melzak.optimize, name)))
-        crit = criticality_report(P)
-    # the face moves are read from each face's rate table, which is also
-    # what their reports read: each entry is its report's dM, bit for bit
-    for label, dM in crit.entries.items():
-        if not label.startswith("truncate"):
-            reports.append(derivatives(P, _perturbation(label)))
-            assert reports[-1].dM == dM, label
-    assert len(reports) == len(crit.entries)
-    for rep in reports:
+    # every rate is read from a face's or the vertices' table, which is also
+    # what its report reads: each entry is its report's dM, bit for bit
+    for label, dM in criticality_report(P).entries.items():
+        rep = derivatives(P, _perturbation(label))
+        assert rep.dM == dM, label
         assert (rep.E0.hex(), rep.V0.hex()) == want
 
 
 def _perturbation(label):
-    """The face move a criticality label names."""
-    kind, face, *rest = label.split(":")
+    """The move a criticality label names."""
+    kind, target, *rest = label.split(":")
+    if kind == "truncate":
+        return Perturbation("vertex_truncate", int(target[2:]))
     if kind == "translate":
-        return Perturbation("face_translate", int(face[2:]), rest[0])
-    return Perturbation("face_hinge", int(face[2:]), rest[1], int(rest[0][2:]))
+        return Perturbation("face_translate", int(target[2:]), rest[0])
+    return Perturbation("face_hinge", int(target[2:]), rest[1], int(rest[0][2:]))
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 16))
 def test_cached_functionals_match_loop_on_random_bodies(seed, n_faces):
-    with pytest.MonkeyPatch.context() as mp:
-        _assert_cached_functionals(random_convex(np.random.default_rng(seed), n_faces), mp)
+    _assert_cached_functionals(random_convex(np.random.default_rng(seed), n_faces))
 
 
-def test_cached_functionals_match_loop_on_catalog(monkeypatch):
+def test_cached_functionals_match_loop_on_catalog():
     types = load_catalog()
     assert len(types) == 27
     for t in types:
-        _assert_cached_functionals(t.build(), monkeypatch)
+        _assert_cached_functionals(t.build())
