@@ -30,6 +30,13 @@ from .vec3 import cross, plane_bases, rowcross, rowdot, unit
 
 logger = logging.getLogger(__name__)
 
+# the Chebyshev-centre LP's objective, the r axis of (x, r); its pivot cap;
+# and its rounding floor, below which a step direction, a multiplier or a
+# row's rate along the step (per unit step) reads as zero
+_R_AXIS = np.array([0.0, 0.0, 0.0, 1.0])
+_LP_PIVOTS = 1000
+_LP_EPS = 1e-13
+
 
 def _rotation_code(rings: list, v0: int, u0: int, bound: list | None = None) -> list | None:
     """Breadth-first code of the rotation system ``rings`` from the directed
@@ -407,7 +414,8 @@ def from_halfspaces(halfspaces) -> Polyhedron:
     """Intersect halfspaces into a bounded convex polyhedron.
 
     Qhull (``scipy.spatial.HalfspaceIntersection``) intersects the planes
-    about the strictly interior point c of ``interior_point``. Points on
+    about the strictly interior point c of ``interior_point`` (the origin,
+    or the centre of the in-package Chebyshev-centre LP). Points on
     the same planes (by ``plane_incidence``) are one vertex, placed at the
     mean of its incident-plane triple solves (determinant above
     ``plane_triple``) in combination order. Length tolerances are
@@ -484,11 +492,14 @@ def from_halfspaces(halfspaces) -> Polyhedron:
 def interior_point(N: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The strictly interior point ``from_halfspaces`` intersects about, for
     unit normals N (F, 3) and offsets b (F): the origin when every offset is
-    at least a tenth of the largest, else the Chebyshev centre.
+    at least a tenth of the largest, else the Chebyshev centre, solved
+    exactly by ``_chebyshev_centre``'s simplex.
 
-    Raises UnboundedIntersection, EmptyInterior or DegenerateInput.
+    Raises UnboundedIntersection when balls of every radius fit,
+    EmptyInterior when no ball of radius above 1e-12 s does (s as there), and
+    DegenerateInput when the simplex reaches its pivot cap.
     """
-    return np.zeros(3) if b.min() >= 0.1 * np.abs(b).max() > 0 else _chebyshev_centre(N, b)
+    return np.zeros(3) if b.min() >= 0.1 * np.abs(b).max() > 0 else _chebyshev_centre(N, b)[0]
 
 
 def plane_incidence(pts: np.ndarray, N: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
@@ -499,23 +510,68 @@ def plane_incidence(pts: np.ndarray, N: np.ndarray, b: np.ndarray, c: np.ndarray
     return pts @ N.T - b, DEFAULT_TOLERANCES.coplanarity * float(np.abs(pts - c).max())
 
 
-def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Centre of the largest ball inside every halfspace, by one LP on b / s, s the
-    power of two nearest max|b|, so its absolute tolerances are relative to b."""
-    from scipy.optimize import linprog
+def _chebyshev_centre(N: np.ndarray, b: np.ndarray) -> tuple:
+    """Centre and radius of the largest ball inside every halfspace.
 
+    Solves max r s.t. N x + r <= b / s, s the power of two nearest max|b|,
+    so that its thresholds are relative to b, by a primal active-set simplex
+    on the rows (n_i, 1). It starts at x = 0, r = min(b / s) with that row
+    active. While the projection d of the r axis onto the null space of the
+    active rows is nonzero, it steps along d to the first row that blocks
+    and makes it active; once d vanishes, it drops the active row of least
+    index whose multiplier is negative, or stops when there is none. Ties go
+    to the least index (Bland's rule), so it terminates. Each pivot is one
+    solve of at most 4x4 and one (F, 4) matvec. Below ``_LP_EPS`` a
+    direction, a multiplier or a rate reads as rounding. A centre at four
+    active rows is solved from them once more, so that the steps' rounding
+    does not add up: the ball lies inside every plane to ~1e-16 max|b|.
+
+    Raises UnboundedIntersection when no row blocks (r grows without bound),
+    EmptyInterior when the largest r is at most 1e-12 (in units of s), and
+    DegenerateInput when it has not stopped after ``_LP_PIVOTS`` pivots.
+    """
     big = float(np.abs(b).max())
     s = 2.0 ** round(math.log2(big)) if big > 0 else 1.0
-    # max r s.t. N x + r <= b / s
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=np.hstack([N, np.ones((len(N), 1))]),
-                  b_ub=b / s, bounds=[(None, None)] * 4, method="highs")
-    if res.status == 3:
-        raise UnboundedIntersection("the halfspaces hold balls of every radius")
-    if res.status == 2 or (res.status == 0 and res.x[3] <= 1e-12):
+    A = np.hstack([N, np.ones((len(N), 1))])
+    j = int(np.argmin(b))
+    y = np.array([0.0, 0.0, 0.0, b[j] / s])
+    slack = b / s - y[3]
+    active = [j]
+    for _ in range(_LP_PIVOTS):
+        rows = A[active]
+        if len(active) == 4:
+            mu, d = np.linalg.solve(rows.T, _R_AXIS), np.zeros(4)
+        else:
+            Ginv = np.linalg.inv(rows @ rows.T)
+            mu = Ginv @ rows[:, 3]
+            d = _R_AXIS - mu @ rows
+            d -= (Ginv @ (rows @ d)) @ rows  # again, so that rows @ d ~ eps |d|
+        size = math.sqrt(d @ d)
+        if size <= _LP_EPS:
+            negative = [k for k, m in zip(active, mu) if m < -_LP_EPS]
+            if not negative:
+                break
+            active.remove(min(negative))
+            continue
+        rate = A @ d
+        rate[active] = 0.0
+        blocking = np.flatnonzero(rate > _LP_EPS * size)
+        if not len(blocking):
+            raise UnboundedIntersection("the halfspaces hold balls of every radius")
+        ratio = np.maximum(slack[blocking], 0.0) / rate[blocking]
+        k = int(np.argmin(ratio))
+        i = int(blocking[k])
+        y += ratio[k] * d
+        slack -= ratio[k] * rate
+        slack[i] = 0.0
+        active.append(i)
+    else:
+        raise DegenerateInput(f"the Chebyshev-centre LP did not stop in {_LP_PIVOTS} pivots")
+    if len(active) == 4:
+        y = np.linalg.solve(A[active], b[active] / s)
+    if y[3] <= 1e-12:
         raise EmptyInterior("the halfspaces hold no ball of positive radius")
-    if res.status != 0:
-        raise DegenerateInput(f"Chebyshev-centre LP failed: {res.message}")
-    return res.x[:3] * s
+    return y[:3] * s, y[3] * s
 
 
 # -- functionals ---------------------------------------------------------

@@ -249,6 +249,12 @@ def test_tiny_corner_cuts_keep_their_face():
        direction=st.integers(0, 10_000))
 # a flat body whose world-frame volume came out negative at 1e6 x
 @example(seed=48, n_faces=5, direction=1)
+# at 1e6 x the interior point once came from an LP solved only to its
+# feasibility tolerance: qhull found it on a plane (2803, 167) or the dual
+# hull did not enclose it (1401)
+@example(seed=2803, n_faces=5, direction=0)
+@example(seed=1401, n_faces=5, direction=0)
+@example(seed=167, n_faces=6, direction=0)
 def test_shifted_planes_keep_type_and_ratio(seed, n_faces, direction):
     # every plane moved by the same vector of length up to 1e6 x diameter;
     # the shifted build keeps the type and m, to 1e-13 x (1 + shift)

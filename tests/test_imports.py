@@ -1,5 +1,6 @@
 """Module boundaries inside the package: no module imports another's
-private names; shared helpers get a public home instead. Every exception
+private names; shared helpers get a public home instead. No module imports
+``scipy.optimize``: the package's one LP is solved in numpy. Every exception
 class the package defines is raised somewhere in it, every private
 module-level name is read in its module, and the shipped catalog stores
 nothing that ``load_catalog`` does not read. Every function the benchmark's
@@ -9,6 +10,9 @@ import ast
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from melzak import CatalogType
@@ -29,6 +33,35 @@ def test_no_private_names_imported_across_modules():
                               f"{node.module or ''} import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert not offending, "\n".join(offending)
+
+
+def test_no_module_imports_scipy_optimize():
+    offending = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offending += [f"{path.name}:{node.lineno}: {name}" for name in names
+                          if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+    assert not offending, "\n".join(offending)
+
+
+def test_an_off_origin_build_and_audit_leave_scipy_optimize_unloaded():
+    # a pyramid's base plane passes through the origin, so its build finds
+    # the interior point by the Chebyshev-centre LP
+    code = ("import sys\n"
+            "from melzak import audit, ngon_pyramid\n"
+            "P = ngon_pyramid(6, 1.0, 1.2)\n"
+            "assert min(h.offset for h in P.halfspaces) == 0.0\n"
+            "audit(P, mode='candidate')\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_every_error_class_is_raised():

@@ -21,13 +21,15 @@ from melzak import (
     from_halfspaces,
     load_catalog,
     melzak_ratio,
+    ngon_pyramid,
     optimal_prism,
     random_convex,
     regular_tetrahedron,
     validate,
     volume,
 )
-from melzak.errors import BadParameter, EmptyInterior, UnboundedIntersection
+from melzak.errors import BadParameter, DegenerateInput, EmptyInterior, UnboundedIntersection
+from melzak.polyhedron import _chebyshev_centre
 from melzak.shapes import PRISM_EDGE_LENGTH
 
 
@@ -150,6 +152,90 @@ def test_chebyshev_centre_does_not_depend_on_scale(side):
     assert melzak_ratio(P) == pytest.approx(1728.0, rel=1e-14)
     assert P.vertices.mean(axis=0) == pytest.approx([3.0 * side, 0.0, 0.0], rel=1e-14,
                                                     abs=1e-14 * side)
+
+
+def _chebyshev_inputs():
+    """Plane sets (N, b): random bodies and pyramids (n = 3-24), each also
+    shifted by up to 1e6 diameters, and random normals with offsets of
+    either sign, which may hold no ball or balls of every radius."""
+    rng = np.random.default_rng(0)
+    bodies = [random_convex(np.random.default_rng(k), n_faces=int(rng.integers(4, 40)))
+              for k in range(40)]
+    bodies += [ngon_pyramid(n, 1.0, float(rng.uniform(0.3, 3.0))) for n in range(3, 25)]
+    for P in bodies:
+        N, b = P.planes
+        u = rng.normal(size=3)
+        for shift in (0.0, 1.0, 1e2, 1e4, 1e6):
+            yield N, b + N @ (shift * P.diameter() * u / np.linalg.norm(u))
+    for _ in range(200):
+        N = rng.normal(size=(int(rng.integers(4, 12)), 3))
+        yield N / np.linalg.norm(N, axis=1, keepdims=True), rng.uniform(-1.0, 1.0, len(N))
+
+
+def _highs_centre(N, b):
+    """The reference: HiGHS on the same LP, as (outcome, centre, radius)."""
+    from scipy.optimize import linprog
+
+    s = 2.0 ** round(math.log2(float(np.abs(b).max())))
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=np.hstack([N, np.ones((len(N), 1))]),
+                  b_ub=b / s, bounds=[(None, None)] * 4, method="highs")
+    assert res.status in (0, 3), res.message  # always feasible, as r -> -inf
+    if res.status == 3:
+        return UnboundedIntersection, None, None
+    if res.x[3] <= 1e-12:
+        return EmptyInterior, None, None
+    return None, res.x[:3] * s, res.x[3] * s
+
+
+def test_chebyshev_centre_agrees_with_highs():
+    outcomes = []
+    for N, b in _chebyshev_inputs():
+        expected, x_ref, r_ref = _highs_centre(N, b)
+        big = float(np.abs(b).max())
+        if expected is not None:
+            with pytest.raises(expected):
+                _chebyshev_centre(N, b)
+            outcomes.append(expected)
+            continue
+        c, r = _chebyshev_centre(N, b)
+        outcomes.append(None)
+        # the kernel's ball lies inside every plane to the rounding of b
+        assert (N @ c + r - b).max() <= 1e-15 * big
+        if (N @ x_ref + r_ref - b).max() <= 1e-12 * big:
+            # where HiGHS's own ball is inside, the radii agree; r is known
+            # only to the rounding of the offsets, ~1e-16 max|b|
+            assert abs(r - r_ref) <= 1e-9 * r + 1e-15 * big
+    assert set(outcomes) == {None, EmptyInterior, UnboundedIntersection}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 20), move=st.integers(0, 10_000),
+       scale=st.sampled_from([1e-6, 1e-2, 1.0, 3.0, 1e3]),
+       shift=st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+def test_chebyshev_centre_follows_motions_and_scale(seed, n_faces, move, scale, shift):
+    # planes rotated by R, scaled by k and moved by t: the centre goes to
+    # k R c + t and the radius to k r
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    N, b = P.planes
+    c, r = _chebyshev_centre(N, b)
+    rng = np.random.default_rng(move)
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    R *= np.sign(np.linalg.det(R))
+    u = rng.normal(size=3)
+    t = shift * scale * P.diameter() * u / np.linalg.norm(u)
+    Nm = N @ R.T
+    bm = scale * b + Nm @ t
+    cm, rm = _chebyshev_centre(Nm, bm)
+    assert np.abs(cm - (scale * R @ c + t)).max() <= 1e-9 * (scale * P.diameter() + np.abs(t).max())
+    assert abs(rm - scale * r) <= 1e-9 * scale * r + 1e-15 * float(np.abs(bm).max())
+
+
+def test_chebyshev_centre_stops_at_its_pivot_cap(monkeypatch):
+    N, b = ngon_pyramid(6, 1.0, 1.0).planes
+    _chebyshev_centre(N, b)
+    monkeypatch.setattr("melzak.polyhedron._LP_PIVOTS", 1)
+    with pytest.raises(DegenerateInput):
+        _chebyshev_centre(N, b)
 
 
 def test_near_coaxial_plane_triples_do_not_poison_the_scale():
