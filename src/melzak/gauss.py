@@ -6,10 +6,12 @@ minus the interior dihedral angles of the corresponding edges, its area
 equals the angle deficit, and its inscribed circle drives the vertex-cutting
 perturbation.
 
-Every vertex of a body is read from one table (``vertex_image`` reads it),
-built on first read in one pass: the vertices are grouped by degree, and
-each group takes its images, side poles, incircles, areas and incircle-cut
-rates in one set of array operations. The single-polygon
+Every vertex of a body is read from one table (``vertex_table``), built on
+first read in one pass that classifies each vertex once: the vertices are
+grouped by degree, and each group takes the corner rules of every fan face
+(the face moves of ``perturbations`` read them) and, for its exposed and
+negatively exposed vertices, the images, side poles, incircles, areas and
+incircle-cut rates, in one set of array operations. The single-polygon
 ``SphericalPolygon.poles``, ``spherical_area`` and ``spherical_incircle``
 run the same kernels on a stack of one.
 """
@@ -34,7 +36,7 @@ from .errors import (
     NotExposed,
 )
 from .polyhedron import Polyhedron
-from .vec3 import cross, lengths, rowcross, rowdot, unit
+from .vec3 import cross, lengths, ordered_sum, rowcross, rowdot, unit
 
 EXPOSED = "exposed"
 NEGATIVELY_EXPOSED = "negatively_exposed"
@@ -94,10 +96,10 @@ class Incircle:
 
 
 class VertexImage(NamedTuple):
-    """What a body's vertex table holds for a vertex with an incircle: its
-    image, the image's incircle and area, and the dE of cutting the vertex
-    with the plane normal to the incircle centre, or the DegenerateInput
-    that the cut's rate raises."""
+    """What a body's vertex table holds as the image of a vertex with an
+    incircle: its image, the image's incircle and area, and the dE of
+    cutting the vertex with the plane normal to the incircle centre, or the
+    DegenerateInput that the cut's rate raises."""
 
     image: SphericalPolygon
     incircle: Incircle
@@ -105,11 +107,24 @@ class VertexImage(NamedTuple):
     cut: float | GeometryError
 
 
+class VertexFacts(NamedTuple):
+    """What a body's vertex table holds for a vertex: its exposure class or
+    the GeometryError ``exposure`` raises; ``corners[f]``, the rules of its
+    corner in each fan face f as ``perturbations`` reads them, the (a, b) of
+    the one-correspondent and the split rule (2, 2) and each rule's
+    GeometryError or None; and its VertexImage or the GeometryError
+    ``vertex_image`` raises."""
+
+    cls: str | GeometryError
+    corners: dict
+    image: VertexImage | GeometryError
+
+
 # -- kernels on stacks of polygons ----------------------------------------
 # Each takes polygons of one size stacked on the first axis. Lengths are
 # ``lengths``', math.hypot of each row as vec3.norm takes them, dot
-# products are ``rowdot``'s, and sums run left to right, so a polygon gets
-# the same bits in a stack of any height.
+# products are ``rowdot``'s, and sums are ``ordered_sum``'s, so a polygon
+# gets the same bits in a stack of any height.
 
 def _unit_rows(rows: np.ndarray) -> tuple:
     """(rows scaled to unit length, their lengths); a row 1e-12 long or
@@ -140,7 +155,7 @@ def _side_poles(points: np.ndarray) -> tuple:
     a polygon with neither has poles (``_check_sides``)."""
     k = points.shape[1]
     sides = rowcross(points, np.roll(points, -1, axis=1))
-    turn = np.add.accumulate(rowdot(sides, points.mean(axis=1)[:, None]), axis=1)[:, -1]
+    turn = ordered_sum(rowdot(sides, points.mean(axis=1)[:, None]))
     flip = (turn < 0)[:, None, None]
     if flip.any():
         # reversed order: side i is the negated old side k-2-i (mod k)
@@ -167,7 +182,7 @@ def _areas(poles: np.ndarray) -> np.ndarray:
     turning angles between consecutive poles, by atan2."""
     prev = np.roll(poles, 1, axis=1)
     turns = np.arctan2(lengths(rowcross(prev, poles)), rowdot(prev, poles))
-    return 2.0 * np.pi - np.add.accumulate(turns, axis=1)[:, -1]
+    return 2.0 * np.pi - ordered_sum(turns)
 
 
 def _candidates(poles: np.ndarray):
@@ -241,33 +256,19 @@ def _cut_rates(normals: np.ndarray, centres: np.ndarray) -> tuple:
     round the fan. A cut with a flat slide has no rate."""
     g, flat = slide_rule(normals, np.roll(normals, -1, axis=1), centres[:, None])
     terms = lengths(g - np.roll(g, -1, axis=1)) - lengths(g)
-    return np.add.accumulate(terms, axis=1)[:, -1], flat.any(axis=1)
+    return ordered_sum(terms), flat.any(axis=1)
 
 
 # -- one polygon -----------------------------------------------------------
 
-def ordered_faces_at_vertex(P: Polyhedron, v: int) -> list:
-    """Incident face indices in a consistent rotational order around ``v``."""
-    return list(P.topology.fan(v)[0])
-
-
-def ordered_edges_at_vertex(P: Polyhedron, v: int) -> list:
-    """Outgoing neighbor vertices of ``v``, rotationally ordered.
-
-    Neighbor k lies on the edge shared by ordered faces k and k+1, so this
-    order matches the sides of the spherical image.
-    """
-    return list(P.topology.fan(v)[1])
-
-
 def gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
     """Spherical image of a vertex: incident outward normals in fan order."""
-    return SphericalPolygon(P.planes[0][ordered_faces_at_vertex(P, v)])
+    return SphericalPolygon(P.planes[0][list(P.topology.fan(v)[0])])
 
 
 def complement_gauss_image(P: Polyhedron, v: int) -> SphericalPolygon:
     """Spherical image of the vertex seen from the complement solid."""
-    return SphericalPolygon(-P.planes[0][ordered_faces_at_vertex(P, v)[::-1]])
+    return SphericalPolygon(-P.planes[0][list(P.topology.fan(v)[0][::-1])])
 
 
 def angle_deficit(P: Polyhedron, v: int) -> float:
@@ -310,74 +311,101 @@ def spherical_incircle(poly: SphericalPolygon) -> Incircle:
 
 # -- every vertex of a body ------------------------------------------------
 
-def _vertex_table(P: Polyhedron) -> dict:
-    """vertex -> its VertexImage, or the GeometryError that
-    ``vertex_incircle`` raises for it. Built on first read in one pass over
-    the vertices grouped by degree, and memoised in ``P.vertex_images``."""
-    table = P.vertex_images
+def vertex_table(P: Polyhedron) -> dict:
+    """vertex -> its VertexFacts, built on first read in one pass over the
+    vertices grouped by degree and memoised in ``P.vertex_facts``. Each
+    degree's fans, rotated to start at each of their faces by one index
+    array, take every corner rule at once; a flat slide fails its rule, a
+    fan that does not close its vertex's, and a zero-length edge's rules
+    stay finite and unread, as ``exposure`` refuses both of its ends. Only
+    the exposed and negatively exposed rows go through the image kernels."""
+    table = P.vertex_facts
     if table:
         return table
-    groups = defaultdict(list)  # degree -> (vertex, fan faces, negatively exposed)
+    classes, corners, images = [], {}, {}
+    groups = defaultdict(list)  # degree -> (vertex, fan faces, fan neighbours)
     for v in range(P.n_vertices):
         try:
             cls = exposure(P, v)
-            if cls == NEITHER:
-                raise NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
-            fan = P.topology.fan(v)[0]
         except GeometryError as exc:
-            table[v] = exc.with_traceback(None)
+            cls = images[v] = exc.with_traceback(None)
+        classes.append(cls)
+        if cls == NEITHER:
+            images[v] = NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
+        try:
+            fan = P.topology.fan(v)
+        except GeometryError as exc:
+            exc = exc.with_traceback(None)
+            images.setdefault(v, exc)
+            corners[v] = {f: (np.zeros((2, 2)), (exc, exc)) for f, _, _ in P.topology.corners[v]}
             continue
-        groups[len(fan)].append((v, fan, cls == NEGATIVELY_EXPOSED))
-    N = P.planes[0]
-    for group in groups.values():
-        verts, fans, negative = zip(*group)
-        normals = N[np.array(fans)]
-        flip = np.array(negative)[:, None, None]
+        groups[len(fan[0])].append((v, *fan))
+    X, N = P.vertices, P.planes[0]
+    degenerate = DegenerateInput(FLAT_SLIDE)
+    for k, group in groups.items():
+        verts, fans, nbrs = (np.array(column) for column in zip(*group))
+        turn = (np.arange(k)[:, None] + np.arange(k)) % k  # row s: the fan from its face s
+        n = N[fans[:, turn]]  # (G, k, k, 3): the face, then S_1..S_k-1
+        D = X[nbrs] - X[verts][:, None]
+        L = lengths(D)
+        u = (D / np.where(L > 0.0, L, 1.0)[..., None])[:, turn]  # nbr_0..nbr_k-1
+        g, flat = slide_rule(n[:, :, 1], n[:, :, -1], n[:, :, 0])
+        a = -rowdot(g, u[:, :, 0] + u[:, :, -1])
+        if k == 3:
+            one = split = np.stack([a - rowdot(g, u[:, :, 1]), np.zeros_like(a)], axis=-1)
+            split_flat = flat
+        else:
+            one = np.stack([a, lengths(g)], axis=-1)  # a new lateral edge sprouts from the vertex
+            gs, flats = slide_rule(n[:, :, 1:-1], n[:, :, 2:], n[:, :, :1])
+            a = -rowdot(gs[:, :, 0], u[:, :, 0]) - rowdot(gs[:, :, -1], u[:, :, -1])
+            split = np.stack([a - ordered_sum(rowdot(gs, u[:, :, 1:-1])),
+                              ordered_sum(lengths(gs[:, :, :-1] - gs[:, :, 1:]))], axis=-1)
+            split_flat = flats.any(axis=-1)
+        rules = np.stack([one, split], axis=2)
+        failed = np.stack([flat, split_flat], axis=2)
+        rules[failed] = 0.0  # a failed rule adds 0 to the unread rates of the moves it fails
+        for v, fan, rule, fail in zip(verts.tolist(), fans.tolist(), rules, failed.tolist()):
+            corners[v] = {f: (r, tuple(degenerate if b else None for b in bad))
+                          for f, r, bad in zip(fan, rule, fail)}
+        shown = np.array([v not in images for v in verts.tolist()])
+        if not shown.any():
+            continue
+        verts, normals = verts[shown], n[shown, 0]
+        flip = np.array([classes[v] == NEGATIVELY_EXPOSED for v in verts.tolist()])[:, None, None]
         points, off = _unit_points(np.where(flip, -normals[:, ::-1], normals))
         poles, flat, crossed = _side_poles(points)
         points.flags.writeable = poles.flags.writeable = False
         bad = off | (flat | crossed).any(axis=1)
         centres, radii = _incircles(poles)
         rates, flat_cut = _cut_rates(normals, centres)
-        for g, (v, radius, area, rate, flat_slide) in enumerate(zip(
-                verts, radii.tolist(), _areas(poles).tolist(), rates.tolist(),
+        for i, (v, radius, area, rate, flat_slide) in enumerate(zip(
+                verts.tolist(), radii.tolist(), _areas(poles).tolist(), rates.tolist(),
                 flat_cut.tolist())):
             try:
-                if bad[g]:
-                    _check_unit(off[g])
-                    _check_sides(flat[g], crossed[g])
+                if bad[i]:
+                    _check_unit(off[i])
+                    _check_sides(flat[i], crossed[i])
                 _check_radius(radius)
             except GeometryError as exc:
-                table[v] = exc.with_traceback(None)
+                images[v] = exc.with_traceback(None)
                 continue
             if flat_slide:
-                rate = DegenerateInput(FLAT_SLIDE)
-            table[v] = VertexImage(_image(points[g], poles[g]), Incircle(centres[g], radius),
-                                   area, rate)
+                rate = degenerate
+            images[v] = VertexImage(_image(points[i], poles[i]), Incircle(centres[i], radius),
+                                    area, rate)
+    table.update({v: VertexFacts(cls, corners[v], images[v]) for v, cls in enumerate(classes)})
     return table
 
 
 def vertex_image(P: Polyhedron, v: int) -> VertexImage:
-    """The VertexImage of ``v`` from its body's vertex table, which is built
-    on first read in one pass and memoised in ``P.vertex_images``; a vertex
+    """The VertexImage of ``v`` from its body's ``vertex_table``; a vertex
     without one raises its GeometryError, a fresh instance on every call."""
-    entry = _vertex_table(P).get(v)
+    entry = vertex_table(P).get(v)
     if entry is None:
         exposure(P, v)  # a vertex in no face: raises DanglingVertex
-    if isinstance(entry, GeometryError):
-        raise type(entry)(*entry.args)
-    return entry
-
-
-def vertex_incircle(P: Polyhedron, v: int) -> tuple:
-    """(image, incircle) of a vertex: its Gauss image if exposed, its
-    complement image if negatively exposed, and that image's incircle.
-
-    Read from ``vertex_image``. Raises NotExposed for a vertex that is
-    neither, and a vertex's failed image or incircle on every call.
-    """
-    entry = vertex_image(P, v)
-    return entry.image, entry.incircle
+    if isinstance(entry.image, GeometryError):
+        raise type(entry.image)(*entry.image.args)
+    return entry.image
 
 
 def incircle_area_bounds(radius: float) -> tuple:

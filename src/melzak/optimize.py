@@ -35,6 +35,7 @@ from .errors import (
     BadParameter,
     GeometryError,
     InvalidStart,
+    NotExposed,
     NumericalBreakdown,
     UnsupportedFaceCount,
 )
@@ -598,8 +599,10 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
     vertex truncation. A critical candidate has minimum dM >= -tol. A
     perturbation whose rate raises GeometryError, as on a face or vertex
     of a non-convex body that is not exposed, is recorded in ``skipped``
-    instead of ``entries``. A ``tol`` that is not finite and nonnegative
-    raises BadParameter.
+    instead of ``entries``; when every one is, as on a body with no exposed
+    or negatively exposed vertex, there is no minimum and the report raises
+    NotExposed. A ``tol`` that is not finite and nonnegative raises
+    BadParameter.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise BadParameter(f"criticality tolerance must be finite and nonnegative, got {tol!r}")
@@ -613,5 +616,8 @@ def criticality_report(P: Polyhedron, tol: float = 1e-8) -> CriticalityReport:
             skipped[pert.label()] = type(rate).__name__
         else:
             entries[pert.label()] = rate
+    if not entries:
+        raise NotExposed(f"no elementary perturbation has a rate: all {len(skipped)} "
+                         f"raise ({', '.join(sorted(set(skipped.values())))})")
     minimum = min(entries.values())
     return CriticalityReport(entries, minimum, minimum >= -tol, melzak_ratio(P), skipped)

@@ -33,11 +33,11 @@ A vertex cut is the split rule of a new plane: its normal c, the incircle
 centre, moves at rdot = -1, every fan edge carries one correspondent with
 g_n from the edge's two faces and c, and the ring of correspondents
 closes, so dE sums |g_n - g_n+1| - |g_n| all the way round
-(``gauss.vertex_image``). One pass over a body's vertices
-(``_vertex_rules``) classifies each once and takes both rules of every
-corner on stacked fans; every face's table is built from it on first
-read and memoised, each evaluating the 2 + 2k moves of a k-gon in one
-array product, and ``derivatives``, ``face_moves`` and the audit read
+(``gauss.vertex_image``). The one pass over a body's vertices,
+``gauss.vertex_table``, classifies each once and takes both rules of
+every corner on stacked fans; every face's table is built from it on
+first read and memoised, each evaluating the 2 + 2k moves of a k-gon in
+one array product, and ``derivatives``, ``face_moves`` and the audit read
 them. A corner whose rule has no rate, at a flat slide, fails only the
 moves that move it.
 
@@ -52,7 +52,6 @@ vertex/edge counts ``apply`` expects both read it.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,24 +60,15 @@ from .config import is_index
 from .errors import (
     BadParameter,
     CombinatorialCollapse,
-    DegenerateInput,
     GeometryError,
     NotConvex,
     NotExposed,
     NotExposedFace,
     NotSemiExposed,
 )
-from .gauss import (
-    EXPOSED,
-    FLAT_SLIDE,
-    NEGATIVELY_EXPOSED,
-    exposure,
-    slide_rule,
-    vertex_image,
-    vertex_incircle,
-)
+from .gauss import EXPOSED, NEGATIVELY_EXPOSED, exposure, vertex_image, vertex_table
 from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
-from .vec3 import cross, lengths, rowdot, unit
+from .vec3 import cross, ordered_sum, unit
 
 OUT = "out"
 IN = "in"
@@ -141,63 +131,6 @@ class DerivativeReport:
         return out
 
 
-def _sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Python's ``sum`` along ``axis``, bit for bit: left to right from 0."""
-    return 0.0 + np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
-
-
-def _vertex_rules(P: Polyhedron) -> tuple:
-    """(classes, corners), the pass over a body's vertices that its face
-    tables read: ``classes[v]``, v's exposure class or GeometryError, and
-    ``corners[f, v]``, the (a, b) of the one-correspondent and the split
-    rule (2, 2) of the corner of face f at v, and each rule's GeometryError
-    or None. Each degree's fans, rotated to start at each of their faces by
-    one index array, take every rule at once. A flat slide fails its rule,
-    a fan that does not close its vertex's; a zero-length edge's rules stay
-    finite and unread, as ``exposure`` refuses both of its ends."""
-    classes, corners, groups = [], {}, defaultdict(list)
-    for v in range(P.n_vertices):
-        try:
-            classes.append(exposure(P, v))
-        except GeometryError as exc:
-            classes.append(exc)
-        try:
-            fan = P.topology.fan(v)
-        except GeometryError as exc:
-            corners.update({(f, v): (np.zeros((2, 2)), (exc.with_traceback(None),) * 2)
-                            for f, _, _ in P.topology.corners[v]})
-            continue
-        groups[len(fan[0])].append((v, *fan))
-    X, N = P.vertices, P.planes[0]
-    degenerate = DegenerateInput(FLAT_SLIDE)
-    for k, group in groups.items():
-        verts, fans, nbrs = (np.array(column) for column in zip(*group))
-        turn = (np.arange(k)[:, None] + np.arange(k)) % k  # row s: the fan from its face s
-        n = N[fans[:, turn]]  # (G, k, k, 3): the face, then S_1..S_k-1
-        D = X[nbrs] - X[verts][:, None]
-        L = lengths(D)
-        u = (D / np.where(L > 0.0, L, 1.0)[..., None])[:, turn]  # nbr_0..nbr_k-1
-        g, flat = slide_rule(n[:, :, 1], n[:, :, -1], n[:, :, 0])
-        a = -rowdot(g, u[:, :, 0] + u[:, :, -1])
-        if k == 3:
-            one = split = np.stack([a - rowdot(g, u[:, :, 1]), np.zeros_like(a)], axis=-1)
-            split_flat = flat
-        else:
-            one = np.stack([a, lengths(g)], axis=-1)  # a new lateral edge sprouts from the vertex
-            gs, flats = slide_rule(n[:, :, 1:-1], n[:, :, 2:], n[:, :, :1])
-            a = -rowdot(gs[:, :, 0], u[:, :, 0]) - rowdot(gs[:, :, -1], u[:, :, -1])
-            split = np.stack([a - _sum(rowdot(gs, u[:, :, 1:-1])),
-                              _sum(lengths(gs[:, :, :-1] - gs[:, :, 1:]))], axis=-1)
-            split_flat = flats.any(axis=-1)
-        rules = np.stack([one, split], axis=2)
-        failed = np.stack([flat, split_flat], axis=2)
-        rules[failed] = 0.0  # a failed rule adds 0 to the unread rates of the moves it fails
-        for v, fan, rule, fail in zip(verts.tolist(), fans.tolist(), rules, failed.tolist()):
-            for f, r, bad in zip(fan, rule, fail):
-                corners[f, v] = (r, tuple(degenerate if b else None for b in bad))
-    return classes, corners
-
-
 def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
     """Vertices that ``pert`` moves: every vertex of a translated face, the
     vertices of a hinged face off the hinge edge, the cut vertex."""
@@ -249,18 +182,18 @@ def _mover_class(f: int, hinge: bool, classes: list, axis_error) -> str:
 
 
 def _face_tables(P: Polyhedron) -> dict:
-    """face -> its ``_face_table``, every face's built from one
-    ``_vertex_rules`` pass on first read and memoised in ``P.corner_rates``."""
+    """face -> its ``_face_table``, every face's built from the body's
+    ``gauss.vertex_table`` on first read and memoised in ``P.corner_rates``."""
     tables = P.corner_rates
     if not tables:
-        classes, corners = _vertex_rules(P)
-        tables.update({f: _face_table(P, f, classes, corners) for f in range(P.n_faces)})
+        facts = vertex_table(P)
+        tables.update({f: _face_table(P, f, facts) for f in range(P.n_faces)})
     return tables
 
 
-def _face_table(P: Polyhedron, f: int, classes: list, corners: dict) -> tuple:
+def _face_table(P: Polyhedron, f: int, facts: dict) -> tuple:
     """(rates, sigma, errors, moves): every move of face ``f``, from the
-    ``classes`` and ``corners`` of ``_vertex_rules``. Move m of a k-gon is
+    classes and corner rules of its vertices' ``facts``. Move m of a k-gon is
     the translate (m = 0 out, 1 in) or the hinge about the edge from corner
     t to corner t + 1 (m = 2 + 2t out, 3 + 2t in). ``rates`` (k + 3, M)
     holds the dE of each corner under each move (0 where the move leaves
@@ -270,7 +203,7 @@ def _face_table(P: Polyhedron, f: int, classes: list, corners: dict) -> tuple:
     move it under that rule; ``moves`` is what ``face_moves`` lists."""
     cyc = P.faces[f]
     k = len(cyc)
-    rules, failed = zip(*(corners[f, v] for v in cyc))
+    rules, failed = zip(*(facts[v].corners[f] for v in cyc))
     n_face = P.face_normal(f)
     c = P.face_centroid(f)
     axis_errors, sigma = [None], []
@@ -297,7 +230,7 @@ def _face_table(P: Polyhedron, f: int, classes: list, corners: dict) -> tuple:
         moved = _moved(k, 2 * s)
         movers[moved, 2 * s:2 * s + 2] = True
         try:
-            cls = _mover_class(f, s > 0, [classes[cyc[t]] for t in moved], axis_errors[s])
+            cls = _mover_class(f, s > 0, [facts[cyc[t]].cls for t in moved], axis_errors[s])
         except GeometryError as exc:
             errors[2 * s] = errors[2 * s + 1] = exc.with_traceback(None)
             continue
@@ -312,7 +245,7 @@ def _face_table(P: Polyhedron, f: int, classes: list, corners: dict) -> tuple:
     nd, od = planes[:, :3], planes[:, 3]
     rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
     corner_dE = np.where(movers, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
-    dE = _sum(corner_dE, axis=0)
+    dE = ordered_sum(corner_dE, axis=0)
     mom = P.face_moments[f]
     dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
     rates = np.vstack((corner_dE, dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)))
@@ -486,7 +419,7 @@ def perturbed_halfspaces(P: Polyhedron, pert: Perturbation, t: float) -> tuple:
     v = pert.target
     if exposure(P, v) != EXPOSED:
         raise NotExposed(f"vertex {v} must be exposed to realize a cut")
-    inc = vertex_incircle(P, v)[1]
+    inc = vertex_image(P, v).incircle
     offset = float(P.vertices[v] @ inc.center) - t
     hs.append(HalfSpace(inc.center, offset))
     return tuple(hs)

@@ -233,9 +233,9 @@ class Polyhedron:
         return bool((R <= slack).all())
 
     @cached_property
-    def vertex_images(self) -> dict:
-        """vertex -> its spherical image, incircle, area and cut rate, filled
-        in one pass on first read; see ``gauss.vertex_image``."""
+    def vertex_facts(self) -> dict:
+        """vertex -> its exposure class, corner rules and spherical image,
+        filled in one pass on first read; see ``gauss.vertex_table``."""
         return {}
 
     @cached_property

@@ -5,6 +5,8 @@
 arrays. ``cross``, ``rowcross`` and ``rowdot`` return bit for bit what the
 numpy expression they replace returns; ``norm`` and ``lengths`` are
 ``math.hypot``, which can differ from ``np.linalg.norm`` in the last bit.
+``ordered_sum`` adds along an axis in Python's order, so a row's sum has
+the same bits in a stack of any height.
 """
 from __future__ import annotations
 
@@ -58,6 +60,11 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the vectors along the last axes of ``a`` and ``b``,
     the leading axes broadcast, bit for bit equal to each ``a[k] @ b[k]``."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Python's ``sum`` along ``axis``, bit for bit: left to right from 0."""
+    return 0.0 + np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
 
 
 def plane_bases(N: np.ndarray) -> tuple:

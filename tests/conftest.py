@@ -50,17 +50,16 @@ def moved(P, R, d):
 def fail_corner_rules(monkeypatch, error, vertices=None):
     """Make both rules of every corner at ``vertices`` (at every vertex when
     None) raise ``error`` on each body whose face tables are built after
-    this call, by wrapping the vertex pass the tables read."""
-    rules = melzak.perturbations._vertex_rules
+    this call, by wrapping the vertex table the face tables read."""
+    table = melzak.perturbations.vertex_table
 
-    def failing_rules(P):
-        classes, corners = rules(P)
-        for (f, v), (rule, _) in corners.items():
-            if vertices is None or v in vertices:
-                corners[f, v] = (rule, (error, error))
-        return classes, corners
+    def failing_table(P):
+        return {v: facts._replace(corners={f: (rule, (error, error))
+                                           for f, (rule, _) in facts.corners.items()})
+                if vertices is None or v in vertices else facts
+                for v, facts in table(P).items()}
 
-    monkeypatch.setattr(melzak.perturbations, "_vertex_rules", failing_rules)
+    monkeypatch.setattr(melzak.perturbations, "vertex_table", failing_table)
 
 
 def octahedron():
@@ -116,6 +115,24 @@ def crater_can():
     lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
     lines += [" ".join([str(len(f))] + [str(i) for i in f]) for f in faces]
     return parse_off("\n".join(lines)), T, M, A
+
+
+def schonhardt():
+    """Schönhardt's twisted triangular prism: the top triangle turned +30
+    degrees against the bottom, each side quad split along its reflex
+    diagonal. A valid body on which every vertex is neither exposed nor
+    negatively exposed, so no elementary perturbation has a rate."""
+    ang = [2 * np.pi * k / 3 for k in range(3)]
+    verts = [(np.cos(a), np.sin(a), 0.0) for a in ang]
+    verts += [(np.cos(a + np.pi / 6), np.sin(a + np.pi / 6), 1.0) for a in ang]
+    faces = [(0, 2, 1), (3, 4, 5)]
+    for k in range(3):
+        kn = (k + 1) % 3
+        faces += [(k, kn, 3 + kn), (k, 3 + kn, 3 + k)]
+    lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
+    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
+    lines += [" ".join([str(len(f))] + [str(i) for i in f]) for f in faces]
+    return parse_off("\n".join(lines))
 
 
 def crater_cavity(crater, T):

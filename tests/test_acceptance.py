@@ -36,7 +36,6 @@ from melzak.gauss import (
     exposure,
     gauss_image,
     incircle_area_bounds,
-    ordered_edges_at_vertex,
     spherical_area,
     spherical_incircle,
 )
@@ -258,7 +257,7 @@ def test_ac5_curvature_identities():
             total += deficit
             worst_area = max(worst_area, abs(area - deficit))
             pts = g.points
-            for t, nb in enumerate(ordered_edges_at_vertex(P, v)):
+            for t, nb in enumerate(P.topology.fan(v)[1]):
                 a, b = pts[t], pts[(t + 1) % len(pts)]
                 arc = math.atan2(np.linalg.norm(np.cross(a, b)), float(a @ b))
                 want = math.pi - dihedral_angle(P, P.edge_index(v, nb))

@@ -48,12 +48,9 @@ from melzak.gauss import (
     exposure,
     gauss_image,
     incircle_area_bounds,
-    ordered_edges_at_vertex,
-    ordered_faces_at_vertex,
     spherical_area,
     spherical_incircle,
     vertex_image,
-    vertex_incircle,
 )
 
 
@@ -113,7 +110,7 @@ def test_image_sides_are_pi_minus_dihedral():
     for P in (optimal_prism(), ngon_pyramid(5, 1.0, 0.7)):
         for v in range(P.n_vertices):
             pts = gauss_image(P, v).points
-            for t, nb in enumerate(ordered_edges_at_vertex(P, v)):
+            for t, nb in enumerate(P.topology.fan(v)[1]):
                 e = P.edge_index(v, nb)
                 want = math.pi - dihedral_angle(P, e)
                 assert arc(pts[t], pts[(t + 1) % len(pts)]) == pytest.approx(
@@ -362,7 +359,7 @@ def _loop_incircle(poles):
 
 
 def _loop_cut(P, v, c):
-    normals = list(P.planes[0][ordered_faces_at_vertex(P, v)])
+    normals = list(P.planes[0][list(P.topology.fan(v)[0])])
     gs = []
     for a, b in zip(normals, normals[1:] + normals[:1]):
         d = np.cross(a, b)
@@ -396,10 +393,10 @@ def _loop_vertex(P, v):
 
 def _table_vertex(P, v):
     """The same facts as the vertex table holds them."""
-    image, inc = vertex_incircle(P, v)
+    image, inc, area, _ = vertex_image(P, v)
     cut = _fact_outcome(lambda: vertex_truncate_derivatives(P, v).to_dict())
     return (image.points.tobytes(), image.poles.tobytes(), inc.center.tobytes(), inc.radius,
-            vertex_image(P, v).area, cut)
+            area, cut)
 
 
 def _single_vertex(P, v):
@@ -439,7 +436,7 @@ def test_a_body_takes_one_table_pass(monkeypatch):
             check_vertex_curvature(P)
             criticality_report(P)
             for v in range(P.n_vertices):
-                for read in (vertex_incircle, vertex_truncate_derivatives):
+                for read in (vertex_image, vertex_truncate_derivatives):
                     _fact_outcome(read, P, v)
             for v in readable:
                 if exposure(P, v) == EXPOSED:
@@ -450,10 +447,10 @@ def test_a_body_takes_one_table_pass(monkeypatch):
             raised = []
             for _ in range(2):
                 with pytest.raises(NotExposed, match=f"vertex {v} is neither") as info:
-                    vertex_incircle(P, v)
+                    vertex_image(P, v)
                 raised.append(info.value)
             assert raised[0] is not raised[1]
-            assert isinstance(P.vertex_images[v], NotExposed)
+            assert isinstance(P.vertex_facts[v].image, NotExposed)
 
 
 def _image_rates(points):

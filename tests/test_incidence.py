@@ -53,14 +53,23 @@ from melzak.gauss import (
     angle_deficit,
     dihedral_angle,
     exposure,
-    ordered_edges_at_vertex,
-    ordered_faces_at_vertex,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "incidence_golden.json"
 
 TETRA_TXT = ("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
              "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+
+
+def _fan_faces(P, v) -> list:
+    """The fan faces of ``v`` in rotational order, as a list."""
+    return list(P.topology.fan(v)[0])
+
+
+def _fan_neighbours(P, v) -> list:
+    """The neighbours of ``v`` in fan order: neighbour k lies on the edge
+    of fan faces k and k + 1, so the order matches the image's sides."""
+    return list(P.topology.fan(v)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +210,8 @@ def _assert_matches_oracle(P):
         assert P.vertex_degree(v) == _scan_degree(P, v)
         assert P.topology.neighbours(v) == _scan_neighbors(P, v)
         assert P.vertex_faces(v) == _scan_vertex_faces(P, v)
-        assert ordered_faces_at_vertex(P, v) == _scan_ordered_faces(P, v)
-        assert ordered_edges_at_vertex(P, v) == _scan_ordered_edges(P, v)
+        assert _fan_faces(P, v) == _scan_ordered_faces(P, v)
+        assert _fan_neighbours(P, v) == _scan_ordered_edges(P, v)
         assert exposure(P, v) == _scan_exposure(P, v)
 
 
@@ -230,10 +239,10 @@ def test_accessors_match_oracle_and_relabelling(seed, n_faces, relabel):
         w = int(vperm[v])
         assert Q.vertex_degree(w) == P.vertex_degree(v)
         assert Q.vertex_faces(w) == sorted(int(fperm[f]) for f in P.vertex_faces(v))
-        fan = [int(fperm[f]) for f in ordered_faces_at_vertex(P, v)]
-        assert _is_rotation(fan, ordered_faces_at_vertex(Q, w))
-        nbrs = [int(vperm[u]) for u in ordered_edges_at_vertex(P, v)]
-        assert _is_rotation(nbrs, ordered_edges_at_vertex(Q, w))
+        fan = [int(fperm[f]) for f in _fan_faces(P, v)]
+        assert _is_rotation(fan, _fan_faces(Q, w))
+        nbrs = [int(vperm[u]) for u in _fan_neighbours(P, v)]
+        assert _is_rotation(nbrs, _fan_neighbours(Q, w))
         assert exposure(Q, w) == exposure(P, v)
     for e, (i, j) in enumerate(P.edges):
         f = Q.edge_index(int(vperm[i]), int(vperm[j]))
@@ -317,7 +326,7 @@ def test_two_face_vertex_is_dangling():
     P = parse_off(text)
     assert P.vertex_degree(4) == 2
     with pytest.raises(DanglingVertex, match="2 incident faces"):
-        ordered_faces_at_vertex(P, 4)
+        _fan_faces(P, 4)
     with pytest.raises(DanglingVertex, match="2 incident edges"):
         exposure(P, 4)
 
@@ -327,7 +336,7 @@ def test_vertex_outside_every_face_has_no_incidence():
     for v in (-1, 4, 99):
         assert P.vertex_degree(v) == 0 and P.vertex_faces(v) == []
         with pytest.raises(DanglingVertex, match="0 incident faces"):
-            ordered_faces_at_vertex(P, v)
+            _fan_faces(P, v)
         with pytest.raises(DanglingVertex, match="0 incident edges"):
             exposure(P, v)
 
@@ -340,10 +349,10 @@ def test_pinched_vertex_fan_does_not_close():
     P = parse_off(text)
     assert P.vertex_degree(0) == 6
     with pytest.raises(DanglingVertex, match="does not close"):
-        ordered_faces_at_vertex(P, 0)
+        _fan_faces(P, 0)
     with pytest.raises(DanglingVertex, match="does not close"):
-        ordered_edges_at_vertex(P, 0)
-    assert ordered_faces_at_vertex(P, 1) == _scan_ordered_faces(P, 1)
+        _fan_neighbours(P, 0)
+    assert _fan_faces(P, 1) == _scan_ordered_faces(P, 1)
 
 
 def test_non_manifold_faces():
@@ -428,8 +437,8 @@ def _digest(P, with_criticality) -> str:
     if with_criticality:
         parts.append(json.dumps(criticality_report(P).to_dict()))
     for v in range(P.n_vertices):
-        parts += [_answer(fn, P, v) for fn in (ordered_faces_at_vertex, ordered_edges_at_vertex,
-                                               exposure, angle_deficit)]
+        parts += [_answer(fn, P, v) for fn in (_fan_faces, _fan_neighbours, exposure,
+                                               angle_deficit)]
     parts += [_answer(dihedral_angle, P, e) for e in range(P.n_edges)]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 

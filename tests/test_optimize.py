@@ -29,12 +29,14 @@ from hypothesis import strategies as st
 
 import melzak.optimize
 import melzak.perturbations
-from conftest import crater_can, fail_corner_rules, octahedron
+from conftest import crater_can, fail_corner_rules, octahedron, schonhardt
 from melzak import (
+    NEITHER,
     HalfSpace,
     box,
     cli,
     cube,
+    exposure,
     from_halfspaces,
     melzak_ratio,
     ngon_pyramid,
@@ -51,6 +53,7 @@ from melzak.errors import (
     DegeneratePolygon,
     GeometryError,
     InvalidStart,
+    NotExposed,
     NumericalBreakdown,
     UnsupportedFaceCount,
 )
@@ -749,6 +752,17 @@ def test_criticality_skips_unexposed_moves_of_a_non_convex_body():
     kinds = collections.Counter((k.split(":")[0], v) for k, v in rep.skipped.items())
     assert kinds == {("translate", "NotExposedFace"): 12, ("hinge", "NotSemiExposed"): 36,
                      ("truncate", "NotExposed"): 3}
+
+
+def test_criticality_of_a_body_without_rates_raises_not_exposed():
+    # every vertex of Schönhardt's twisted prism is neither exposed nor
+    # negatively exposed, so every move and cut is skipped and there is no
+    # minimum to report; this raised a bare ValueError from min()
+    P = schonhardt()
+    assert validate(P).ok
+    assert {exposure(P, v) for v in range(P.n_vertices)} == {NEITHER}
+    with pytest.raises(NotExposed, match="no elementary perturbation has a rate: all 70 "):
+        criticality_report(P)
 
 
 # ---------------------------------------------------------------------------

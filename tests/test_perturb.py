@@ -8,12 +8,14 @@ checked against, move by move and through ``criticality_report``.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import melzak.gauss
 import melzak.perturbations
 from conftest import (
     crater_can,
@@ -54,12 +56,7 @@ from melzak.errors import (
     NotSemiExposed,
     UnboundedWedge,
 )
-from melzak.gauss import (
-    exposure,
-    ordered_edges_at_vertex,
-    ordered_faces_at_vertex,
-    vertex_incircle,
-)
+from melzak.gauss import VertexFacts, exposure, vertex_image, vertex_table
 from melzak.optimize import load_catalog
 from melzak.vec3 import cross, norm, unit
 from melzak.perturbations import (
@@ -456,8 +453,7 @@ def _fan_report(P, pert):
     n_move = P.face_normal(f)
     per_vertex = {}
     for v in movers:
-        faces = ordered_faces_at_vertex(P, v)
-        nbrs = ordered_edges_at_vertex(P, v)
+        faces, nbrs = map(list, P.topology.fan(v))
         s = faces.index(f)
         sides, nbrs = (faces[s:] + faces[:s])[1:], nbrs[s:] + nbrs[:s]
         k = len(nbrs)
@@ -485,10 +481,10 @@ def _edge_cut_dE(P, v):
     """dE of cutting ``v``, the edge-direction way: the correspondent on the
     edge to each fan neighbour, unit direction w, moves at w / |w . c|,
     with c the incircle centre, and the ring of correspondents closes."""
-    c = vertex_incircle(P, v)[1].center
+    c = vertex_image(P, v).incircle.center
     H = P.vertices[v]
     vs = []
-    for u in ordered_edges_at_vertex(P, v):
+    for u in P.topology.fan(v)[1]:
         w = _unit(P.vertices[u] - H)
         s = abs(w @ c)
         if s <= 1e-12:
@@ -641,8 +637,7 @@ def _slide(n_a, n_b, n_face):
 
 def _local_fan(P, f, v):
     """([S_1..S_k-1], [nbr_0..nbr_k-1]): the fan of ``v`` from face ``f``."""
-    faces = ordered_faces_at_vertex(P, v)
-    nbrs = ordered_edges_at_vertex(P, v)
+    faces, nbrs = map(list, P.topology.fan(v))
     k = faces.index(f)
     faces = faces[k:] + faces[:k]
     nbrs = nbrs[k:] + nbrs[:k]
@@ -682,15 +677,15 @@ def _corner_rules(P, f, v):
 
 
 def _scalar_pass(P):
-    """(classes, corners) as ``_vertex_rules`` holds them, one vertex and
-    one corner at a time."""
-    classes = []
+    """The class and corner rules of each vertex as ``vertex_table`` holds
+    them, one vertex and one corner at a time, without images."""
+    facts = {}
     for v in range(P.n_vertices):
         try:
-            classes.append(exposure(P, v))
+            cls = exposure(P, v)
         except GeometryError as exc:
-            classes.append(exc)
-    corners = {}
+            cls = exc
+        facts[v] = VertexFacts(cls, {}, None)
     for f, cyc in enumerate(P.faces):
         for v in cyc:
             try:
@@ -698,9 +693,10 @@ def _scalar_pass(P):
             except GeometryError as exc:
                 rules = (exc, exc)
             failed = tuple(isinstance(r, GeometryError) for r in rules)
-            corners[f, v] = (np.array([(0.0, 0.0) if bad else r for r, bad in zip(rules, failed)]),
-                             tuple(r if bad else None for r, bad in zip(rules, failed)))
-    return classes, corners
+            facts[v].corners[f] = (
+                np.array([(0.0, 0.0) if bad else r for r, bad in zip(rules, failed)]),
+                tuple(r if bad else None for r, bad in zip(rules, failed)))
+    return facts
 
 
 def _outcome(x):
@@ -723,20 +719,22 @@ _PASS_BODIES = {**_ORACLE_BODIES, "crater": lambda: crater_can()[0], "bent": _be
 @pytest.mark.parametrize("name", list(_PASS_BODIES))
 def test_vertex_pass_matches_the_scalar_corner_rules(name):
     P = _PASS_BODIES[name]()
-    classes, corners = _scalar_pass(P)
-    got_classes, got = melzak.perturbations._vertex_rules(P)
-    assert list(map(_outcome, got_classes)) == list(map(_outcome, classes))
-    assert got.keys() == corners.keys()
+    facts = _scalar_pass(P)
+    got = vertex_table(P)
+    assert got.keys() == facts.keys()
     if name == "bent":
-        assert {type(e) for _, errors in corners.values() for e in errors} == {
-            type(None), DegenerateInput}
-    for key, (rules, errors) in corners.items():
-        assert list(map(_outcome, got[key][1])) == list(map(_outcome, errors)), key
-        for split, error in enumerate(errors):
-            if error is None:
-                assert got[key][0][split].tobytes() == rules[split].tobytes(), key
+        assert {type(e) for want in facts.values() for _, errors in want.corners.values()
+                for e in errors} == {type(None), DegenerateInput}
+    for v, want in facts.items():
+        assert _outcome(got[v].cls) == _outcome(want.cls), v
+        assert got[v].corners.keys() == want.corners.keys(), v
+        for f, (rules, errors) in want.corners.items():
+            assert list(map(_outcome, got[v].corners[f][1])) == list(map(_outcome, errors)), (f, v)
+            for split, error in enumerate(errors):
+                if error is None:
+                    assert got[v].corners[f][0][split].tobytes() == rules[split].tobytes(), (f, v)
     for f in range(P.n_faces):
-        rates, sigma, errors, _ = melzak.perturbations._face_table(P, f, classes, corners)
+        rates, sigma, errors, _ = melzak.perturbations._face_table(P, f, facts)
         table = melzak.perturbations._face_tables(P)[f]
         assert table[0].tobytes() == rates.tobytes() and table[1] == sigma, f
         assert {m: _outcome(e) for m, e in table[2].items()} == \
@@ -744,14 +742,14 @@ def test_vertex_pass_matches_the_scalar_corner_rules(name):
 
 
 def test_one_vertex_pass_builds_every_face_table(monkeypatch):
-    # reading one face's moves builds every face's table in one pass, which
-    # classifies each vertex once; every later read, by any reader, builds
-    # nothing and gets the stored list
+    # reading one face's moves builds every face's table from one read of
+    # the vertex table, which classifies each vertex once; every later
+    # read, by any reader, builds nothing and gets the stored list
     passes, classified = [], []
-    rules, classify = melzak.perturbations._vertex_rules, melzak.perturbations.exposure
-    monkeypatch.setattr(melzak.perturbations, "_vertex_rules",
-                        lambda P: passes.append(1) or rules(P))
-    monkeypatch.setattr(melzak.perturbations, "exposure",
+    table, classify = melzak.perturbations.vertex_table, melzak.gauss.exposure
+    monkeypatch.setattr(melzak.perturbations, "vertex_table",
+                        lambda P: passes.append(1) or table(P))
+    monkeypatch.setattr(melzak.gauss, "exposure",
                         lambda P, v: classified.append(v) or classify(P, v))
     for P in (ngon_pyramid(7, 1.0, 0.6), crater_can()[0],
               random_convex(np.random.default_rng(3), n_faces=20)):
@@ -768,6 +766,29 @@ def test_one_vertex_pass_builds_every_face_table(monkeypatch):
                     assert derivatives(P, pert).dM == dM
         assert face_moves(P, P.n_faces - 1) is moves
         assert len(passes) == 1 and len(classified) == P.n_vertices
+
+
+def test_face_moves_and_vertex_images_classify_each_vertex_once(monkeypatch):
+    # the face moves and the vertex images come from one vertex pass, so
+    # reading all of them calls ``exposure`` once per vertex, through
+    # whichever module's name for it
+    classified = []
+    classify = melzak.gauss.exposure
+    for module in [m for name, m in sys.modules.items() if name.startswith("melzak")]:
+        if getattr(module, "exposure", None) is classify:
+            monkeypatch.setattr(module, "exposure",
+                                lambda P, v: classified.append(v) or classify(P, v))
+    for P in (ngon_pyramid(7, 1.0, 0.6), crater_can()[0],
+              random_convex(np.random.default_rng(3), n_faces=20)):
+        classified.clear()
+        for f in range(P.n_faces):
+            face_moves(P, f)
+        for v in range(P.n_vertices):
+            try:
+                vertex_image(P, v)
+            except GeometryError:
+                pass
+        assert sorted(classified) == list(range(P.n_vertices))
 
 
 def _rotation(q):
