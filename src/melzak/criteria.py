@@ -297,9 +297,7 @@ def _near_rim_pairs(P: Polyhedron, near: float) -> list:
     pairs of rim slots t1 < t2 in cycle order. All faces at once, on the
     padded corner table (slot t of face s is its edge from corner t)."""
     top = P.topology
-    ends, mask = top.corner_table, top.corner_mask
-    across = np.full(mask.shape, -1)
-    across[mask] = [top.face_of[b, a] for a, b in ends[mask].tolist()]
+    ends, mask, across = top.corner_table, top.corner_mask, top.across
     adjacent = np.zeros((P.n_faces, P.n_faces), dtype=bool)
     fa, fb = np.array(top.edge_faces).T
     adjacent[fa, fb] = adjacent[fb, fa] = True

@@ -9,9 +9,11 @@ perturbation.
 Every vertex of a body is read from one table (``vertex_table``), built on
 first read in one pass that classifies each vertex once: the vertices are
 grouped by degree, and each group takes the corner rules of every fan face
-(the face moves of ``perturbations`` read them) and, for its exposed and
-negatively exposed vertices, the images, side poles, incircles, areas and
-incircle-cut rates, in one set of array operations. The single-polygon
+and, for its exposed and negatively exposed vertices, the images, side
+poles, incircles, areas and incircle-cut rates, in one set of array
+operations. The corner rules are scattered onto the slots of the body's
+padded corner table, where the face moves of ``perturbations`` read them
+in one pass over every face. The single-polygon
 ``SphericalPolygon.poles``, ``spherical_area`` and ``spherical_incircle``
 run the same kernels on a stack of one.
 """
@@ -109,15 +111,24 @@ class VertexImage(NamedTuple):
 
 class VertexFacts(NamedTuple):
     """What a body's vertex table holds for a vertex: its exposure class or
-    the GeometryError ``exposure`` raises; ``corners[f]``, the rules of its
-    corner in each fan face f as ``perturbations`` reads them, the (a, b) of
-    the one-correspondent and the split rule (2, 2) and each rule's
-    GeometryError or None; and its VertexImage or the GeometryError
-    ``vertex_image`` raises."""
+    the GeometryError ``exposure`` raises, and its VertexImage or the
+    GeometryError ``vertex_image`` raises."""
 
     cls: str | GeometryError
-    corners: dict
     image: VertexImage | GeometryError
+
+
+class VertexTable(NamedTuple):
+    """A body's vertex table: ``facts``, vertex -> its VertexFacts, and the
+    rules of every corner on the padded corner table
+    (``Topology.corner_table``) as ``perturbations`` reads them: ``rules``
+    (F, K, 2, 2), the (a, b) of the one-correspondent and of the split rule
+    of the corner at slot t of face f, and ``failed`` (F, K, 2), each rule's
+    GeometryError or None. Padding slots hold zeros and None."""
+
+    facts: dict
+    rules: np.ndarray
+    failed: np.ndarray
 
 
 # -- kernels on stacks of polygons ----------------------------------------
@@ -311,18 +322,25 @@ def spherical_incircle(poly: SphericalPolygon) -> Incircle:
 
 # -- every vertex of a body ------------------------------------------------
 
-def vertex_table(P: Polyhedron) -> dict:
-    """vertex -> its VertexFacts, built on first read in one pass over the
-    vertices grouped by degree and memoised in ``P.vertex_facts``. Each
-    degree's fans, rotated to start at each of their faces by one index
-    array, take every corner rule at once; a flat slide fails its rule, a
-    fan that does not close its vertex's, and a zero-length edge's rules
-    stay finite and unread, as ``exposure`` refuses both of its ends. Only
-    the exposed and negatively exposed rows go through the image kernels."""
-    table = P.vertex_facts
-    if table:
-        return table
-    classes, corners, images = [], {}, {}
+def vertex_table(P: Polyhedron) -> VertexTable:
+    """The body's VertexTable, built on first read in one pass over the
+    vertices grouped by degree and memoised in ``P.tables``. Each degree's
+    fans, rotated to start at each of their faces by one index array, take
+    every corner rule at once and scatter it onto the corner-table slots; a
+    flat slide fails its rule, a fan that does not close its vertex's, and a
+    zero-length edge's rules stay finite and unread, as ``exposure`` refuses
+    both of its ends. Only the exposed and negatively exposed rows go
+    through the image kernels."""
+    if "vertices" in P.tables:
+        return P.tables["vertices"]
+    top = P.topology
+    ends, mask = top.corner_table, top.corner_mask
+    slot = np.zeros((len(mask), P.n_vertices), dtype=int)
+    f_at, t_at = np.nonzero(mask)
+    slot[f_at, ends[f_at, t_at, 0]] = t_at  # the slot of vertex v's corner in face f
+    rule_table = np.zeros(mask.shape + (2, 2))
+    failed_table = np.full(mask.shape + (2,), None, dtype=object)
+    classes, images = [], {}
     groups = defaultdict(list)  # degree -> (vertex, fan faces, fan neighbours)
     for v in range(P.n_vertices):
         try:
@@ -333,11 +351,12 @@ def vertex_table(P: Polyhedron) -> dict:
         if cls == NEITHER:
             images[v] = NotExposed(f"vertex {v} is neither exposed nor negatively exposed")
         try:
-            fan = P.topology.fan(v)
+            fan = top.fan(v)
         except GeometryError as exc:
             exc = exc.with_traceback(None)
             images.setdefault(v, exc)
-            corners[v] = {f: (np.zeros((2, 2)), (exc, exc)) for f, _, _ in P.topology.corners[v]}
+            for f, _, _ in top.corners[v]:
+                failed_table[f, slot[f, v]] = exc
             continue
         groups[len(fan[0])].append((v, *fan))
     X, N = P.vertices, P.planes[0]
@@ -364,9 +383,9 @@ def vertex_table(P: Polyhedron) -> dict:
         rules = np.stack([one, split], axis=2)
         failed = np.stack([flat, split_flat], axis=2)
         rules[failed] = 0.0  # a failed rule adds 0 to the unread rates of the moves it fails
-        for v, fan, rule, fail in zip(verts.tolist(), fans.tolist(), rules, failed.tolist()):
-            corners[v] = {f: (r, tuple(degenerate if b else None for b in bad))
-                          for f, r, bad in zip(fan, rule, fail)}
+        at = fans, slot[fans, verts[:, None]]  # the corner of each vertex in each fan face
+        rule_table[at] = rules
+        failed_table[at] = np.where(failed, degenerate, None)
         shown = np.array([v not in images for v in verts.tolist()])
         if not shown.any():
             continue
@@ -393,14 +412,15 @@ def vertex_table(P: Polyhedron) -> dict:
                 rate = degenerate
             images[v] = VertexImage(_image(points[i], poles[i]), Incircle(centres[i], radius),
                                     area, rate)
-    table.update({v: VertexFacts(cls, corners[v], images[v]) for v, cls in enumerate(classes)})
+    facts = {v: VertexFacts(cls, images[v]) for v, cls in enumerate(classes)}
+    P.tables["vertices"] = table = VertexTable(facts, rule_table, failed_table)
     return table
 
 
 def vertex_image(P: Polyhedron, v: int) -> VertexImage:
     """The VertexImage of ``v`` from its body's ``vertex_table``; a vertex
     without one raises its GeometryError, a fresh instance on every call."""
-    entry = vertex_table(P).get(v)
+    entry = vertex_table(P).facts.get(v)
     if entry is None:
         exposure(P, v)  # a vertex in no face: raises DanglingVertex
     if isinstance(entry.image, GeometryError):

@@ -35,11 +35,15 @@ g_n from the edge's two faces and c, and the ring of correspondents
 closes, so dE sums |g_n - g_n+1| - |g_n| all the way round
 (``gauss.vertex_image``). The one pass over a body's vertices,
 ``gauss.vertex_table``, classifies each once and takes both rules of
-every corner on stacked fans; every face's table is built from it on
-first read and memoised, each evaluating the 2 + 2k moves of a k-gon in
-one array product, and ``derivatives``, ``face_moves`` and the audit read
-them. A corner whose rule has no rate, at a flat slide, fails only the
-moves that move it.
+every corner on stacked fans, stored on the slots of the padded corner
+table (``Topology.corner_table``). Every face's table is built from it on
+first read in one padded pass over that table and memoised: the hinge
+axes and senses, the 2 + 2k move planes of each k-gon, the movers, their
+shared class and split, and the rates of every move of every face are
+array operations, and Python only lists each face's moves and the errors
+of the moves without a rate. ``derivatives``, ``face_moves`` and the
+audit read the tables. A corner whose rule has no rate, at a flat slide,
+fails only the moves that move it.
 
 The one split rule (``_splits``): when the local motion pushes the
 supporting plane outward past an exposed vertex of degree k > 3, the
@@ -68,11 +72,12 @@ from .errors import (
 )
 from .gauss import EXPOSED, NEGATIVELY_EXPOSED, exposure, vertex_image, vertex_table
 from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
-from .vec3 import cross, ordered_sum, unit
+from .vec3 import lengths, ordered_sum, rowcross, rowdot, unit
 
 OUT = "out"
 IN = "in"
 REFUSALS = (NotExposedFace, NotSemiExposed)  # what an inadmissible face move raises
+_CODES = {EXPOSED: 0, NEGATIVELY_EXPOSED: 1}  # a class's code; any other class 2, an error 3
 
 
 @dataclass(frozen=True)
@@ -181,80 +186,119 @@ def _mover_class(f: int, hinge: bool, classes: list, axis_error) -> str:
     return cls
 
 
-def _face_tables(P: Polyhedron) -> dict:
-    """face -> its ``_face_table``, every face's built from the body's
-    ``gauss.vertex_table`` on first read and memoised in ``P.corner_rates``."""
-    tables = P.corner_rates
-    if not tables:
-        facts = vertex_table(P)
-        tables.update({f: _face_table(P, f, facts) for f in range(P.n_faces)})
-    return tables
-
-
-def _face_table(P: Polyhedron, f: int, facts: dict) -> tuple:
-    """(rates, sigma, errors, moves): every move of face ``f``, from the
-    classes and corner rules of its vertices' ``facts``. Move m of a k-gon is
-    the translate (m = 0 out, 1 in) or the hinge about the edge from corner
-    t to corner t + 1 (m = 2 + 2t out, 3 + 2t in). ``rates`` (k + 3, M)
-    holds the dE of each corner under each move (0 where the move leaves
-    it), then each move's dE, dV and dM; ``sigma`` the rotation sense of
-    each slot's outward hinge; ``errors`` maps each move without a rate to
-    its GeometryError, a failed corner rule failing only the moves that
-    move it under that rule; ``moves`` is what ``face_moves`` lists."""
+def _slot_error(P: Polyhedron, facts: dict, f: int, s: int) -> GeometryError:
+    """The GeometryError of slot ``s`` of face ``f`` (the translate, then
+    the hinge at each edge) when the slot has no shared mover class or no
+    hinge axis, by ``_mover_class``'s rules."""
     cyc = P.faces[f]
-    k = len(cyc)
-    rules, failed = zip(*(facts[v].corners[f] for v in cyc))
-    n_face = P.face_normal(f)
-    c = P.face_centroid(f)
-    axis_errors, sigma = [None], []
-    planes = np.zeros((2 * k + 2, 4))
-    planes[:2, 3] = (1.0, -1.0)
-    for t in range(k):
+    axis_error = None
+    if s:
         try:
-            a, w = _hinge_axis(P, f, t)
+            _hinge_axis(P, f, s - 1)
         except GeometryError as exc:
-            axis_errors.append(exc)
-            sigma.append(None)
-            continue
-        axis_errors.append(None)
-        # plane speed along n at a point y is <a - y, w x n>; out means positive
-        # speed over the face interior, probed at the centroid
-        wn = cross(w, n_face)
-        sigma.append(1.0 if float((a - c) @ wn) > 0 else -1.0)
-        for m, ndot in ((2 + 2 * t, sigma[t] * wn), (3 + 2 * t, -sigma[t] * wn)):
-            planes[m] = (*ndot, float(a @ ndot))
-    movers = np.zeros((k, 2 * k + 2), dtype=bool)
-    split = np.zeros(2 * k + 2, dtype=int)
-    errors = {}
-    for s in range(k + 1):  # the translate, then the hinge at each slot
-        moved = _moved(k, 2 * s)
-        movers[moved, 2 * s:2 * s + 2] = True
-        try:
-            cls = _mover_class(f, s > 0, [facts[cyc[t]].cls for t in moved], axis_errors[s])
-        except GeometryError as exc:
-            errors[2 * s] = errors[2 * s + 1] = exc.with_traceback(None)
-            continue
-        for m, direction in ((2 * s, OUT), (2 * s + 1, IN)):
-            split[m] = _splits(cls, direction)
-            err = next((failed[t][split[m]] for t in moved if failed[t][split[m]]), None)
-            if err is not None:
-                errors[m] = err
+            axis_error = exc
+    try:
+        _mover_class(f, s > 0, [facts[cyc[t]].cls for t in _moved(len(cyc), 2 * s)], axis_error)
+    except GeometryError as exc:
+        return exc.with_traceback(None)
+
+
+def _face_tables(P: Polyhedron) -> dict:
+    """face -> (rates, sigma, errors, moves), every face's built on first
+    read in one padded pass over ``Topology.corner_table`` from the body's
+    ``gauss.vertex_table``, and memoised in ``P.tables``.
+
+    Move m of a k-gon is the translate (m = 0 out, 1 in) or the hinge about
+    the edge from corner t to corner t + 1 (m = 2 + 2t out, 3 + 2t in).
+    ``rates`` (k + 3, 2k + 2) holds the dE of each corner under each move
+    (0 where the move leaves it), then each move's dE, dV and dM; ``sigma``
+    the rotation sense of each slot's outward hinge; ``errors`` maps each
+    move without a rate to its GeometryError, a failed corner rule failing
+    only the moves that move it under that rule; ``moves`` is what
+    ``face_moves`` lists."""
+    tables = P.tables.get("faces")
+    if tables is not None:
+        return tables
+    table = vertex_table(P)
+    top, X, N = P.topology, P.vertices, P.planes[0]
+    ends, mask = top.corner_table, top.corner_mask
+    F, K = mask.shape
+    k = mask.sum(axis=1)
+    fi, slots = np.arange(F)[:, None], np.arange(K)
+    real = np.concatenate([np.ones((F, 1), dtype=bool), mask], axis=1)  # (F, K + 1 slots)
+    corner = X[ends[..., 0]]
+    # the hinge at slot t turns about its edge's lower-numbered end a, along w
+    lo, hi = ends.min(axis=-1), ends.max(axis=-1)
+    a, edge = X[lo], X[hi] - X[lo]
+    size = lengths(edge)
+    axis_ok = mask & (size != 0.0)
+    w = edge / np.where(axis_ok, size, 1.0)[..., None]
+    # plane speed along n at a point y is <a - y, w x n>; out means positive
+    # speed over the face interior, probed at the centroid
+    centroid = ordered_sum(np.where(mask[..., None], corner, 0.0), axis=1) / k[:, None]
+    wn = rowcross(w, N[:, None])
+    sigma = np.where(rowdot(a - centroid[:, None], wn) > 0, 1.0, -1.0)
+    planes = np.zeros((F, 2 * K + 2, 4))
+    planes[:, :2, 3] = (1.0, -1.0)
+    for m, sense in ((2, sigma), (3, -sigma)):
+        ndot = np.where(axis_ok[..., None], sense[..., None] * wn, 0.0)
+        planes[:, m::2, :3] = ndot
+        planes[:, m::2, 3] = np.where(axis_ok, rowdot(a, ndot), 0.0)
+    # movers (F, K + 1 slots, K corners): every corner for the translate,
+    # all but the hinge edge's two ends for a hinge
+    hinge = slots[:, None]
+    stays = (slots == hinge) | (slots == (hinge + 1) % k[:, None, None])
+    movers = np.concatenate([mask[:, None], mask[:, None] & ~stays], axis=1) & real[..., None]
+    # a slot's movers share a class when their codes' least equals their
+    # greatest and is 0 or 1; a slot without one, or without an axis, is bad
+    facts = table.facts
+    codes = np.array([3 if isinstance(fact.cls, GeometryError) else _CODES.get(fact.cls, 2)
+                      for fact in facts.values()], dtype=int)
+    code = codes[ends[:, None, :, 0]]
+    cls = np.where(movers, code, 4).min(axis=-1)
+    most = np.where(movers, code, -1).max(axis=-1)
+    bad = real & ((most > 1) | (cls != most))
+    bad[:, 1:] |= mask & ~axis_ok
+    split = np.zeros((F, 2 * K + 2), dtype=int)  # a refused slot reads rule 0
+    split[:, 0::2] = ~bad & (cls != _CODES[EXPOSED])
+    split[:, 1::2] = ~bad & (cls != _CODES[NEGATIVELY_EXPOSED])
     # corner t adds a * rdot + b * |rdot| to move m's dE, (a, b) its rule
     # under the move's split and rdot = odot - x_t . ndot; dV = A_f odot - M_f . ndot
-    X, coef = P.vertices[list(cyc)], np.array(rules)[:, split]
-    nd, od = planes[:, :3], planes[:, 3]
-    rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
-    corner_dE = np.where(movers, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
-    dE = ordered_sum(corner_dE, axis=0)
-    mom = P.face_moments[f]
-    dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
-    rates = np.vstack((corner_dE, dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)))
-    perts = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
-    perts += [Perturbation("face_hinge", f, d, P.edge_index(i, j))
-              for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in (OUT, IN)]
-    moves = [(pert, errors.get(m, dM))
-             for m, (pert, dM) in enumerate(zip(perts, rates[-1].tolist()))]
-    return rates, tuple(sigma), errors, moves
+    moved = np.repeat(movers, 2, axis=1).transpose(0, 2, 1)  # (F, K, M)
+    pick = fi[..., None], slots[:, None], split[:, None]
+    coef = table.rules[pick]
+    nd, od = planes[:, None, :, :3], planes[:, None, :, 3]
+    rdot = od - (corner[..., :1] * nd[..., 0] + corner[..., 1:2] * nd[..., 1]
+                 + corner[..., 2:] * nd[..., 2])
+    corner_dE = np.where(moved, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
+    dE = ordered_sum(corner_dE, axis=1)
+    mom, nd, od = P.face_moments, planes[..., :3], planes[..., 3]
+    dV = P.face_areas[:, None] * od - (mom[:, :1] * nd[..., 0] + mom[:, 1:2] * nd[..., 1]
+                                       + mom[:, 2:] * nd[..., 2])
+    rates = np.empty((F, K + 3, 2 * K + 2))
+    rates[:, :K] = corner_dE
+    rates[fi, k[:, None] + np.arange(3)] = np.stack(
+        (dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)), axis=1)
+    # a move's failed rule: the first mover, in cycle order, whose rule fails
+    fails = moved & table.failed.astype(bool)[pick]
+    errors = [{} for _ in range(F)]
+    for f, s in np.argwhere(bad).tolist():
+        errors[f][2 * s] = errors[f][2 * s + 1] = _slot_error(P, facts, f, s)
+    first = fails.argmax(axis=1)
+    for f, m in np.argwhere(fails.any(axis=1) & ~np.repeat(bad, 2, axis=1)).tolist():
+        errors[f][m] = table.failed[f, first[f, m], split[f, m]]
+    tables = {}
+    for f, (row, n, err, senses, ok) in enumerate(zip(
+            rates, k.tolist(), errors, sigma.tolist(), axis_ok.tolist())):
+        perts = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
+        perts += [Perturbation("face_hinge", f, d, top.edge_id[i, j])
+                  for i, j in zip(lo[f, :n].tolist(), hi[f, :n].tolist()) for d in (OUT, IN)]
+        row = row[:n + 3, :2 * n + 2]
+        moves = [(pert, err.get(m, dM))
+                 for m, (pert, dM) in enumerate(zip(perts, row[-1].tolist()))]
+        tables[f] = row, tuple(x if good else None for x, good in zip(senses, ok[:n])), err, moves
+    P.tables["faces"] = tables
+    return tables
 
 
 def _move_index(P: Polyhedron, pert: Perturbation) -> int:

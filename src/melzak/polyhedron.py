@@ -26,7 +26,7 @@ from .errors import (
     UnboundedIntersection,
     ZeroVolume,
 )
-from .vec3 import cross, plane_bases, rowcross, rowdot, unit
+from .vec3 import cross, ordered_sum, plane_bases, rowcross, rowdot, unit
 
 logger = logging.getLogger(__name__)
 
@@ -87,12 +87,15 @@ class Topology:
                 self.face_of[a, b] = f
                 faces_at.setdefault((a, b) if a < b else (b, a), []).append(f)
                 self.corners[a].append((f, cyc[t - 1], b))
-        # padded corner table: slot t of face f holds (cyc[t], cyc[t + 1])
+        # padded corner table: slot t of face f holds (cyc[t], cyc[t + 1]),
+        # and ``across`` the face that runs that edge b -> a (-1 where none does)
         sizes = np.array([len(cyc) for cyc in faces], dtype=int)
         self.corner_mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        slots = [(a, b) for cyc in faces for a, b in zip(cyc, cyc[1:] + cyc[:1])]
         self.corner_table = np.zeros(self.corner_mask.shape + (2,), dtype=int)
-        self.corner_table[self.corner_mask] = np.reshape(
-            [(a, b) for cyc in faces for a, b in zip(cyc, cyc[1:] + cyc[:1])], (-1, 2))
+        self.corner_table[self.corner_mask] = np.reshape(slots, (-1, 2))
+        self.across = np.full(self.corner_mask.shape, -1)
+        self.across[self.corner_mask] = [self.face_of.get((b, a), -1) for a, b in slots]
         self.nonmanifold = next((f"edge {key} lies in {len(fs)} faces, expected 2"
                                  for key, fs in faces_at.items() if len(fs) != 2), None)
         self.edges = tuple(sorted(faces_at))
@@ -233,15 +236,10 @@ class Polyhedron:
         return bool((R <= slack).all())
 
     @cached_property
-    def vertex_facts(self) -> dict:
-        """vertex -> its exposure class, corner rules and spherical image,
-        filled in one pass on first read; see ``gauss.vertex_table``."""
-        return {}
-
-    @cached_property
-    def corner_rates(self) -> dict:
-        """face -> the rate table and moves of the face, every face's filled
-        in one pass on first read; see ``perturbations._face_tables``."""
+    def tables(self) -> dict:
+        """The per-body tables the modules above build in one pass on first
+        read and keep here: "vertices", ``gauss.vertex_table``, and "faces",
+        ``perturbations._face_tables``."""
         return {}
 
     @cached_property
@@ -398,16 +396,56 @@ class ValidationReport:
         return self.euler_ok and self.coplanar_ok and self.orientation_ok
 
 
-def _sort_cycle(points: np.ndarray, idx: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> tuple:
-    """Vertex indices ordered counterclockwise in the plane frame (t1, t2),
-    and twice the signed area of that cycle, taken about the face's own
-    centroid so that a face far smaller than the body keeps its sign."""
-    rel = points - points.mean(axis=0)
-    x, y = rel @ t1, rel @ t2
-    order = np.argsort(np.arctan2(y, x), kind="stable")
-    x, y = x[order].tolist(), y[order].tolist()
-    twice_area = sum(x[k - 1] * y[k] - y[k - 1] * x[k] for k in range(len(x)))
-    return tuple(int(idx[k]) for k in order), twice_area
+def _vertex_means(N: np.ndarray, b: np.ndarray, incident: np.ndarray) -> np.ndarray:
+    """Each point's vertex: the mean, in combination order, of the solves of
+    the triples of its ``incident`` planes (rows (P, F)) whose determinant
+    is above ``plane_triple``. The triples are taken one pass per incidence
+    degree. Raises DegenerateInput for a point on no such triple."""
+    degree = incident.sum(axis=1)
+    triples, owner = [], []
+    for d in sorted(set(degree.tolist())):
+        rows = np.flatnonzero(degree == d)
+        planes = np.nonzero(incident[rows])[1].reshape(len(rows), d)
+        combos = np.array(list(itertools.combinations(range(d), 3)), dtype=int).reshape(-1, 3)
+        triples.append(planes[:, combos].reshape(-1, 3))
+        owner.append(np.repeat(rows, len(combos)))
+    triples, owner = np.concatenate(triples), np.concatenate(owner)
+    good = np.abs(np.linalg.det(N[triples])) > DEFAULT_TOLERANCES.plane_triple
+    triples, owner = triples[good], owner[good]
+    if not np.bincount(owner, minlength=len(incident)).all():
+        raise DegenerateInput("a vertex lies on no three independent planes")
+    sol = np.linalg.solve(N[triples], b[triples][..., None])[..., 0]
+    # each point's solves are one run of rows, summed in order as np.mean
+    # sums them, one pass per run length
+    start = np.flatnonzero(np.diff(owner, prepend=-1))
+    count = np.diff(start, append=len(owner))
+    verts = np.empty((len(incident), 3))
+    for c in set(count.tolist()):
+        at = start[count == c]
+        verts[owner[at]] = ordered_sum(sol[at[:, None] + np.arange(c)], axis=1) / c
+    return verts
+
+
+def _sort_cycles(verts: np.ndarray, on_face: np.ndarray, T1: np.ndarray, T2: np.ndarray) -> tuple:
+    """(cycles, twice areas): the vertex indices of each face, rows of
+    ``on_face`` (F, V), ordered counterclockwise in its plane frame (T1,
+    T2) by a stable sort of their angles about the face's centroid, and
+    twice the signed area of that cycle, taken about the centroid too so
+    that a face far smaller than the body keeps its sign. All faces at once,
+    padded to the largest."""
+    k = on_face.sum(axis=1)
+    mask = np.arange(k.max()) < k[:, None]
+    idx = np.argsort(~on_face, axis=1, kind="stable")[:, :mask.shape[1]]  # ascending, then pad
+    pts = verts[idx]
+    centre = ordered_sum(np.where(mask[..., None], pts, 0.0), axis=1) / k[:, None]
+    rel = pts - centre[:, None]
+    x, y = (rel @ T1[..., None])[..., 0], (rel @ T2[..., None])[..., 0]
+    order = np.argsort(np.where(mask, np.arctan2(y, x), np.inf), axis=1, kind="stable")
+    idx, x, y = (np.take_along_axis(z, order, axis=1) for z in (idx, x, y))
+    prev = (np.arange(mask.shape[1]) - 1) % k[:, None]
+    xp, yp = np.take_along_axis(x, prev, axis=1), np.take_along_axis(y, prev, axis=1)
+    twice = ordered_sum(np.where(mask, xp * y - yp * x, 0.0), axis=1)
+    return [tuple(row[:n]) for row, n in zip(idx.tolist(), k.tolist())], twice
 
 
 def from_halfspaces(halfspaces) -> Polyhedron:
@@ -446,38 +484,23 @@ def from_halfspaces(halfspaces) -> Polyhedron:
 
     R, slack = plane_incidence(hsi.intersections, N, b, c)
     incident = np.unique(np.abs(R) <= slack, axis=0)
-    sets = [np.flatnonzero(row) for row in incident]
-    triples = np.array([t for s in sets for t in itertools.combinations(s, 3)]).reshape(-1, 3)
-    owner = np.repeat(np.arange(len(sets)), [math.comb(len(s), 3) for s in sets])
-    good = np.abs(np.linalg.det(N[triples])) > DEFAULT_TOLERANCES.plane_triple
-    owner = owner[good]
-    if len(set(owner)) < len(sets):
-        raise DegenerateInput("a vertex lies on no three independent planes")
-    sol = np.linalg.solve(N[triples[good]], b[triples[good]][..., None])[..., 0]
-    verts = np.array([g.mean(axis=0) for g in np.split(sol, np.flatnonzero(np.diff(owner)) + 1)])
+    verts = _vertex_means(N, b, incident)
     # deterministic vertex order
     step = DEFAULT_TOLERANCES.dedup * float(np.abs(verts).max())
     key = np.round(verts / step).astype(np.int64)
     order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
     verts, on_plane = verts[order], incident[order]
 
-    faces = []
-    kept = []
-    flat = False
-    T1, T2 = plane_bases(N)
-    for f in range(len(hs)):
-        idx = np.nonzero(on_plane[:, f])[0]
-        if len(idx) < 3:
-            logger.debug("dropping redundant halfspace %d (%d incident vertices)", f, len(idx))
-            continue
-        cyc, twice_area = _sort_cycle(verts[idx], idx, T1[f], T2[f])
-        faces.append(cyc)
-        kept.append(f)
-        flat = flat or twice_area <= 0.0
-    if len(faces) < 4:
+    count = on_plane.sum(axis=0)
+    for f in np.flatnonzero(count < 3).tolist():
+        logger.debug("dropping redundant halfspace %d (%d incident vertices)", f, count[f])
+    kept = np.flatnonzero(count >= 3)
+    if len(kept) < 4:
         raise DegenerateInput("fewer than four supporting faces")
+    faces, twice_areas = _sort_cycles(verts, on_plane[:, kept].T, *plane_bases(N[kept]))
+    flat = bool((twice_areas <= 0.0).any())
 
-    kept_hs = tuple(hs[f] for f in kept)
+    kept_hs = tuple(hs[f] for f in kept.tolist())
     try:
         poly = Polyhedron(verts, tuple(faces), kept_hs)
     except NonManifold:

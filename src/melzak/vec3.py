@@ -73,6 +73,6 @@ def plane_bases(N: np.ndarray) -> tuple:
     unit length, and t2 = n x t1. Returns the (m, 3) arrays t1 and t2."""
     E = np.zeros_like(N)
     E[np.arange(len(N)), np.argmin(np.abs(N), axis=1)] = 1.0
-    c = np.cross(N, E)
+    c = rowcross(N, E)
     t1 = c / np.sqrt(rowdot(c, c))[:, None]
-    return t1, np.cross(N, t1)
+    return t1, rowcross(N, t1)

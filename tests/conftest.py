@@ -54,10 +54,13 @@ def fail_corner_rules(monkeypatch, error, vertices=None):
     table = melzak.perturbations.vertex_table
 
     def failing_table(P):
-        return {v: facts._replace(corners={f: (rule, (error, error))
-                                           for f, (rule, _) in facts.corners.items()})
-                if vertices is None or v in vertices else facts
-                for v, facts in table(P).items()}
+        got = table(P)
+        at = P.topology.corner_mask.copy()
+        if vertices is not None:
+            at &= np.isin(P.topology.corner_table[..., 0], list(vertices))
+        failed = got.failed.copy()
+        failed[at] = error
+        return got._replace(failed=failed)
 
     monkeypatch.setattr(melzak.perturbations, "vertex_table", failing_table)
 

@@ -7,9 +7,16 @@ and the survivors are merged greedily. It stays here as the oracle the qhull
 path is checked against: vertices, faces and kept halfspaces bit for bit,
 and the exception class on failure. ``_plane_basis`` and ``_sort_cycle``
 are the one-face-at-a-time frame and cycle sort it used.
+
+``_loop_from_halfspaces`` is the qhull build as it ran before its vertex
+means and face cycles became array passes: each point's plane triples by
+``itertools.combinations``, each vertex's mean on its own, and each face's
+cycle sorted on its own. It is the oracle of those passes, bit for bit,
+error for error.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import octahedron
+from scipy.spatial import HalfspaceIntersection, QhullError
+
 from melzak import (
     DEFAULT_TOLERANCES,
     HalfSpace,
@@ -36,6 +45,7 @@ from melzak.errors import (
     NonManifold,
     UnboundedIntersection,
 )
+from melzak.polyhedron import interior_point, plane_incidence
 from melzak.vec3 import plane_bases
 
 
@@ -156,6 +166,7 @@ def _outcome(build, hs):
 
 
 def _assert_matches_oracle(hs):
+    _assert_matches_loop_build(hs)
     want, got = _outcome(_triple_from_halfspaces, hs), _outcome(from_halfspaces, hs)
     if isinstance(want, type):
         assert got is want
@@ -213,6 +224,126 @@ def test_plane_frames_match_one_face_frames(seed, m):
 
 
 # ---------------------------------------------------------------------------
+# the array passes of the build against its per-vertex and per-face loops
+# ---------------------------------------------------------------------------
+
+def _loop_sort_cycle(points, idx, t1, t2):
+    """Vertex indices ordered counterclockwise in the plane frame (t1, t2),
+    and twice the signed area of that cycle about the face's centroid."""
+    rel = points - points.mean(axis=0)
+    x, y = rel @ t1, rel @ t2
+    order = np.argsort(np.arctan2(y, x), kind="stable")
+    x, y = x[order].tolist(), y[order].tolist()
+    twice_area = sum(x[k - 1] * y[k] - y[k - 1] * x[k] for k in range(len(x)))
+    return tuple(int(idx[k]) for k in order), twice_area
+
+
+def _loop_from_halfspaces(halfspaces):
+    hs = list(halfspaces)
+    if len(hs) < 4:
+        raise UnboundedIntersection("fewer than four halfspaces cannot bound a volume")
+    N = np.array([h.normal for h in hs])
+    b = np.array([h.offset for h in hs])
+    c = interior_point(N, b)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hsi = HalfspaceIntersection(np.hstack([N, -b[:, None]]), c)
+    except QhullError as exc:
+        if np.linalg.matrix_rank(np.hstack([N, b[:, None]])) < 4:
+            raise UnboundedIntersection("the planes bound a cylinder or a cone")
+        raise DegenerateInput(f"qhull failed: {exc}")
+    if (hsi.dual_equations[:, 3] >= 0).any():
+        raise UnboundedIntersection("the dual hull does not enclose the interior point")
+    R, slack = plane_incidence(hsi.intersections, N, b, c)
+    incident = np.unique(np.abs(R) <= slack, axis=0)
+    sets = [np.flatnonzero(row) for row in incident]
+    triples = np.array([t for s in sets for t in itertools.combinations(s, 3)]).reshape(-1, 3)
+    owner = np.repeat(np.arange(len(sets)), [math.comb(len(s), 3) for s in sets])
+    good = np.abs(np.linalg.det(N[triples])) > DEFAULT_TOLERANCES.plane_triple
+    owner = owner[good]
+    if len(set(owner)) < len(sets):
+        raise DegenerateInput("a vertex lies on no three independent planes")
+    sol = np.linalg.solve(N[triples[good]], b[triples[good]][..., None])[..., 0]
+    verts = np.array([g.mean(axis=0) for g in np.split(sol, np.flatnonzero(np.diff(owner)) + 1)])
+    step = DEFAULT_TOLERANCES.dedup * float(np.abs(verts).max())
+    key = np.round(verts / step).astype(np.int64)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    verts, on_plane = verts[order], incident[order]
+    faces, kept, flat = [], [], False
+    T1, T2 = plane_bases(N)
+    for f in range(len(hs)):
+        idx = np.nonzero(on_plane[:, f])[0]
+        if len(idx) < 3:
+            continue
+        cyc, twice_area = _loop_sort_cycle(verts[idx], idx, T1[f], T2[f])
+        faces.append(cyc)
+        kept.append(f)
+        flat = flat or twice_area <= 0.0
+    if len(faces) < 4:
+        raise DegenerateInput("fewer than four supporting faces")
+    try:
+        poly = Polyhedron(verts, tuple(faces), tuple(hs[f] for f in kept))
+    except NonManifold:
+        raise DegenerateInput("vertex/face incidence is not edge-manifold")
+    if poly.n_vertices - poly.n_edges + poly.n_faces != 2:
+        raise DegenerateInput("Euler characteristic is not 2")
+    if flat:
+        raise DegenerateInput("a face has nonpositive oriented area")
+    return poly
+
+
+def _assert_matches_loop_build(hs):
+    """The same vertex bytes, faces and kept halfspaces as the loop build,
+    or the same error; returns the outcome's type."""
+    try:
+        want = _loop_from_halfspaces(hs)
+    except GeometryError as exc:
+        with pytest.raises(type(exc)) as info:
+            from_halfspaces(hs)
+        assert type(info.value) is type(exc) and info.value.args == exc.args
+        return type(exc)
+    got = from_halfspaces(hs)
+    assert got.vertices.shape == want.vertices.shape
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces == want.faces
+    assert [id(h) for h in got.halfspaces] == [id(h) for h in want.halfspaces]
+    return Polyhedron
+
+
+def test_noisy_pyramids_match_the_loop_build():
+    # pyramid rows plus Gaussian noise: the apex's many near-incident
+    # planes give long triple runs, and some noise cells raise
+    rng = np.random.default_rng(5)
+    seen = set()
+    for n in range(3, 25):
+        rows = np.array([[*h.normal, h.offset] for h in ngon_pyramid(n, 1.0, 1.3).halfspaces])
+        seen.add(_assert_matches_loop_build(_halfspaces(rows[:, :3], rows[:, 3])))
+        for eps in (1e-10, 1e-8, 1e-6):
+            for _ in range(4):
+                noisy = rows + eps * rng.normal(size=rows.shape)
+                seen.add(_assert_matches_loop_build(_halfspaces(noisy[:, :3], noisy[:, 3])))
+    assert seen == {Polyhedron, DegenerateInput}
+
+
+def test_random_bodies_with_redundant_planes_match_the_loop_build():
+    # each body gains a plane clear of it, one touching a vertex and one
+    # touching an edge: dropped faces and points on four or five planes
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        P = random_convex(rng, n_faces=4 + seed % 27)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        i, j = P.edges[int(rng.integers(P.n_edges))]
+        m = P.halfspaces[P.edge_faces(P.edge_index(i, j))[0]].normal
+        m = m + P.halfspaces[P.edge_faces(P.edge_index(i, j))[1]].normal
+        m /= np.linalg.norm(m)
+        extra = [HalfSpace(n, float((P.vertices @ n).max()) + 0.3 * P.diameter()),
+                 HalfSpace(-n, float((P.vertices @ -n).max())),
+                 HalfSpace(m, float(P.vertices[i] @ m))]
+        assert _assert_matches_loop_build(list(P.halfspaces) + extra) is Polyhedron
+
+
+# ---------------------------------------------------------------------------
 # branches of the qhull path
 # ---------------------------------------------------------------------------
 
@@ -257,13 +388,16 @@ def test_tiny_corner_cuts_keep_their_face():
 @example(seed=167, n_faces=6, direction=0)
 def test_shifted_planes_keep_type_and_ratio(seed, n_faces, direction):
     # every plane moved by the same vector of length up to 1e6 x diameter;
-    # the shifted build keeps the type and m, to 1e-13 x (1 + shift)
+    # the shifted build keeps the type and m, to 1e-13 x (1 + shift), and
+    # matches the loop build
     P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
     m = melzak_ratio(P)
     u = np.random.default_rng(direction).normal(size=3)
     for shift in (1e-2, 1e2, 1e4, 1e6):
         d = shift * P.diameter() * u / np.linalg.norm(u)
-        Q = from_halfspaces([HalfSpace(h.normal, h.offset + h.normal @ d) for h in P.halfspaces])
+        hs = [HalfSpace(h.normal, h.offset + h.normal @ d) for h in P.halfspaces]
+        _assert_matches_loop_build(hs)
+        Q = from_halfspaces(hs)
         assert Q.type_key() == P.type_key()
         assert melzak_ratio(Q) == pytest.approx(m, rel=1e-13 * (1 + shift), abs=0.0)
 

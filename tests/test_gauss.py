@@ -450,7 +450,7 @@ def test_a_body_takes_one_table_pass(monkeypatch):
                     vertex_image(P, v)
                 raised.append(info.value)
             assert raised[0] is not raised[1]
-            assert isinstance(P.vertex_facts[v].image, NotExposed)
+            assert isinstance(gauss.vertex_table(P).facts[v].image, NotExposed)
 
 
 def _image_rates(points):

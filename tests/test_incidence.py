@@ -139,6 +139,15 @@ def _scan_ordered_edges(P, v) -> list:
     return out
 
 
+def _scan_across(P, f, t) -> int:
+    """The face whose cycle runs the edge from corner t of face f backwards,
+    or -1 when none does."""
+    cyc = P.faces[f]
+    a, b = cyc[t], cyc[(t + 1) % len(cyc)]
+    return next((g for g, other in enumerate(P.faces) for s in range(len(other))
+                 if (other[s], other[(s + 1) % len(other)]) == (b, a)), -1)
+
+
 def _scan_dihedral(P, e) -> float:
     i, j = P.edges[e]
     f1 = f2 = None
@@ -213,6 +222,11 @@ def _assert_matches_oracle(P):
         assert _fan_faces(P, v) == _scan_ordered_faces(P, v)
         assert _fan_neighbours(P, v) == _scan_ordered_edges(P, v)
         assert exposure(P, v) == _scan_exposure(P, v)
+    across = P.topology.across
+    assert across.shape == P.topology.corner_mask.shape
+    for f, cyc in enumerate(P.faces):
+        pad = [-1] * (across.shape[1] - len(cyc))
+        assert across[f].tolist() == [_scan_across(P, f, t) for t in range(len(cyc))] + pad
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,16 @@ from melzak.errors import (
     NotSemiExposed,
     UnboundedWedge,
 )
-from melzak.gauss import VertexFacts, exposure, vertex_image, vertex_table
+from melzak.gauss import VertexFacts, VertexTable, exposure, vertex_image, vertex_table
 from melzak.optimize import load_catalog
-from melzak.vec3 import cross, norm, unit
+from melzak.vec3 import cross, norm, ordered_sum, unit
 from melzak.perturbations import (
     Perturbation,
+    _hinge_axis,
+    _moved,
+    _mover_class,
+    _ratio_rate,
+    _splits,
     apply,
     derivatives,
     face_hinge_derivatives,
@@ -621,11 +626,14 @@ def test_crater_rate_table_matches_fan_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the vertex pass: the scalar corner rules as the oracle
+# the vertex and face passes: the scalar corner rules and the per-face
+# tables as their oracles
 # ---------------------------------------------------------------------------
 # Before the corner rules ran on stacked fans they were taken one corner at
 # a time: ``_local_fan`` rotates the vertex's fan to start at the face, and
-# ``_slide`` takes one slide. The pass must give their bits.
+# ``_slide`` takes one slide. Before every face's table came from one padded
+# pass, each face's was built alone (``_face_table``). The passes must give
+# their bits.
 
 def _slide(n_a, n_b, n_face):
     d = cross(n_a, n_b)
@@ -677,26 +685,30 @@ def _corner_rules(P, f, v):
 
 
 def _scalar_pass(P):
-    """The class and corner rules of each vertex as ``vertex_table`` holds
-    them, one vertex and one corner at a time, without images."""
+    """The classes and corner rules as ``vertex_table`` holds them, one
+    vertex and one corner at a time, without images."""
     facts = {}
     for v in range(P.n_vertices):
         try:
             cls = exposure(P, v)
         except GeometryError as exc:
             cls = exc
-        facts[v] = VertexFacts(cls, {}, None)
+        facts[v] = VertexFacts(cls, None)
+    mask = P.topology.corner_mask
+    rules = np.zeros(mask.shape + (2, 2))
+    failed = np.full(mask.shape + (2,), None, dtype=object)
     for f, cyc in enumerate(P.faces):
-        for v in cyc:
+        for t, v in enumerate(cyc):
             try:
-                rules = _corner_rules(P, f, v)
+                rule = _corner_rules(P, f, v)
             except GeometryError as exc:
-                rules = (exc, exc)
-            failed = tuple(isinstance(r, GeometryError) for r in rules)
-            facts[v].corners[f] = (
-                np.array([(0.0, 0.0) if bad else r for r, bad in zip(rules, failed)]),
-                tuple(r if bad else None for r, bad in zip(rules, failed)))
-    return facts
+                rule = (exc, exc)
+            for split, r in enumerate(rule):
+                if isinstance(r, GeometryError):
+                    failed[f, t, split] = r
+                else:
+                    rules[f, t, split] = r
+    return VertexTable(facts, rules, failed)
 
 
 def _outcome(x):
@@ -716,29 +728,106 @@ def _bent_pyramid():
 _PASS_BODIES = {**_ORACLE_BODIES, "crater": lambda: crater_can()[0], "bent": _bent_pyramid}
 
 
+def _face_table(P, f, table):
+    """(rates, sigma, errors, moves) of face ``f`` alone, from the classes
+    and corner rules of ``table``: the package's per-face loop before every
+    face's table came from one padded pass, kept as that pass's oracle."""
+    cyc = P.faces[f]
+    k = len(cyc)
+    rules, failed = table.rules[f, :k], table.failed[f, :k]
+    n_face = P.face_normal(f)
+    c = P.face_centroid(f)
+    axis_errors, sigma = [None], []
+    planes = np.zeros((2 * k + 2, 4))
+    planes[:2, 3] = (1.0, -1.0)
+    for t in range(k):
+        try:
+            a, w = _hinge_axis(P, f, t)
+        except GeometryError as exc:
+            axis_errors.append(exc)
+            sigma.append(None)
+            continue
+        axis_errors.append(None)
+        wn = cross(w, n_face)
+        sigma.append(1.0 if float((a - c) @ wn) > 0 else -1.0)
+        for m, ndot in ((2 + 2 * t, sigma[t] * wn), (3 + 2 * t, -sigma[t] * wn)):
+            planes[m] = (*ndot, float(a @ ndot))
+    movers = np.zeros((k, 2 * k + 2), dtype=bool)
+    split = np.zeros(2 * k + 2, dtype=int)
+    errors = {}
+    for s in range(k + 1):
+        moved = _moved(k, 2 * s)
+        movers[moved, 2 * s:2 * s + 2] = True
+        try:
+            cls = _mover_class(f, s > 0, [table.facts[cyc[t]].cls for t in moved],
+                               axis_errors[s])
+        except GeometryError as exc:
+            errors[2 * s] = errors[2 * s + 1] = exc.with_traceback(None)
+            continue
+        for m, direction in ((2 * s, "out"), (2 * s + 1, "in")):
+            split[m] = _splits(cls, direction)
+            err = next((failed[t][split[m]] for t in moved if failed[t][split[m]]), None)
+            if err is not None:
+                errors[m] = err
+    X, coef = P.vertices[list(cyc)], rules[:, split]
+    nd, od = planes[:, :3], planes[:, 3]
+    rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
+    corner_dE = np.where(movers, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
+    dE = ordered_sum(corner_dE, axis=0)
+    mom = P.face_moments[f]
+    dV = P.face_area(f) * od - (mom[0] * nd[:, 0] + mom[1] * nd[:, 1] + mom[2] * nd[:, 2])
+    rates = np.vstack((corner_dE, dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)))
+    perts = [Perturbation("face_translate", f, d) for d in ("out", "in")]
+    perts += [Perturbation("face_hinge", f, d, P.edge_index(i, j))
+              for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in ("out", "in")]
+    moves = [(pert, errors.get(m, dM))
+             for m, (pert, dM) in enumerate(zip(perts, rates[-1].tolist()))]
+    return rates, tuple(sigma), errors, moves
+
+
+def _assert_face_tables_match(P, table):
+    """Every face's table from the padded pass equals, byte for byte, the
+    per-face oracle's from ``table``: rates, senses, errors and moves."""
+    got = melzak.perturbations._face_tables(P)
+    assert sorted(got) == list(range(P.n_faces))
+    for f in range(P.n_faces):
+        rates, sigma, errors, moves = _face_table(P, f, table)
+        assert got[f][0].shape == rates.shape and got[f][0].tobytes() == rates.tobytes(), f
+        assert got[f][1] == sigma, f
+        assert {m: _outcome(e) for m, e in got[f][2].items()} == \
+            {m: _outcome(e) for m, e in errors.items()}, f
+        assert [(pert, _outcome(dM)) for pert, dM in got[f][3]] == \
+            [(pert, _outcome(dM)) for pert, dM in moves], f
+
+
 @pytest.mark.parametrize("name", list(_PASS_BODIES))
 def test_vertex_pass_matches_the_scalar_corner_rules(name):
     P = _PASS_BODIES[name]()
-    facts = _scalar_pass(P)
+    want = _scalar_pass(P)
     got = vertex_table(P)
-    assert got.keys() == facts.keys()
+    assert got.facts.keys() == want.facts.keys()
+    mask = P.topology.corner_mask
     if name == "bent":
-        assert {type(e) for want in facts.values() for _, errors in want.corners.values()
-                for e in errors} == {type(None), DegenerateInput}
-    for v, want in facts.items():
-        assert _outcome(got[v].cls) == _outcome(want.cls), v
-        assert got[v].corners.keys() == want.corners.keys(), v
-        for f, (rules, errors) in want.corners.items():
-            assert list(map(_outcome, got[v].corners[f][1])) == list(map(_outcome, errors)), (f, v)
-            for split, error in enumerate(errors):
-                if error is None:
-                    assert got[v].corners[f][0][split].tobytes() == rules[split].tobytes(), (f, v)
-    for f in range(P.n_faces):
-        rates, sigma, errors, _ = melzak.perturbations._face_table(P, f, facts)
-        table = melzak.perturbations._face_tables(P)[f]
-        assert table[0].tobytes() == rates.tobytes() and table[1] == sigma, f
-        assert {m: _outcome(e) for m, e in table[2].items()} == \
-            {m: _outcome(e) for m, e in errors.items()}, f
+        assert {type(e) for e in want.failed[mask].ravel()} == {type(None), DegenerateInput}
+    for v, fact in want.facts.items():
+        assert _outcome(got.facts[v].cls) == _outcome(fact.cls), v
+    assert got.rules.shape == want.rules.shape and got.failed.shape == want.failed.shape
+    assert not got.rules[~mask].any() and not got.failed[~mask].any()
+    for f, t in np.argwhere(mask).tolist():
+        assert list(map(_outcome, got.failed[f, t])) == list(map(_outcome, want.failed[f, t])), \
+            (f, t)
+        for split, error in enumerate(want.failed[f, t]):
+            if error is None:
+                assert got.rules[f, t, split].tobytes() == want.rules[f, t, split].tobytes(), \
+                    (f, t)
+    _assert_face_tables_match(P, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 60))
+def test_padded_face_pass_matches_the_per_face_oracle_on_random_bodies(seed, n_faces):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    _assert_face_tables_match(P, vertex_table(P))
 
 
 def test_one_vertex_pass_builds_every_face_table(monkeypatch):
@@ -757,7 +846,7 @@ def test_one_vertex_pass_builds_every_face_table(monkeypatch):
         classified.clear()
         moves = face_moves(P, P.n_faces - 1)
         assert len(passes) == 1 and sorted(classified) == list(range(P.n_vertices))
-        assert sorted(P.corner_rates) == list(range(P.n_faces))
+        assert sorted(P.tables["faces"]) == list(range(P.n_faces))
         criticality_report(P)
         check_vertex_degree(P)
         for f in range(P.n_faces):
