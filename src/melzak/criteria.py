@@ -7,8 +7,8 @@ negative; thresholds come from the criterion statements. The perturbation
 module supplies the certificates: each face's moves come from
 ``face_moves`` and the vertex cuts from ``vertex_cuts``, with their rates,
 and a move is admissible unless its entry is a NotExposedFace or
-NotSemiExposed refusal; ``moving_vertices`` says which vertices an
-admitted move moves.
+NotSemiExposed refusal; ``face_movers`` says which of its face's corners
+each move moves.
 
 The audit degrades gracefully on non-convex input: checkers that need
 convexity or a particular exposure class mark elements as non-applicable
@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, json_float, json_rate
 from .errors import BadParameter, GeometryError, InvalidPolyhedron, NotConvex, NotExposed
 from .gauss import EXPOSED, angle_deficit, dihedral_angle, exposure, vertex_image
-from .perturbations import REFUSALS, Perturbation, face_moves, moving_vertices, vertex_cuts
+from .perturbations import REFUSALS, Perturbation, face_movers, face_moves, vertex_cuts
 from .polyhedron import Polyhedron, edge_length, melzak_ratio, validate, volume
 from .shapes import PRISM_EDGE_LENGTH
 from .vec3 import plane_bases, rowdot, unit
@@ -132,8 +132,9 @@ def check_vertex_degree(P: Polyhedron) -> CriterionVerdict:
         if deg <= 3:
             continue
         # the admitted moves of the faces at v that move v
-        candidates = [(pert, dM) for f in P.vertex_faces(v) for pert, dM in face_moves(P, f)
-                      if not isinstance(dM, REFUSALS) and v in moving_vertices(P, pert)]
+        candidates = [(pert, dM) for f in P.vertex_faces(v) for (pert, dM), moves_v in
+                      zip(face_moves(P, f), face_movers(P, f)[P.faces[f].index(v)])
+                      if moves_v and not isinstance(dM, REFUSALS)]
         best = _best_improvement(P, candidates, skipped)
         if best[0] is not None:
             witnesses.append(Witness(f"vertex:{v}", float(deg), 3.0, *best))
@@ -367,8 +368,10 @@ def audit(P: Polyhedron, mode: str = "any", B: float | None = None) -> CriteriaR
     """Run every criterion and assemble the deterministic report.
 
     mode "candidate" additionally enforces results that hold only along a
-    minimizing sequence, such as the triangle-count cap. A body that fails
-    validation raises InvalidPolyhedron, an unknown mode BadParameter.
+    minimizing sequence, such as the triangle-count cap. A body is a
+    candidate when every applicable criterion passes and one besides
+    combinatorics applies. A body that fails validation raises
+    InvalidPolyhedron, an unknown mode BadParameter.
     """
     rep = validate(P)
     if not rep.ok:
@@ -389,10 +392,13 @@ def audit(P: Polyhedron, mode: str = "any", B: float | None = None) -> CriteriaR
                 for v in verdicts]
     verdicts.sort(key=lambda v: v.criterion_id)
 
+    judged = any(v.applicable for v in verdicts if v.criterion_id != "combinatorics")
     summary = {
-        "is_candidate_minimizer": all(v.passed for v in verdicts if v.applicable),
+        "is_candidate_minimizer": judged and all(v.passed for v in verdicts if v.applicable),
         "triangle_count": sum(1 for c in P.faces if len(c) == 3),
         "max_vertex_degree": max(P.vertex_degree(v) for v in range(P.n_vertices)),
     }
     notes = tuple(f"{v.criterion_id}: {n}" for v in verdicts for n in v.notes)
+    if not judged:
+        notes += ("no criterion but combinatorics applies to this body, so it is not a candidate",)
     return CriteriaReport(tuple(verdicts), summary, notes)

@@ -335,9 +335,12 @@ def vertex_table(P: Polyhedron) -> VertexTable:
         return P.tables["vertices"]
     top = P.topology
     ends, mask = top.corner_table, top.corner_mask
-    slot = np.zeros((len(mask), P.n_vertices), dtype=int)
     f_at, t_at = np.nonzero(mask)
-    slot[f_at, ends[f_at, t_at, 0]] = t_at  # the slot of vertex v's corner in face f
+    keys = f_at * P.n_vertices + ends[f_at, t_at, 0]
+    order = np.argsort(keys)
+
+    def slot(f, v):  # the slot of vertex v's corner in face f, by its key f V + v
+        return t_at[order[np.searchsorted(keys, f * P.n_vertices + v, sorter=order)]]
     rule_table = np.zeros(mask.shape + (2, 2))
     failed_table = np.full(mask.shape + (2,), None, dtype=object)
     classes, images = [], {}
@@ -356,7 +359,7 @@ def vertex_table(P: Polyhedron) -> VertexTable:
             exc = exc.with_traceback(None)
             images.setdefault(v, exc)
             for f, _, _ in top.corners[v]:
-                failed_table[f, slot[f, v]] = exc
+                failed_table[f, slot(f, v)] = exc
             continue
         groups[len(fan[0])].append((v, *fan))
     X, N = P.vertices, P.planes[0]
@@ -383,7 +386,7 @@ def vertex_table(P: Polyhedron) -> VertexTable:
         rules = np.stack([one, split], axis=2)
         failed = np.stack([flat, split_flat], axis=2)
         rules[failed] = 0.0  # a failed rule adds 0 to the unread rates of the moves it fails
-        at = fans, slot[fans, verts[:, None]]  # the corner of each vertex in each fan face
+        at = fans, slot(fans, verts[:, None])  # the corner of each vertex in each fan face
         rule_table[at] = rules
         failed_table[at] = np.where(failed, degenerate, None)
         shown = np.array([v not in images for v in verts.tolist()])

@@ -11,15 +11,15 @@ Derivatives are evaluated analytically from vertex velocities obtained by
 linearizing the plane intersections, never by finite differences; the
 finite-difference routine exists as an independent cross-check.
 
-Each rule of a face move is decided in one place. ``moving_vertices``
-names the vertices a move moves (the whole face for a translate, the
-vertices off the hinge edge for a hinge) and ``_mover_class`` their
-shared exposure class; a face move is admissible exactly when there is
-one. ``face_moves`` lists each move of a face with its dM, or the
-GeometryError it raises, a NotExposedFace or NotSemiExposed refusal for
-an inadmissible one (the audit's candidates), as ``vertex_cuts`` lists
-the cuts. ``_hinge_axis`` and the face's table give the hinge line and
-rotation sense to both the rates and the rebuild.
+Each rule of a face move is decided once, in its face's table
+(``FaceTable``): the corners it moves (the whole face for a translate,
+all but the hinge edge's ends for a hinge), whether they share the class
+EXPOSED or NEGATIVELY_EXPOSED, which admits the move, the split rule they
+move under, the hinge line and sense, and the error of a move without a
+rate. ``face_moves`` lists each move with its dM, or that error (a
+NotExposedFace or NotSemiExposed refusal for an inadmissible move), as
+``vertex_cuts`` lists the cuts; ``face_movers``, ``moving_vertices``,
+``derivatives``, ``perturbed_halfspaces`` and ``apply`` read the table.
 
 The one vertex-rate rule: a face plane (n, o) moving at rates (ndot, odot)
 moves through its vertex x at rdot = odot - x . ndot, and every velocity
@@ -41,9 +41,8 @@ first read in one padded pass over that table and memoised: the hinge
 axes and senses, the 2 + 2k move planes of each k-gon, the movers, their
 shared class and split, and the rates of every move of every face are
 array operations, and Python only lists each face's moves and the errors
-of the moves without a rate. ``derivatives``, ``face_moves`` and the
-audit read the tables. A corner whose rule has no rate, at a flat slide,
-fails only the moves that move it.
+of the moves without a rate. A corner whose rule has no rate, at a flat
+slide, fails only the moves that move it.
 
 The one split rule (``_splits``): when the local motion pushes the
 supporting plane outward past an exposed vertex of degree k > 3, the
@@ -51,12 +50,13 @@ vertex keeps a single degree-3 correspondent and sheds a new lateral edge;
 when the plane cuts inward, the vertex splits into k - 2 correspondents
 joined by new ring edges. Negatively exposed vertices behave like exposed
 vertices of the complement, which swaps the two cases. The rates and the
-vertex/edge counts ``apply`` expects both read it.
+vertex/edge counts ``apply`` expects both read it, through the face tables.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,12 +72,13 @@ from .errors import (
 )
 from .gauss import EXPOSED, NEGATIVELY_EXPOSED, exposure, vertex_image, vertex_table
 from .polyhedron import HalfSpace, Polyhedron, edge_length, from_halfspaces, melzak_ratio, volume
-from .vec3 import lengths, ordered_sum, rowcross, rowdot, unit
+from .vec3 import lengths, ordered_sum, rowcross, rowdot
 
 OUT = "out"
 IN = "in"
 REFUSALS = (NotExposedFace, NotSemiExposed)  # what an inadmissible face move raises
 _CODES = {EXPOSED: 0, NEGATIVELY_EXPOSED: 1}  # a class's code; any other class 2, an error 3
+_NO_AXIS = "zero vector cannot be normalized"  # a zero-length hinge edge, as vec3.unit says
 
 
 @dataclass(frozen=True)
@@ -136,86 +137,57 @@ class DerivativeReport:
         return out
 
 
+class FaceTable(NamedTuple):
+    """What ``_face_tables`` decides of each move m of a k-gon: the translate
+    (m = 0 out, 1 in) or the hinge about the edge from corner t to corner
+    t + 1 (m = 2 + 2t out, 3 + 2t in)."""
+
+    rates: np.ndarray   # (k + 3, 2k + 2): each corner's dE (0 if unmoved), then dE, dV, dM
+    errors: dict        # m -> the GeometryError of a move without a rate
+    moves: list         # what face_moves lists
+    movers: np.ndarray  # (k, 2k + 2) bool: whether move m moves corner t
+    split: np.ndarray   # (2k + 2,): 1 if the movers split, 0 if not, -1 if the move is refused
+    hinges: tuple       # (a, w, sigma) of each slot's hinge: point, direction, outward sense
+
+
 def moving_vertices(P: Polyhedron, pert: Perturbation) -> list:
     """Vertices that ``pert`` moves: every vertex of a translated face, the
     vertices of a hinged face off the hinge edge, the cut vertex."""
     if pert.kind == "vertex_truncate":
         return [pert.target]
     cyc = P.faces[pert.target]
-    return [cyc[t] for t in _moved(len(cyc), _move_index(P, pert))]
+    return [cyc[t] for t in np.flatnonzero(face_movers(P, pert.target)[:, _move_index(P, pert)])]
 
 
-def _splits(cls: str, direction: str) -> bool:
-    """Whether a moved vertex of degree k > 3 in class ``cls`` splits into
-    k - 2 correspondents (else it keeps one and sheds a lateral edge)."""
+def face_movers(P: Polyhedron, f: int) -> np.ndarray:
+    """(k, 2k + 2) bool: whether each move of face ``f``, in ``face_moves``'
+    order, moves the face's corner t (its cycle's vertex t)."""
+    return _face_tables(P)[f].movers
+
+
+def _splits(cls, direction: str):
+    """Whether moved vertices of degree k > 3 in class ``cls``, elementwise,
+    split into k - 2 correspondents (else keep one and shed a lateral edge)."""
     return cls != (EXPOSED if direction == OUT else NEGATIVELY_EXPOSED)
 
 
-def _moved(k: int, m: int) -> list:
-    """The corners move m of a k-gon moves: all of them for the translate,
-    all but the hinge edge's two ends for a hinge."""
-    hinge = m // 2 - 1
-    return [t for t in range(k) if hinge < 0 or (t - hinge) % k > 1]
-
-
-def _hinge_axis(P: Polyhedron, f: int, t: int) -> tuple:
-    """(a, w): the lower-numbered end of the edge from corner t to corner
-    t + 1 of face ``f``, and the unit direction to its other end."""
-    cyc = P.faces[f]
-    i, j = sorted((cyc[t], cyc[(t + 1) % len(cyc)]))
-    a = P.vertices[i]
-    return a, unit(P.vertices[j] - a)
-
-
-def _mover_class(f: int, hinge: bool, classes: list, axis_error) -> str:
-    """The exposure class the movers of a move of face ``f`` share, from
-    their ``classes`` in cycle order; raises what the move's derivatives
-    raise when there is none, and then ``axis_error``, the GeometryError of
-    a hinge without an axis, if any."""
-    for cls in classes:
-        if isinstance(cls, GeometryError):
-            raise cls
-    cls = classes[0]
-    if len(set(classes)) > 1 or cls not in (EXPOSED, NEGATIVELY_EXPOSED):
-        msg = f"face {f}: moving vertices are not uniformly exposed or negatively exposed"
-        if hinge:
-            raise NotSemiExposed(msg)
-        raise NotExposedFace(msg)
-    if axis_error is not None:
-        raise axis_error
-    return cls
-
-
-def _slot_error(P: Polyhedron, facts: dict, f: int, s: int) -> GeometryError:
-    """The GeometryError of slot ``s`` of face ``f`` (the translate, then
-    the hinge at each edge) when the slot has no shared mover class or no
-    hinge axis, by ``_mover_class``'s rules."""
-    cyc = P.faces[f]
-    axis_error = None
-    if s:
-        try:
-            _hinge_axis(P, f, s - 1)
-        except GeometryError as exc:
-            axis_error = exc
-    try:
-        _mover_class(f, s > 0, [facts[cyc[t]].cls for t in _moved(len(cyc), 2 * s)], axis_error)
-    except GeometryError as exc:
-        return exc.with_traceback(None)
+def _refuse(f: int, hinge: bool) -> None:
+    """Raise the refusal of a move of face ``f`` whose movers share no class."""
+    msg = f"face {f}: moving vertices are not uniformly exposed or negatively exposed"
+    if hinge:
+        raise NotSemiExposed(msg)
+    raise NotExposedFace(msg)
 
 
 def _face_tables(P: Polyhedron) -> dict:
-    """face -> (rates, sigma, errors, moves), every face's built on first
-    read in one padded pass over ``Topology.corner_table`` from the body's
+    """face -> its FaceTable, every face's built on first read in one
+    padded pass over ``Topology.corner_table`` from the body's
     ``gauss.vertex_table``, and memoised in ``P.tables``.
 
-    Move m of a k-gon is the translate (m = 0 out, 1 in) or the hinge about
-    the edge from corner t to corner t + 1 (m = 2 + 2t out, 3 + 2t in).
-    ``rates`` (k + 3, 2k + 2) holds the dE of each corner under each move
-    (0 where the move leaves it), then each move's dE, dV and dM; ``sigma``
-    the rotation sense of each slot's outward hinge; ``errors`` maps each
-    move without a rate to its GeometryError, a failed corner rule failing
-    only the moves that move it under that rule; ``moves`` is what
-    ``face_moves`` lists."""
+    A move is admitted when its movers share a class and a hinge's edge has
+    a length. A refused move's error is its first mover's class error, in
+    cycle order, else its refusal, else its axis's; an admitted move's split
+    is ``_splits`` of the shared class."""
     tables = P.tables.get("faces")
     if tables is not None:
         return tables
@@ -237,31 +209,30 @@ def _face_tables(P: Polyhedron) -> dict:
     # speed over the face interior, probed at the centroid
     centroid = ordered_sum(np.where(mask[..., None], corner, 0.0), axis=1) / k[:, None]
     wn = rowcross(w, N[:, None])
-    sigma = np.where(rowdot(a - centroid[:, None], wn) > 0, 1.0, -1.0)
+    sigma = np.where(axis_ok, np.where(rowdot(a - centroid[:, None], wn) > 0, 1.0, -1.0), 0.0)
     planes = np.zeros((F, 2 * K + 2, 4))
     planes[:, :2, 3] = (1.0, -1.0)
     for m, sense in ((2, sigma), (3, -sigma)):
         ndot = np.where(axis_ok[..., None], sense[..., None] * wn, 0.0)
         planes[:, m::2, :3] = ndot
         planes[:, m::2, 3] = np.where(axis_ok, rowdot(a, ndot), 0.0)
-    # movers (F, K + 1 slots, K corners): every corner for the translate,
-    # all but the hinge edge's two ends for a hinge
+    # movers (F, K + 1 slots, K corners)
     hinge = slots[:, None]
     stays = (slots == hinge) | (slots == (hinge + 1) % k[:, None, None])
     movers = np.concatenate([mask[:, None], mask[:, None] & ~stays], axis=1) & real[..., None]
     # a slot's movers share a class when their codes' least equals their
-    # greatest and is 0 or 1; a slot without one, or without an axis, is bad
+    # greatest and is 0 or 1
     facts = table.facts
     codes = np.array([3 if isinstance(fact.cls, GeometryError) else _CODES.get(fact.cls, 2)
                       for fact in facts.values()], dtype=int)
-    code = codes[ends[:, None, :, 0]]
+    code = codes[ends[:, :, 0]][:, None]
     cls = np.where(movers, code, 4).min(axis=-1)
     most = np.where(movers, code, -1).max(axis=-1)
-    bad = real & ((most > 1) | (cls != most))
-    bad[:, 1:] |= mask & ~axis_ok
-    split = np.zeros((F, 2 * K + 2), dtype=int)  # a refused slot reads rule 0
-    split[:, 0::2] = ~bad & (cls != _CODES[EXPOSED])
-    split[:, 1::2] = ~bad & (cls != _CODES[NEGATIVELY_EXPOSED])
+    shared = real & (most <= 1) & (cls == most)
+    admitted = shared & np.insert(axis_ok, 0, True, axis=1)
+    cls = np.array(list(_CODES))[np.where(admitted, cls, 0)]
+    split = np.stack([_splits(cls, d) & admitted for d in (OUT, IN)], axis=2).reshape(F, -1)
+    split = split.astype(int)  # a refused move reads rule 0
     # corner t adds a * rdot + b * |rdot| to move m's dE, (a, b) its rule
     # under the move's split and rdot = odot - x_t . ndot; dV = A_f odot - M_f . ndot
     moved = np.repeat(movers, 2, axis=1).transpose(0, 2, 1)  # (F, K, M)
@@ -279,30 +250,44 @@ def _face_tables(P: Polyhedron) -> dict:
     rates[:, :K] = corner_dE
     rates[fi, k[:, None] + np.arange(3)] = np.stack(
         (dE, dV, _ratio_rate(edge_length(P), volume(P), dE, dV)), axis=1)
-    # a move's failed rule: the first mover, in cycle order, whose rule fails
-    fails = moved & table.failed.astype(bool)[pick]
     errors = [{} for _ in range(F)]
-    for f, s in np.argwhere(bad).tolist():
-        errors[f][2 * s] = errors[f][2 * s + 1] = _slot_error(P, facts, f, s)
+    failed = movers & (code == 3)
+    first = failed.argmax(axis=-1)
+    for f, s in np.argwhere(real & ~admitted).tolist():
+        if failed[f, s].any():
+            error = facts[ends[f, first[f, s], 0]].cls
+        elif not shared[f, s]:
+            try:
+                _refuse(f, s > 0)
+            except REFUSALS as exc:
+                error = exc.with_traceback(None)
+        else:
+            error = BadParameter(_NO_AXIS)
+        errors[f][2 * s] = errors[f][2 * s + 1] = error
+    # an admitted move's failed rule: the first mover, in cycle order, whose rule fails
+    fails = moved & table.failed.astype(bool)[pick]
     first = fails.argmax(axis=1)
-    for f, m in np.argwhere(fails.any(axis=1) & ~np.repeat(bad, 2, axis=1)).tolist():
+    for f, m in np.argwhere(fails.any(axis=1) & np.repeat(admitted, 2, axis=1)).tolist():
         errors[f][m] = table.failed[f, first[f, m], split[f, m]]
+    split[~np.repeat(admitted, 2, axis=1)] = -1
     tables = {}
-    for f, (row, n, err, senses, ok) in enumerate(zip(
-            rates, k.tolist(), errors, sigma.tolist(), axis_ok.tolist())):
+    for f, (row, n, err) in enumerate(zip(rates, k.tolist(), errors)):
         perts = [Perturbation("face_translate", f, d) for d in (OUT, IN)]
         perts += [Perturbation("face_hinge", f, d, top.edge_id[i, j])
                   for i, j in zip(lo[f, :n].tolist(), hi[f, :n].tolist()) for d in (OUT, IN)]
-        row = row[:n + 3, :2 * n + 2]
+        row, M = row[:n + 3, :2 * n + 2], 2 * n + 2
         moves = [(pert, err.get(m, dM))
                  for m, (pert, dM) in enumerate(zip(perts, row[-1].tolist()))]
-        tables[f] = row, tuple(x if good else None for x, good in zip(senses, ok[:n])), err, moves
+        tables[f] = FaceTable(row, err, moves, moved[f, :n, :M], split[f, :M],
+                              (a[f, :n], w[f, :n], sigma[f, :n]))
     P.tables["faces"] = tables
     return tables
 
 
 def _move_index(P: Polyhedron, pert: Perturbation) -> int:
-    """Index of face move ``pert`` in its face's table."""
+    """Index of face move ``pert`` in its face's table; BadParameter for an
+    index ``P`` does not have."""
+    _check_indices(P, pert)
     back = pert.direction == IN
     if pert.kind == "face_translate":
         return int(back)
@@ -316,9 +301,10 @@ def _hinge_frame(P: Polyhedron, pert: Perturbation) -> tuple:
     """(a, w, sigma): a point and unit direction of the hinge line, and the
     rotation sense that moves the face plane in ``pert.direction``."""
     t = _move_index(P, pert) // 2 - 1
-    a, w = _hinge_axis(P, pert.target, t)
-    sigma = _face_tables(P)[pert.target][1][t]
-    return a, w, sigma if pert.direction == OUT else -sigma
+    a, w, sigma = _face_tables(P)[pert.target].hinges
+    if not sigma[t]:
+        raise BadParameter(_NO_AXIS)
+    return a[t], w[t], float(sigma[t] if pert.direction == OUT else -sigma[t])
 
 
 def face_moves(P: Polyhedron, f: int) -> list:
@@ -326,7 +312,7 @@ def face_moves(P: Polyhedron, f: int) -> list:
     translate, then of its hinge about each edge in cycle order, out before
     in. A move without a rate has the GeometryError its derivatives raise
     in place of dM. Every read returns the list stored with the face's table."""
-    return _face_tables(P)[f][3]
+    return _face_tables(P)[f].moves
 
 
 def _ratio_rate(E0: float, V0: float, dE, dV):
@@ -344,14 +330,12 @@ def _report(P: Polyhedron, pert: Perturbation, dE: float, dV: float,
 
 def _face_report(P: Polyhedron, pert: Perturbation) -> DerivativeReport:
     """The report of face move ``pert``, read from its face's table."""
-    _check_indices(P, pert)
-    m = _move_index(P, pert)
-    rates, _, errors, _ = _face_tables(P)[pert.target]
-    if m in errors:
-        raise type(errors[m])(*errors[m].args)
+    m, table = _move_index(P, pert), _face_tables(P)[pert.target]
+    if m in table.errors:
+        raise type(table.errors[m])(*table.errors[m].args)
     cyc = P.faces[pert.target]
-    rates = rates[:, m].tolist()
-    per_vertex = {cyc[t]: rates[t] for t in _moved(len(cyc), m)}
+    rates = table.rates[:, m].tolist()
+    per_vertex = {cyc[t]: rates[t] for t in np.flatnonzero(table.movers[:, m]).tolist()}
     return _report(P, pert, rates[-3], rates[-2], per_vertex)
 
 
@@ -433,11 +417,9 @@ def _expected_counts(P: Polyhedron, pert: Perturbation) -> tuple:
     if pert.kind == "vertex_truncate":
         deg = P.vertex_degree(pert.target)
         return P.n_vertices + deg - 1, P.n_edges + deg, P.n_faces + 1
-    dv = 0
-    for v in moving_vertices(P, pert):
-        k = P.vertex_degree(v)
-        if k > 3:
-            dv += k - 3 if _splits(exposure(P, v), pert.direction) else 1
+    m, table = _move_index(P, pert), _face_tables(P)[pert.target]
+    dv = sum(k - 3 if table.split[m] else 1
+             for k in map(P.vertex_degree, moving_vertices(P, pert)) if k > 3)
     return P.n_vertices + dv, P.n_edges + dv, P.n_faces
 
 
@@ -474,11 +456,16 @@ def apply(P: Polyhedron, pert: Perturbation, t: float) -> Polyhedron:
 
     Raises CombinatorialCollapse when the rebuilt polyhedron does not have
     the vertex/edge/face counts the first-order picture predicts, which is
-    how crossing ``t_max`` manifests, and NotConvex for a body that is
-    not convex.
+    how crossing ``t_max`` manifests, NotConvex for a body that is not
+    convex, and, before any rebuild, the error ``derivatives`` raises for a
+    refused face move.
     """
     if not P.convex:
         raise NotConvex("apply() requires a convex polyhedron")
+    if pert.kind != "vertex_truncate":
+        m, table = _move_index(P, pert), _face_tables(P)[pert.target]
+        if table.split[m] < 0:
+            raise type(table.errors[m])(*table.errors[m].args)
     try:
         Q = from_halfspaces(perturbed_halfspaces(P, pert, t))
     except BadParameter:

@@ -138,6 +138,14 @@ def schonhardt():
     return parse_off("\n".join(lines))
 
 
+def tangent_body(n, seed=0):
+    """The body of ``n`` planes tangent to the unit sphere at directions
+    drawn from ``default_rng(seed)``: every plane is a face, of about six
+    corners, and there are 2n - 4 vertices."""
+    normals = np.random.default_rng(seed).normal(size=(n, 3))
+    return from_halfspaces([HalfSpace(x / np.linalg.norm(x), 1.0) for x in normals])
+
+
 def crater_cavity(crater, T):
     """Convex complement of the crater's pit: flipped pit planes + top cap."""
     pit_faces = [f for f in range(crater.n_faces)

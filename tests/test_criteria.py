@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import crater_can, fail_corner_rules, hull_polyhedron, octahedron
+from conftest import crater_can, fail_corner_rules, hull_polyhedron, octahedron, schonhardt
 from melzak import (
     HalfSpace,
     criticality_report,
@@ -248,6 +248,18 @@ def test_dihedral_is_not_applicable_to_a_non_convex_body():
     verdict = next(v for v in audit(crater_can()[0], B=12.0).verdicts
                    if v.criterion_id == "dihedral")
     assert not verdict.applicable and verdict.notes[0].startswith("skipped:")
+
+
+def test_a_body_no_local_criterion_judges_is_no_candidate():
+    # every vertex of Schönhardt's prism is neither exposed nor negatively
+    # exposed and the body is not convex, so only combinatorics applies
+    rep = audit(schonhardt(), "candidate")
+    assert [(v.criterion_id, v.applicable, v.passed) for v in rep.verdicts
+            if v.applicable] == [("combinatorics", True, True)]
+    assert not rep.is_candidate_minimizer
+    assert rep.notes[-1] == ("no criterion but combinatorics applies to this body, "
+                             "so it is not a candidate")
+    assert audit(cube(), "candidate").is_candidate_minimizer
 
 
 def _verdicts(P):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import crater_can, crater_cavity, match_vertex, octahedron
+from conftest import crater_can, crater_cavity, match_vertex, octahedron, tangent_body
 from melzak import (
     criticality_report,
     cube,
@@ -51,6 +52,7 @@ from melzak.gauss import (
     spherical_area,
     spherical_incircle,
     vertex_image,
+    vertex_table,
 )
 
 
@@ -419,6 +421,20 @@ def test_vertex_table_matches_the_single_polygon_loops_bit_for_bit():
                 seen.add(exposure(P, v))
             seen.add(want[0])
     assert seen == {"ok", EXPOSED, NEGATIVELY_EXPOSED, NotExposed}
+
+
+def test_vertex_table_makes_no_face_by_vertex_array():
+    P = tangent_body(1000)
+    F, V = P.n_faces, P.n_vertices
+    assert (F, V) == (1000, 1996)
+    P.dihedral_range, P.planes  # the body's cached geometry, which the table reads
+    tracemalloc.start()
+    try:
+        vertex_table(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * F * V  # half of one (F, V) integer array
 
 
 def test_a_body_takes_one_table_pass(monkeypatch):

@@ -57,13 +57,13 @@ from melzak.errors import (
     UnboundedWedge,
 )
 from melzak.gauss import VertexFacts, VertexTable, exposure, vertex_image, vertex_table
+from melzak.offio import parse_off
 from melzak.optimize import load_catalog
 from melzak.vec3 import cross, norm, ordered_sum, unit
 from melzak.perturbations import (
     Perturbation,
-    _hinge_axis,
-    _moved,
-    _mover_class,
+    _expected_counts,
+    _hinge_frame,
     _ratio_rate,
     _splits,
     apply,
@@ -632,8 +632,9 @@ def test_crater_rate_table_matches_fan_oracle():
 # Before the corner rules ran on stacked fans they were taken one corner at
 # a time: ``_local_fan`` rotates the vertex's fan to start at the face, and
 # ``_slide`` takes one slide. Before every face's table came from one padded
-# pass, each face's was built alone (``_face_table``). The passes must give
-# their bits.
+# pass, each face's was built alone (``_face_table``), from the scalar rules
+# of one move at a time (``_moved``, ``_hinge_axis``, ``_mover_class``). The
+# passes, and every reader of the face tables, must give their bits.
 
 def _slide(n_a, n_b, n_face):
     d = cross(n_a, n_b)
@@ -728,28 +729,64 @@ def _bent_pyramid():
 _PASS_BODIES = {**_ORACLE_BODIES, "crater": lambda: crater_can()[0], "bent": _bent_pyramid}
 
 
+def _moved(k, m):
+    """The corners move m of a k-gon moves: all of them for the translate,
+    all but the hinge edge's two ends for a hinge."""
+    hinge = m // 2 - 1
+    return [t for t in range(k) if hinge < 0 or (t - hinge) % k > 1]
+
+
+def _hinge_axis(P, f, t):
+    """(a, w): the lower-numbered end of the edge from corner t to corner
+    t + 1 of face ``f``, and the unit direction to its other end."""
+    cyc = P.faces[f]
+    i, j = sorted((cyc[t], cyc[(t + 1) % len(cyc)]))
+    a = P.vertices[i]
+    return a, unit(P.vertices[j] - a)
+
+
+def _mover_class(f, hinge, classes, axis_error):
+    """The exposure class the movers of a move of face ``f`` share, from
+    their ``classes`` in cycle order; raises what the move's derivatives
+    raise when there is none, and then ``axis_error``, the GeometryError of
+    a hinge without an axis, if any."""
+    for cls in classes:
+        if isinstance(cls, GeometryError):
+            raise cls
+    cls = classes[0]
+    if len(set(classes)) > 1 or cls not in (EXPOSED, NEGATIVELY_EXPOSED):
+        msg = f"face {f}: moving vertices are not uniformly exposed or negatively exposed"
+        if hinge:
+            raise NotSemiExposed(msg)
+        raise NotExposedFace(msg)
+    if axis_error is not None:
+        raise axis_error
+    return cls
+
+
 def _face_table(P, f, table):
-    """(rates, sigma, errors, moves) of face ``f`` alone, from the classes
-    and corner rules of ``table``: the package's per-face loop before every
-    face's table came from one padded pass, kept as that pass's oracle."""
+    """(rates, errors, moves, movers, split, hinges) of face ``f`` alone, from
+    the classes and corner rules of ``table``: the package's per-face loop
+    before every face's table came from one padded pass, kept as that
+    pass's oracle. A slot without an axis has a zero hinge."""
     cyc = P.faces[f]
     k = len(cyc)
     rules, failed = table.rules[f, :k], table.failed[f, :k]
     n_face = P.face_normal(f)
     c = P.face_centroid(f)
-    axis_errors, sigma = [None], []
+    axis_errors = [None]
+    A, W, sigma = np.zeros((k, 3)), np.zeros((k, 3)), np.zeros(k)
     planes = np.zeros((2 * k + 2, 4))
     planes[:2, 3] = (1.0, -1.0)
     for t in range(k):
         try:
-            a, w = _hinge_axis(P, f, t)
+            a, w = A[t], W[t] = _hinge_axis(P, f, t)
         except GeometryError as exc:
             axis_errors.append(exc)
-            sigma.append(None)
             continue
         axis_errors.append(None)
         wn = cross(w, n_face)
-        sigma.append(1.0 if float((a - c) @ wn) > 0 else -1.0)
+        sigma[t] = 1.0 if float((a - c) @ wn) > 0 else -1.0
         for m, ndot in ((2 + 2 * t, sigma[t] * wn), (3 + 2 * t, -sigma[t] * wn)):
             planes[m] = (*ndot, float(a @ ndot))
     movers = np.zeros((k, 2 * k + 2), dtype=bool)
@@ -763,13 +800,14 @@ def _face_table(P, f, table):
                                axis_errors[s])
         except GeometryError as exc:
             errors[2 * s] = errors[2 * s + 1] = exc.with_traceback(None)
+            split[2 * s:2 * s + 2] = -1
             continue
         for m, direction in ((2 * s, "out"), (2 * s + 1, "in")):
             split[m] = _splits(cls, direction)
             err = next((failed[t][split[m]] for t in moved if failed[t][split[m]]), None)
             if err is not None:
                 errors[m] = err
-    X, coef = P.vertices[list(cyc)], rules[:, split]
+    X, coef = P.vertices[list(cyc)], rules[:, np.maximum(split, 0)]
     nd, od = planes[:, :3], planes[:, 3]
     rdot = od - (X[:, :1] * nd[:, 0] + X[:, 1:2] * nd[:, 1] + X[:, 2:] * nd[:, 2])
     corner_dE = np.where(movers, coef[..., 0] * rdot + coef[..., 1] * np.abs(rdot), 0.0)
@@ -782,22 +820,28 @@ def _face_table(P, f, table):
               for i, j in zip(cyc, cyc[1:] + cyc[:1]) for d in ("out", "in")]
     moves = [(pert, errors.get(m, dM))
              for m, (pert, dM) in enumerate(zip(perts, rates[-1].tolist()))]
-    return rates, tuple(sigma), errors, moves
+    return rates, errors, moves, movers, split, (A, W, sigma)
 
 
 def _assert_face_tables_match(P, table):
     """Every face's table from the padded pass equals, byte for byte, the
-    per-face oracle's from ``table``: rates, senses, errors and moves."""
+    per-face oracle's from ``table``: rates, errors, moves, movers, splits
+    and the hinge of every slot with an axis."""
     got = melzak.perturbations._face_tables(P)
     assert sorted(got) == list(range(P.n_faces))
     for f in range(P.n_faces):
-        rates, sigma, errors, moves = _face_table(P, f, table)
-        assert got[f][0].shape == rates.shape and got[f][0].tobytes() == rates.tobytes(), f
-        assert got[f][1] == sigma, f
-        assert {m: _outcome(e) for m, e in got[f][2].items()} == \
+        rates, errors, moves, movers, split, hinges = _face_table(P, f, table)
+        assert got[f].rates.shape == rates.shape and got[f].rates.tobytes() == rates.tobytes(), f
+        assert {m: _outcome(e) for m, e in got[f].errors.items()} == \
             {m: _outcome(e) for m, e in errors.items()}, f
-        assert [(pert, _outcome(dM)) for pert, dM in got[f][3]] == \
+        assert [(pert, _outcome(dM)) for pert, dM in got[f].moves] == \
             [(pert, _outcome(dM)) for pert, dM in moves], f
+        assert got[f].movers.dtype == bool and np.array_equal(got[f].movers, movers), f
+        assert got[f].split.tolist() == split.tolist(), f
+        axis = hinges[2] != 0.0
+        assert got[f].hinges[2].tobytes() == hinges[2].tobytes(), f
+        for x, want in zip(got[f].hinges[:2], hinges[:2]):
+            assert x.shape == want.shape and x[axis].tobytes() == want[axis].tobytes(), f
 
 
 @pytest.mark.parametrize("name", list(_PASS_BODIES))
@@ -828,6 +872,79 @@ def test_vertex_pass_matches_the_scalar_corner_rules(name):
 def test_padded_face_pass_matches_the_per_face_oracle_on_random_bodies(seed, n_faces):
     P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
     _assert_face_tables_match(P, vertex_table(P))
+
+
+def _assert_readers_match_scalar_rules(P):
+    """On every admitted face move, ``moving_vertices``, ``per_vertex_dE``,
+    ``_hinge_frame`` and ``_expected_counts`` give what the scalar rules
+    give: ``_moved``'s corners, the oracle's rates of those corners, the
+    hinge's ``_hinge_axis`` and sense, and a count that reads each mover's
+    class by ``exposure``; returns how many moves were admitted."""
+    table = vertex_table(P)
+    admitted = 0
+    for f, cyc in enumerate(P.faces):
+        rates, errors, moves, _, split, (_, _, sigma) = _face_table(P, f, table)
+        for m, (pert, dM) in enumerate(moves):
+            if split[m] < 0:
+                continue
+            admitted += 1
+            movers = [cyc[t] for t in _moved(len(cyc), m)]
+            assert moving_vertices(P, pert) == movers, pert.label()
+            if m not in errors:
+                per_vertex = derivatives(P, pert).per_vertex_dE
+                assert list(per_vertex) == movers, pert.label()
+                assert all(per_vertex[cyc[t]] == rates[t, m] for t in _moved(len(cyc), m))
+            if m > 1:
+                t = m // 2 - 1
+                a, w, sense = _hinge_frame(P, pert)
+                want_a, want_w = _hinge_axis(P, f, t)
+                assert a.tobytes() == want_a.tobytes() and w.tobytes() == want_w.tobytes()
+                assert sense == (sigma[t] if pert.direction == "out" else -sigma[t])
+            dv = sum(P.vertex_degree(v) - 3 if _splits(exposure(P, v), pert.direction) else 1
+                     for v in movers if P.vertex_degree(v) > 3)
+            assert _expected_counts(P, pert) == (P.n_vertices + dv, P.n_edges + dv, P.n_faces)
+    return admitted
+
+
+@pytest.mark.parametrize("name", list(_PASS_BODIES))
+def test_face_table_readers_match_the_scalar_rules(name):
+    assert _assert_readers_match_scalar_rules(_PASS_BODIES[name]())
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), n_faces=st.integers(4, 40))
+def test_face_table_readers_match_the_scalar_rules_on_random_bodies(seed, n_faces):
+    P = random_convex(np.random.default_rng(seed), n_faces=n_faces)
+    assert _assert_readers_match_scalar_rules(P) == sum(2 * len(c) + 2 for c in P.faces)
+
+
+def _split_face_cube():
+    """The cube as OFF, its first face split along a diagonal into two
+    coplanar triangles: the diagonal's dihedral angle is pi, so its two
+    ends are neither exposed nor negatively exposed."""
+    C = cube()
+    a, b, c, d = C.faces[0]
+    faces = [(a, b, c), (a, c, d), *C.faces[1:]]
+    lines = ["OFF", f"{C.n_vertices} {len(faces)} 0"]
+    lines += [" ".join(map(repr, x)) for x in C.vertices.tolist()]
+    lines += [" ".join(map(str, (len(cyc), *cyc))) for cyc in faces]
+    return parse_off("\n".join(lines))
+
+
+def test_apply_raises_the_refusal_of_a_refused_move():
+    # the rebuild would fail on the counts; the refusal comes first
+    P = _split_face_cube()
+    assert P.convex
+    refused = [(pert, dM) for f in range(P.n_faces) for pert, dM in face_moves(P, f)
+               if isinstance(dM, (NotExposedFace, NotSemiExposed))]
+    assert len(refused) == 36
+    for pert, dM in refused:
+        for t in (0.0, 1e-3):
+            with pytest.raises(type(dM)) as info:
+                apply(P, pert, t)
+            assert info.value.args == dM.args, pert.label()
+        with pytest.raises(type(dM)):
+            derivatives(P, pert)
 
 
 def test_one_vertex_pass_builds_every_face_table(monkeypatch):

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import moved, relabelled
+from conftest import moved, relabelled, tangent_body
 from melzak import (
     HalfSpace,
     Perturbation,
@@ -260,6 +261,23 @@ def test_near_coaxial_plane_triples_do_not_poison_the_scale():
 # ---------------------------------------------------------------------------
 # accessors
 # ---------------------------------------------------------------------------
+
+def test_diameter_makes_no_vertex_pair_array():
+    # the largest squared distance, taken over row blocks, is the one the
+    # whole (V, V) array of squared distances holds, to the bit
+    P = tangent_body(1000)
+    V = P.n_vertices
+    assert V == 1996
+    tracemalloc.start()
+    try:
+        got = P.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * V * V  # a quarter of one (V, V) float array
+    v = P.vertices
+    assert got == float(np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).max()))
+
 
 def test_edge_index_and_edge_faces():
     C = cube()
